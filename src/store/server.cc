@@ -1112,8 +1112,11 @@ Result<std::vector<uint8_t>> StoreServer::HandleReadRange(const WireFrame& frame
   if (offset > size || len > size - offset) {
     return OutOfRangeError("READ_RANGE past end of " + open.rel);
   }
+  std::vector<uint8_t> out(len);
+  UCP_RETURN_IF_ERROR(open.source->ReadAt(offset, out.data(), out.size()));
   // Server-side verification: every chunk the range touches must pass its CRC before the
-  // payload ships (each chunk checked at most once per handle).
+  // payload ships (each chunk checked at most once per handle). Chunks wholly inside the
+  // range are checked in the reply buffer; a partly covered edge chunk is read whole.
   if (open.index.has_value()) {
     std::vector<uint8_t> chunk_buf;
     for (size_t ri = 0; ri < open.index->regions.size(); ++ri) {
@@ -1132,11 +1135,14 @@ Result<std::vector<uint8_t>> StoreServer::HandleReadRange(const WireFrame& frame
         const uint64_t chunk_begin = region.begin + c * region.chunk_bytes;
         const uint64_t chunk_end =
             std::min<uint64_t>(chunk_begin + region.chunk_bytes, region.end);
-        chunk_buf.resize(static_cast<size_t>(chunk_end - chunk_begin));
-        UCP_RETURN_IF_ERROR(
-            open.source->ReadAt(chunk_begin, chunk_buf.data(), chunk_buf.size()));
-        if (Crc32(chunk_buf.data(), chunk_buf.size()) !=
-            region.chunk_crcs[static_cast<size_t>(c)]) {
+        const size_t chunk_size = static_cast<size_t>(chunk_end - chunk_begin);
+        const bool in_range = chunk_begin >= offset && chunk_end <= offset + len;
+        if (!in_range) {
+          chunk_buf.resize(chunk_size);
+          UCP_RETURN_IF_ERROR(open.source->ReadAt(chunk_begin, chunk_buf.data(), chunk_size));
+        }
+        const uint8_t* chunk = in_range ? out.data() + (chunk_begin - offset) : chunk_buf.data();
+        if (Crc32(chunk, chunk_size) != region.chunk_crcs[static_cast<size_t>(c)]) {
           ServerMetrics::Get().chunk_crc_failures.Add(1);
           return DataLossError("per-tensor CRC mismatch in " + open.rel + " (chunk " +
                                std::to_string(c) + " of " +
@@ -1146,8 +1152,6 @@ Result<std::vector<uint8_t>> StoreServer::HandleReadRange(const WireFrame& frame
       }
     }
   }
-  std::vector<uint8_t> out(len);
-  UCP_RETURN_IF_ERROR(open.source->ReadAt(offset, out.data(), out.size()));
   return out;
 }
 

@@ -68,43 +68,37 @@ uint64_t LoadU64(const uint8_t* p) {
   return v;
 }
 
-void PatchU64(std::vector<uint8_t>& buf, size_t at, uint64_t v) {
-  std::memcpy(buf.data() + at, &v, 8);
+void PatchU32(std::vector<uint8_t>& buf, size_t at, uint32_t v) {
+  std::memcpy(buf.data() + at, &v, 4);
 }
 
-void AppendU32(std::vector<uint8_t>& buf, uint32_t v) {
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(&v);
-  buf.insert(buf.end(), p, p + 4);
+void PatchU64(std::vector<uint8_t>& buf, size_t at, uint64_t v) {
+  std::memcpy(buf.data() + at, &v, 8);
 }
 
 // ---------------------------------------------------------------------------
 // Payload encoding/decoding. On-disk payloads are raw little-endian values of the storage
 // dtype; in-memory tensors are always fp32.
 
-std::vector<uint8_t> EncodePayload(const Tensor& t, DType dtype) {
+// Appends the payload of `t` stored as `dtype`: f32 is one copy from the tensor, bf16/f16 are
+// converted straight into the buffer.
+void AppendPayload(std::vector<uint8_t>& buf, const Tensor& t, DType dtype) {
   const float* p = t.data();
-  int64_t n = t.numel();
-  std::vector<uint8_t> out(static_cast<size_t>(n) * DTypeSize(dtype));
-  switch (dtype) {
-    case DType::kF32:
-      std::memcpy(out.data(), p, out.size());
-      break;
-    case DType::kBF16:
-      for (int64_t i = 0; i < n; ++i) {
-        uint16_t v = F32ToBf16(p[i]);
-        out[2 * i] = static_cast<uint8_t>(v & 0xFF);
-        out[2 * i + 1] = static_cast<uint8_t>(v >> 8);
-      }
-      break;
-    case DType::kF16:
-      for (int64_t i = 0; i < n; ++i) {
-        uint16_t v = F32ToF16(p[i]);
-        out[2 * i] = static_cast<uint8_t>(v & 0xFF);
-        out[2 * i + 1] = static_cast<uint8_t>(v >> 8);
-      }
-      break;
+  const int64_t n = t.numel();
+  if (dtype == DType::kF32) {
+    const auto* bytes = reinterpret_cast<const uint8_t*>(p);
+    buf.insert(buf.end(), bytes, bytes + static_cast<size_t>(n) * sizeof(float));
+    return;
   }
-  return out;
+  uint16_t (*const to_half)(float) = dtype == DType::kBF16 ? F32ToBf16 : F32ToF16;
+  const size_t at = buf.size();
+  buf.resize(at + static_cast<size_t>(n) * 2);
+  uint8_t* out = buf.data() + at;
+  for (int64_t i = 0; i < n; ++i) {
+    const uint16_t v = to_half(p[i]);
+    out[2 * i] = static_cast<uint8_t>(v & 0xFF);
+    out[2 * i + 1] = static_cast<uint8_t>(v >> 8);
+  }
 }
 
 void DecodeElements(const uint8_t* raw, DType dtype, int64_t count, float* out) {
@@ -189,7 +183,7 @@ Status VerifyChunks(const uint8_t* payload, uint64_t payload_bytes, uint32_t chu
 }
 
 // ---------------------------------------------------------------------------
-// v3 writers. Layout (single tensor):
+// v3 writer. Layout (single tensor):
 //   u32 magic | u32 endian | u32 version
 //   u64 header_bytes                         (fixed offset 12; == payload start offset)
 //   u8 dtype | u32 ndim | i64 dims[ndim] | u64 payload_bytes
@@ -199,34 +193,71 @@ Status VerifyChunks(const uint8_t* payload, uint64_t payload_bytes, uint32_t chu
 //   u32 file_crc                             (CRC32 over bytes [0, here))
 // Bundles use the same prologue, then meta string + entry table (each entry additionally
 // records its absolute payload offset), header_crc, concatenated payloads, file_crc.
+//
+// The header is written first, with zeroed slots for the chunk CRCs and payload offsets; that
+// fixes the file's size. The file is then allocated once, each payload is encoded at its final
+// offset, and the slots are filled from the bytes in place.
 
-void PutChunkTable(ByteWriter& w, const std::vector<uint8_t>& payload, uint32_t chunk_bytes) {
-  uint32_t num_chunks = NumChunksFor(payload.size(), chunk_bytes);
-  w.PutU32(chunk_bytes);
-  w.PutU32(num_chunks);
-  for (uint32_t ci = 0; ci < num_chunks; ++ci) {
-    uint64_t start = ci * static_cast<uint64_t>(chunk_bytes);
-    uint64_t size = std::min<uint64_t>(chunk_bytes, payload.size() - start);
-    w.PutU32(Crc32(payload.data() + start, static_cast<size_t>(size)));
-  }
+// One payload of a v3 file and the header slots that describe it.
+struct V3Payload {
+  const Tensor* tensor;
+  uint64_t bytes;
+  uint32_t chunk_bytes;
+  size_t crc_slot;     // header offset of chunk_crc[0]
+  size_t offset_slot;  // header offset of the bundle entry's payload_offset; 0 if none
+};
+
+void PutPrologue(ByteWriter& w, uint32_t magic) {
+  w.PutU32(magic);
+  w.PutU32(kEndianTag);
+  w.PutU32(kFormatVersion);
+  w.PutU64(0);  // header_bytes, patched by BuildV3
 }
 
-std::vector<uint8_t> BuildV3(ByteWriter& header,
-                             const std::vector<const std::vector<uint8_t>*>& payloads,
-                             const std::vector<size_t>& offset_patch_positions) {
-  std::vector<uint8_t> buf = header.TakeBuffer();
-  uint64_t header_bytes = buf.size() + 4;  // + header_crc
+// dtype, shape, payload size and chunk table (CRC slots zeroed) of one payload.
+V3Payload PutV3Entry(ByteWriter& w, const Tensor& t, DType dtype) {
+  V3Payload p{&t, static_cast<uint64_t>(t.numel()) * DTypeSize(dtype), 0, 0, 0};
+  p.chunk_bytes = PickChunkBytes(p.bytes);
+  const uint32_t num_chunks = NumChunksFor(p.bytes, p.chunk_bytes);
+  PutHeader(w, t, dtype);
+  w.PutU64(p.bytes);
+  w.PutU32(p.chunk_bytes);
+  w.PutU32(num_chunks);
+  p.crc_slot = w.size();
+  for (uint32_t ci = 0; ci < num_chunks; ++ci) {
+    w.PutU32(0);
+  }
+  return p;
+}
+
+std::vector<uint8_t> BuildV3(const ByteWriter& header, const std::vector<V3Payload>& payloads,
+                             DType dtype) {
+  const uint64_t header_bytes = header.size() + 4;  // + header_crc
+  uint64_t file_bytes = header_bytes + 4;           // + file_crc
+  for (const V3Payload& p : payloads) {
+    file_bytes += p.bytes;
+  }
+  std::vector<uint8_t> buf;
+  buf.reserve(static_cast<size_t>(file_bytes));
+  buf.assign(header.buffer().begin(), header.buffer().end());
+  buf.resize(static_cast<size_t>(header_bytes));
   PatchU64(buf, 12, header_bytes);
-  uint64_t running = header_bytes;
-  for (size_t i = 0; i < offset_patch_positions.size(); ++i) {
-    PatchU64(buf, offset_patch_positions[i], running);
-    running += payloads[i]->size();
+  for (const V3Payload& p : payloads) {
+    const size_t at = buf.size();
+    if (p.offset_slot != 0) {
+      PatchU64(buf, p.offset_slot, at);
+    }
+    AppendPayload(buf, *p.tensor, dtype);
+    for (uint64_t start = 0, ci = 0; start < p.bytes; start += p.chunk_bytes, ++ci) {
+      const uint64_t size = std::min<uint64_t>(p.chunk_bytes, p.bytes - start);
+      PatchU32(buf, p.crc_slot + 4 * ci,
+               Crc32(buf.data() + at + start, static_cast<size_t>(size)));
+    }
   }
-  AppendU32(buf, Crc32(buf.data(), buf.size()));  // header_crc
-  for (const std::vector<uint8_t>* p : payloads) {
-    buf.insert(buf.end(), p->begin(), p->end());
-  }
-  AppendU32(buf, Crc32(buf.data(), buf.size()));  // file_crc
+  PatchU32(buf, header_bytes - 4, Crc32(buf.data(), header_bytes - 4));
+  const size_t body_bytes = buf.size();
+  buf.resize(body_bytes + 4);
+  PatchU32(buf, body_bytes, Crc32(buf.data(), body_bytes));
   return buf;
 }
 
@@ -532,16 +563,10 @@ Result<std::vector<uint8_t>> SerializeTensor(const Tensor& tensor, DType dtype) 
   if (!tensor.defined()) {
     return InvalidArgumentError("SerializeTensor of undefined tensor");
   }
-  std::vector<uint8_t> payload = EncodePayload(tensor, dtype);
   ByteWriter w;
-  w.PutU32(kTensorMagic);
-  w.PutU32(kEndianTag);
-  w.PutU32(3);
-  w.PutU64(0);  // header_bytes, patched by BuildV3
-  PutHeader(w, tensor, dtype);
-  w.PutU64(payload.size());
-  PutChunkTable(w, payload, PickChunkBytes(payload.size()));
-  return BuildV3(w, {&payload}, {});
+  PutPrologue(w, kTensorMagic);
+  const std::vector<V3Payload> payloads = {PutV3Entry(w, tensor, dtype)};
+  return BuildV3(w, payloads, dtype);
 }
 
 Status SaveTensorAtVersion(const std::string& path, const Tensor& tensor, DType dtype,
@@ -556,7 +581,8 @@ Status SaveTensorAtVersion(const std::string& path, const Tensor& tensor, DType 
   if (version != 1 && version != 2) {
     return InvalidArgumentError("unknown tensor format version " + std::to_string(version));
   }
-  std::vector<uint8_t> payload = EncodePayload(tensor, dtype);
+  std::vector<uint8_t> payload;
+  AppendPayload(payload, tensor, dtype);
   ByteWriter w;
   w.PutU32(kTensorMagic);
   w.PutU32(kEndianTag);
@@ -807,34 +833,22 @@ const Tensor* TensorBundle::Find(const std::string& name) const {
 // Bundle files.
 
 Result<std::vector<uint8_t>> SerializeBundle(const TensorBundle& bundle, DType dtype) {
-  std::vector<std::vector<uint8_t>> payloads;
+  ByteWriter w;
+  PutPrologue(w, kBundleMagic);
+  w.PutString(bundle.meta.Dump());
+  w.PutU32(static_cast<uint32_t>(bundle.tensors.size()));
+  std::vector<V3Payload> payloads;
   payloads.reserve(bundle.tensors.size());
   for (const auto& [name, tensor] : bundle.tensors) {
     if (!tensor.defined()) {
       return InvalidArgumentError("SerializeBundle of undefined tensor " + name);
     }
-    payloads.push_back(EncodePayload(tensor, dtype));
-  }
-  ByteWriter w;
-  w.PutU32(kBundleMagic);
-  w.PutU32(kEndianTag);
-  w.PutU32(kFormatVersion);
-  w.PutU64(0);  // header_bytes, patched by BuildV3
-  w.PutString(bundle.meta.Dump());
-  w.PutU32(static_cast<uint32_t>(bundle.tensors.size()));
-  std::vector<size_t> offset_positions;
-  std::vector<const std::vector<uint8_t>*> payload_ptrs;
-  for (size_t i = 0; i < bundle.tensors.size(); ++i) {
-    const auto& [name, tensor] = bundle.tensors[i];
     w.PutString(name);
-    PutHeader(w, tensor, dtype);
-    w.PutU64(payloads[i].size());
-    PutChunkTable(w, payloads[i], PickChunkBytes(payloads[i].size()));
-    offset_positions.push_back(w.size());
+    payloads.push_back(PutV3Entry(w, tensor, dtype));
+    payloads.back().offset_slot = w.size();
     w.PutU64(0);  // payload_offset, patched by BuildV3
-    payload_ptrs.push_back(&payloads[i]);
   }
-  return BuildV3(w, payload_ptrs, offset_positions);
+  return BuildV3(w, payloads, dtype);
 }
 
 Status SaveBundle(const std::string& path, const TensorBundle& bundle, DType dtype) {

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <set>
+#include <vector>
 
 #include "src/common/bytes.h"
 #include "src/common/crc32.h"
@@ -162,6 +163,57 @@ TEST(CounterRngTest, GaussianMoments) {
 TEST(Crc32Test, KnownVector) {
   // CRC32("123456789") = 0xCBF43926 (standard check value).
   EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32("", 0), 0u);
+}
+
+// Bit-at-a-time reference: the definition of the reflected 0xEDB88320 CRC, sharing no code
+// (and no table) with the implementation under test.
+uint32_t ReferenceCrc32(const uint8_t* p, size_t size) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<uint8_t> NoiseBytes(size_t size, uint64_t seed) {
+  std::vector<uint8_t> out(size);
+  uint64_t x = seed;
+  for (uint8_t& b : out) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<uint8_t>(x >> 56);
+  }
+  return out;
+}
+
+TEST(Crc32Test, MatchesReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0..1100 cover the byte loop (< 64), one 64-byte fold, the 16-byte folds and
+  // every tail length, each at all 16 offsets from a 16-byte boundary.
+  const std::vector<uint8_t> buf = NoiseBytes(1100 + 16, 1);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; len <= 1100; ++len) {
+      const uint8_t* p = buf.data() + offset;
+      ASSERT_EQ(Crc32(p, len), ReferenceCrc32(p, len)) << "offset " << offset << " len " << len;
+    }
+  }
+  for (size_t len : {size_t{65535}, size_t{65536}, size_t{65537}, size_t{(1u << 20) + 7}}) {
+    const std::vector<uint8_t> big = NoiseBytes(len, len);
+    EXPECT_EQ(Crc32(big.data(), len), ReferenceCrc32(big.data(), len)) << "len " << len;
+  }
+}
+
+TEST(Crc32Test, UpdateSplitAtEveryByteComposes) {
+  const std::vector<uint8_t> buf = NoiseBytes(4096, 2);
+  const uint32_t whole = Crc32(buf.data(), buf.size());
+  ASSERT_EQ(whole, ReferenceCrc32(buf.data(), buf.size()));
+  for (size_t split = 0; split <= buf.size(); ++split) {
+    uint32_t crc = Crc32Update(Crc32Init(), buf.data(), split);
+    crc = Crc32Update(crc, buf.data() + split, buf.size() - split);
+    ASSERT_EQ(Crc32Finalize(crc), whole) << "split at " << split;
+  }
 }
 
 TEST(Crc32Test, IncrementalMatchesOneShot) {

@@ -299,6 +299,64 @@ TEST_P(StoreConformanceTest, RangeReadOverCorruptChunkIsTypedDataLoss) {
   EXPECT_EQ(view->ReadRange(100, 20).status().code(), StatusCode::kDataLoss);
 }
 
+// The daemon's own READ_RANGE check, seen through a raw ByteSource read that no client-side
+// view re-verifies: a corrupted chunk never ships, whether the range covers it exactly or only
+// its last bytes. Remote rows only; a local ByteSource is the file itself.
+class RemoteRangeVerifyTest : public StoreConformanceTest {};
+
+INSTANTIATE_TEST_SUITE_P(RemoteBackends, RemoteRangeVerifyTest,
+                         ::testing::Values("remote", "remote_v2", "remote_v1"),
+                         [](const ::testing::TestParamInfo<const char*>& row) {
+                           return std::string(row.param);
+                         });
+
+TEST_P(RemoteRangeVerifyTest, RawReadOverCorruptChunkIsRefusedByTheDaemon) {
+  // 256x320 fp32 = 327680 payload bytes = 5 chunks of 64 KiB.
+  constexpr uint64_t kChunk = 65536;
+  Tensor t = Tensor::Zeros({256, 320});
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    t.data()[i] = static_cast<float>(i % 977) * 0.5f;
+  }
+  Result<std::vector<uint8_t>> bytes = SerializeTensor(t);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  const std::string tag = "global_step9";
+  ASSERT_TRUE(store_->ResetTagStaging(tag).ok());
+  Result<std::unique_ptr<StoreWriter>> writer = store_->OpenTagForWrite(tag);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE((*writer)->WriteFile("t", *bytes).ok());
+  ASSERT_TRUE(store_->CommitTag(tag, MetaJson(9)).ok());
+
+  const std::string path = PathJoin(dir_, PathJoin(tag, "t"));
+  std::string raw = *ReadFileToString(path);
+  uint64_t header_bytes = 0;
+  std::memcpy(&header_bytes, raw.data() + 12, sizeof(header_bytes));
+  const uint64_t chunk2 = header_bytes + 2 * kChunk;
+  raw[chunk2 + 123] ^= 0x40;
+  ASSERT_TRUE(WriteFileAtomic(path, raw).ok());
+
+  Result<std::unique_ptr<ByteSource>> source = store_->OpenRead(JoinRel(tag, "t"));
+  ASSERT_TRUE(source.ok()) << source.status();
+  const obs::Counter& failures =
+      obs::MetricsRegistry::Global().GetCounter("store.server.chunk_crc_failures");
+  std::vector<uint8_t> buf(kChunk);
+
+  const uint64_t before = failures.Value();
+  Status exact = (*source)->ReadAt(chunk2, buf.data(), kChunk);
+  EXPECT_EQ(exact.code(), StatusCode::kDataLoss) << exact;
+  EXPECT_EQ(failures.Value(), before + 1);
+  Status tail = (*source)->ReadAt(chunk2 + kChunk - 100, buf.data(), 100);
+  EXPECT_EQ(tail.code(), StatusCode::kDataLoss) << tail;
+  EXPECT_EQ(failures.Value(), before + 2);
+
+  // The clean neighbours on either side still read, bit-exact, on the same handle.
+  for (uint64_t chunk_begin : {chunk2 - kChunk, chunk2 + kChunk}) {
+    Status clean = (*source)->ReadAt(chunk_begin, buf.data(), kChunk);
+    ASSERT_TRUE(clean.ok()) << clean;
+    EXPECT_EQ(std::memcmp(buf.data(), raw.data() + chunk_begin, kChunk), 0);
+  }
+  EXPECT_EQ(failures.Value(), before + 2);
+}
+
 // ---------------------------------------------------------------------------
 // Property 2: torn frames.
 // ---------------------------------------------------------------------------
