@@ -125,6 +125,12 @@ struct SweepCase {
   const char* label;
 };
 
+// Without a printer gtest dumps the raw bytes, heap pointers included, into every listed
+// test name, so the names ctest registers would change from build to build.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << ShapeToString(c.shape) << " degree " << c.degree;
+}
+
 class ShardRoundTripSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(ShardRoundTripSweep, UnshardInvertsShardOf) {
