@@ -175,76 +175,6 @@ JsonObject RunAsyncSaveComparison() {
   return doc;
 }
 
-// Incremental arm: dirty-chunk tracking + content-addressed dedup on the flush path. Per
-// model size, a cold incremental save (every chunk is new) followed by a warm save of the
-// same state (every chunk dedups against the index; only the manifests and metadata hit
-// the disk). Reported per save: logical bytes flushed, physical bytes written, the warm
-// save's physical fraction of the cold save (acceptance bound: <= 30%), and the warm
-// dedup-hit ratio. Compression is off so the numbers isolate dedup; the chunk-object
-// header overhead (13 bytes per 64 KiB chunk) is included in the physical column.
-Json RunIncrementalSaveComparison() {
-  constexpr double kWarmFractionBound = 0.30;
-  JsonArray arms;
-  for (const Arm& arm : Arms()) {
-    TrainingRun& run = RunFor(arm);
-    const std::string dir =
-        bench::FreshDir(std::string("fig11_incremental_") + arm.size_label);
-    AsyncCheckpointOptions options;
-    options.flush_threads = 2;
-    options.max_in_flight = 2;
-    options.incremental = true;
-    AsyncCheckpointEngine engine(dir, run.world_size(), options);
-    auto save_async = [&](int64_t iteration) {
-      run.Run([&](RankTrainer& t) {
-        Status s = engine.SaveAsync(t, iteration);
-        UCP_CHECK(s.ok()) << s.ToString();
-      });
-      UCP_CHECK(engine.WaitForIteration(iteration).ok());
-    };
-    save_async(400);
-    const AsyncSaveStats cold = engine.stats();
-    save_async(401);
-    const AsyncSaveStats after_warm = engine.stats();
-    UCP_CHECK(engine.WaitAll().ok());
-
-    const int64_t warm_written = after_warm.bytes_written - cold.bytes_written;
-    const int64_t warm_flushed_chunks = after_warm.chunks_flushed - cold.chunks_flushed;
-    const int64_t warm_deduped_chunks = after_warm.chunks_deduped - cold.chunks_deduped;
-    const int64_t warm_chunks = warm_flushed_chunks + warm_deduped_chunks;
-    const double warm_fraction =
-        cold.bytes_written > 0
-            ? static_cast<double>(warm_written) / static_cast<double>(cold.bytes_written)
-            : 0.0;
-    const double dedup_hit =
-        warm_chunks > 0
-            ? static_cast<double>(warm_deduped_chunks) / static_cast<double>(warm_chunks)
-            : 0.0;
-    const bool within = warm_fraction <= kWarmFractionBound;
-    std::printf(
-        "fig11/incremental/%s cold_written=%lld warm_written=%lld warm/cold=%.2f%% "
-        "dedup_hit=%.1f%% %s\n",
-        arm.size_label, static_cast<long long>(cold.bytes_written),
-        static_cast<long long>(warm_written), warm_fraction * 100.0, dedup_hit * 100.0,
-        within ? "OK" : "FAIL");
-
-    JsonObject entry;
-    entry["model"] = arm.size_label;
-    entry["bytes_flushed_per_save"] = after_warm.bytes_flushed / after_warm.commits;
-    entry["cold_bytes_written"] = cold.bytes_written;
-    entry["warm_bytes_written"] = warm_written;
-    entry["warm_fraction_of_cold"] = warm_fraction;
-    entry["warm_chunks_total"] = warm_chunks;
-    entry["warm_chunks_deduped"] = warm_deduped_chunks;
-    entry["dedup_hit_ratio"] = dedup_hit;
-    entry["bound_fraction"] = kWarmFractionBound;
-    entry["within_bound"] = within;
-    arms.emplace_back(std::move(entry));
-  }
-  JsonObject doc;
-  doc["arms"] = std::move(arms);
-  return Json(std::move(doc));
-}
-
 // Guardrail: the span tracer must stay invisible on the save path. These toy-scale saves
 // are fsync-dominated with multi-millisecond run-to-run jitter — orders of magnitude above
 // any plausible tracer cost — so a wall-clock A/B of traced vs untraced saves reads the
@@ -349,7 +279,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
 
   ucp::JsonObject report = ucp::RunAsyncSaveComparison();
-  report["incremental"] = ucp::RunIncrementalSaveComparison();
   report["tracer_overhead"] = ucp::RunTracerOverheadCheck();
   ucp::bench::WriteBenchReport("BENCH_async_save.json", std::move(report));
   ucp::bench::WriteTraceIfRequested(trace_file);

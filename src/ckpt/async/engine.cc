@@ -7,7 +7,6 @@
 #include "src/common/logging.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/tensor/chunk_digest.h"
 
 namespace ucp {
 
@@ -28,12 +27,6 @@ struct AsyncMetrics {
       obs::MetricsRegistry::Global().GetCounter("save.async.skipped_unavailable");
   obs::Counter& bytes_flushed =
       obs::MetricsRegistry::Global().GetCounter("save.async.bytes_flushed");
-  obs::Counter& bytes_written =
-      obs::MetricsRegistry::Global().GetCounter("save.async.bytes_written");
-  obs::Counter& chunks_flushed =
-      obs::MetricsRegistry::Global().GetCounter("save.async.chunks_flushed");
-  obs::Counter& chunks_deduped =
-      obs::MetricsRegistry::Global().GetCounter("save.async.chunks_deduped");
   obs::Histogram& block_seconds =
       obs::MetricsRegistry::Global().GetHistogram("save.async.block_seconds");
   obs::Histogram& flush_seconds =
@@ -220,16 +213,6 @@ Status AsyncCheckpointEngine::FlushShards(const std::shared_ptr<PendingSave>& sa
   ScopedFsyncBatch batch;
   UCP_ASSIGN_OR_RETURN(std::unique_ptr<StoreWriter> writer,
                        store_->OpenTagForWrite(save->tag));
-  // Chunked staging needs backend support (LocalStore always; RemoteStore only against a
-  // v2 daemon) — otherwise an incremental engine silently degrades to full-file writes.
-  const bool chunked = options_.incremental && writer->SupportsChunked();
-  std::string parent_tag;
-  std::map<std::string, std::vector<uint64_t>> parent;
-  if (chunked) {
-    std::lock_guard<std::mutex> lock(mu_);
-    parent_tag = parent_tag_;
-    parent = parent_digests_;
-  }
   for (int r = 0; r < world_size_; ++r) {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -237,41 +220,10 @@ Status AsyncCheckpointEngine::FlushShards(const std::shared_ptr<PendingSave>& sa
         return FailedPreconditionError("save " + save->tag + " dropped by backpressure");
       }
     }
-    const RankCheckpointSnapshot& snap = *save->snaps[static_cast<size_t>(r)];
-    if (!chunked) {
-      UCP_RETURN_IF_ERROR(WriteSnapshotShards(*writer, snap));
-    } else {
-      UCP_ASSIGN_OR_RETURN(std::vector<SnapshotShard> shards,
-                           SerializeSnapshotShards(snap));
-      for (SnapshotShard& shard : shards) {
-        std::vector<uint64_t> digests =
-            ComputeChunkDigests(shard.bytes.data(), shard.bytes.size());
-        // Inherited count: positional digest matches against the parent save's shard of
-        // the same name. Manifest provenance only — the writer re-checks actual presence
-        // in the chunk index before skipping anything.
-        uint64_t inherited = 0;
-        auto it = parent.find(shard.rel);
-        if (it != parent.end()) {
-          const size_t n = std::min(digests.size(), it->second.size());
-          for (size_t i = 0; i < n; ++i) {
-            inherited += digests[i] == it->second[i] ? 1 : 0;
-          }
-        }
-        UCP_ASSIGN_OR_RETURN(
-            ChunkedWriteStats shard_stats,
-            writer->WriteFileChunked(shard.rel, shard.bytes.data(), shard.bytes.size(),
-                                     digests, options_.compress, inherited));
-        save->chunk_stats.Add(shard_stats);
-        save->digests[shard.rel] = std::move(digests);
-      }
-    }
+    UCP_RETURN_IF_ERROR(WriteSnapshotShards(*writer, *save->snaps[static_cast<size_t>(r)]));
     if (!options_.batch_fsyncs) {
       UCP_RETURN_IF_ERROR(batch.SyncAll());  // eager mode: flush after every rank's shards
     }
-  }
-  if (chunked) {
-    UCP_RETURN_IF_ERROR(writer->FinalizeManifest(parent_tag));
-    save->chunked = true;
   }
   // The batch point: every shard's data reaches the platter before the commit rename.
   return batch.SyncAll();
@@ -352,22 +304,6 @@ void AsyncCheckpointEngine::Flush(std::shared_ptr<PendingSave> save) {
     AsyncMetrics& am = AsyncMetrics::Get();
     am.commits.Add(1);
     am.bytes_flushed.Add(save_bytes);
-    if (save->chunked) {
-      stats_.bytes_written += static_cast<int64_t>(save->chunk_stats.bytes_written);
-      const int64_t flushed_chunks = static_cast<int64_t>(
-          save->chunk_stats.chunks_total - save->chunk_stats.chunks_deduped);
-      stats_.chunks_flushed += flushed_chunks;
-      stats_.chunks_deduped += static_cast<int64_t>(save->chunk_stats.chunks_deduped);
-      am.bytes_written.Add(save->chunk_stats.bytes_written);
-      am.chunks_flushed.Add(flushed_chunks);
-      am.chunks_deduped.Add(save->chunk_stats.chunks_deduped);
-      // This save is now the committed baseline: later flushes diff against its digests.
-      parent_tag_ = save->tag;
-      parent_digests_ = std::move(save->digests);
-    } else {
-      stats_.bytes_written += save_bytes;
-      AsyncMetrics::Get().bytes_written.Add(save_bytes);
-    }
     am.flush_seconds.Observe(flush_s);
     am.last_committed.Max(save->iteration);
   }

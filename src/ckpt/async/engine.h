@@ -59,16 +59,6 @@ struct AsyncCheckpointOptions {
   // Defer per-file fsyncs and issue them in one batch right before the commit rename
   // (ScopedFsyncBatch). Same durability, fewer stalls inside the write loop.
   bool batch_fsyncs = true;
-  // Incremental flushes: shard files become chunk-manifest + content-addressed chunk
-  // objects, and only chunks whose content changed since the last committed save are
-  // written (unchanged chunks are recorded as by-reference extents against the parent
-  // tag). Falls back to full-file writes when the backend can't do chunked staging (a v1
-  // ucp_serverd). Read paths resolve manifests transparently, so loads/fsck/resume are
-  // unchanged either way.
-  bool incremental = false;
-  // With incremental: LZ-compress each dirty chunk before it is written/shipped, with an
-  // incompressibility bailout (a chunk that doesn't shrink by >= 1/16 stays raw).
-  bool compress = false;
   // > 0: run GcCheckpoints(dir, keep_last) after every successful commit (scoped to
   // `job`'s namespace).
   int keep_last = 0;
@@ -93,13 +83,7 @@ struct AsyncSaveStats {
   double blocking_seconds = 0.0;      // total rank time spent inside SaveAsync
   double max_blocking_seconds = 0.0;  // worst single SaveAsync call
   double flush_seconds = 0.0;         // per committed save: first snapshot -> commit done
-  int64_t bytes_flushed = 0;          // fp32 payload bytes across committed saves (logical)
-  // Physical bytes handed to the store across committed saves. Equal to the serialized
-  // logical size for full saves; with incremental+dedup (+compression) it is what actually
-  // hit the disk or the wire.
-  int64_t bytes_written = 0;
-  int64_t chunks_flushed = 0;  // chunk objects physically written (incremental saves)
-  int64_t chunks_deduped = 0;  // chunks skipped because identical content already existed
+  int64_t bytes_flushed = 0;          // fp32 payload bytes across committed saves
   int64_t last_committed_iteration = -1;
 };
 
@@ -155,11 +139,6 @@ class AsyncCheckpointEngine {
     bool resolved = false;    // committed, failed, or dropped
     Status result;
     std::chrono::steady_clock::time_point started;
-    // Incremental-flush bookkeeping: per-shard chunk digests of this save (promoted to the
-    // engine's parent table once the commit lands) and the aggregate write stats.
-    bool chunked = false;
-    std::map<std::string, std::vector<uint64_t>> digests;
-    ChunkedWriteStats chunk_stats;
   };
 
   // All *Locked members require mu_.
@@ -179,14 +158,6 @@ class AsyncCheckpointEngine {
   std::deque<std::shared_ptr<PendingSave>> inflight_;  // save order; pruned on resolution
   std::map<int64_t, Status> outcomes_;                 // resolved saves, for WaitForIteration
   std::vector<std::vector<std::unique_ptr<RankCheckpointSnapshot>>> free_snaps_;
-  // Dirty-chunk tracking (incremental mode): the chunk digests of every shard file in the
-  // last *committed* save, keyed by store-relative name, plus that save's tag. The flusher
-  // snapshots this table under mu_ to count inherited chunks and name the manifest's
-  // parent; it is replaced wholesale when a later commit lands (ordered commits keep it
-  // monotonic). Dedup itself never trusts this table — presence in the chunk index decides
-  // what is written.
-  std::string parent_tag_;
-  std::map<std::string, std::vector<uint64_t>> parent_digests_;
   Status first_error_;
   AsyncSaveStats stats_;
   std::unique_ptr<ThreadPool> pool_;

@@ -35,9 +35,7 @@ struct RankCheckpointSnapshot {
 };
 
 // One serialized shard file of a snapshot: the store-relative name and the exact bytes the
-// synchronous save would have written. The incremental flusher works from this form — it
-// needs the serialized bytes in hand to digest them chunk by chunk before deciding what to
-// ship.
+// synchronous save would have written.
 struct SnapshotShard {
   std::string rel;
   std::vector<uint8_t> bytes;

@@ -7,7 +7,6 @@
 #include "src/common/fs.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/store/chunk_index.h"
 #include "src/tensor/tensor_file.h"
 
 namespace ucp {
@@ -127,11 +126,9 @@ Result<LoadedOptimState> LoadLocalState(const std::string& dir, const std::strin
   const std::string tag_dir = PathJoin(dir, tag);
 
   // Validate the model-states file (name/shape strictness), then restore optimizer state.
-  // Shards resolve physical-first, then through the tag's chunk manifest — an incremental
-  // tag loads through the exact same statements.
-  UCP_ASSIGN_OR_RETURN(
-      std::unique_ptr<ByteSource> ms_source,
-      OpenTagShardSource(tag_dir, ModelStatesFileName(coord.tp, coord.pp, coord.sp)));
+  UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> ms_source,
+                       FileByteSource::Open(PathJoin(
+                           tag_dir, ModelStatesFileName(coord.tp, coord.pp, coord.sp))));
   UCP_ASSIGN_OR_RETURN(BundleInfo ms_info, StatBundle(std::move(ms_source)));
   if (trainer.config().strategy.zero_stage < 3) {
     for (const ParamPtr& p : trainer.model().store().params()) {
@@ -160,8 +157,8 @@ Result<LoadedOptimState> LoadLocalState(const std::string& dir, const std::strin
   // files only the chunks backing each requested tensor are verified (not the whole file).
   UCP_ASSIGN_OR_RETURN(
       std::unique_ptr<ByteSource> optim_source,
-      OpenTagShardSource(tag_dir, OptimStatesFileName(coord.dp, coord.tp, coord.pp,
-                                                      coord.sp)));
+      FileByteSource::Open(PathJoin(
+          tag_dir, OptimStatesFileName(coord.dp, coord.tp, coord.pp, coord.sp))));
   UCP_ASSIGN_OR_RETURN(BundleFileView optim,
                        BundleFileView::Open(std::move(optim_source)));
   if (optim.IndexOf("fp32_flat") < 0 || optim.IndexOf("exp_avg") < 0 ||

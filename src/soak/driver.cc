@@ -249,7 +249,6 @@ SoakRunReport RunSoakSchedule(const SoakOptions& options,
         supervisor_options.async.flush_threads = 1;
         supervisor_options.async.max_in_flight = current_max_in_flight;
         supervisor_options.async.backpressure = AsyncCheckpointOptions::Backpressure::kBlock;
-        supervisor_options.async.incremental = options.incremental;
         supervisor_options.watchdog_timeout = std::chrono::milliseconds(options.watchdog_ms);
         if (server != nullptr) {
           supervisor_options.store_endpoint = server->endpoint();
@@ -346,8 +345,6 @@ SoakRunReport RunSoakSchedule(const SoakOptions& options,
     line["committed"] = checked.committed_tags;
     line["damaged"] = checked.damaged_tags;
     line["staging"] = checked.staging_dirs;
-    line["chunk_objects"] = checked.chunk_objects;
-    line["orphan_chunks"] = checked.orphan_chunks;
     if (!checked.violations.empty()) {
       JsonArray violations;
       for (const std::string& v : checked.violations) {

@@ -1,14 +1,9 @@
 #include "src/soak/invariants.h"
 
 #include <algorithm>
-#include <optional>
-#include <set>
 
 #include "src/ckpt/checkpoint.h"
 #include "src/common/fs.h"
-#include "src/store/chunk_index.h"
-#include "src/store/chunk_manifest.h"
-#include "src/tensor/chunk_digest.h"
 #include "src/ucp/validate.h"
 
 namespace ucp {
@@ -133,80 +128,6 @@ SoakInvariantResult CheckSoakInvariants(const SoakInvariantContext& context) {
                !IsTagComplete(context.dir, *pointer)) {
       violation("I5: latest pointer names uncommitted tag " + *pointer);
     }
-  }
-
-  // I6 — no dangling chunk references: every chunk a committed tag's manifest names must
-  // exist as an object in the content-addressed index. Corruption faults damage bytes in
-  // place — only a GC bug makes a referenced object vanish, so there is no excuse here.
-  // Unreadable manifests are I3's domain (deep validation reports them as damage).
-  ++result.checks_run;
-  for (const std::string& tag : committed) {
-    Result<std::optional<ChunkManifest>> manifest =
-        ReadTagChunkManifest(PathJoin(context.dir, tag));
-    if (!manifest.ok() || !manifest->has_value()) {
-      continue;
-    }
-    int missing = 0;
-    std::string first_missing;
-    for (const ChunkManifestEntry& entry : (*manifest)->files) {
-      for (uint64_t digest : entry.chunks) {
-        if (!FileExists(PathJoin(context.dir, ChunkObjectRel(digest)))) {
-          if (missing++ == 0) {
-            first_missing = DigestToHex(digest);
-          }
-        }
-      }
-    }
-    if (missing > 0) {
-      violation("I6: committed tag " + tag + " references " + std::to_string(missing) +
-                " chunk(s) missing from the index (first: " + first_missing + ")");
-    }
-  }
-
-  // I7 — refcount convergence: count chunk objects no tag manifest (any namespace,
-  // committed or staged) references. Orphans are legal mid-run — they are swept at the
-  // next GC — and a violation only when the driver just deleted every referer and swept.
-  ++result.checks_run;
-  std::set<std::string> referenced_hex;
-  Result<std::vector<std::string>> all_entries = ListDir(context.dir);
-  if (all_entries.ok()) {
-    for (const std::string& name : *all_entries) {
-      const std::string child = PathJoin(context.dir, name);
-      if (name == kChunkDirName || !DirExists(child)) {
-        continue;
-      }
-      Result<std::optional<ChunkManifest>> manifest = ReadTagChunkManifest(child);
-      if (!manifest.ok() || !manifest->has_value()) {
-        continue;
-      }
-      for (const ChunkManifestEntry& entry : (*manifest)->files) {
-        for (uint64_t digest : entry.chunks) {
-          referenced_hex.insert(DigestToHex(digest));
-        }
-      }
-    }
-  }
-  const std::string chunk_root = PathJoin(context.dir, kChunkDirName);
-  if (DirExists(chunk_root)) {
-    Result<std::vector<std::string>> fanouts = ListDir(chunk_root);
-    if (fanouts.ok()) {
-      for (const std::string& fan : *fanouts) {
-        Result<std::vector<std::string>> objects = ListDir(PathJoin(chunk_root, fan));
-        if (!objects.ok()) {
-          continue;
-        }
-        for (const std::string& object : *objects) {
-          ++result.chunk_objects;
-          if (!referenced_hex.count(object)) {
-            ++result.orphan_chunks;
-          }
-        }
-      }
-    }
-  }
-  if (context.expect_no_orphans && result.orphan_chunks > 0) {
-    violation("I7: " + std::to_string(result.orphan_chunks) +
-              " orphan chunk object(s) survive a sweep with no live referers");
   }
 
   // I8 — commit durability under wire chaos: a tag once committed (and not GC'd) never

@@ -14,12 +14,8 @@
 //       (crash debris is swept at resume; a leak here is an engine bug).
 //   I5  The namespace's `latest` pointer, when present, names a tag of this namespace, and
 //       never a tag that exists but was not committed.
-//   I6  No chunk referenced by a committed tag's chunk manifest is ever missing from the
-//       content-addressed index (a dangling reference means GC dropped a live chunk).
-//   I7  Chunk refcounts converge: once every tag referencing a chunk is deleted and a GC
-//       sweep has run, the chunk object itself is gone. Orphans are observed every check
-//       and become a violation only when the driver asserts `expect_no_orphans` (set after
-//       a sweep with no live incremental tags).
+//   I6, I7 were the chunk-index invariants of the retired incremental saves; the numbers
+//       stay unused so logs keep meaning what they said.
 //   I8  No committed tag is ever lost: every tag the driver has observed committed (minus
 //       the ones GC legitimately removed) is still present with its complete marker. Wire
 //       chaos — connection drops, daemon kill+restart — must never un-commit a tag.
@@ -50,9 +46,6 @@ struct SoakInvariantContext {
   bool corruption_since_last_check = false;
   // The driver sets this after a fault-free segment that resumed from a valid tag (I4).
   bool expect_no_staging = false;
-  // The driver sets this after deleting every incremental tag and running a GC sweep:
-  // unreferenced chunk objects must then be gone (I7).
-  bool expect_no_orphans = false;
   // Tags previously observed committed and not since removed by GC (I8): each must still
   // exist with its complete marker. The driver maintains this set from
   // `committed_tag_names` observations minus GC removals.
@@ -70,8 +63,6 @@ struct SoakInvariantResult {
   std::vector<std::string> committed_tag_names;  // the tags behind committed_tags (I8 feed)
   int damaged_tags = 0;  // committed tags failing deep validation, newest-first until clean
   int staging_dirs = 0;  // `.staging` entries owned by the namespace
-  int chunk_objects = 0;  // content-addressed chunk objects in the store (all namespaces)
-  int orphan_chunks = 0;  // chunk objects referenced by no tag manifest (I7 observation)
 };
 
 SoakInvariantResult CheckSoakInvariants(const SoakInvariantContext& context);

@@ -68,7 +68,6 @@ Json SoakOptions::ToJson() const {
   o["checkpoint_every"] = checkpoint_every;
   o["watchdog_ms"] = watchdog_ms;
   o["job"] = job;
-  o["incremental"] = incremental;
   o["through_daemon"] = through_daemon;
   return Json(std::move(o));
 }
@@ -94,9 +93,13 @@ Result<SoakOptions> SoakOptions::FromJson(const Json& json) {
   UCP_ASSIGN_OR_RETURN(int64_t watchdog, json.GetInt("watchdog_ms"));
   options.watchdog_ms = static_cast<int>(watchdog);
   UCP_ASSIGN_OR_RETURN(options.job, json.GetString("job"));
-  // Absent in logs recorded before incremental saves existed; replay as full saves.
+  // Logs recorded while incremental saves existed carry the key. A log that ran them
+  // cannot be replayed as full saves: the schedule would exercise a different store.
   if (json.Has("incremental")) {
-    UCP_ASSIGN_OR_RETURN(options.incremental, json.GetBool("incremental"));
+    UCP_ASSIGN_OR_RETURN(bool incremental, json.GetBool("incremental"));
+    if (incremental) {
+      return InvalidArgumentError("soak options: incremental saves were removed");
+    }
   }
   // Absent in logs recorded before the daemon-chaos events existed; replay direct-FS.
   if (json.Has("through_daemon")) {

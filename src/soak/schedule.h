@@ -45,10 +45,6 @@ struct SoakOptions {
   int checkpoint_every = 1;  // SaveAsync every iteration: maximum commit-protocol traffic
   int watchdog_ms = 2000;
   std::string job;  // tag namespace the run saves/resumes under ("" = default)
-  // Incremental (dirty-chunk) saves: the supervisor's async engine writes chunk manifests
-  // and content-addressed chunk objects instead of full shard files, which puts the chunk
-  // index and its GC under the fault schedule (invariants I6/I7).
-  bool incremental = false;
   // Route every save through an in-process ucp_serverd StoreServer serving `dir` over a
   // unix socket (the shared-filesystem deployment). Unlocks the wire-level chaos events —
   // connection drops (kConnDrop) and daemon kill+restart with journal recovery

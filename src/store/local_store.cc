@@ -4,8 +4,6 @@
 #include <tuple>
 #include <utility>
 
-#include "src/common/crc32.h"
-#include "src/common/logging.h"
 #include "src/common/strings.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -16,8 +14,8 @@ namespace {
 
 class LocalStoreWriter final : public StoreWriter {
  public:
-  LocalStoreWriter(std::string root, std::string staging, std::string tag)
-      : StoreWriter(std::move(tag)), root_(std::move(root)), staging_(std::move(staging)) {}
+  LocalStoreWriter(std::string staging, std::string tag)
+      : StoreWriter(std::move(tag)), staging_(std::move(staging)) {}
 
   Status WriteFile(const std::string& rel, const void* data, size_t size) override {
     if (!IsSafeStoreRelPath(rel)) {
@@ -28,69 +26,8 @@ class LocalStoreWriter final : public StoreWriter {
     return WriteFileAtomic(PathJoin(staging_, rel), data, size);
   }
 
-  bool SupportsChunked() const override { return true; }
-
-  Result<ChunkedWriteStats> WriteFileChunked(const std::string& rel, const void* data,
-                                             size_t size,
-                                             const std::vector<uint64_t>& digests,
-                                             bool compress, uint64_t inherited) override {
-    if (!IsSafeStoreRelPath(rel)) {
-      return InvalidArgumentError("bad store file name: " + rel);
-    }
-    if (digests.size() != (size + kManifestChunkBytes - 1) / kManifestChunkBytes) {
-      return InvalidArgumentError("digest count does not match size for " + rel);
-    }
-    std::shared_ptr<ChunkIndex> index = ChunkIndex::ForRoot(root_);
-    ChunkedWriteStats stats;
-    stats.bytes_total = size;
-    stats.chunks_total = digests.size();
-    const uint8_t* bytes = static_cast<const uint8_t*>(data);
-    // Probes carry each chunk's size+crc so a dedup hit is content-verified, not just
-    // digest-matched (a 64-bit collision must not alias two different chunks).
-    std::vector<ChunkIndex::ChunkProbe> probes(digests.size());
-    for (size_t i = 0; i < digests.size(); ++i) {
-      const size_t off = i * kManifestChunkBytes;
-      const size_t n = std::min(kManifestChunkBytes, size - off);
-      probes[i] = {digests[i], static_cast<uint32_t>(n), Crc32(bytes + off, n)};
-    }
-    // Pins land before the presence answer: a "present" chunk stays present until this
-    // tag commits or aborts, whatever GC does in between.
-    const std::vector<uint8_t> present = index->PinAndQuery(tag(), probes);
-    for (size_t i = 0; i < digests.size(); ++i) {
-      if (present[i] != 0) {
-        ++stats.chunks_deduped;
-        continue;
-      }
-      const size_t off = i * kManifestChunkBytes;
-      const size_t n = std::min(kManifestChunkBytes, size - off);
-      UCP_RETURN_IF_ERROR(index->Put(digests[i], bytes + off, n, compress, &stats));
-    }
-    ChunkManifestEntry entry;
-    entry.name = rel;
-    entry.size = size;
-    entry.crc32 = Crc32(data, size);
-    entry.chunks = digests;
-    entry.inherited = inherited;
-    entries_.push_back(std::move(entry));
-    return stats;
-  }
-
-  Status FinalizeManifest(const std::string& parent_tag) override {
-    if (entries_.empty()) {
-      return OkStatus();  // no chunked writes — the tag is a plain full save
-    }
-    ChunkManifest manifest;
-    manifest.parent = parent_tag;
-    manifest.files = std::move(entries_);
-    entries_.clear();
-    return WriteFileAtomic(PathJoin(staging_, kChunkManifestName),
-                           SerializeChunkManifest(manifest));
-  }
-
  private:
-  std::string root_;
   std::string staging_;
-  std::vector<ChunkManifestEntry> entries_;
 };
 
 }  // namespace
@@ -102,14 +39,6 @@ std::string LocalStore::CacheKey(const std::string& rel) const {
 Result<std::unique_ptr<ByteSource>> LocalStore::OpenRead(const std::string& rel) {
   if (!IsSafeStoreRelPath(rel)) {
     return InvalidArgumentError("bad store path: " + rel);
-  }
-  // A "<tag>/<file>" path with no physical file may be manifest-backed (an incremental
-  // save stored the file as chunk objects); OpenTagShardSource resolves both forms.
-  const size_t slash = rel.find('/');
-  if (slash != std::string::npos && rel.find('/', slash + 1) == std::string::npos &&
-      !FileExists(PathJoin(root_, rel))) {
-    return OpenTagShardSource(PathJoin(root_, rel.substr(0, slash)),
-                              rel.substr(slash + 1));
   }
   return FileByteSource::Open(PathJoin(root_, rel));
 }
@@ -126,20 +55,7 @@ Result<bool> LocalStore::Exists(const std::string& rel) {
     return InvalidArgumentError("bad store path: " + rel);
   }
   const std::string path = PathJoin(root_, rel);
-  if (FileExists(path) || DirExists(path)) {
-    return true;
-  }
-  // Manifest-backed shard files exist logically without a physical file.
-  const size_t slash = rel.find('/');
-  if (slash != std::string::npos && rel.find('/', slash + 1) == std::string::npos) {
-    Result<std::optional<ChunkManifest>> manifest =
-        ReadTagChunkManifest(PathJoin(root_, rel.substr(0, slash)));
-    if (manifest.ok() && manifest->has_value() &&
-        (*manifest)->Find(rel.substr(slash + 1)) != nullptr) {
-      return true;
-    }
-  }
-  return false;
+  return FileExists(path) || DirExists(path);
 }
 
 Result<std::vector<std::string>> LocalStore::List(const std::string& rel) {
@@ -177,7 +93,7 @@ Result<std::unique_ptr<StoreWriter>> LocalStore::OpenTagForWrite(const std::stri
     return InvalidArgumentError("bad checkpoint tag: " + tag);
   }
   return std::unique_ptr<StoreWriter>(
-      new LocalStoreWriter(root_, StagingDirForTag(root_, tag), tag));
+      new LocalStoreWriter(StagingDirForTag(root_, tag), tag));
 }
 
 Status LocalStore::ResetTagStaging(const std::string& tag) {
@@ -185,10 +101,8 @@ Status LocalStore::ResetTagStaging(const std::string& tag) {
     return InvalidArgumentError("bad checkpoint tag: " + tag);
   }
   const std::string staging = StagingDirForTag(root_, tag);
-  // The debris being cleared held the only references to any chunks its crashed save
-  // pinned; this process's pins for the tag are stale with it. Any half-streamed spool
-  // files the daemon kept for WRITE_RESUME are part of the same debris.
-  ChunkIndex::ForRoot(root_)->ReleaseTagPins(tag);
+  // Any half-streamed spool files the daemon kept for WRITE_RESUME are part of the same
+  // debris.
   UCP_RETURN_IF_ERROR(RemoveAll(WipDirForTag(root_, tag)));
   UCP_RETURN_IF_ERROR(RemoveAll(staging));
   return MakeDirs(staging);
@@ -220,10 +134,7 @@ Status LocalStore::CommitTag(const std::string& tag, const std::string& meta_jso
   }
   UCP_RETURN_IF_ERROR(WriteFileAtomic(PathJoin(root_, LatestFileName(job)), tag));
   commits.Add(1);
-  // Committed: the tag's manifest (if the save was incremental) now holds the references
-  // that keep its chunks alive; the write-time pins have done their job. A leftover spool
-  // dir (resumed uploads that were superseded) is dead weight now.
-  ChunkIndex::ForRoot(root_)->ReleaseTagPins(tag);
+  // A leftover spool dir (resumed uploads that were superseded) is dead weight now.
   UCP_RETURN_IF_ERROR(RemoveAll(WipDirForTag(root_, tag)));
   return OkStatus();
 }
@@ -232,7 +143,6 @@ Status LocalStore::AbortTag(const std::string& tag) {
   if (!IsSafeStoreName(tag)) {
     return InvalidArgumentError("bad checkpoint tag: " + tag);
   }
-  ChunkIndex::ForRoot(root_)->ReleaseTagPins(tag);
   UCP_RETURN_IF_ERROR(RemoveAll(WipDirForTag(root_, tag)));
   return RemoveAll(StagingDirForTag(root_, tag));
 }
@@ -290,17 +200,6 @@ Result<GcReport> LocalStore::Gc(const std::string& job, int keep_last, bool dry_
       report.kept.push_back(tag);
     }
   }
-  // Reclaim chunk objects no longer referenced by any tag (this job's deletions may have
-  // dropped the last referer of a chunk — or not, if a sibling tag shares it; the sweep
-  // is the arbiter). A sweep refusal (damaged committed manifest) must not fail the Gc:
-  // tags were already retired per policy, space reclaim just waits for fsck.
-  if (!dry_run) {
-    Result<ChunkIndex::SweepReport> sweep =
-        ChunkIndex::ForRoot(root_)->Sweep(false, chunk_sweep_grace_seconds_);
-    if (!sweep.ok()) {
-      UCP_LOG(Warning) << "chunk sweep skipped: " << sweep.status().ToString();
-    }
-  }
   return report;
 }
 
@@ -340,7 +239,6 @@ Result<int> LocalStore::SweepStagingDebris(const std::string& job) {
     if (!owned) {
       continue;
     }
-    ChunkIndex::ForRoot(root_)->ReleaseTagPins(base);
     UCP_RETURN_IF_ERROR(RemoveAll(PathJoin(root_, name)));
     ++removed;
   }
@@ -412,26 +310,6 @@ Result<std::vector<std::string>> ListAllCheckpointTags(const std::string& dir) {
     tags.push_back(std::move(name));
   }
   return tags;
-}
-
-Status PruneCheckpoints(const std::string& dir, int keep_last) {
-  if (keep_last < 1) {
-    return InvalidArgumentError("keep_last must be >= 1");
-  }
-  UCP_ASSIGN_OR_RETURN(std::vector<std::string> tags, ListCheckpointTags(dir));
-  std::string latest;
-  if (Result<std::string> latest_tag = ReadLatestTag(dir); latest_tag.ok()) {
-    latest = *latest_tag;
-  }
-  int excess = static_cast<int>(tags.size()) - keep_last;
-  for (int i = 0; i < static_cast<int>(tags.size()) && excess > 0; ++i) {
-    if (tags[static_cast<size_t>(i)] == latest) {
-      continue;
-    }
-    UCP_RETURN_IF_ERROR(RemoveAll(PathJoin(dir, tags[static_cast<size_t>(i)])));
-    --excess;
-  }
-  return OkStatus();
 }
 
 Result<GcReport> GcCheckpoints(const std::string& dir, int keep_last, bool dry_run,

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "src/store/chunk_index.h"
 #include "src/store/store.h"
 
 namespace ucp {
@@ -42,17 +41,8 @@ class LocalStore final : public Store {
   Result<GcReport> Gc(const std::string& job, int keep_last, bool dry_run) override;
   Result<int> SweepStagingDebris(const std::string& job) override;
 
-  // Grace window Gc's chunk sweep quarantines young unreferenced objects for (see
-  // ChunkIndex::Sweep). The default is safe for any topology — chunk pins are per-process
-  // and another process may be mid-save against this root. Set 0 only when this process
-  // provably holds every pin for the root (the daemon does; so do convergence tests).
-  void set_chunk_sweep_grace_seconds(int64_t seconds) {
-    chunk_sweep_grace_seconds_ = seconds;
-  }
-
  private:
   std::string root_;
-  int64_t chunk_sweep_grace_seconds_ = kChunkSweepGraceSeconds;
 };
 
 // ---- Dir-based convenience API (the historical checkpoint free functions) ----------------
@@ -97,19 +87,15 @@ Result<std::vector<std::string>> ListCheckpointTags(const std::string& dir,
 // must stay namespace-scoped.
 Result<std::vector<std::string>> ListAllCheckpointTags(const std::string& dir);
 
-// Retention: deletes the oldest checkpoints so at most `keep_last` tags remain. The tag
-// named by `latest` is never deleted. Call from one process only (e.g. rank 0 after save).
-Status PruneCheckpoints(const std::string& dir, int keep_last);
-
 // Retention policy for steady-state training (`ucp_tool gc`, AsyncCheckpointOptions
-// .keep_last). Unlike PruneCheckpoints it only counts *committed* tags toward the keep
-// budget and never touches uncommitted tags or `.staging` debris — those belong to
-// crashed-save recovery (fsck / the next save), and a tag mid-commit by a concurrent
-// flusher must not be swept. Scoped to `job`'s namespace: tags and the `latest` guard of
-// other jobs sharing the store are invisible to it. Never deletes the tag the job's
-// `latest` names, nor the newest tag whose metadata still reads back — when every tag in
-// the keep window is damaged, that older tag is the job's only resume point and outlives
-// the window. Call from one process per job.
+// .keep_last). Only *committed* tags count toward the keep budget; uncommitted tags and
+// `.staging` debris are never touched — those belong to crashed-save recovery (fsck / the
+// next save), and a tag mid-commit by a concurrent flusher must not be swept. Scoped to
+// `job`'s namespace: tags and the `latest` guard of other jobs sharing the store are
+// invisible to it. Never deletes the tag the job's `latest` names, nor the newest tag
+// whose metadata still reads back — when every tag in the keep window is damaged, that
+// older tag is the job's only resume point and outlives the window. Call from one
+// process per job.
 Result<GcReport> GcCheckpoints(const std::string& dir, int keep_last, bool dry_run = false,
                                const std::string& job = "");
 

@@ -11,7 +11,6 @@
 #include "src/common/bytes.h"
 #include "src/common/crc32.h"
 #include "src/common/fs.h"
-#include "src/common/lz.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/store/tags.h"
@@ -197,120 +196,8 @@ class RemoteStoreWriter final : public StoreWriter {
     return store_->WriteFileLocked(tag(), rel, data, size);
   }
 
-  bool SupportsChunked() const override { return store_->negotiated_version() >= 2; }
-
-  // Incremental path: CHUNK_QUERY pins + asks which digests the daemon already holds,
-  // then only the missing chunks ship — compressed *client-side* (the whole point of wire
-  // compression is fewer bytes on the socket; the daemon stores the object as received
-  // after verifying it decodes). The manifest is accumulated here and staged as a normal
-  // file by FinalizeManifest.
-  Result<ChunkedWriteStats> WriteFileChunked(const std::string& rel, const void* data,
-                                             size_t size,
-                                             const std::vector<uint64_t>& digests,
-                                             bool compress, uint64_t inherited) override {
-    if (!SupportsChunked()) {
-      return StoreWriter::WriteFileChunked(rel, data, size, digests, compress, inherited);
-    }
-    if (!IsSafeStoreRelPath(rel)) {
-      return InvalidArgumentError("bad store file name: " + rel);
-    }
-    if (digests.size() != (size + kManifestChunkBytes - 1) / kManifestChunkBytes) {
-      return InvalidArgumentError("digest count does not match size for " + rel);
-    }
-    ChunkedWriteStats stats;
-    stats.bytes_total = size;
-    stats.chunks_total = digests.size();
-    const uint8_t* bytes = static_cast<const uint8_t*>(data);
-    // Per-chunk raw CRCs ride the query so the server answers "present" only for objects
-    // that verifiably hold the same content (not merely the same 64-bit digest), and are
-    // reused below when the chunk ships. Queries are batched to stay under the wire frame
-    // cap whatever the file size.
-    std::vector<uint32_t> chunk_crcs(digests.size());
-    for (size_t i = 0; i < digests.size(); ++i) {
-      const size_t off = i * kManifestChunkBytes;
-      chunk_crcs[i] = Crc32(bytes + off, std::min(kManifestChunkBytes, size - off));
-    }
-    constexpr size_t kQueryBatch = 65536;  // 16 B/entry -> 1 MiB per frame
-    std::vector<uint8_t> present_all;
-    present_all.reserve(digests.size());
-    for (size_t begin = 0; begin < digests.size(); begin += kQueryBatch) {
-      const size_t batch = std::min(kQueryBatch, digests.size() - begin);
-      ByteWriter query;
-      query.PutString(tag());
-      query.PutU32(static_cast<uint32_t>(batch));
-      for (size_t i = begin; i < begin + batch; ++i) {
-        const size_t off = i * kManifestChunkBytes;
-        query.PutU64(digests[i]);
-        query.PutU32(static_cast<uint32_t>(std::min(kManifestChunkBytes, size - off)));
-        query.PutU32(chunk_crcs[i]);
-      }
-      UCP_ASSIGN_OR_RETURN(WireFrame mask_frame,
-                           store_->RoundtripWithRetry(WireOp::kChunkQuery, query.buffer(),
-                                                      WireOp::kChunkMask));
-      ByteReader mask(mask_frame.payload.data(), mask_frame.payload.size());
-      UCP_ASSIGN_OR_RETURN(uint32_t count, mask.GetU32());
-      if (count != batch) {
-        return DataLossError("CHUNK_MASK count mismatch from " + store_->endpoint_);
-      }
-      for (uint32_t i = 0; i < count; ++i) {
-        UCP_ASSIGN_OR_RETURN(uint8_t present, mask.GetU8());
-        present_all.push_back(present);
-      }
-    }
-    for (size_t i = 0; i < digests.size(); ++i) {
-      if (present_all[i] != 0) {
-        ++stats.chunks_deduped;
-        continue;
-      }
-      const size_t off = i * kManifestChunkBytes;
-      const size_t n = std::min(kManifestChunkBytes, size - off);
-      const uint32_t raw_crc = chunk_crcs[i];
-      std::vector<uint8_t> encoded;
-      if (compress) {
-        std::vector<uint8_t> packed;
-        if (LzCompress(bytes + off, n, &packed) == LzCompressOutcome::kCompressed) {
-          encoded = EncodeChunkObject(ChunkCodec::kLz, static_cast<uint32_t>(n), raw_crc,
-                                      packed.data(), packed.size());
-          ++stats.chunks_compressed;
-        }
-      }
-      if (encoded.empty()) {
-        encoded = EncodeChunkObject(ChunkCodec::kRaw, static_cast<uint32_t>(n), raw_crc,
-                                    bytes + off, n);
-      }
-      ByteWriter put;
-      put.PutU64(digests[i]);
-      put.PutBytes(encoded.data(), encoded.size());
-      UCP_RETURN_IF_ERROR(
-          store_->RoundtripWithRetry(WireOp::kChunkPut, put.buffer(), WireOp::kOk)
-              .status());
-      stats.bytes_written += encoded.size();
-    }
-    ChunkManifestEntry entry;
-    entry.name = rel;
-    entry.size = size;
-    entry.crc32 = Crc32(data, size);
-    entry.chunks = digests;
-    entry.inherited = inherited;
-    entries_.push_back(std::move(entry));
-    return stats;
-  }
-
-  Status FinalizeManifest(const std::string& parent_tag) override {
-    if (entries_.empty()) {
-      return OkStatus();  // nothing was chunked (v1 peer fallback) — no manifest
-    }
-    ChunkManifest manifest;
-    manifest.parent = parent_tag;
-    manifest.files = std::move(entries_);
-    entries_.clear();
-    const std::string body = SerializeChunkManifest(manifest);
-    return WriteFile(kChunkManifestName, body.data(), body.size());
-  }
-
  private:
   std::shared_ptr<RemoteStore> store_;
-  std::vector<ChunkManifestEntry> entries_;
 };
 
 Result<std::shared_ptr<RemoteStore>> RemoteStore::Connect(const std::string& endpoint) {

@@ -76,9 +76,8 @@ class RemoteStore final : public Store, public std::enable_shared_from_this<Remo
     return endpoint_ + "!" + rel;
   }
   uint64_t session_id() const;
-  // Protocol version agreed at HELLO: min(server max, client max). Chunk ops (incremental
-  // saves over the wire) need >= 2; against a v1 daemon WriteFileChunked degrades to
-  // full-file writes. Leases / resumable writes need >= 3.
+  // Protocol version agreed at HELLO: min(server max, client max). Leases / resumable
+  // writes need >= 3.
   uint32_t negotiated_version() const;
   // Empty when the session holds no lease (v1/v2 peer, leases disabled, ttl 0).
   const std::string& lease_token() const { return lease_token_; }

@@ -20,7 +20,6 @@
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/store/chunk_index.h"
 #include "src/store/tags.h"
 #include "src/tensor/tensor_file.h"
 
@@ -146,7 +145,6 @@ std::string RpcTagFor(const WireFrame& frame, const std::string& write_tag) {
     case WireOp::kCommitTag:
     case WireOp::kAbortTag:
     case WireOp::kDeleteTag:
-    case WireOp::kChunkQuery:
     case WireOp::kWriteResume: {
       ByteReader r(frame.payload.data(), frame.payload.size());
       Result<std::string> tag = r.GetString();
@@ -186,12 +184,12 @@ struct StoreServer::OpenRead {
   std::vector<std::vector<bool>> verified;  // parallel to index->regions
 };
 
-// What the admission budget and chunk pins are attributed to. Every session holds exactly
-// one lease: an *implicit* one (empty token) that dies with the connection — the v1/v2
-// semantics — or a *named* one (SESSION_OPEN) that survives socket death until its TTL
-// lapses, so a reconnecting client can re-adopt its staged state. All fields are guarded
-// by StoreServer::mu_ except expires_at_ms, which the serving thread refreshes per frame
-// and the reaper polls.
+// What the admission budget is attributed to. Every session holds exactly one lease: an
+// *implicit* one (empty token) that dies with the connection — the v1/v2 semantics — or
+// a *named* one (SESSION_OPEN) that survives socket death until its TTL lapses, so a
+// reconnecting client can re-adopt its staged state. All fields are guarded by
+// StoreServer::mu_ except expires_at_ms, which the serving thread refreshes per frame and
+// the reaper polls.
 struct StoreServer::Lease {
   uint64_t id = 0;           // creation order; admission's oldest-first scan keys on it
   std::string token;         // empty = implicit per-connection lease
@@ -200,16 +198,6 @@ struct StoreServer::Lease {
   std::atomic<uint32_t> ttl_ms{0};
   std::atomic<int64_t> expires_at_ms{0};
   uint64_t bound_session = 0;  // 0 = no live connection attached
-  // Tags this lease pinned chunks under (CHUNK_QUERY). Commit/abort/reset release a
-  // tag's pins through LocalStore; this set covers the remaining case — the lease dying
-  // mid-save — so a crashed client's pins don't outlive its lease (its uncommitted
-  // chunks become sweepable, exactly like its staging debris).
-  std::set<std::string> pinned_tags;
-  // Digests pinned by tag and in total, charged against options_.max_pinned_chunks
-  // (digests re-queried under the same tag are re-counted — an upper bound is all
-  // admission needs).
-  std::map<std::string, uint64_t> pinned_by_tag;
-  uint64_t pinned_total = 0;
   // Attribution of admitted staged bytes by tag, so releasing one tag (commit/abort/
   // reset) leaves the budget of other in-flight saves on this lease intact.
   std::map<std::string, uint64_t> staged_by_tag;
@@ -221,8 +209,7 @@ struct StoreServer::Lease {
 struct StoreServer::Session {
   uint64_t id = 0;
   int fd = -1;
-  // Negotiated at HELLO: min(server max, client max). Chunk ops require >= 2, lease and
-  // resume ops >= 3.
+  // Negotiated at HELLO: min(server max, client max). Lease and resume ops require >= 3.
   uint32_t version = 0;
   std::shared_ptr<Lease> lease;  // never null once the session is registered
   uint64_t ops = 0;
@@ -256,16 +243,10 @@ Result<std::unique_ptr<StoreServer>> StoreServer::Start(StoreServerOptions optio
   UCP_RETURN_IF_ERROR(MakeDirs(options.root));
   UCP_ASSIGN_OR_RETURN(Endpoint ep, ParseEndpoint(options.listen));
   std::unique_ptr<StoreServer> server(new StoreServer(std::move(options)));
-  // Re-adopt what a previous daemon left behind *before* serving anyone. When live
-  // leases were recovered, keep LocalStore's cross-process chunk-sweep grace window:
-  // their owners' pins died with the old process, and the grace window is the only thing
-  // protecting their in-flight chunks until the leases resolve. A clean start has no
-  // such exposure — the daemon holds every client's pins, so sweeps reclaim immediately.
-  if (!server->RecoverJournal()) {
-    server->store_.set_chunk_sweep_grace_seconds(0);
-  } else {
-    // Adoption after restart is an anomaly worth a dossier: the previous daemon died
-    // with saves in flight, and this record ties the adopted state to this process.
+  // Re-adopt what a previous daemon left behind *before* serving anyone. Adoption after
+  // restart is an anomaly worth a dossier: the previous daemon died with saves in flight,
+  // and this record ties the adopted state to this process.
+  if (server->RecoverJournal()) {
     server->DumpAnomaly("journal-adopt", "adopted live leases from a prior daemon");
   }
   UCP_ASSIGN_OR_RETURN(server->listen_fd_, ListenEndpoint(ep));
@@ -512,7 +493,7 @@ void StoreServer::ServeConnection(int fd, std::shared_ptr<Session> session) {
         (!lease->named() || lease->bound_session == session->id)) {
       if (!lease->named() || NowWallMs() >= lease->expires_at_ms.load()) {
         // Implicit lease (v1/v2 semantics) or a named lease that already outlived its
-        // TTL while the socket lingered: budget and pins free now. Staged/spooled files
+        // TTL while the socket lingered: its budget frees now. Staged/spooled files
         // stay — inert debris the next save's ResetTagStaging or a sweep clears.
         ReleaseLeaseLocked(*lease);
       } else {
@@ -580,28 +561,10 @@ void StoreServer::ReleaseLeaseLocked(Lease& lease) {
     staged_bytes_.fetch_sub(held);
     ServerMetrics::Get().staged.Set(static_cast<int64_t>(staged_bytes_.load()));
   }
-  // Chunk pins taken by this lease's CHUNK_QUERYs die with it. Committed tags already
-  // released theirs (CommitTag); this catches a client that crashed mid-save, so its
-  // uncommitted chunks become sweepable like its staging debris.
-  for (const std::string& tag : lease.pinned_tags) {
-    ChunkIndex::ForRoot(store_.root())->ReleaseTagPins(tag);
-  }
-  lease.pinned_tags.clear();
-  lease.pinned_by_tag.clear();
-  lease.pinned_total = 0;
   leases_.erase(lease.id);
   ServerMetrics::Get().leases.Set(static_cast<int64_t>(leases_.size()));
   if (lease.named()) {
     WriteJournalLocked();
-  }
-}
-
-void StoreServer::ReleaseLeasePinsForTagLocked(Lease& lease, const std::string& tag) {
-  lease.pinned_tags.erase(tag);
-  auto it = lease.pinned_by_tag.find(tag);
-  if (it != lease.pinned_by_tag.end()) {
-    lease.pinned_total -= std::min(lease.pinned_total, it->second);
-    lease.pinned_by_tag.erase(it);
   }
 }
 
@@ -1027,7 +990,7 @@ Result<std::vector<uint8_t>> StoreServer::HandleSessionOpen(const WireFrame& fra
   if (current->named()) {
     return FailedPreconditionError("session already holds a lease");
   }
-  if (current->staged_total > 0 || current->pinned_total > 0) {
+  if (current->staged_total > 0) {
     return FailedPreconditionError("SESSION_OPEN must precede staged writes");
   }
   std::shared_ptr<Lease> named;
@@ -1330,7 +1293,6 @@ bool StoreServer::HandleFrameInner(int fd, const WireFrame& frame, Session& sess
         // their admitted budget.
         std::lock_guard<std::mutex> lock(mu_);
         ReleaseStagedBytesForTagLocked(*session.lease, *tag);
-        ReleaseLeasePinsForTagLocked(*session.lease, *tag);
         if (session.lease->named()) {
           WriteJournalLocked();
         }
@@ -1351,7 +1313,6 @@ bool StoreServer::HandleFrameInner(int fd, const WireFrame& frame, Session& sess
       if (status.ok()) {
         std::lock_guard<std::mutex> lock(mu_);
         ReleaseStagedBytesForTagLocked(*session.lease, *tag);
-        ReleaseLeasePinsForTagLocked(*session.lease, *tag);
         if (session.lease->named()) {
           WriteJournalLocked();
         }
@@ -1369,7 +1330,6 @@ bool StoreServer::HandleFrameInner(int fd, const WireFrame& frame, Session& sess
       if (status.ok()) {
         std::lock_guard<std::mutex> lock(mu_);
         ReleaseStagedBytesForTagLocked(*session.lease, *tag);
-        ReleaseLeasePinsForTagLocked(*session.lease, *tag);
         if (session.lease->named()) {
           WriteJournalLocked();
         }
@@ -1423,103 +1383,6 @@ bool StoreServer::HandleFrameInner(int fd, const WireFrame& frame, Session& sess
       w.PutI64(*removed);
       payload = w.TakeBuffer();
       reply_op = WireOp::kInt;
-      break;
-    }
-    case WireOp::kChunkQuery: {
-      if (session.version < 2) {
-        status = FailedPreconditionError("CHUNK_QUERY requires protocol v2");
-        break;
-      }
-      ByteReader r(frame.payload.data(), frame.payload.size());
-      Result<std::string> tag = r.GetString();
-      Result<uint32_t> count = tag.ok() ? r.GetU32() : Result<uint32_t>(tag.status());
-      if (!count.ok()) {
-        status = count.status();
-        break;
-      }
-      if (!IsSafeStoreName(*tag)) {
-        status = InvalidArgumentError("unsafe tag name: " + *tag);
-        break;
-      }
-      // Admission: pins are server memory and block chunk reclaim, so they are budgeted
-      // per lease like staged bytes. The check runs before anything is pinned, against
-      // the declared count — a hostile count either fails here or in the reader below.
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (session.lease->pinned_total + *count > options_.max_pinned_chunks) {
-          status = FailedPreconditionError(
-              "session pinned-chunk budget exceeded: " +
-              std::to_string(session.lease->pinned_total) + " held + " +
-              std::to_string(*count) + " requested > " +
-              std::to_string(options_.max_pinned_chunks));
-        }
-      }
-      if (!status.ok()) {
-        break;
-      }
-      // The payload size already bounds count * 16 bytes; a forged count fails in the
-      // reader.
-      std::vector<ChunkIndex::ChunkProbe> probes;
-      probes.reserve(*count);
-      for (uint32_t i = 0; i < *count; ++i) {
-        ChunkIndex::ChunkProbe probe;
-        Result<uint64_t> d = r.GetU64();
-        Result<uint32_t> raw_size = d.ok() ? r.GetU32() : Result<uint32_t>(d.status());
-        Result<uint32_t> raw_crc =
-            raw_size.ok() ? r.GetU32() : Result<uint32_t>(raw_size.status());
-        if (!raw_crc.ok()) {
-          status = raw_crc.status();
-          break;
-        }
-        probe.digest = *d;
-        probe.raw_size = *raw_size;
-        probe.raw_crc = *raw_crc;
-        probes.push_back(probe);
-      }
-      if (!status.ok()) {
-        break;
-      }
-      // Pins are taken before presence is answered so a concurrent sweep can't delete a
-      // chunk the client was just told exists (invariant I6).
-      std::vector<uint8_t> present =
-          ChunkIndex::ForRoot(store_.root())->PinAndQuery(*tag, probes);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        session.lease->pinned_tags.insert(*tag);
-        session.lease->pinned_by_tag[*tag] += probes.size();
-        session.lease->pinned_total += probes.size();
-      }
-      ByteWriter w;
-      w.PutU32(static_cast<uint32_t>(present.size()));
-      for (uint8_t p : present) {
-        w.PutU8(p);
-      }
-      payload = w.TakeBuffer();
-      reply_op = WireOp::kChunkMask;
-      break;
-    }
-    case WireOp::kChunkPut: {
-      if (session.version < 2) {
-        status = FailedPreconditionError("CHUNK_PUT requires protocol v2");
-        break;
-      }
-      // Chunk puts deliberately bypass the staged-bytes admission budget: each put is
-      // bounded by the frame cap, decode-verified, and written straight to the index with
-      // no server-side accumulation — there is no declared-total buffer to defend, unlike
-      // WRITE_BEGIN streams.
-      ByteReader r(frame.payload.data(), frame.payload.size());
-      Result<uint64_t> digest = r.GetU64();
-      if (!digest.ok()) {
-        status = digest.status();
-        break;
-      }
-      if (frame.payload.size() < 8 + kChunkHeaderBytes) {
-        status = DataLossError("CHUNK_PUT frame too short for a chunk object");
-        break;
-      }
-      status = ChunkIndex::ForRoot(store_.root())
-                   ->PutEncoded(*digest, frame.payload.data() + 8,
-                                frame.payload.size() - 8);
       break;
     }
     case WireOp::kSessionOpen: {

@@ -20,8 +20,8 @@
 // saves multiplexed over one connection can't free each other's budget.
 //
 // Session leases (wire v3): a client may bind a lease (SESSION_OPEN with a self-generated
-// token and TTL). Staged bytes, chunk pins, and half-streamed upload spools of a leased
-// session survive the socket — lease *expiry*, not connection death, is what reaps them.
+// token and TTL). Staged bytes and half-streamed upload spools of a leased session survive
+// the socket — lease *expiry*, not connection death, is what reaps them.
 // A reconnecting client re-presents its token, re-adopts the lease (same admission
 // seniority), asks WRITE_RESUME how far each upload got, and continues from the
 // acknowledged offset. The lease table is journaled to `<root>/.ucp_serverd.journal` so a
@@ -52,13 +52,6 @@ struct StoreServerOptions {
   std::string http_listen;                    // optional "tcp:host:port" for /metrics
   int max_sessions = 64;
   uint64_t max_staged_bytes = 256ull << 20;   // admission budget for in-flight staging
-  // Cap on chunk digests one session may hold pinned via CHUNK_QUERY (the chunk-side
-  // analogue of max_staged_bytes): each pin costs server memory and blocks reclaim of
-  // that chunk until the tag commits/aborts or the session dies, so an unbounded count
-  // would let one misbehaving client grow the pin map and freeze GC store-wide. The
-  // default admits ~64 GiB of 64 KiB-chunked state per session. Exceeding it is
-  // kFailedPrecondition (a protocol violation, not backpressure — clients don't retry).
-  uint64_t max_pinned_chunks = 1ull << 20;
   bool drain_on_shutdown = true;              // wait for idle sessions before closing them
   // Highest protocol version this server will negotiate. Production leaves the default;
   // the downgrade conformance tests pin v1/v2 server behavior with it.
@@ -141,13 +134,10 @@ class StoreServer {
   Result<std::vector<uint8_t>> HandleReadRange(const WireFrame& frame, Session& session);
   Result<std::vector<uint8_t>> HandleOpenRead(const WireFrame& frame, Session& session);
   void AbandonOpenWrite(Session& session);
-  // Releases every resource the lease holds (budget, pins) and drops it from the table.
+  // Releases the lease's staged-bytes budget and drops it from the table.
   // Caller holds mu_.
   void ReleaseLeaseLocked(Lease& lease);
   void ReleaseStagedBytesForTagLocked(Lease& lease, const std::string& tag);
-  // Drops the lease's pin accounting for `tag` (the index-side pins are released by
-  // LocalStore's commit/abort/reset, or by ReleaseLeaseLocked on lease death).
-  void ReleaseLeasePinsForTagLocked(Lease& lease, const std::string& tag);
   // Rewrites the lease journal from the current table. Caller holds mu_; no-op when
   // journaling is off.
   void WriteJournalLocked();

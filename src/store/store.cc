@@ -6,22 +6,6 @@
 
 namespace ucp {
 
-Result<ChunkedWriteStats> StoreWriter::WriteFileChunked(
-    const std::string& rel, const void* data, size_t size,
-    const std::vector<uint64_t>& digests, bool compress, uint64_t inherited) {
-  // Non-chunked backends stage the whole file; the caller's incremental bookkeeping
-  // degrades to "everything was dirty".
-  (void)digests;
-  (void)compress;
-  (void)inherited;
-  UCP_RETURN_IF_ERROR(WriteFile(rel, data, size));
-  ChunkedWriteStats stats;
-  stats.bytes_total = size;
-  stats.bytes_written = size;
-  stats.chunks_total = digests.size();
-  return stats;
-}
-
 std::string GcReport::ToString() const {
   std::string out = "gc: removed " + std::to_string(removed.size()) + ", kept " +
                     std::to_string(kept.size()) + "\n";

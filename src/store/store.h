@@ -28,7 +28,6 @@
 
 #include "src/common/fs.h"
 #include "src/common/status.h"
-#include "src/store/chunk_index.h"
 #include "src/store/ckpt_meta.h"
 #include "src/store/tags.h"
 
@@ -40,6 +39,9 @@ struct GcReport {
   std::vector<std::string> kept;     // committed tags surviving
   std::string ToString() const;
 };
+
+// Result of the retired StoreWriter::WriteFileChunked below, empty since nothing reads it.
+struct ChunkedWriteStats {};
 
 // A staged write of one tag. Writers only stage: nothing a reader trusts exists until the
 // owning Store's CommitTag. Several writers may stage into the same tag concurrently (one
@@ -62,27 +64,18 @@ class StoreWriter {
     return WriteFile(rel, text.data(), text.size());
   }
 
-  // ---- Incremental (chunked) staging ----------------------------------------------------
-  //
-  // A chunked-capable writer stages `rel` as content-addressed chunk objects instead of a
-  // whole file: `digests` is the per-64KiB-span digest list of [data, data+size) (see
-  // ComputeChunkDigests), chunks already in the store's index are skipped (dedup), and the
-  // file's chunk list is accumulated into a per-tag manifest published by
-  // FinalizeManifest — which must be called once, after every WriteFileChunked of the tag
-  // and before CommitTag. `inherited` counts chunks the caller knows are unchanged vs the
-  // parent tag (provenance stats in the manifest; dedup itself never trusts it).
-  // The base implementation is a plain WriteFile, so callers can use this path
-  // unconditionally and older backends (a v1 wire peer) degrade to full saves.
-
+  // Retired chunked-write hooks, inert: perfbench/timed_store.cc still overrides all three.
+  // Nothing else calls them; they go when the benchmark drops its overrides.
   virtual bool SupportsChunked() const { return false; }
   virtual Result<ChunkedWriteStats> WriteFileChunked(const std::string& rel,
                                                      const void* data, size_t size,
-                                                     const std::vector<uint64_t>& digests,
-                                                     bool compress, uint64_t inherited);
-  virtual Status FinalizeManifest(const std::string& parent_tag) {
-    (void)parent_tag;
-    return OkStatus();
+                                                     const std::vector<uint64_t>& /*digests*/,
+                                                     bool /*compress*/,
+                                                     uint64_t /*inherited*/) {
+    UCP_RETURN_IF_ERROR(WriteFile(rel, data, size));
+    return ChunkedWriteStats{};
   }
+  virtual Status FinalizeManifest(const std::string& /*parent_tag*/) { return OkStatus(); }
 
  protected:
   explicit StoreWriter(std::string tag) : tag_(std::move(tag)) {}

@@ -44,8 +44,6 @@ const char* WireOpName(WireOp op) {
     case WireOp::kGc: return "gc";
     case WireOp::kSweepDebris: return "sweep_debris";
     case WireOp::kPing: return "ping";
-    case WireOp::kChunkQuery: return "chunk_query";
-    case WireOp::kChunkPut: return "chunk_put";
     case WireOp::kSessionOpen: return "session_open";
     case WireOp::kSessionRenew: return "session_renew";
     case WireOp::kWriteResume: return "write_resume";
@@ -61,7 +59,6 @@ const char* WireOpName(WireOp op) {
     case WireOp::kBool: return "bool";
     case WireOp::kGcReport: return "gc_report";
     case WireOp::kInt: return "int";
-    case WireOp::kChunkMask: return "chunk_mask";
     case WireOp::kSessionOpenOk: return "session_open_ok";
     case WireOp::kWriteResumeOk: return "write_resume_ok";
     case WireOp::kServerStatOk: return "server_stat_ok";

@@ -32,17 +32,16 @@
 namespace ucp {
 
 inline constexpr uint32_t kWireMagic = 0x57504355;  // "UCPW" little-endian
-// Version 2 added the chunk ops (CHUNK_QUERY / CHUNK_PUT) for incremental saves. Version
-// 3 adds session leases (SESSION_OPEN / SESSION_RENEW), offset-addressed WRITE_CHUNK
-// frames, and the WRITE_RESUME query that together make interrupted uploads resumable
-// across reconnects and daemon restarts. Version 4 adds observability: the TRACE_CONTEXT
-// prefix frame that propagates a client (trace_id, parent_span_id) pair onto the next
-// request, and METRICS_DUMP for fetching the daemon's metrics page over the store
+// Version 2 added chunk-dedup ops that have since been retired, so v1 and v2 now speak the
+// same ops. Version 3 adds session leases (SESSION_OPEN / SESSION_RENEW), offset-addressed
+// WRITE_CHUNK frames, and the WRITE_RESUME query that together make interrupted uploads
+// resumable across reconnects and daemon restarts. Version 4 adds observability: the
+// TRACE_CONTEXT prefix frame that propagates a client (trace_id, parent_span_id) pair onto
+// the next request, and METRICS_DUMP for fetching the daemon's metrics page over the store
 // endpoint. Both sides still speak older versions: the negotiated version is
 // min(server max, client max) within the overlapping [min,max] ranges, and a client on an
-// old peer silently degrades (on v3 no trace header or remote metrics; on v2 additionally
-// no lease, full-restart write semantics; on v1 additionally full-file writes instead of
-// chunk dedup).
+// old peer silently degrades (on v3 no trace header or remote metrics; on v2 and v1
+// additionally no lease, full-restart write semantics).
 inline constexpr uint32_t kWireVersion = 4;
 inline constexpr uint32_t kWireMinVersion = 1;
 // Bound on one frame's payload; larger files stream as multiple WRITE_CHUNK / READ_RANGE
@@ -77,10 +76,7 @@ enum class WireOp : uint8_t {
   kGc = 16,           // str job | u32 keep_last | u8 dry_run
   kSweepDebris = 17,  // str job
   kPing = 18,         // empty
-  // v2+ only (negotiated version >= 2; a v1 session gets kFailedPrecondition):
-  kChunkQuery = 19,   // str tag | u32 count | count * (u64 digest | u32 raw_size |
-                      // u32 raw_crc) — pins + content-verified presence query
-  kChunkPut = 20,     // u64 digest | encoded chunk object bytes (UCK1 header + payload)
+  // 19 and 20 (and the 73 reply) were the retired chunk-dedup ops; never reuse them.
   // v3+ only (negotiated version >= 3; older sessions get kFailedPrecondition):
   kSessionOpen = 21,  // str lease_token | u32 ttl_ms — bind (or re-adopt) a lease
   kSessionRenew = 22, // empty — extend the bound lease's TTL (idle keep-alive)
@@ -103,7 +99,6 @@ enum class WireOp : uint8_t {
   kBool = 70,         // u8
   kGcReport = 71,     // u32 n_removed | n * str | u32 n_kept | n * str
   kInt = 72,          // i64
-  kChunkMask = 73,    // u32 count | count * u8 present (response to kChunkQuery)
   kSessionOpenOk = 74,  // u8 resumed | u32 granted_ttl_ms
   kWriteResumeOk = 75,  // u64 acked_bytes | u8 complete (file already fully staged)
   kServerStatOk = 76,   // u32 server_version | u32 sessions | u32 leases |

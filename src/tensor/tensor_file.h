@@ -77,8 +77,7 @@ Result<TensorFileInfo> StatTensor(const std::string& path);
 
 // Full-integrity pass without materializing tensors: whole-file CRC plus every per-tensor /
 // per-chunk CRC. What `ucp_tool fsck` runs in its default (deep) mode. The ByteSource
-// forms verify the same bytes through any source — e.g. a shard materialized from a chunk
-// manifest — so fsck's deep mode covers incremental tags too.
+// forms verify the same bytes through any source, e.g. a file opened through a Store.
 Status DeepVerifyTensorFile(const std::string& path);
 Status DeepVerifyTensorFile(std::unique_ptr<ByteSource> source);
 Status DeepVerifyBundleFile(const std::string& path);

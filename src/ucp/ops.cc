@@ -6,7 +6,6 @@
 #include "src/common/fs.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/store/chunk_index.h"
 #include "src/tensor/tensor_file.h"
 
 namespace ucp {
@@ -46,10 +45,8 @@ Result<ExtractedRank> Extract(const std::string& tag_dir, const ParallelConfig& 
   for (int dp = 0; dp < src.dp; ++dp) {
     const std::string path = PathJoin(tag_dir, OptimStatesFileName(dp, tp, pp, sp));
     // Parse metadata once and range-read just the three flat tensors (v3 bundles verify
-    // only the chunks those tensors occupy). The shard resolves physical-first, then
-    // through the tag's chunk manifest, so incremental tags convert identically.
-    UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> source,
-                         OpenTagShardSource(tag_dir, OptimStatesFileName(dp, tp, pp, sp)));
+    // only the chunks those tensors occupy).
+    UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> source, FileByteSource::Open(path));
     UCP_ASSIGN_OR_RETURN(BundleFileView bundle, BundleFileView::Open(std::move(source)));
     UCP_ASSIGN_OR_RETURN(int64_t stage, bundle.meta().GetInt("zero_stage"));
     UCP_ASSIGN_OR_RETURN(out.steps_taken, bundle.meta().GetInt("steps_taken"));

@@ -5,13 +5,10 @@
 #include <set>
 
 #include "src/ckpt/checkpoint.h"
-#include "src/common/crc32.h"
 #include "src/common/fs.h"
 #include "src/common/strings.h"
 #include "src/common/thread_pool.h"
 #include "src/model/inventory.h"
-#include "src/store/chunk_index.h"
-#include "src/store/chunk_manifest.h"
 #include "src/tensor/tensor_file.h"
 #include "src/ucp/atom.h"
 
@@ -38,10 +35,6 @@ namespace {
 struct FileCheck {
   std::string path;
   std::function<Status()> fn;
-  // Optional size probe. Default (null) stats the physical path; shards of an incremental
-  // tag resolve through the chunk manifest instead, where "missing" means neither a
-  // physical file nor a manifest entry exists.
-  std::function<Result<uint64_t>()> size_fn;
 };
 
 void RunChecks(const std::vector<FileCheck>& checks, const ValidateOptions& options,
@@ -54,11 +47,9 @@ void RunChecks(const std::vector<FileCheck>& checks, const ValidateOptions& opti
   std::vector<Slot> slots(checks.size());
   ThreadPool pool(options.num_threads > 0 ? static_cast<size_t>(options.num_threads) : 0);
   pool.ParallelFor(checks.size(), [&](size_t i) {
-    Result<uint64_t> size =
-        checks[i].size_fn ? checks[i].size_fn() : FileSize(checks[i].path);
+    Result<uint64_t> size = FileSize(checks[i].path);
     if (!size.ok()) {
       slots[i].missing = true;
-      slots[i].status = size.status();
       return;
     }
     slots[i].size = *size;
@@ -66,13 +57,7 @@ void RunChecks(const std::vector<FileCheck>& checks, const ValidateOptions& opti
   });
   for (size_t i = 0; i < checks.size(); ++i) {
     if (slots[i].missing) {
-      // A shard that fails *resolution* with a typed error (damaged manifest, dangling
-      // chunk) reports that error; plain absence stays "missing file".
-      if (slots[i].status.code() == StatusCode::kNotFound) {
-        report.problems.push_back("missing file: " + checks[i].path);
-      } else {
-        report.problems.push_back(checks[i].path + ": " + slots[i].status.ToString());
-      }
+      report.problems.push_back("missing file: " + checks[i].path);
       continue;
     }
     ++report.files_checked;
@@ -81,16 +66,6 @@ void RunChecks(const std::vector<FileCheck>& checks, const ValidateOptions& opti
       report.problems.push_back(checks[i].path + ": " + slots[i].status.ToString());
     }
   }
-}
-
-// Size probe for a shard that may live behind the tag's chunk manifest.
-std::function<Result<uint64_t>()> ShardSizeFn(const std::string& tag_dir,
-                                              const std::string& name) {
-  return [tag_dir, name]() -> Result<uint64_t> {
-    UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> source,
-                         OpenTagShardSource(tag_dir, name));
-    return source->size();
-  };
 }
 
 // ReadCheckpointMeta refuses uncommitted tags outright; the validator instead records the
@@ -123,48 +98,6 @@ Result<ValidationReport> ValidateNativeCheckpoint(const std::string& dir,
 
   std::vector<FileCheck> checks;
 
-  // The tag's chunk manifest (incremental saves). Damage is a typed finding — shard checks
-  // then resolve physical-first only, so by-reference shards surface as problems instead of
-  // silently passing or falling back to stale bytes.
-  const std::string manifest_path = PathJoin(tag_dir, kChunkManifestName);
-  if (FileExists(manifest_path)) {
-    Result<std::optional<ChunkManifest>> manifest = ReadTagChunkManifest(tag_dir);
-    if (!manifest.ok()) {
-      report.problems.push_back(manifest_path + ": " + manifest.status().ToString());
-    } else if (manifest->has_value() && options.deep) {
-      // Deep mode: every manifest entry must materialize bit-exactly — each referenced
-      // chunk object exists in the index and decodes, and the whole-file CRC recorded at
-      // write time matches the materialized bytes. Catches dangling references (a chunk
-      // GC'd out from under a live tag) and shared-chunk bit-rot at the manifest level.
-      const ChunkManifest m = **manifest;
-      for (const ChunkManifestEntry& entry : m.files) {
-        const std::string entry_path = PathJoin(tag_dir, entry.name) + " (via manifest)";
-        const std::string dir_copy = dir;
-        const uint64_t chunk_bytes = m.chunk_bytes;
-        const ChunkManifestEntry entry_copy = entry;
-        checks.push_back({entry_path,
-                          [dir_copy, entry_copy, chunk_bytes, entry_path] {
-                            UCP_ASSIGN_OR_RETURN(
-                                std::unique_ptr<ByteSource> source,
-                                OpenManifestSource(ChunkIndex::ForRoot(dir_copy),
-                                                   entry_copy, chunk_bytes, entry_path));
-                            std::vector<uint8_t> bytes(source->size());
-                            if (!bytes.empty()) {
-                              UCP_RETURN_IF_ERROR(
-                                  source->ReadAt(0, bytes.data(), bytes.size()));
-                            }
-                            if (Crc32(bytes.data(), bytes.size()) != entry_copy.crc32) {
-                              return DataLossError(
-                                  "materialized bytes do not match the manifest's "
-                                  "whole-file crc32");
-                            }
-                            return OkStatus();
-                          },
-                          [entry_copy]() -> Result<uint64_t> { return entry_copy.size; }});
-      }
-    }
-  }
-
   // Layouts must agree across each DP group; each optimizer check deposits its
   // padded_total here (indexed densely by (pp, sp, tp, dp)) for the post-pass below.
   // Distinct checks write distinct slots, so the parallel phase needs no locking.
@@ -176,11 +109,10 @@ Result<ValidationReport> ValidateNativeCheckpoint(const std::string& dir,
     for (int sp = 0; sp < s.sp; ++sp) {
       for (int tp = 0; tp < s.tp; ++tp) {
         // Model states (one per model-parallel rank).
-        const std::string ms_name = ModelStatesFileName(tp, pp, sp);
-        std::string ms_path = PathJoin(tag_dir, ms_name);
-        checks.push_back({ms_path, [tag_dir, ms_name, &s, &options] {
+        std::string ms_path = PathJoin(tag_dir, ModelStatesFileName(tp, pp, sp));
+        checks.push_back({ms_path, [ms_path, &s, &options] {
           UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> source,
-                               OpenTagShardSource(tag_dir, ms_name));
+                               FileByteSource::Open(ms_path));
           UCP_ASSIGN_OR_RETURN(BundleInfo info, StatBundle(std::move(source)));
           if (s.zero_stage < 3 && info.entries.empty()) {
             return DataLossError("model states unexpectedly empty for ZeRO stage " +
@@ -188,21 +120,20 @@ Result<ValidationReport> ValidateNativeCheckpoint(const std::string& dir,
           }
           if (options.deep) {
             UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> deep_source,
-                                 OpenTagShardSource(tag_dir, ms_name));
+                                 FileByteSource::Open(ms_path));
             return DeepVerifyBundleFile(std::move(deep_source));
           }
           return OkStatus();
-        }, ShardSizeFn(tag_dir, ms_name)});
+        }});
 
         for (int dp = 0; dp < s.dp; ++dp) {
           size_t slot = static_cast<size_t>(((pp * s.sp + sp) * s.tp + tp) * s.dp + dp);
-          const std::string optim_name = OptimStatesFileName(dp, tp, pp, sp);
-          std::string optim_path = PathJoin(tag_dir, optim_name);
+          std::string optim_path = PathJoin(tag_dir, OptimStatesFileName(dp, tp, pp, sp));
           optim_paths[slot] = optim_path;
           int64_t* padded_out = &padded_totals[slot];
-          checks.push_back({optim_path, [tag_dir, optim_name, &s, &options, padded_out] {
+          checks.push_back({optim_path, [optim_path, &s, &options, padded_out] {
             UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> source,
-                                 OpenTagShardSource(tag_dir, optim_name));
+                                 FileByteSource::Open(optim_path));
             UCP_ASSIGN_OR_RETURN(BundleInfo info, StatBundle(std::move(source)));
             const TensorFileInfo* fp32 = nullptr;
             for (const char* key : {"fp32_flat", "exp_avg", "exp_avg_sq"}) {
@@ -237,11 +168,11 @@ Result<ValidationReport> ValidateNativeCheckpoint(const std::string& dir,
             *padded_out = layout.padded_total;
             if (options.deep) {
               UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> deep_source,
-                                   OpenTagShardSource(tag_dir, optim_name));
+                                   FileByteSource::Open(optim_path));
               return DeepVerifyBundleFile(std::move(deep_source));
             }
             return OkStatus();
-          }, ShardSizeFn(tag_dir, optim_name)});
+          }});
         }
       }
     }
@@ -310,7 +241,7 @@ Result<ValidationReport> ValidateUcpCheckpoint(const std::string& ucp_dir,
           return DeepVerifyTensorFile(path);
         }
         return OkStatus();
-      }, nullptr});
+      }});
     }
   }
   RunChecks(checks, options, report);

@@ -11,11 +11,9 @@
 //  3. Lease expiry with a partitioned client: expiry (not socket death) reaps the staged
 //     bytes and the lease, no partial tag ever becomes visible, and the store keeps
 //     accepting fresh saves.
-//  4. Connection drop during CHUNK_QUERY / CHUNK_PUT: the incremental path resumes over
-//     reconnect and the committed manifest reassembles bit-exactly from the chunk index.
-//  5. Drain mode: SESSION_OPEN / SESSION_RENEW are refused with a typed kUnavailable
+//  4. Drain mode: SESSION_OPEN / SESSION_RENEW are refused with a typed kUnavailable
 //     carrying a machine-readable retry-after hint; established sessions keep working.
-//  6. The soak driver's through_daemon mode executes a generated chaos schedule (conn
+//  5. The soak driver's through_daemon mode executes a generated chaos schedule (conn
 //     drops + daemon restarts) with zero invariant violations and replays byte-exactly.
 
 #include <gtest/gtest.h>
@@ -38,12 +36,9 @@
 #include "src/obs/metrics.h"
 #include "src/soak/driver.h"
 #include "src/soak/schedule.h"
-#include "src/store/chunk_index.h"
-#include "src/store/chunk_manifest.h"
 #include "src/store/remote_store.h"
 #include "src/store/server.h"
 #include "src/store/wire.h"
-#include "src/tensor/chunk_digest.h"
 #include "src/ucp/validate.h"
 
 namespace ucp {
@@ -336,58 +331,7 @@ TEST_F(ChaosStoreTest, LeaseExpiryReapsPartitionedClientState) {
 }
 
 // ---------------------------------------------------------------------------------------
-// 4. Connection drop during the incremental CHUNK_QUERY / CHUNK_PUT path: the pinned
-//    query and chunk uploads ride the reconnect, and the committed manifest reassembles
-//    the file bit-exactly from the shared chunk index.
-// ---------------------------------------------------------------------------------------
-
-TEST_F(ChaosStoreTest, ConnDropDuringChunkedWriteResumesAndCommits) {
-  store_ = Connect(RemoteStoreOptions{});
-  ASSERT_NE(store_, nullptr);
-
-  const uint64_t reconnects0 = CounterValue("store.client.reconnects");
-
-  const std::string tag = "global_step3";
-  const std::vector<uint8_t> body = Payload(24 * kManifestChunkBytes + 101, 55);
-  const std::vector<uint64_t> digests = ComputeChunkDigests(body.data(), body.size());
-  Result<std::unique_ptr<StoreWriter>> writer = store_->OpenTagForWrite(tag);
-  ASSERT_TRUE(writer.ok()) << writer.status();
-  ASSERT_TRUE((*writer)->SupportsChunked());
-
-  ArmSocketFault({SocketFault::Op::kSend, SocketFault::Kind::kEconnreset, 6, 0});
-  Result<ChunkedWriteStats> stats = (*writer)->WriteFileChunked(
-      "shard.bin", body.data(), body.size(), digests, /*compress=*/true, /*inherited=*/0);
-  ClearSocketFaults();
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->bytes_total, body.size());
-  EXPECT_EQ(stats->chunks_total, digests.size());
-  ASSERT_TRUE((*writer)->FinalizeManifest("").ok());
-  ASSERT_TRUE(store_->CommitTag(tag, MetaJson(3)).ok());
-  EXPECT_GE(CounterValue("store.client.reconnects") - reconnects0, 1u);
-
-  // Reassemble through the committed manifest + chunk index and compare bit-exactly.
-  Result<std::string> manifest_text =
-      store_->ReadSmallFile(JoinRel(tag, kChunkManifestName));
-  ASSERT_TRUE(manifest_text.ok()) << manifest_text.status();
-  Result<ChunkManifest> manifest = ParseChunkManifest(*manifest_text);
-  ASSERT_TRUE(manifest.ok()) << manifest.status();
-  const ChunkManifestEntry* entry = manifest->Find("shard.bin");
-  ASSERT_NE(entry, nullptr);
-  ASSERT_EQ(entry->size, body.size());
-  std::shared_ptr<ChunkIndex> index = ChunkIndex::ForRoot(dir_);
-  std::vector<uint8_t> reassembled;
-  reassembled.reserve(body.size());
-  for (uint64_t digest : entry->chunks) {
-    Result<std::vector<uint8_t>> chunk = index->ReadChunk(digest);
-    ASSERT_TRUE(chunk.ok()) << chunk.status();
-    reassembled.insert(reassembled.end(), chunk->begin(), chunk->end());
-  }
-  reassembled.resize(entry->size);
-  EXPECT_TRUE(reassembled == body) << "chunked shard reassembled different bytes";
-}
-
-// ---------------------------------------------------------------------------------------
-// 5. Drain mode: SESSION_OPEN / SESSION_RENEW refused with typed kUnavailable + a
+// 4. Drain mode: SESSION_OPEN / SESSION_RENEW refused with typed kUnavailable + a
 //    retry-after hint; established sessions keep serving.
 // ---------------------------------------------------------------------------------------
 
@@ -472,7 +416,7 @@ TEST_F(ChaosStoreTest, DrainRefusesNewLeasesWithRetryAfterHint) {
 }
 
 // ---------------------------------------------------------------------------------------
-// 6. The soak driver's through_daemon mode: a generated schedule that interleaves
+// 5. The soak driver's through_daemon mode: a generated schedule that interleaves
 //    training with connection drops and daemon restarts runs with zero invariant
 //    violations (I1–I8) and its failure log replays byte-identically.
 // ---------------------------------------------------------------------------------------

@@ -264,33 +264,25 @@ TEST_F(CkptTest, ListCheckpointTagsSortedByIteration) {
             (std::vector<std::string>{"global_step2", "global_step9", "global_step100"}));
 }
 
-TEST_F(CkptTest, PruneKeepsNewestAndLatest) {
+TEST_F(CkptTest, GcKeepsNewestAndLatest) {
   TrainingRun run(ConfigFor({1, 1, 1, 1, 0, 1}));
   for (int64_t it = 1; it <= 5; ++it) {
     run.Train(it, it);
     SaveAll(run, it);
   }
-  ASSERT_TRUE(PruneCheckpoints(dir_, 2).ok());
+  Result<GcReport> gc = GcCheckpoints(dir_, 2);
+  ASSERT_TRUE(gc.ok()) << gc.status();
+  EXPECT_EQ(gc->removed,
+            (std::vector<std::string>{"global_step1", "global_step2", "global_step3"}));
   EXPECT_EQ(*ListCheckpointTags(dir_),
             (std::vector<std::string>{"global_step4", "global_step5"}));
   EXPECT_EQ(*ReadLatestTag(dir_), "global_step5");
-  // Pruning below the current count is a no-op; keep_last < 1 is rejected.
-  ASSERT_TRUE(PruneCheckpoints(dir_, 10).ok());
+  // Keeping more than exist is a no-op; keep_last < 1 is rejected.
+  gc = GcCheckpoints(dir_, 10);
+  ASSERT_TRUE(gc.ok()) << gc.status();
+  EXPECT_TRUE(gc->removed.empty());
   EXPECT_EQ(ListCheckpointTags(dir_)->size(), 2u);
-  EXPECT_EQ(PruneCheckpoints(dir_, 0).code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(CkptTest, PruneNeverDeletesLatestEvenIfOldest) {
-  TrainingRun run(ConfigFor({1, 1, 1, 1, 0, 1}));
-  run.Train(1, 1);
-  SaveAll(run, 1);
-  run.Train(2, 2);
-  SaveAll(run, 2);
-  // Point `latest` at the older tag by hand (e.g. the newer save was rolled back).
-  ASSERT_TRUE(WriteFileAtomic(PathJoin(dir_, "latest"), "global_step1").ok());
-  ASSERT_TRUE(PruneCheckpoints(dir_, 1).ok());
-  auto tags = *ListCheckpointTags(dir_);
-  EXPECT_EQ(tags, (std::vector<std::string>{"global_step1"}));
+  EXPECT_EQ(GcCheckpoints(dir_, 0).status().code(), StatusCode::kInvalidArgument);
 }
 
 // ---------------- Foreign format ----------------

@@ -59,6 +59,19 @@ struct CrashCase {
   bool check_find_latest;   // FindLatestValidTag detects marker/meta damage (not torn data)
 };
 
+// "torn_write write #1 of optim_states": fault kind, hooked operation, which match fires.
+void PrintPlan(const FaultPlan& plan, std::ostream* os) {
+  static const char* const kKinds[] = {"fail_stop", "torn_write", "bit_rot", "transient"};
+  static const char* const kOps[] = {"write", "fsync", "rename", "read"};
+  *os << kKinds[static_cast<int>(plan.kind)] << " " << kOps[static_cast<int>(plan.op)]
+      << " #" << plan.nth << " of " << plan.path_substr;
+}
+
+// Without a printer gtest dumps the raw bytes, the label pointer included, into every
+// listed test name, so the names ctest registers would change from build to build. The
+// label is already the name's suffix, so the printer shows only the case's data.
+void PrintTo(const CrashCase& c, std::ostream* os) { PrintPlan(c.plan, os); }
+
 class CrashMatrixTest : public CrashConsistencyTest,
                         public ::testing::WithParamInterface<CrashCase> {};
 
@@ -318,6 +331,8 @@ struct AsyncCrashCase {
   bool tag4_dir_remains;  // ...and may leave an uncommitted global_step4 behind
   bool check_find_latest;
 };
+
+void PrintTo(const AsyncCrashCase& c, std::ostream* os) { PrintPlan(c.plan, os); }
 
 class AsyncCrashMatrixTest : public CrashConsistencyTest,
                              public ::testing::WithParamInterface<AsyncCrashCase> {};

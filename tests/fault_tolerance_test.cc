@@ -168,6 +168,14 @@ struct KillCase {
   const char* expected_resume_tag;  // which committed tag recovery restores
 };
 
+// Without a printer gtest dumps the raw bytes, the label pointer included, into every
+// listed test name, so the names ctest registers would change from build to build. The
+// label is already the name's suffix, so the printer shows only the case's data.
+void PrintTo(const KillCase& c, std::ostream* os) {
+  *os << c.strategy.ToString() << " rank " << c.victim << " " << FaultSiteName(c.site)
+      << " @" << c.kill_iteration;
+}
+
 class KillMatrixTest : public FaultToleranceTest,
                        public ::testing::WithParamInterface<KillCase> {};
 
@@ -262,6 +270,16 @@ struct ShrinkExactCase {
   std::vector<ShrinkAxis> order;
   ParallelConfig expected_final;  // TP2.DP2 minus one rank under this order
 };
+
+// As for KillCase; the order vector's heap pointer would be in the dump too.
+void PrintTo(const ShrinkExactCase& c, std::ostream* os) {
+  static const char* const kAxes[] = {"dp", "tp", "pp", "sp"};
+  *os << "order";
+  for (ShrinkAxis axis : c.order) {
+    *os << " " << kAxes[static_cast<int>(axis)];
+  }
+  *os << " -> " << c.expected_final.ToString();
+}
 
 class ShrinkExactTest : public FaultToleranceTest,
                         public ::testing::WithParamInterface<ShrinkExactCase> {};

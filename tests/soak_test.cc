@@ -179,6 +179,23 @@ TEST(SoakScheduleTest, OptionsJsonExcludesMachineLocalBindings) {
   EXPECT_TRUE(back->log_path.empty());
 }
 
+// A log recorded with incremental saves ran a store this tree no longer has; replaying it
+// as full saves would pass or fail for the wrong reasons, so parsing refuses it typed.
+TEST(SoakScheduleTest, OptionsJsonRefusesIncrementalLogs) {
+  JsonObject json = SoakOptions().ToJson().AsObject();
+  ASSERT_EQ(json.count("incremental"), 0u);
+  EXPECT_TRUE(SoakOptions::FromJson(Json(json)).ok());
+  json["incremental"] = false;
+  EXPECT_TRUE(SoakOptions::FromJson(Json(json)).ok());
+  json["incremental"] = true;
+  Result<SoakOptions> refused = SoakOptions::FromJson(Json(json));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.status().message().find("incremental saves were removed"),
+            std::string::npos)
+      << refused.status();
+}
+
 // ---------------------------------------------------------------------------
 // Fixed-seed soak runs: 20 seeds, batched for ctest -j parallelism. Every
 // schedule composes >= 3 injector types and must finish with zero invariant

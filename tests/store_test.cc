@@ -512,6 +512,44 @@ TEST_F(StoreServerTest, VersionMismatchFailsClosed) {
   ::close(fds[0]);
 }
 
+// The retired chunk-dedup ops (request types 19 and 20) get the typed "unknown wire op"
+// reply at v2, where they used to live, and at today's version, and the session keeps
+// serving afterwards.
+TEST_F(StoreServerTest, RetiredChunkOpsAreUnknownAndTheSessionSurvives) {
+  for (uint32_t version : {2u, kWireVersion}) {
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    std::thread serve([&] { server_->ServeConnectionForTest(fds[1]); });
+
+    std::vector<uint8_t> hello;
+    PutU32Le(hello, version);
+    PutU32Le(hello, version);
+    ASSERT_TRUE(SendFrame(fds[0], WireOp::kHello, hello).ok());
+    Result<WireFrame> ok = RecvFrame(fds[0]);
+    ASSERT_TRUE(ok.ok()) << ok.status();
+    ASSERT_EQ(ok->op, WireOp::kHelloOk);
+
+    for (uint8_t op : {19, 20}) {
+      ASSERT_TRUE(SendFrame(fds[0], static_cast<WireOp>(op), std::vector<uint8_t>(8)).ok());
+      Result<WireFrame> reply = RecvFrame(fds[0]);
+      ASSERT_TRUE(reply.ok()) << reply.status();
+      ASSERT_EQ(reply->op, WireOp::kError) << "op " << int{op} << " at v" << version;
+      ByteReader r(reply->payload.data(), reply->payload.size());
+      Result<uint8_t> code = r.GetU8();
+      Result<std::string> message = r.GetString();
+      ASSERT_TRUE(message.ok()) << message.status();
+      EXPECT_EQ(static_cast<StatusCode>(*code), StatusCode::kUnimplemented) << *message;
+      EXPECT_NE(message->find("unknown wire op"), std::string::npos) << *message;
+    }
+    ASSERT_TRUE(SendFrame(fds[0], WireOp::kPing, std::vector<uint8_t>()).ok());
+    Result<WireFrame> pong = RecvFrame(fds[0]);
+    ASSERT_TRUE(pong.ok()) << pong.status();
+    EXPECT_EQ(pong->op, WireOp::kOk);
+    ::close(fds[0]);
+    serve.join();
+  }
+}
+
 // Property 3: transient socket errors on either side of an exchange are retried, counted
 // in io.retry.*, and invisible to the caller.
 TEST_F(StoreServerTest, TransientSocketErrorsAreRetriedNotFatal) {

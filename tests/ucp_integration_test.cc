@@ -62,6 +62,13 @@ struct ReshardCase {
   const char* label;
 };
 
+// Without a printer gtest dumps the raw bytes, the label pointer included, into every
+// listed test name, so the names ctest registers would change from build to build. The
+// label is already the name's suffix, so the printer shows only the case's data.
+void PrintTo(const ReshardCase& c, std::ostream* os) {
+  *os << c.source.ToString() << " -> " << c.target.ToString();
+}
+
 class ReshardSweepTest : public UcpEnv, public ::testing::WithParamInterface<ReshardCase> {};
 
 // Property 1+2 for each pair: reshard is lossless and training continues correctly.

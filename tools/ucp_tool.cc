@@ -33,17 +33,9 @@
 //       checks headers and metadata only (no payload CRC verification); file checks fan
 //       out over --threads workers.
 //
-//   ucp_tool stat     <ucp_dir | tag_dir>
+//   ucp_tool stat     <ucp_dir>
 //       Header-only report of a UCP checkpoint: per-atom shape, bytes, and CRC chunk
-//       counts (reads tensor headers only — no payload I/O). Pointed at a native tag
-//       directory holding a chunk manifest (an incremental save), prints the manifest
-//       instead: parent tag, chunk size, and each file's size / chunk / inherited counts.
-//
-//   ucp_tool du [--store ENDPOINT | <ckpt_dir>]
-//       Space accounting per tag: logical bytes (what a reader sees) vs physical bytes
-//       (what the tag added to the store), dedup savings, and the compression ratio of
-//       the chunk objects the tag introduced. Chunk objects are attributed to the first
-//       tag, in commit order, that references them.
+//       counts (reads tensor headers only — no payload I/O).
 //
 //   ucp_tool metrics  [--store ENDPOINT | <subcommand> <args...>]
 //       With --store, fetch a live daemon's metrics page over the wire (v4
@@ -91,8 +83,6 @@
 #include <cstring>
 #include <map>
 #include <memory>
-#include <optional>
-#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -100,8 +90,6 @@
 #include "src/ckpt/checkpoint.h"
 #include "src/common/fs.h"
 #include "src/common/json.h"
-#include "src/store/chunk_index.h"
-#include "src/store/chunk_manifest.h"
 #include "src/store/remote_store.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
@@ -127,10 +115,8 @@ void PrintUsage(std::FILE* out) {
                "  ucp_tool validate <ucp_dir>\n"
                "  ucp_tool validate-ckpt <ckpt_dir> <tag>\n"
                "  ucp_tool fsck <path> [--quarantine] [--fast] [--threads N]\n"
-               "  ucp_tool stat <ucp_dir | tag_dir>\n"
-               "  ucp_tool du [--store ENDPOINT | <ckpt_dir>]\n"
+               "  ucp_tool stat <ucp_dir>\n"
                "  ucp_tool tags [--store ENDPOINT | <ckpt_dir>]\n"
-               "  ucp_tool prune <ckpt_dir> <keep_last>\n"
                "  ucp_tool gc [--store ENDPOINT | <ckpt_dir>] <keep_last> [--dry-run]\n"
                "  ucp_tool ping --store ENDPOINT\n"
                "  ucp_tool metrics [--store ENDPOINT | <subcommand> <args...>]\n"
@@ -230,19 +216,6 @@ std::shared_ptr<Store> OpenToolStore(Flags& flags, Status* error) {
   return store;
 }
 
-// One-tag chunk-manifest summary, shared by `inspect-ckpt` and `stat` on a native tag
-// directory: parent provenance, chunk granularity, and per-file chunk/inherited counts.
-void PrintChunkManifest(const ChunkManifest& manifest) {
-  std::printf("  chunk manifest: parent=%s  chunk_bytes=%llu  files=%zu\n",
-              manifest.parent.empty() ? "(none: cold save)" : manifest.parent.c_str(),
-              static_cast<unsigned long long>(manifest.chunk_bytes), manifest.files.size());
-  for (const ChunkManifestEntry& entry : manifest.files) {
-    std::printf("    %-52s %12llu bytes %6zu chunks %6llu inherited\n", entry.name.c_str(),
-                static_cast<unsigned long long>(entry.size), entry.chunks.size(),
-                static_cast<unsigned long long>(entry.inherited));
-  }
-}
-
 int CmdConvert(const Flags& flags, bool foreign) {
   if (flags.positional.size() != 3) {
     return Usage();
@@ -333,19 +306,6 @@ int CmdInspectCkpt(Flags flags) {
   std::printf("  shard files (%zu):\n", files->size());
   for (const std::string& file : *files) {
     std::printf("    %s\n", file.c_str());
-  }
-  // An incremental tag stages its shard payloads as chunk objects; the manifest is the
-  // tag's real contents, so print it (a damaged manifest is an error, not a silent skip).
-  if (std::find(files->begin(), files->end(), kChunkManifestName) != files->end()) {
-    Result<std::string> text = store->ReadSmallFile(JoinRel(tag, kChunkManifestName));
-    if (!text.ok()) {
-      return Fail(text.status());
-    }
-    Result<ChunkManifest> manifest = ParseChunkManifest(*text);
-    if (!manifest.ok()) {
-      return Fail(manifest.status());
-    }
-    PrintChunkManifest(*manifest);
   }
   return 0;
 }
@@ -490,22 +450,6 @@ int CmdStat(const Flags& flags) {
     return Usage();
   }
   const std::string& ucp_dir = flags.positional[0];
-  // A native incremental tag directory is not a UCP dir, but its chunk manifest is the
-  // header-level summary `stat` exists for — print it and stop.
-  if (FileExists(PathJoin(ucp_dir, kChunkManifestName))) {
-    Result<std::string> text = ReadFileToString(PathJoin(ucp_dir, kChunkManifestName));
-    if (!text.ok()) {
-      return Fail(text.status());
-    }
-    Result<ChunkManifest> manifest = ParseChunkManifest(*text);
-    if (!manifest.ok()) {
-      return Fail(manifest.status());
-    }
-    std::printf("native incremental tag: %s  (%llu logical bytes)\n", ucp_dir.c_str(),
-                static_cast<unsigned long long>(manifest->LogicalBytes()));
-    PrintChunkManifest(*manifest);
-    return 0;
-  }
   Result<UcpMeta> meta = ReadUcpMeta(ucp_dir);
   if (!meta.ok()) {
     return Fail(meta.status());
@@ -543,179 +487,6 @@ int CmdStat(const Flags& flags) {
   std::printf("  total: %llu payload bytes across %llu CRC chunks (3 states per atom)\n",
               static_cast<unsigned long long>(total_bytes),
               static_cast<unsigned long long>(total_chunks));
-  return 0;
-}
-
-// Per-tag space accounting: logical bytes (what readers see) vs physical bytes (what the
-// tag added to the store). Chunk objects are attributed to the first tag — in (job,
-// iteration) order — whose manifest references them, so a warm incremental save's
-// physical column is exactly the dirty bytes it flushed. Works over either backend:
-// manifests come via ReadSmallFile, chunk object sizes via OpenRead on the object path.
-int CmdDu(Flags flags) {
-  Status open_error = OkStatus();
-  std::shared_ptr<Store> store = OpenToolStore(flags, &open_error);
-  if (store == nullptr) {
-    return open_error.ok() ? Usage() : Fail(open_error);
-  }
-  if (!flags.positional.empty()) {
-    return Usage();
-  }
-  Result<std::vector<std::string>> entries = store->List("");
-  if (!entries.ok()) {
-    return Fail(entries.status());
-  }
-  struct TagRow {
-    std::string job;
-    int64_t iteration = 0;
-    std::string name;
-  };
-  std::vector<TagRow> rows;
-  for (const std::string& name : *entries) {
-    TagRow row;
-    if (ParseTagName(name, &row.job, &row.iteration)) {
-      row.name = name;
-      rows.push_back(std::move(row));
-    }
-  }
-  std::sort(rows.begin(), rows.end(), [](const TagRow& a, const TagRow& b) {
-    return std::tie(a.job, a.iteration) < std::tie(b.job, b.iteration);
-  });
-
-  std::printf("store: %s  (%zu tags)\n", store->Describe().c_str(), rows.size());
-  std::printf("  %-36s %-11s %14s %14s %14s %7s\n", "tag", "status", "logical", "physical",
-              "dedup_saved", "comp");
-  std::set<uint64_t> attributed;               // digests owned by an earlier row
-  std::map<uint64_t, uint64_t> object_sizes;   // digest -> stored object size (cache)
-  uint64_t sum_logical = 0;
-  uint64_t sum_physical = 0;
-  int dangling_total = 0;
-  for (const TagRow& row : rows) {
-    uint64_t logical = 0;    // bytes a reader of the tag sees (shards + metadata)
-    uint64_t physical = 0;   // bytes this tag added: its files + first-referenced chunks
-    uint64_t reused_raw = 0; // manifest bytes resolved to already-attributed chunks
-    uint64_t owned_raw = 0;  // raw bytes of the chunk objects this tag introduced
-    uint64_t owned_stored = 0;  // their on-disk (possibly compressed) size
-    int dangling = 0;
-    Result<std::vector<std::string>> files = store->List(row.name);
-    if (!files.ok()) {
-      std::printf("  %-36s unreadable: %s\n", row.name.c_str(),
-                  StatusCodeName(files.status().code()));
-      continue;
-    }
-    std::optional<ChunkManifest> manifest;
-    for (const std::string& file : *files) {
-      if (file == kChunkManifestName) {
-        Result<std::string> text = store->ReadSmallFile(JoinRel(row.name, file));
-        if (text.ok()) {
-          Result<ChunkManifest> parsed = ParseChunkManifest(*text);
-          if (parsed.ok()) {
-            manifest = std::move(*parsed);
-          }
-        }
-      }
-      Result<std::unique_ptr<ByteSource>> src = store->OpenRead(JoinRel(row.name, file));
-      if (!src.ok()) {
-        continue;  // e.g. a subdirectory entry
-      }
-      logical += (*src)->size();
-      physical += (*src)->size();
-    }
-    if (manifest.has_value()) {
-      const uint64_t chunk_bytes = manifest->chunk_bytes;
-      for (const ChunkManifestEntry& entry : manifest->files) {
-        logical += entry.size;
-        for (size_t i = 0; i < entry.chunks.size(); ++i) {
-          const uint64_t digest = entry.chunks[i];
-          const uint64_t span =
-              std::min<uint64_t>(chunk_bytes, entry.size - static_cast<uint64_t>(i) * chunk_bytes);
-          if (!attributed.insert(digest).second) {
-            reused_raw += span;
-            continue;
-          }
-          owned_raw += span;
-          auto cached = object_sizes.find(digest);
-          uint64_t stored = 0;
-          if (cached != object_sizes.end()) {
-            stored = cached->second;
-          } else {
-            Result<std::unique_ptr<ByteSource>> object =
-                store->OpenRead(ChunkObjectRel(digest));
-            if (object.ok()) {
-              stored = (*object)->size();
-            } else {
-              ++dangling;  // referenced but absent: a dangling reference (fsck's domain)
-            }
-            object_sizes[digest] = stored;
-          }
-          owned_stored += stored;
-          physical += stored;
-        }
-      }
-    }
-    sum_logical += logical;
-    sum_physical += physical;
-    dangling_total += dangling;
-    char comp[16] = "-";
-    if (owned_raw > 0) {
-      std::snprintf(comp, sizeof(comp), "%5.1f%%",
-                    100.0 * (1.0 - static_cast<double>(owned_stored) /
-                                       static_cast<double>(owned_raw)));
-    }
-    std::printf("  %-36s %-11s %14llu %14llu %14llu %7s%s\n", row.name.c_str(),
-                IsTagComplete(*store, row.name) ? "committed" : "UNCOMMITTED",
-                static_cast<unsigned long long>(logical),
-                static_cast<unsigned long long>(physical),
-                static_cast<unsigned long long>(reused_raw), comp,
-                manifest.has_value() ? "" : "  (full)");
-    if (dangling > 0) {
-      std::printf("    WARNING: %d dangling chunk reference(s) — run fsck\n", dangling);
-    }
-  }
-  std::printf("  %-36s %-11s %14llu %14llu\n", "total", "",
-              static_cast<unsigned long long>(sum_logical),
-              static_cast<unsigned long long>(sum_physical));
-  if (sum_logical > 0) {
-    std::printf("  saved %llu bytes (%.1f%% of logical) via dedup + compression\n",
-                static_cast<unsigned long long>(sum_logical - std::min(sum_physical, sum_logical)),
-                100.0 * (1.0 - static_cast<double>(std::min(sum_physical, sum_logical)) /
-                                   static_cast<double>(sum_logical)));
-  }
-  Result<std::vector<std::string>> fans = store->List(kChunkDirName);
-  if (fans.ok()) {
-    size_t objects = 0;
-    for (const std::string& fan : *fans) {
-      Result<std::vector<std::string>> names = store->List(JoinRel(kChunkDirName, fan));
-      if (names.ok()) {
-        objects += names->size();
-      }
-    }
-    std::printf("  chunk index: %zu object(s), %zu referenced by the tags above\n", objects,
-                attributed.size());
-  }
-  return dangling_total > 0 ? 1 : 0;
-}
-
-int CmdPrune(const Flags& flags) {
-  if (flags.positional.size() != 2) {
-    return Usage();
-  }
-  int keep = 0;
-  if (!ParseInt(flags.positional[1], &keep)) {
-    std::fprintf(stderr, "bad keep_last: %s\n", flags.positional[1].c_str());
-    return Usage();
-  }
-  Status status = PruneCheckpoints(flags.positional[0], keep);
-  if (!status.ok()) {
-    return Fail(status);
-  }
-  Result<std::vector<std::string>> tags = ListCheckpointTags(flags.positional[0]);
-  if (!tags.ok()) {
-    return Fail(tags.status());
-  }
-  std::printf("kept %zu checkpoint(s):\n", tags->size());
-  for (const std::string& tag : *tags) {
-    std::printf("  %s\n", tag.c_str());
-  }
   return 0;
 }
 
@@ -1060,14 +831,8 @@ int Main(int argc, char** argv) {
   if (command == "stat") {
     return CmdStat(flags);
   }
-  if (command == "du") {
-    return CmdDu(flags);
-  }
   if (command == "tags") {
     return CmdTags(flags);
-  }
-  if (command == "prune") {
-    return CmdPrune(flags);
   }
   if (command == "gc") {
     return CmdGc(flags);
