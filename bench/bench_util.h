@@ -97,6 +97,16 @@ inline void WriteBenchReport(const std::string& path, JsonObject doc) {
   std::printf("wrote %s\n", path.c_str());
 }
 
+// Events the span tracer has recorded so far; take the delta around an operation to count
+// its spans. This reads the registry's monotonic `obs.trace.events_recorded`, not a census
+// of the rings: an operation's exiting rank threads orphan their rings, and shedding old
+// orphans can evict as many events as the operation adds.
+inline uint64_t TraceEventsRecorded() {
+  static obs::Counter& recorded =
+      obs::MetricsRegistry::Global().GetCounter("obs.trace.events_recorded");
+  return recorded.Value();
+}
+
 // Strips a `--trace=FILE` argument (call before benchmark::Initialize, which rejects
 // unknown flags). Returns the FILE, or "" when absent.
 inline std::string ExtractTraceFlag(int* argc, char** argv) {

@@ -183,7 +183,7 @@ JsonObject RunAsyncSaveComparison() {
 //
 //   1. per-span cost  — a tight loop of trivial spans, traced minus runtime-disabled,
 //                       min over batches (stable to ~ns);
-//   2. spans per save — counted from the rings around one traced save;
+//   2. spans per save — the `obs.trace.events_recorded` delta around one traced save;
 //   3. overhead       = spans_per_save * per_span_cost / untraced save floor,
 //
 // which is exactly the tracer's contribution to the fig11 save path, free of fsync noise.
@@ -203,13 +203,6 @@ Json RunTracerOverheadCheck() {
     const auto t0 = Clock::now();
     bench::SaveAll(run, dir, iteration);
     return std::chrono::duration<double>(Clock::now() - t0).count();
-  };
-  auto events_recorded = [] {
-    uint64_t total = 0;
-    for (const obs::ThreadTrace& t : obs::CollectThreadTraces()) {
-      total += t.dropped + t.events.size();
-    }
-    return total;
   };
   auto span_batch_seconds = [] {
     double best = std::numeric_limits<double>::infinity();
@@ -231,9 +224,9 @@ Json RunTracerOverheadCheck() {
   const double untraced_save = save_seconds(301);
 
   obs::SetTraceEnabled(true);
-  const uint64_t before = events_recorded();
+  const uint64_t before = bench::TraceEventsRecorded();
   const double traced_save = save_seconds(302);
-  const uint64_t spans_per_save = events_recorded() - before;
+  const uint64_t spans_per_save = bench::TraceEventsRecorded() - before;
   obs::SetTraceEnabled(was_enabled);
 
   const double per_span =

@@ -9,8 +9,9 @@
 // counts or parallelism strategies").
 //
 // A second comparison isolates the UCP load executor itself — serial whole-file assembly
-// vs the sliced parallel path (partition-pruned pread range reads + slice cache) — and
-// emits BENCH_load_cost.json with wall-clock and bytes-read-per-rank for both arms.
+// vs the sliced path (each rank preads only the atom ranges inside its partition, inline on
+// its own thread) — and emits BENCH_load_cost.json with wall-clock and bytes-read-per-rank
+// for both arms.
 
 #include <benchmark/benchmark.h>
 
@@ -20,7 +21,6 @@
 
 #include "bench/bench_util.h"
 #include "src/tensor/tensor_file.h"
-#include "src/ucp/slice_cache.h"
 
 namespace ucp {
 namespace {
@@ -103,7 +103,7 @@ void run_with_options(TrainingRun& run, const std::string& ucp_dir,
   });
 }
 
-// Serial whole-file assembly vs the sliced parallel executor, on an already-converted UCP
+// Serial whole-file assembly vs the sliced executor, on an already-converted UCP
 // checkpoint (the one-time conversion cost is fig12's other comparison, above). Reports
 // wall-clock and bytes-read-per-rank for both arms into BENCH_load_cost.json.
 JsonObject RunLoadComparison() {
@@ -124,12 +124,10 @@ JsonObject RunLoadComparison() {
         ConvertToUcp(f.ckpt_dir, TagForIteration(2), ucp_dir, {.num_threads = 4});
     UCP_CHECK(stats.ok()) << stats.status().ToString();
 
-    auto run_arm = [&](const UcpLoadOptions& options, uint64_t* bytes_per_rank,
-                       uint64_t* cache_hits) {
+    auto run_arm = [&](const UcpLoadOptions& options, uint64_t* bytes_per_rank) {
       // Warm-up rep excluded from timing (first touch pays page-cache population for both
       // arms alike; steady-state is the quantity of interest).
       run_with_options(*f.run, ucp_dir, options);
-      AtomSliceCache::Global().ResetStats();
       ResetTensorIoStats();
       const auto t0 = Clock::now();
       for (int i = 0; i < kReps; ++i) {
@@ -138,37 +136,31 @@ JsonObject RunLoadComparison() {
       const double seconds = seconds_between(t0, Clock::now()) / kReps;
       *bytes_per_rank =
           GetTensorIoStats().bytes_read / static_cast<uint64_t>(kReps * world);
-      *cache_hits = AtomSliceCache::Global().stats().hits / kReps;
       return seconds;
     };
 
-    uint64_t serial_bytes = 0, sliced_bytes = 0, serial_hits = 0, sliced_hits = 0;
-    const double serial_seconds =
-        run_arm({.sliced = false}, &serial_bytes, &serial_hits);
-    const double sliced_seconds = run_arm(
-        {.num_threads = 8, .sliced = true, .use_slice_cache = true}, &sliced_bytes,
-        &sliced_hits);
+    uint64_t serial_bytes = 0, sliced_bytes = 0;
+    const double serial_seconds = run_arm({.sliced = false}, &serial_bytes);
+    const double sliced_seconds = run_arm({.sliced = true}, &sliced_bytes);
 
     const double fraction =
         static_cast<double>(sliced_bytes) / static_cast<double>(serial_bytes);
     const double speedup = serial_seconds / sliced_seconds;
     std::printf(
         "fig12/ucp_load/%s serial=%.3fms sliced=%.3fms speedup=%.2fx "
-        "bytes/rank %llu -> %llu (%.1f%%) cache_hits/load=%llu\n",
+        "bytes/rank %llu -> %llu (%.1f%%)\n",
         arm.size_label, serial_seconds * 1e3, sliced_seconds * 1e3, speedup,
         static_cast<unsigned long long>(serial_bytes),
-        static_cast<unsigned long long>(sliced_bytes), fraction * 100.0,
-        static_cast<unsigned long long>(sliced_hits));
+        static_cast<unsigned long long>(sliced_bytes), fraction * 100.0);
 
     JsonObject entry;
     entry["model"] = arm.size_label;
     entry["serial_whole_file_seconds"] = serial_seconds;
-    entry["sliced_parallel_seconds"] = sliced_seconds;
+    entry["sliced_seconds"] = sliced_seconds;
     entry["speedup"] = speedup;
     entry["serial_bytes_read_per_rank"] = static_cast<int64_t>(serial_bytes);
     entry["sliced_bytes_read_per_rank"] = static_cast<int64_t>(sliced_bytes);
     entry["sliced_bytes_fraction_of_serial"] = fraction;
-    entry["slice_cache_hits_per_load"] = static_cast<int64_t>(sliced_hits);
     arms.emplace_back(std::move(entry));
   }
 
@@ -176,7 +168,6 @@ JsonObject RunLoadComparison() {
   doc["benchmark"] = "fig12_ucp_load_serial_vs_sliced";
   doc["strategy"] = kStrategy.ToString();
   doc["world_size"] = world;
-  doc["loader_threads"] = 8;
   doc["loads_per_arm"] = kReps;
   doc["arms"] = std::move(arms);
   return doc;

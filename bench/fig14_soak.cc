@@ -11,8 +11,8 @@
 //                     JSONL log stays time-free by contract (see src/soak/driver.h).
 //   stress/<ranks>  — RunLargeWorldStress at 32 / 128 / 256 simulated ranks. Reports the
 //                     per-round collective latency, trace-ring registry size and drop
-//                     rate, slice-cache footprint and RSS, i.e. the curve behind the soak
-//                     tests' "128 ranks stays within 2x of 32" assertion, extended to 256.
+//                     rate, and RSS, i.e. the curve behind the soak tests' "128 ranks
+//                     stays within 2x of 32" assertion, extended to 256.
 //
 // BENCH_soak.json carries both families; the soak tests enforce the invariants, this
 // binary measures the cost.
@@ -80,11 +80,9 @@ Json RunStressArm(int ranks) {
 
   std::printf(
       "fig14/stress/%d: %.3fs total, %.6fs/collective-round, %llu trace rings "
-      "(drop rate %.4f), cache %llu hits / %llu misses, rss %+lld kB (peak %lld kB)\n",
+      "(drop rate %.4f), rss %+lld kB (peak %lld kB)\n",
       ranks, report.seconds, report.per_round_collective_seconds,
       static_cast<unsigned long long>(report.trace_rings), report.trace_drop_rate,
-      static_cast<unsigned long long>(report.cache_hits),
-      static_cast<unsigned long long>(report.cache_misses),
       static_cast<long long>(rss_delta), static_cast<long long>(report.peak_rss_kb));
 
   JsonObject arm;
@@ -97,10 +95,6 @@ Json RunStressArm(int ranks) {
   arm["trace_events"] = static_cast<int64_t>(report.trace_events);
   arm["trace_dropped"] = static_cast<int64_t>(report.trace_dropped);
   arm["trace_drop_rate"] = report.trace_drop_rate;
-  arm["cache_entries"] = static_cast<int64_t>(report.cache_entries);
-  arm["cache_live"] = static_cast<int64_t>(report.cache_live);
-  arm["cache_hits"] = static_cast<int64_t>(report.cache_hits);
-  arm["cache_misses"] = static_cast<int64_t>(report.cache_misses);
   arm["rss_kb"] = report.rss_kb;
   arm["rss_delta_kb"] = rss_delta;
   arm["peak_rss_kb"] = report.peak_rss_kb;

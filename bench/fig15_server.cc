@@ -290,9 +290,9 @@ Json ChaosArmJson(const ChaosResult& r) {
 //
 //   1. per-span cost  — tight trivial-span loop, traced minus runtime-disabled, min over
 //                       batches;
-//   2. spans per save — ring-event delta around one traced remote save (counts BOTH
-//                       sides: the daemon is in-process, so its handling spans land in
-//                       the same rings);
+//   2. spans per save — `obs.trace.events_recorded` delta around one traced remote save
+//                       (counts BOTH sides: the daemon is in-process, so its handling
+//                       spans bump the same counter);
 //   3. overhead       = spans_per_save * per_span_cost / untraced remote-save floor.
 //
 // Bound: 2%, matching fig11. Real checkpoints only grow the denominator.
@@ -320,13 +320,6 @@ Json RunRemoteTracerOverheadCheck(const StoreServer* server) {
     UCP_CHECK((*store)->CommitTag(tag, meta_json).ok());
     return std::chrono::duration<double>(Clock::now() - t0).count();
   };
-  auto events_recorded = [] {
-    uint64_t total = 0;
-    for (const obs::ThreadTrace& t : obs::CollectThreadTraces()) {
-      total += t.dropped + t.events.size();
-    }
-    return total;
-  };
   auto span_batch_seconds = [] {
     double best = std::numeric_limits<double>::infinity();
     for (int b = 0; b < kBatches; ++b) {
@@ -351,9 +344,9 @@ Json RunRemoteTracerOverheadCheck(const StoreServer* server) {
   }
 
   obs::SetTraceEnabled(true);
-  const uint64_t before = events_recorded();
+  const uint64_t before = bench::TraceEventsRecorded();
   const double traced_save = save_seconds(5);
-  const uint64_t spans_per_save = events_recorded() - before;
+  const uint64_t spans_per_save = bench::TraceEventsRecorded() - before;
   obs::SetTraceEnabled(was_enabled);
 
   const double per_span =

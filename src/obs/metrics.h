@@ -2,9 +2,9 @@
 // updates on the hot path and a single SnapshotMetrics() for programmatic access.
 //
 // This is the unified home for every runtime statistic the system used to keep in ad-hoc
-// per-module structs (TensorIoStats, IoRetryStats, AsyncSaveStats, ConvertStats,
-// AtomSliceCache::Stats). Those public getter APIs remain, implemented over this registry;
-// new instrumentation should register metrics directly.
+// per-module structs (TensorIoStats, IoRetryStats, AsyncSaveStats, ConvertStats). Those
+// public getter APIs remain, implemented over this registry; new instrumentation should
+// register metrics directly.
 //
 // Naming convention (see docs/observability.md): dot-separated lowercase paths,
 // <subsystem>.<object>.<measure>[_<unit>], e.g. `comm.allreduce.bytes`,

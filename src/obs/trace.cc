@@ -9,6 +9,8 @@
 #include <mutex>
 #include <random>
 
+#include "src/obs/metrics.h"
+
 namespace ucp {
 namespace obs {
 
@@ -128,6 +130,10 @@ std::vector<TraceEvent> LinearizeLocked(Ring& ring) {
 }
 
 void Record(ThreadState& state, TraceEvent&& ev) {
+  // Counted before the ring sees the event, so events a full ring overwrites, a
+  // zero-capacity ring drops, or the registry later sheds with an orphaned ring all count.
+  static Counter& recorded = MetricsRegistry::Global().GetCounter("obs.trace.events_recorded");
+  recorded.Add(1);
   Ring& ring = *state.ring;
   const size_t capacity = g_ring_capacity.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(ring.mu);

@@ -2,12 +2,16 @@
 //
 // Every instrumented scope — `UCP_TRACE_SPAN("save.flush")` — records one complete event
 // (name, start, duration, nesting depth, optional args) into a ring buffer owned by the
-// recording thread. Threads never contend with each other on the hot path: each thread
-// writes only its own ring, and the ring's mutex is taken elsewhere only by the (rare)
-// exporter, so a span costs two clock reads plus an uncontended lock. Rings are
-// fixed-capacity and overwrite oldest-first, which is exactly the flight-recorder property:
-// at any moment every thread holds its most recent history, ready to be dumped when a rank
-// failure or integrity error needs a post-mortem (src/obs/flight_recorder.h).
+// recording thread. Each thread writes only its own ring, and the ring's mutex is taken
+// elsewhere only by the (rare) exporter, so a span costs two clock reads, an uncontended
+// lock and one relaxed add to a shared counter. Rings are fixed-capacity and overwrite
+// oldest-first, which is exactly the flight-recorder property: at any moment every thread
+// holds its most recent history, ready to be dumped when a rank failure or integrity error
+// needs a post-mortem (src/obs/flight_recorder.h).
+//
+// The shared counter is the registry's monotonic `obs.trace.events_recorded`, bumped once
+// per recorded event, kept or not. Count the spans of an operation by its delta: a census
+// of the rings misses whatever the orphaned rings of exited threads have shed.
 //
 // Export produces Chrome trace_event JSON ("X" complete events) loadable in
 // chrome://tracing or https://ui.perfetto.dev. Simulated ranks map to trace *processes*

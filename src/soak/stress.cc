@@ -3,14 +3,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "src/comm/comm.h"
 #include "src/obs/trace.h"
 #include "src/tensor/tensor.h"
-#include "src/ucp/slice_cache.h"
 
 namespace ucp {
 namespace {
@@ -67,24 +64,6 @@ StressReport RunLargeWorldStress(const StressOptions& options) {
         group.AllReduceSum(t);
         group.Barrier();
       }
-      // Shared-cache pressure: every rank requests the same slice keys, so one rank loads
-      // and the rest dedup — the co-located-rank pattern of a UCP load at world scale. The
-      // handles stay live until the thread exits, matching loader lifetime semantics.
-      std::vector<std::shared_ptr<const Tensor>> held;
-      held.reserve(static_cast<size_t>(options.cache_slices));
-      for (int s = 0; s < options.cache_slices; ++s) {
-        UCP_TRACE_SPAN("soak.stress.cache");
-        const std::string key = "soak-stress/round" + std::to_string(round) + "/slice" +
-                                std::to_string(s);
-        auto slice = AtomSliceCache::Global().GetOrLoad(key, [&] {
-          return Result<Tensor>(Tensor::Full({options.tensor_elems},
-                                             static_cast<float>(s)));
-        });
-        if (slice.ok()) {
-          held.push_back(std::move(*slice));
-        }
-      }
-      group.Barrier();
     });
   }
   report.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -100,13 +79,6 @@ StressReport RunLargeWorldStress(const StressOptions& options) {
   const uint64_t total = report.trace_events + report.trace_dropped;
   report.trace_drop_rate =
       total > 0 ? static_cast<double>(report.trace_dropped) / static_cast<double>(total) : 0.0;
-
-  AtomSliceCache& cache = AtomSliceCache::Global();
-  report.cache_entries = cache.EntryCount();
-  report.cache_live = cache.LiveEntryCount();
-  const AtomSliceCache::Stats cache_stats = cache.stats();
-  report.cache_hits = cache_stats.hits;
-  report.cache_misses = cache_stats.misses;
 
   report.rss_kb = CurrentRssKb();
   report.peak_rss_kb = PeakRssKb();

@@ -1,13 +1,13 @@
-// Large-world stress: drives 128–512 simulated ranks through the collective layer, the
-// shared atom-slice cache and the per-thread trace rings, measuring that per-rank resource
-// footprint stays flat as the world grows.
+// Large-world stress: drives 128–512 simulated ranks through the collective layer and the
+// per-thread trace rings, measuring that per-rank resource footprint stays flat as the
+// world grows.
 //
 // Each round builds a fresh World (fresh rank threads), so repeated rounds exercise the
 // thread-exit path of every per-thread registry — most importantly the trace-ring registry,
 // which must retain a bounded number of orphaned rings (flight-recorder history) instead of
 // one ring per exited thread forever (SetTraceOrphanRingLimit). The report exposes the
-// registry size, the ring drop rate and the slice-cache footprint; the soak tests assert
-// the per-rank values at 128+ ranks stay within 2x of a 32-rank baseline.
+// registry size, the ring drop rate and the process RSS; the soak tests assert the
+// per-rank values at 128+ ranks stay within 2x of a 32-rank baseline.
 
 #ifndef UCP_SRC_SOAK_STRESS_H_
 #define UCP_SRC_SOAK_STRESS_H_
@@ -20,8 +20,7 @@ struct StressOptions {
   int ranks = 128;
   int rounds = 2;                // world builds; threads are created and joined per round
   int collectives_per_round = 4; // all-reduce + barrier sweeps per rank per round
-  int cache_slices = 8;          // distinct slice-cache keys loaded by every rank per round
-  int tensor_elems = 256;        // payload size per collective / cached slice
+  int tensor_elems = 256;        // payload size per collective
 };
 
 struct StressReport {
@@ -38,12 +37,6 @@ struct StressReport {
   uint64_t trace_events = 0;
   uint64_t trace_dropped = 0;    // events lost to ring wraparound
   double trace_drop_rate = 0.0;  // dropped / (events + dropped)
-
-  // Global slice cache after all rounds (all loaded slices released).
-  uint64_t cache_entries = 0;
-  uint64_t cache_live = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
 
   int64_t rss_kb = 0;       // VmRSS at the end; 0 when /proc is unavailable
   int64_t peak_rss_kb = 0;  // VmHWM (monotone per process)

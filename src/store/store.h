@@ -91,9 +91,9 @@ class Store {
   // Human-readable identity ("dir:/path" or "unix:/sock"), for logs and errors.
   virtual std::string Describe() const = 0;
 
-  // Stable identity of `rel` for the process-wide slice cache. LocalStore returns the
-  // absolute path (so cache entries made through a Store and through the legacy dir-based
-  // API for the same file coincide); RemoteStore returns endpoint-qualified keys.
+  // Stable identity of `rel`: LocalStore returns the absolute path, RemoteStore an
+  // endpoint-qualified key. Its one caller is RemoteStore::OpenRead, which names the
+  // ByteSource it returns with it.
   virtual std::string CacheKey(const std::string& rel) const = 0;
 
   // ---- Reads ----------------------------------------------------------------------------

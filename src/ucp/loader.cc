@@ -2,16 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
-#include <optional>
 
 #include "src/common/fs.h"
-#include "src/common/thread_pool.h"
 #include "src/store/local_store.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/tensor/tensor_file.h"
-#include "src/ucp/slice_cache.h"
 
 namespace ucp {
 
@@ -112,29 +108,18 @@ constexpr const char* kStateFiles[3] = {"fp32", "exp_avg", "exp_avg_sq"};
 // into the partition buffer. `want_lo`/`want_hi` bound the wanted range in shard-flat
 // coordinates; `runs` maps shard-flat to file-flat ranges. Each run clips to the wanted
 // window and becomes one contiguous range read (dim-0 shards: a single run; dim>0 shards: a
-// strided gather). The TensorFileView opens lazily — with a warm slice cache a fully
-// deduplicated task never touches the file.
+// strided gather). The caller only builds a read whose window intersects the shard, and
+// the runs tile the shard, so the file is opened eagerly: every call reads at least once.
 Status ReadAssignedSlices(Store& store, const std::string& rel, const AtomAssignment& a,
                           const std::vector<ShardRun>& runs, int64_t want_lo,
-                          int64_t want_hi, int64_t partition_offset, float* partition_data,
-                          bool use_cache,
-                          std::vector<std::shared_ptr<const Tensor>>& keepalive) {
-  std::optional<TensorFileView> view;
-  auto ensure_view = [&]() -> Status {
-    if (view.has_value()) {
-      return OkStatus();
-    }
-    UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> source, store.OpenRead(rel));
-    UCP_ASSIGN_OR_RETURN(TensorFileView opened, TensorFileView::Open(std::move(source)));
-    if (opened.info().shape != a.full_shape) {
-      return DataLossError("atom file " + rel + " has shape " +
-                           ShapeToString(opened.info().shape) + ", plan expects " +
-                           ShapeToString(a.full_shape));
-    }
-    view.emplace(std::move(opened));
-    return OkStatus();
-  };
-
+                          int64_t want_hi, int64_t partition_offset, float* partition_data) {
+  UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> source, store.OpenRead(rel));
+  UCP_ASSIGN_OR_RETURN(TensorFileView view, TensorFileView::Open(std::move(source)));
+  if (view.info().shape != a.full_shape) {
+    return DataLossError("atom file " + rel + " has shape " +
+                         ShapeToString(view.info().shape) + ", plan expects " +
+                         ShapeToString(a.full_shape));
+  }
   for (const ShardRun& run : runs) {
     const int64_t lo = std::max(run.shard_offset, want_lo);
     const int64_t hi = std::min(run.shard_offset + run.numel, want_hi);
@@ -142,28 +127,8 @@ Status ReadAssignedSlices(Store& store, const std::string& rel, const AtomAssign
       continue;
     }
     const int64_t file_begin = run.full_offset + (lo - run.shard_offset);
-    const int64_t count = hi - lo;
     float* out = partition_data + (a.flat_offset + lo - partition_offset);
-    if (use_cache) {
-      // Ranks that differ only in TP (and, under ZeRO-0, DP) build identical keys for
-      // replicated atoms, so the first one reads and the rest copy. CacheKey keeps
-      // LocalStore keys identical to the historical absolute-path keys.
-      std::string key = store.CacheKey(rel) + "#" + std::to_string(file_begin) + "+" +
-                        std::to_string(count);
-      UCP_ASSIGN_OR_RETURN(
-          std::shared_ptr<const Tensor> slice,
-          AtomSliceCache::Global().GetOrLoad(key, [&]() -> Result<Tensor> {
-            UCP_RETURN_IF_ERROR(ensure_view());
-            Tensor t = Tensor::Zeros({count});
-            UCP_RETURN_IF_ERROR(view->ReadElements(file_begin, count, t.data()));
-            return t;
-          }));
-      std::memcpy(out, slice->data(), static_cast<size_t>(count) * sizeof(float));
-      keepalive.push_back(std::move(slice));
-    } else {
-      UCP_RETURN_IF_ERROR(ensure_view());
-      UCP_RETURN_IF_ERROR(view->ReadElements(file_begin, count, out));
-    }
+    UCP_RETURN_IF_ERROR(view.ReadElements(file_begin, hi - lo, out));
   }
   return OkStatus();
 }
@@ -249,65 +214,30 @@ Result<UcpLocalState> LoadUcpLocal(Store& store, const std::string& ucp_rel,
   state.steps = meta.iteration;
   float* buffers[3] = {state.master.data(), state.exp_avg.data(), state.exp_avg_sq.data()};
 
-  // One task per (intersecting assignment) × (fp32 | exp_avg | exp_avg_sq) file; the shard
-  // runs are computed once per assignment and shared by its three tasks.
-  struct SliceTask {
-    const AtomAssignment* assignment = nullptr;
-    const std::vector<ShardRun>* runs = nullptr;
-    int64_t want_lo = 0;  // in shard-flat coordinates
-    int64_t want_hi = 0;
-    int state_index = 0;  // indexes kStateFiles / buffers
-  };
-  std::vector<std::vector<ShardRun>> all_runs;
-  all_runs.reserve(plan.assignments.size());
-  std::vector<SliceTask> tasks;
+  // Each assignment that intersects the partition reads its fp32, exp_avg and exp_avg_sq
+  // files inline on the rank's own thread; atoms wholly outside it are never opened.
   for (const AtomAssignment& a : plan.assignments) {
     const int64_t shard_numel = ShapeNumel(a.shard_shape);
     const int64_t lo = std::max<int64_t>(0, p0 - a.flat_offset);
     const int64_t hi = std::min<int64_t>(shard_numel, p1 - a.flat_offset);
     if (lo >= hi) {
-      continue;  // atom wholly outside this rank's partition: skipped, never opened
+      continue;
     }
-    all_runs.push_back(ShardRuns(a.target_spec, a.full_shape, target.tp, coord.tp));
+    const std::vector<ShardRun> runs =
+        ShardRuns(a.target_spec, a.full_shape, target.tp, coord.tp);
     for (int s = 0; s < 3; ++s) {
-      SliceTask task;
-      task.assignment = &a;
-      task.runs = &all_runs.back();
-      task.want_lo = lo;
-      task.want_hi = hi;
-      task.state_index = s;
-      tasks.push_back(task);
+      UCP_TRACE_SPAN_ARGS("ucp.load.slice", ::ucp::obs::TraceArgs()
+                                                .S("atom", a.name)
+                                                .S("state", kStateFiles[s])
+                                                .I("numel", hi - lo));
+      std::string rel = JoinRel(AtomRel(ucp_rel, a.name), kStateFiles[s]);
+      UCP_RETURN_IF_ERROR(ReadAssignedSlices(store, rel, a, runs, lo, hi, p0, buffers[s]));
     }
-  }
-
-  std::vector<Status> results(tasks.size());
-  // Keepalives pin cached slices until every co-located rank has had a chance to hit them;
-  // per-task vectors so worker threads never share one.
-  std::vector<std::vector<std::shared_ptr<const Tensor>>> keepalive(tasks.size());
-  ThreadPool pool(static_cast<size_t>(std::max(options.num_threads, 0)));
-  pool.ParallelFor(tasks.size(), [&](size_t i) {
-    const SliceTask& t = tasks[i];
-    const AtomAssignment& a = *t.assignment;
-    UCP_TRACE_SPAN_ARGS("ucp.load.slice", ::ucp::obs::TraceArgs()
-                                              .S("atom", a.name)
-                                              .S("state", kStateFiles[t.state_index])
-                                              .I("numel", t.want_hi - t.want_lo));
-    std::string rel = JoinRel(AtomRel(ucp_rel, a.name), kStateFiles[t.state_index]);
-    results[i] = ReadAssignedSlices(store, rel, a, *t.runs, t.want_lo, t.want_hi, p0,
-                                    buffers[t.state_index], options.use_slice_cache,
-                                    keepalive[i]);
-  });
-  for (const Status& s : results) {
-    UCP_RETURN_IF_ERROR(s);
   }
   return state;
 }
 
 }  // namespace
-
-Status LoadUcpCheckpoint(const std::string& ucp_dir, RankTrainer& trainer) {
-  return LoadUcpCheckpoint(ucp_dir, trainer, UcpLoadOptions{});
-}
 
 Status LoadUcpCheckpoint(const std::string& ucp_dir, RankTrainer& trainer,
                          const UcpLoadOptions& options) {

@@ -39,20 +39,14 @@ struct RankLoadPlan {
 RankLoadPlan GenUcpMetadata(const ModelConfig& model, const ParallelConfig& target,
                             const RankCoord& coord);
 
-// Knobs for the load executor. Defaults give the optimized path: partition-pruned sliced
-// reads fanned out on a thread pool, with the process-wide slice cache deduplicating
-// replicated-atom reads across co-located ranks.
+// Knobs for the load executor. The default is the sliced path: each rank preads only the
+// atom ranges inside its own partition, inline on its own thread.
 struct UcpLoadOptions {
-  // Loader threads per rank (0 = read inline on the calling thread).
-  int num_threads = 8;
   // Sliced reads: intersect every atom assignment with this rank's ZeRO partition, skip
   // atoms wholly outside it, and pread only the intersecting ranges into partition-sized
   // buffers. false falls back to the v1-era reference path: whole-file atom reads, full
   // padded flat assembly, partition sliced at the end. Both are bit-exact (tested).
   bool sliced = true;
-  // Dedup identical (file, range) reads across concurrently-loading co-located ranks.
-  // Only consulted on the sliced path.
-  bool use_slice_cache = true;
 };
 
 // Load: reads the atoms named by the plan, slices each per the target spec, assembles this
@@ -64,13 +58,11 @@ struct UcpLoadOptions {
 // ("" = the store root, "global_step10.ucp" inside a checkpoint store). The sliced arm
 // issues range reads for exactly the ShardRuns byte ranges it computes — against a
 // RemoteStore those become READ_RANGE frames to ucp_serverd, chunk-CRC-verified
-// server-side. The dir form wraps a LocalStore on `ucp_dir` (identical I/O and slice-cache
-// keys to the historical direct-FS path).
+// server-side. The dir form wraps a LocalStore on `ucp_dir`.
 Status LoadUcpCheckpoint(Store& store, const std::string& ucp_rel, RankTrainer& trainer,
                          const UcpLoadOptions& options = {});
-Status LoadUcpCheckpoint(const std::string& ucp_dir, RankTrainer& trainer);
 Status LoadUcpCheckpoint(const std::string& ucp_dir, RankTrainer& trainer,
-                         const UcpLoadOptions& options);
+                         const UcpLoadOptions& options = {});
 
 }  // namespace ucp
 

@@ -138,6 +138,32 @@ TEST_F(ObsTest, RingWrapsOldestFirstAndCountsDropped) {
   EXPECT_TRUE(found);
 }
 
+// A census of the rings undercounts once threads exit: each exiting thread orphans its
+// ring and the registry sheds the oldest orphans past the limit. The registry counter
+// `obs.trace.events_recorded` still counts every span, so benches count spans by its delta.
+TEST_F(ObsTest, EventsRecordedCounterCountsSpansOfShedOrphanRings) {
+  constexpr int kThreads = 12;
+  constexpr int kSpansPerThread = 5;
+  constexpr uint64_t kSpans = kThreads * kSpansPerThread;
+  obs::Counter& recorded =
+      obs::MetricsRegistry::Global().GetCounter("obs.trace.events_recorded");
+  obs::SetTraceOrphanRingLimit(2);
+  const uint64_t before = recorded.Value();
+  for (int t = 0; t < kThreads; ++t) {
+    std::thread([] {
+      for (int i = 0; i < kSpansPerThread; ++i) {
+        UCP_TRACE_SPAN("obs_test.orphaned");
+      }
+    }).join();
+  }
+  const uint64_t counted = recorded.Value() - before;
+  const size_t retained = EventsNamed("obs_test.orphaned").size();
+  obs::SetTraceOrphanRingLimit(512);  // restore the default
+
+  EXPECT_EQ(counted, kSpans);
+  EXPECT_LT(retained, kSpans) << "the orphan limit shed no ring, so the test proves nothing";
+}
+
 TEST_F(ObsTest, ChromeJsonParsesAndMapsRanksToProcesses) {
   std::thread([] {
     obs::SetThreadRank(0);

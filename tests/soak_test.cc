@@ -458,11 +458,6 @@ TEST(SoakStressTest, FootprintStaysFlatFrom32To128Ranks) {
   EXPECT_LE(large.trace_drop_rate, 2.0 * small.trace_drop_rate + 0.01)
       << small.trace_drop_rate << " -> " << large.trace_drop_rate;
 
-  // Cache misses don't scale with ranks: every rank asks for the same slice keys, so the
-  // extra 96 ranks dedup onto existing loads (stats are process-cumulative — compare deltas).
-  EXPECT_LE(large.cache_misses - small.cache_misses,
-            static_cast<uint64_t>(big.rounds * big.cache_slices));
-
   // Peak RSS at 4x the world stays within 2x of the baseline reading (VmHWM is monotone,
   // so this bounds the *additional* footprint of the larger world).
   if (small.peak_rss_kb > 0) {

@@ -1225,7 +1225,6 @@ TEST_F(StoreServerTest, SlicedLoadOverRemoteBitExactWithLocalAcrossSweep) {
         config.global_batch = 8;
 
         UcpLoadOptions load_options;
-        load_options.num_threads = 2;
         load_options.sliced = true;
 
         TrainingRun local_run(config);

@@ -47,6 +47,11 @@ struct StrategyCase {
   const char* label;
 };
 
+// Without a printer gtest dumps the raw bytes, the label pointer included, into every
+// listed test name, so the names ctest registers would change from build to build. The
+// label is already the name's suffix, so the printer shows only the case's data.
+void PrintTo(const StrategyCase& c, std::ostream* os) { *os << c.strategy.ToString(); }
+
 class StrategySweepTest : public ::testing::TestWithParam<StrategyCase> {};
 
 // The core property behind the paper's Table 3: with identical data and init, every

@@ -1,6 +1,6 @@
 // The sliced load path (v3 range reads), as properties:
 //
-//  1. Bit-exact equivalence: the partition-pruned parallel loader produces exactly the
+//  1. Bit-exact equivalence: the partition-pruned sliced loader produces exactly the
 //     optimizer state of the whole-file reference arm, across a {TP}x{PP}x{DP}x{ZeRO}
 //     target grid.
 //  2. Chunked CRCs localize damage: bit-rot inside one 64 KiB chunk fails only the ranges
@@ -8,7 +8,6 @@
 //  3. Backward compatibility: v1/v2 files round-trip through the view API, and a UCP
 //     checkpoint rewritten at v2 still loads bit-exactly through the sliced path.
 //  4. The sliced arm reads strictly fewer bytes than the reference arm.
-//  5. The slice cache dedups concurrent identical reads and drops failed loads.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +18,6 @@
 #include "src/tensor/tensor_file.h"
 #include "src/ucp/converter.h"
 #include "src/ucp/loader.h"
-#include "src/ucp/slice_cache.h"
 
 namespace ucp {
 namespace {
@@ -65,7 +63,7 @@ class LoadEnv : public ::testing::Test {
   std::string dir_;
 };
 
-// Property 1: the sliced parallel loader and the whole-file reference arm install
+// Property 1: the sliced loader and the whole-file reference arm install
 // bit-identical optimizer state on every rank, across the target grid.
 TEST_F(LoadEnv, SlicedMatchesWholeFileAcrossTargetGrid) {
   ModelConfig model = TinyGpt();
@@ -79,8 +77,7 @@ TEST_F(LoadEnv, SlicedMatchesWholeFileAcrossTargetGrid) {
           SCOPED_TRACE(target.ToString());
 
           TrainingRun sliced(ConfigFor(model, target));
-          LoadAll(sliced, Sub("ucp"),
-                  {.num_threads = 4, .sliced = true, .use_slice_cache = true});
+          LoadAll(sliced, Sub("ucp"), {.sliced = true});
           TrainingRun whole(ConfigFor(model, target));
           LoadAll(whole, Sub("ucp"), {.sliced = false});
 
@@ -96,24 +93,6 @@ TEST_F(LoadEnv, SlicedMatchesWholeFileAcrossTargetGrid) {
         }
       }
     }
-  }
-}
-
-// The sliced loader also runs correctly with zero worker threads (inline) and without the
-// cache — the knobs are independent of correctness.
-TEST_F(LoadEnv, SlicedInlineNoCacheStillExact) {
-  ModelConfig model = TinyGpt();
-  MakeUcp(model);
-  ParallelConfig target{2, 1, 2, 1, 1, 1};
-
-  TrainingRun inline_run(ConfigFor(model, target));
-  LoadAll(inline_run, Sub("ucp"),
-          {.num_threads = 0, .sliced = true, .use_slice_cache = false});
-  TrainingRun whole(ConfigFor(model, target));
-  LoadAll(whole, Sub("ucp"), {.sliced = false});
-  for (int r = 0; r < inline_run.world_size(); ++r) {
-    EXPECT_TRUE(Tensor::BitEqual(inline_run.trainer(r).optimizer().MasterState(),
-                                 whole.trainer(r).optimizer().MasterState()));
   }
 }
 
@@ -233,7 +212,7 @@ TEST_F(LoadEnv, V2AtomsLoadBitExactThroughSlicedPath) {
 
   ParallelConfig target{2, 2, 2, 1, 1, 1};
   TrainingRun sliced(ConfigFor(model, target));
-  LoadAll(sliced, Sub("ucp"), {.num_threads = 4, .sliced = true});
+  LoadAll(sliced, Sub("ucp"), {.sliced = true});
   TrainingRun whole(ConfigFor(model, target));
   LoadAll(whole, Sub("ucp"), {.sliced = false});
   for (int r = 0; r < sliced.world_size(); ++r) {
@@ -246,7 +225,7 @@ TEST_F(LoadEnv, V2AtomsLoadBitExactThroughSlicedPath) {
 }
 
 // Property 4: on a TP2·DP2 target the sliced arm moves at most half the bytes the
-// whole-file arm does (partition pruning alone guarantees this; dedup only helps).
+// whole-file arm does (partition pruning alone guarantees this).
 TEST_F(LoadEnv, SlicedArmReadsFewerBytes) {
   ModelConfig model = TinyGpt();
   MakeUcp(model);
@@ -259,56 +238,12 @@ TEST_F(LoadEnv, SlicedArmReadsFewerBytes) {
 
   TrainingRun sliced(ConfigFor(model, target));
   ResetTensorIoStats();
-  LoadAll(sliced, Sub("ucp"), {.num_threads = 4, .sliced = true});
+  LoadAll(sliced, Sub("ucp"), {.sliced = true});
   const uint64_t sliced_bytes = GetTensorIoStats().bytes_read;
 
   EXPECT_GT(whole_bytes, 0u);
   EXPECT_LE(sliced_bytes * 2, whole_bytes)
       << "sliced " << sliced_bytes << " vs whole " << whole_bytes;
-}
-
-// Property 5a: concurrent identical keys run the loader once; later callers share the slice
-// while someone still holds it.
-TEST_F(LoadEnv, SliceCacheDedupsWhileHeld) {
-  AtomSliceCache& cache = AtomSliceCache::Global();
-  cache.ResetStats();
-  int loads = 0;
-  auto loader = [&]() -> Result<Tensor> {
-    ++loads;
-    return Tensor::Zeros({4});
-  };
-  Result<std::shared_ptr<const Tensor>> first = cache.GetOrLoad("load_test:a", loader);
-  ASSERT_TRUE(first.ok());
-  Result<std::shared_ptr<const Tensor>> second = cache.GetOrLoad("load_test:a", loader);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(loads, 1);
-  EXPECT_EQ(first->get(), second->get());
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-
-  // Once every holder releases the slice, the entry dies and the next get reloads.
-  first->reset();
-  (*second).reset();
-  Result<std::shared_ptr<const Tensor>> third = cache.GetOrLoad("load_test:a", loader);
-  ASSERT_TRUE(third.ok());
-  EXPECT_EQ(loads, 2);
-}
-
-// Property 5b: a failed load is reported but not cached — the next attempt retries.
-TEST_F(LoadEnv, SliceCacheDoesNotCacheFailures) {
-  AtomSliceCache& cache = AtomSliceCache::Global();
-  int attempts = 0;
-  auto flaky = [&]() -> Result<Tensor> {
-    if (++attempts == 1) {
-      return DataLossError("injected");
-    }
-    return Tensor::Zeros({2});
-  };
-  EXPECT_EQ(cache.GetOrLoad("load_test:flaky", flaky).status().code(),
-            StatusCode::kDataLoss);
-  Result<std::shared_ptr<const Tensor>> retried = cache.GetOrLoad("load_test:flaky", flaky);
-  EXPECT_TRUE(retried.ok());
-  EXPECT_EQ(attempts, 2);
 }
 
 }  // namespace
