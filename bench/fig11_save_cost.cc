@@ -65,12 +65,21 @@ TrainingRun& RunFor(const Arm& arm) {
   return *it->second;
 }
 
+// Deletes the tag a timed iteration wrote, outside the timed region: the loops save a new
+// tag per iteration, and keeping them all fills the disk on a full run.
+void DropTagUntimed(benchmark::State& state, const std::string& dir, int64_t iteration) {
+  state.PauseTiming();
+  UCP_CHECK(RemoveAll(PathJoin(dir, TagForIteration(iteration))).ok());
+  state.ResumeTiming();
+}
+
 void BM_SaveStandard(benchmark::State& state, const Arm& arm) {
   TrainingRun& run = RunFor(arm);
   const std::string dir = bench::FreshDir(std::string("fig11_std_") + arm.size_label);
   int64_t iteration = 100;
   for (auto _ : state) {
-    bench::SaveAll(run, dir, iteration++);
+    bench::SaveAll(run, dir, iteration);
+    DropTagUntimed(state, dir, iteration++);
   }
 }
 
@@ -88,7 +97,7 @@ void BM_SaveUcpEnabled(benchmark::State& state, const Arm& arm) {
                                        "ucp_pattern_spec.txt"),
                               spec)
                   .ok());
-    ++iteration;
+    DropTagUntimed(state, dir, iteration++);
   }
 }
 

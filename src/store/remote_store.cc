@@ -19,8 +19,8 @@ namespace ucp {
 
 namespace {
 
-// v3 servers may append a u32 retry-after hint (milliseconds) to an error frame —
-// currently only on drain-mode lease refusals. Older frames simply lack the suffix.
+// The server may append a u32 retry-after hint (milliseconds) to an error frame —
+// currently only on drain-mode lease refusals. Other error frames lack the suffix.
 Status DecodeError(const WireFrame& frame, uint32_t* retry_after_ms = nullptr) {
   ByteReader r(frame.payload.data(), frame.payload.size());
   UCP_ASSIGN_OR_RETURN(uint8_t code, r.GetU8());
@@ -76,18 +76,17 @@ std::string RandomLeaseToken() {
 struct HelloResult {
   int fd = -1;
   uint64_t session_id = 0;
-  uint32_t version = 0;
   uint32_t max_frame = kMaxFramePayload;
 };
 
-// Dial + HELLO handshake offering [kWireMinVersion, max_version]. On success the fd is
-// the caller's to close.
-Status DialAndHello(const std::string& endpoint, uint32_t max_version, HelloResult* out) {
+// Dial + HELLO handshake offering [kWireVersion, kWireVersion]. On success the fd is the
+// caller's to close.
+Status DialAndHello(const std::string& endpoint, HelloResult* out) {
   UCP_ASSIGN_OR_RETURN(Endpoint ep, ParseEndpoint(endpoint));
   UCP_ASSIGN_OR_RETURN(int fd, DialEndpoint(ep));
   ByteWriter hello;
-  hello.PutU32(kWireMinVersion);
-  hello.PutU32(max_version);
+  hello.PutU32(kWireVersion);
+  hello.PutU32(kWireVersion);
   Status sent = SendFrame(fd, WireOp::kHello, hello.buffer());
   if (!sent.ok()) {
     ::close(fd);
@@ -115,14 +114,13 @@ Status DialAndHello(const std::string& endpoint, uint32_t max_version, HelloResu
     ::close(fd);
     return DataLossError("handshake: malformed HELLO_OK payload");
   }
-  if (*version < kWireMinVersion || *version > max_version) {
+  if (*version != kWireVersion) {
     ::close(fd);
     return FailedPreconditionError("server negotiated unsupported protocol version " +
                                    std::to_string(*version));
   }
   out->fd = fd;
   out->session_id = *session;
-  out->version = *version;
   out->max_frame = std::min(*max_frame, kMaxFramePayload);
   return OkStatus();
 }
@@ -205,14 +203,11 @@ Result<std::shared_ptr<RemoteStore>> RemoteStore::Connect(const std::string& end
 }
 
 Result<std::shared_ptr<RemoteStore>> RemoteStore::Connect(
-    const std::string& endpoint, const RemoteStoreOptions& opts) {
-  RemoteStoreOptions options = opts;
-  options.max_version =
-      std::min(std::max(options.max_version, kWireMinVersion), kWireVersion);
+    const std::string& endpoint, const RemoteStoreOptions& options) {
   HelloResult hs;
-  UCP_RETURN_IF_ERROR(DialAndHello(endpoint, options.max_version, &hs));
+  UCP_RETURN_IF_ERROR(DialAndHello(endpoint, &hs));
   std::string token;
-  if (hs.version >= 3 && options.lease_ttl_ms > 0) {
+  if (options.lease_ttl_ms > 0) {
     token = RandomLeaseToken();
     Status opened = SessionOpenOnFd(hs.fd, hs.max_frame, token, options.lease_ttl_ms,
                                     /*resumed=*/nullptr, /*retry_after_ms=*/nullptr);
@@ -227,7 +222,7 @@ Result<std::shared_ptr<RemoteStore>> RemoteStore::Connect(
     }
   }
   return std::shared_ptr<RemoteStore>(new RemoteStore(hs.fd, endpoint, hs.session_id,
-                                                      hs.max_frame, hs.version, options,
+                                                      hs.max_frame, options,
                                                       std::move(token)));
 }
 
@@ -240,11 +235,6 @@ RemoteStore::~RemoteStore() {
 uint64_t RemoteStore::session_id() const {
   std::lock_guard<std::mutex> lock(mu_);
   return session_id_;
-}
-
-uint32_t RemoteStore::negotiated_version() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return version_;
 }
 
 void RemoteStore::CloseForTest() {
@@ -263,9 +253,9 @@ void RemoteStore::CloseFdLocked() {
 Result<WireFrame> RemoteStore::ExchangeLocked(WireOp op,
                                               const std::vector<uint8_t>& payload,
                                               WireOp ok_op) {
-  // The client RPC span. While it lives it is the thread context's innermost span, so
-  // the v4 header below carries *its* id as parent — the server's handling span becomes
-  // its child in the merged trace.
+  // The client RPC span. While it lives it is the thread context's innermost span, so the
+  // TRACE_CONTEXT header below carries *its* id as parent — the server's handling span
+  // becomes its child in the merged trace.
   UCP_TRACE_NAMED_SPAN(span, "store.client.rpc");
 #if UCP_OBS_ENABLED
   if (obs::TraceEnabled()) {
@@ -277,10 +267,10 @@ Result<WireFrame> RemoteStore::ExchangeLocked(WireOp op,
     if (fd_ < 0) {
       return UnavailableError("connection to " + endpoint_ + " is closed");
     }
-    // v4: ship the thread's trace context ahead of the request. Sent only when a logical
+    // Ship the thread's trace context ahead of the request. Sent only when a logical
     // operation installed a context (a headerless request is simply unattributed).
     const obs::TraceContext ctx = obs::CurrentTraceContext();
-    if (version_ >= 4 && ctx.valid()) {
+    if (ctx.valid()) {
       ByteWriter hdr;
       hdr.PutU64(ctx.trace_id);
       hdr.PutU64(ctx.span_id);
@@ -385,22 +375,14 @@ Status RemoteStore::ReconnectLocked() {
   Status last = UnavailableError("reconnect not attempted");
   for (;;) {
     HelloResult hs;
-    Status s = DialAndHello(endpoint_, options_.max_version, &hs);
+    Status s = DialAndHello(endpoint_, &hs);
     if (s.ok()) {
-      if (hs.version < 3) {
-        ::close(hs.fd);
-        failures.Add(1);
-        return FailedPreconditionError(
-            "server at " + endpoint_ +
-            " no longer speaks protocol v3; cannot resume the session lease");
-      }
       uint32_t retry_after_ms = 0;
       s = SessionOpenOnFd(hs.fd, hs.max_frame, lease_token_, options_.lease_ttl_ms,
                           /*resumed=*/nullptr, &retry_after_ms);
       if (s.ok()) {
         fd_ = hs.fd;
         session_id_ = hs.session_id;
-        version_ = hs.version;
         max_frame_ = hs.max_frame;
         ++conn_epoch_;
         reconnects.Add(1);
@@ -440,9 +422,7 @@ Status RemoteStore::WriteFileOnceLocked(const std::string& tag, const std::strin
   begin.PutString(tag);
   begin.PutString(rel);
   begin.PutU64(size);
-  if (version_ >= 3) {
-    begin.PutU64(resume);
-  }
+  begin.PutU64(resume);
   // Admission control happens at BEGIN: a kUnavailable *response* means the daemon's
   // staged-bytes budget is full and this session is not the oldest — back off and retry
   // (nothing was staged). Transport failures return to the caller's resume loop.
@@ -477,17 +457,12 @@ Status RemoteStore::WriteFileOnceLocked(const std::string& tag, const std::strin
   size_t left = size - resume;
   while (left > 0) {
     const size_t n = std::min<size_t>(left, kWireChunkBytes);
-    Status sent;
-    if (version_ >= 3) {
-      // v3 chunks are offset-addressed: a resent frame the server already holds is
-      // skipped (idempotent), which is what makes resume-after-reconnect safe.
-      ByteWriter prefix;
-      prefix.PutU64(offset);
-      sent = SendFrame(fd_, WireOp::kWriteChunk, prefix.buffer().data(),
-                       prefix.buffer().size(), p, n);
-    } else {
-      sent = SendFrame(fd_, WireOp::kWriteChunk, p, n);
-    }
+    // Chunks are offset-addressed: a resent frame the server already holds is skipped
+    // (idempotent), which is what makes resume-after-reconnect safe.
+    ByteWriter prefix;
+    prefix.PutU64(offset);
+    const Status sent = SendFrame(fd_, WireOp::kWriteChunk, prefix.buffer().data(),
+                                  prefix.buffer().size(), p, n);
     if (!sent.ok()) {
       CloseFdLocked();
       return sent;
@@ -760,29 +735,19 @@ Status RemoteStore::Ping() {
 }
 
 Result<std::string> RemoteStore::MetricsDump(bool prometheus) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (version_ < 4) {
-    return UnimplementedError("METRICS_DUMP requires protocol v4 (negotiated v" +
-                              std::to_string(version_) + ")");
-  }
   ByteWriter req;
   req.PutU8(prometheus ? 1 : 0);
-  UCP_ASSIGN_OR_RETURN(
-      WireFrame reply, RoundtripLocked(WireOp::kMetricsDump, req.buffer(), WireOp::kBytes));
+  UCP_ASSIGN_OR_RETURN(WireFrame reply,
+                       Roundtrip(WireOp::kMetricsDump, req.buffer(), WireOp::kBytes));
   return std::string(reply.payload.begin(), reply.payload.end());
 }
 
 Result<RemoteServerStat> RemoteStore::ServerStat() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (version_ < 3) {
-    return UnimplementedError("SERVER_STAT requires protocol v3 (negotiated v" +
-                              std::to_string(version_) + ")");
-  }
   UCP_ASSIGN_OR_RETURN(WireFrame reply,
-                       RoundtripLocked(WireOp::kServerStat, {}, WireOp::kServerStatOk));
+                       Roundtrip(WireOp::kServerStat, {}, WireOp::kServerStatOk));
   ByteReader r(reply.payload.data(), reply.payload.size());
   RemoteServerStat stat;
-  UCP_ASSIGN_OR_RETURN(stat.max_wire_version, r.GetU32());
+  UCP_ASSIGN_OR_RETURN(stat.wire_version, r.GetU32());
   UCP_ASSIGN_OR_RETURN(stat.sessions, r.GetU32());
   UCP_ASSIGN_OR_RETURN(stat.leases, r.GetU32());
   UCP_ASSIGN_OR_RETURN(stat.staged_bytes, r.GetU64());

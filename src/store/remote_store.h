@@ -10,13 +10,13 @@
 //  - Admission-control rejections (the daemon's staged-bytes cap) arrive as kUnavailable
 //    *responses* on a healthy connection and are retried with IoRetryPolicy backoff.
 //  - Transport failures (daemon died, connection dropped, network partitioned) also map
-//    to kUnavailable. When the session holds a lease (wire v3 + reconnect enabled), the
+//    to kUnavailable. When the session holds a lease and reconnect is enabled, the
 //    store transparently redials under `reconnect_deadline` with exponential backoff +
 //    jitter, re-presents its lease token, and resumes: streamed uploads continue from the
 //    server-acknowledged offset (WRITE_RESUME), open read handles are reopened by path,
 //    and an interrupted COMMIT_TAG is checked for completion before being retried. When
-//    there is no lease (v1/v2 peer, leases disabled, reconnect off) the historical
-//    semantics hold: the transport failure surfaces typed and nothing is retried.
+//    there is no lease (ttl 0, leases disabled server-side) or reconnect is off, the
+//    transport failure surfaces typed and nothing is retried.
 
 #ifndef UCP_SRC_STORE_REMOTE_STORE_H_
 #define UCP_SRC_STORE_REMOTE_STORE_H_
@@ -34,7 +34,7 @@ namespace ucp {
 
 struct RemoteStoreOptions {
   // Redial + re-adopt the lease on transport failure. Only effective when the session
-  // actually holds a lease (negotiated v3 and lease_ttl_ms > 0 and the server grants it).
+  // actually holds a lease (lease_ttl_ms > 0 and the server grants it).
   bool reconnect = true;
   // Total wall-clock budget for one reconnect episode (dial + handshake + SESSION_OPEN,
   // retried with backoff). Past it the original transport error surfaces as kUnavailable.
@@ -43,14 +43,11 @@ struct RemoteStoreOptions {
   // exceed reconnect_deadline or the server reaps the lease mid-reconnect. 0 skips the
   // lease entirely (release-on-disconnect semantics, no reconnect).
   uint32_t lease_ttl_ms = 15000;
-  // Highest protocol version offered at HELLO. Production leaves the default; the
-  // downgrade conformance tests pin v1/v2 client behavior with it.
-  uint32_t max_version = kWireVersion;
 };
 
-// Snapshot returned by SERVER_STAT (v3) — surfaced by `ucp_tool ping`.
+// Snapshot returned by SERVER_STAT — surfaced by `ucp_tool ping`.
 struct RemoteServerStat {
-  uint32_t max_wire_version = 0;
+  uint32_t wire_version = 0;
   uint32_t sessions = 0;
   uint32_t leases = 0;  // named leases only
   uint64_t staged_bytes = 0;
@@ -62,7 +59,7 @@ class RemoteByteSource;
 class RemoteStore final : public Store, public std::enable_shared_from_this<RemoteStore> {
  public:
   // Dials `endpoint` ("unix:/path" or "tcp:host:port"), runs the version handshake, and
-  // (v3, lease_ttl_ms > 0) binds a session lease under a freshly generated token.
+  // (lease_ttl_ms > 0) binds a session lease under a freshly generated token.
   static Result<std::shared_ptr<RemoteStore>> Connect(const std::string& endpoint);
   static Result<std::shared_ptr<RemoteStore>> Connect(const std::string& endpoint,
                                                       const RemoteStoreOptions& options);
@@ -76,10 +73,7 @@ class RemoteStore final : public Store, public std::enable_shared_from_this<Remo
     return endpoint_ + "!" + rel;
   }
   uint64_t session_id() const;
-  // Protocol version agreed at HELLO: min(server max, client max). Leases / resumable
-  // writes need >= 3.
-  uint32_t negotiated_version() const;
-  // Empty when the session holds no lease (v1/v2 peer, leases disabled, ttl 0).
+  // Empty when the session holds no lease (ttl 0, or leases disabled server-side).
   const std::string& lease_token() const { return lease_token_; }
 
   Result<std::unique_ptr<ByteSource>> OpenRead(const std::string& rel) override;
@@ -99,10 +93,10 @@ class RemoteStore final : public Store, public std::enable_shared_from_this<Remo
 
   // Liveness probe (PING round trip).
   Status Ping();
-  // Server-side counters snapshot (v3; kUnimplemented against older daemons).
+  // Server-side counters snapshot.
   Result<RemoteServerStat> ServerStat();
-  // The daemon's metrics page over the store endpoint (v4; kUnimplemented against older
-  // daemons) — the same payload /metrics serves, as text table or Prometheus exposition.
+  // The daemon's metrics page over the store endpoint — the same payload /metrics serves,
+  // as text table or Prometheus exposition.
   Result<std::string> MetricsDump(bool prometheus);
 
   // Drops the connection and disables reconnect, failing all further calls with
@@ -115,10 +109,9 @@ class RemoteStore final : public Store, public std::enable_shared_from_this<Remo
   friend class RemoteStoreWriter;
 
   RemoteStore(int fd, std::string endpoint, uint64_t session_id, uint32_t max_frame,
-              uint32_t version, RemoteStoreOptions options, std::string lease_token)
+              RemoteStoreOptions options, std::string lease_token)
       : fd_(fd), endpoint_(std::move(endpoint)), session_id_(session_id),
-        max_frame_(max_frame), version_(version), options_(options),
-        lease_token_(std::move(lease_token)) {}
+        max_frame_(max_frame), options_(options), lease_token_(std::move(lease_token)) {}
 
   // One request/response exchange on the current socket — no reconnect. Any send/recv
   // failure closes the fd (the stream position is unknown; the socket is junk), so
@@ -126,7 +119,7 @@ class RemoteStore final : public Store, public std::enable_shared_from_this<Remo
   Result<WireFrame> ExchangeLocked(WireOp op, const std::vector<uint8_t>& payload,
                                    WireOp ok_op);
   // ExchangeLocked plus transparent reconnect-and-retry on transport failure, for
-  // idempotent ops (reads, lists, tag state transitions, chunk query/put).
+  // idempotent ops (reads, lists, tag state transitions).
   Result<WireFrame> RoundtripLocked(WireOp op, const std::vector<uint8_t>& payload,
                                     WireOp ok_op);
   Result<WireFrame> Roundtrip(WireOp op, const std::vector<uint8_t>& payload, WireOp ok_op);
@@ -135,7 +128,7 @@ class RemoteStore final : public Store, public std::enable_shared_from_this<Remo
                                        WireOp ok_op);
 
   bool CanReconnectLocked() const {
-    return options_.reconnect && version_ >= 3 && !lease_token_.empty();
+    return options_.reconnect && !lease_token_.empty();
   }
   // Redials + HELLO + SESSION_OPEN(token) with backoff + jitter until
   // options_.reconnect_deadline. On success bumps conn_epoch_ (read handles reopen
@@ -160,7 +153,6 @@ class RemoteStore final : public Store, public std::enable_shared_from_this<Remo
   const std::string endpoint_;
   uint64_t session_id_ = 0;
   uint32_t max_frame_ = kMaxFramePayload;
-  uint32_t version_ = kWireVersion;
   RemoteStoreOptions options_;
   const std::string lease_token_;
   // Bumped on every successful reconnect; RemoteByteSource handles stamped with an older

@@ -66,7 +66,7 @@ int64_t NowWallMs() {
       .count();
 }
 
-// `retry_after_ms` > 0 appends the v3 retry hint; older clients ignore the trailing bytes.
+// `retry_after_ms` > 0 appends the retry hint clients take as their backoff floor.
 Status SendError(int fd, const Status& error, uint32_t retry_after_ms = 0) {
   ByteWriter w;
   w.PutU8(static_cast<uint8_t>(error.code()));
@@ -171,25 +171,23 @@ obs::Histogram& RpcBytesInFor(WireOp op) {
 
 }  // namespace
 
-// Read handles carry the file's v3 chunk index so READ_RANGE responses are verified
+// Read handles carry the file's chunk index so READ_RANGE responses are verified
 // *before* any payload byte crosses the wire — a client never sees bytes the server knows
 // are rotten. Each chunk verifies at most once per handle (same memoization the local
 // views use).
 struct StoreServer::OpenRead {
   std::unique_ptr<ByteSource> source;
   std::string rel;
-  // nullopt: legacy v1/v2 or non-container file — served unverified (the client's own
-  // whole-file CRC checks still apply).
+  // nullopt: not a UCT1/UCB1 container — served unverified.
   std::optional<FileChunkIndex> index;
   std::vector<std::vector<bool>> verified;  // parallel to index->regions
 };
 
 // What the admission budget is attributed to. Every session holds exactly one lease: an
-// *implicit* one (empty token) that dies with the connection — the v1/v2 semantics — or
-// a *named* one (SESSION_OPEN) that survives socket death until its TTL lapses, so a
-// reconnecting client can re-adopt its staged state. All fields are guarded by
-// StoreServer::mu_ except expires_at_ms, which the serving thread refreshes per frame and
-// the reaper polls.
+// *implicit* one (empty token) that dies with the connection, or a *named* one
+// (SESSION_OPEN) that survives socket death until its TTL lapses, so a reconnecting client
+// can re-adopt its staged state. All fields are guarded by StoreServer::mu_ except
+// expires_at_ms, which the serving thread refreshes per frame and the reaper polls.
 struct StoreServer::Lease {
   uint64_t id = 0;           // creation order; admission's oldest-first scan keys on it
   std::string token;         // empty = implicit per-connection lease
@@ -209,8 +207,6 @@ struct StoreServer::Lease {
 struct StoreServer::Session {
   uint64_t id = 0;
   int fd = -1;
-  // Negotiated at HELLO: min(server max, client max). Lease and resume ops require >= 3.
-  uint32_t version = 0;
   std::shared_ptr<Lease> lease;  // never null once the session is registered
   uint64_t ops = 0;
 
@@ -230,10 +226,16 @@ struct StoreServer::Session {
   uint64_t next_handle = 1;
   std::map<uint64_t, OpenRead> reads;
 
-  // Wire v4 trace context (TRACE_CONTEXT prefix frame): annotates the *next* request
-  // frame on this connection, then clears. Only the serving thread touches it.
+  // Trace context from a TRACE_CONTEXT prefix frame: annotates the *next* request frame
+  // on this connection, then clears. Only the serving thread touches it.
   uint64_t pending_trace_id = 0;
   uint64_t pending_span_id = 0;
+};
+
+// A response frame: its type and payload.
+struct StoreServer::Reply {
+  WireOp op = WireOp::kOk;
+  std::vector<uint8_t> payload;
 };
 
 Result<std::unique_ptr<StoreServer>> StoreServer::Start(StoreServerOptions options) {
@@ -452,18 +454,14 @@ void StoreServer::ServeConnection(int fd, std::shared_ptr<Session> session) {
         SendError(fd, InvalidArgumentError("malformed HELLO")).ok();
         break;
       }
-      const uint32_t server_max = std::min(kWireVersion, options_.max_wire_version);
-      if (*max_v < kWireMinVersion || *min_v > server_max) {
-        SendError(fd, FailedPreconditionError(
-                          "no common protocol version: server speaks v" +
-                          std::to_string(kWireMinVersion) + "..v" +
-                          std::to_string(server_max)))
+      if (*max_v < kWireVersion || *min_v > kWireVersion) {
+        SendError(fd, FailedPreconditionError("no common protocol version: server speaks v" +
+                                              std::to_string(kWireVersion)))
             .ok();
         break;
       }
-      session->version = std::min(server_max, *max_v);
       ByteWriter w;
-      w.PutU32(session->version);
+      w.PutU32(kWireVersion);
       w.PutU64(session->id);
       w.PutU32(kMaxFramePayload);
       if (!SendFrame(fd, WireOp::kHelloOk, w.buffer()).ok()) {
@@ -492,7 +490,7 @@ void StoreServer::ServeConnection(int fd, std::shared_ptr<Session> session) {
     if (lease != nullptr &&
         (!lease->named() || lease->bound_session == session->id)) {
       if (!lease->named() || NowWallMs() >= lease->expires_at_ms.load()) {
-        // Implicit lease (v1/v2 semantics) or a named lease that already outlived its
+        // Implicit lease (no SESSION_OPEN) or a named lease that already outlived its
         // TTL while the socket lingered: its budget frees now. Staged/spooled files
         // stay — inert debris the next save's ResetTagStaging or a sweep clears.
         ReleaseLeaseLocked(*lease);
@@ -568,17 +566,20 @@ void StoreServer::ReleaseLeaseLocked(Lease& lease) {
   }
 }
 
-void StoreServer::ReleaseStagedBytesForTagLocked(Lease& lease, const std::string& tag) {
+void StoreServer::ReleaseStagedTag(Lease& lease, const std::string& tag) {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = lease.staged_by_tag.find(tag);
-  if (it == lease.staged_by_tag.end()) {
-    return;
+  if (it != lease.staged_by_tag.end()) {
+    const uint64_t held = it->second;
+    lease.staged_by_tag.erase(it);
+    lease.staged_total -= std::min(lease.staged_total, held);
+    if (held > 0) {
+      staged_bytes_.fetch_sub(held);
+      ServerMetrics::Get().staged.Set(static_cast<int64_t>(staged_bytes_.load()));
+    }
   }
-  const uint64_t held = it->second;
-  lease.staged_by_tag.erase(it);
-  lease.staged_total -= std::min(lease.staged_total, held);
-  if (held > 0) {
-    staged_bytes_.fetch_sub(held);
-    ServerMetrics::Get().staged.Set(static_cast<int64_t>(staged_bytes_.load()));
+  if (lease.named()) {
+    WriteJournalLocked();
   }
 }
 
@@ -743,17 +744,14 @@ Status StoreServer::HandleWriteBegin(const WireFrame& frame, Session& session) {
   if (session.write_open) {
     return FailedPreconditionError("WRITE_BEGIN with a write already open");
   }
-  // A BEGIN while another write is open abandons the old one (protocol misuse, or a
-  // client that gave up on a file) — its undelivered charge must not leak.
+  // Reclaims a spool a failed WRITE_END left open (its CRC field did not decode, so the
+  // write closed without AbandonOpenWrite): its undelivered charge must not leak.
   AbandonOpenWrite(session);
   ByteReader r(frame.payload.data(), frame.payload.size());
   UCP_ASSIGN_OR_RETURN(std::string tag, r.GetString());
   UCP_ASSIGN_OR_RETURN(std::string rel, r.GetString());
   UCP_ASSIGN_OR_RETURN(uint64_t total, r.GetU64());
-  uint64_t resume = 0;
-  if (session.version >= 3 && r.remaining() >= sizeof(uint64_t)) {
-    UCP_ASSIGN_OR_RETURN(resume, r.GetU64());
-  }
+  UCP_ASSIGN_OR_RETURN(uint64_t resume, r.GetU64());
   if (!IsSafeStoreName(tag) || !IsSafeStoreRelPath(rel)) {
     return InvalidArgumentError("bad tag or file name in WRITE_BEGIN");
   }
@@ -878,15 +876,10 @@ Status StoreServer::HandleWriteChunk(const WireFrame& frame, Session& session) {
   if (!session.write_open) {
     return FailedPreconditionError("WRITE_CHUNK without WRITE_BEGIN");
   }
-  const uint8_t* data = frame.payload.data();
-  size_t n = frame.payload.size();
-  uint64_t offset = session.write_spooled;
-  if (session.version >= 3) {
-    ByteReader r(data, n);
-    UCP_ASSIGN_OR_RETURN(offset, r.GetU64());
-    data += sizeof(uint64_t);
-    n -= sizeof(uint64_t);
-  }
+  ByteReader r(frame.payload.data(), frame.payload.size());
+  UCP_ASSIGN_OR_RETURN(uint64_t offset, r.GetU64());
+  const uint8_t* data = frame.payload.data() + sizeof(uint64_t);
+  size_t n = frame.payload.size() - sizeof(uint64_t);
   if (offset > session.write_spooled) {
     return DataLossError("write stream gap for " + session.write_rel + ": chunk at " +
                          std::to_string(offset) + ", spooled " +
@@ -944,7 +937,7 @@ Status StoreServer::HandleWriteEnd(const WireFrame& frame, Session& session) {
   return RenamePath(session.spool_path, dest);
 }
 
-Result<std::vector<uint8_t>> StoreServer::HandleWriteResume(const WireFrame& frame) {
+Result<StoreServer::Reply> StoreServer::HandleWriteResume(const WireFrame& frame) {
   ByteReader r(frame.payload.data(), frame.payload.size());
   UCP_ASSIGN_OR_RETURN(std::string tag, r.GetString());
   UCP_ASSIGN_OR_RETURN(std::string rel, r.GetString());
@@ -965,11 +958,11 @@ Result<std::vector<uint8_t>> StoreServer::HandleWriteResume(const WireFrame& fra
   ByteWriter w;
   w.PutU64(acked);
   w.PutU8(complete);
-  return w.TakeBuffer();
+  return Reply{WireOp::kWriteResumeOk, w.TakeBuffer()};
 }
 
-Result<std::vector<uint8_t>> StoreServer::HandleSessionOpen(const WireFrame& frame,
-                                                            Session& session) {
+Result<StoreServer::Reply> StoreServer::HandleSessionOpen(const WireFrame& frame,
+                                                         Session& session) {
   ByteReader r(frame.payload.data(), frame.payload.size());
   UCP_ASSIGN_OR_RETURN(std::string token, r.GetString());
   UCP_ASSIGN_OR_RETURN(uint32_t ttl_ms, r.GetU32());
@@ -1029,11 +1022,11 @@ Result<std::vector<uint8_t>> StoreServer::HandleSessionOpen(const WireFrame& fra
   ByteWriter w;
   w.PutU8(resumed);
   w.PutU32(ttl);
-  return w.TakeBuffer();
+  return Reply{WireOp::kSessionOpenOk, w.TakeBuffer()};
 }
 
-Result<std::vector<uint8_t>> StoreServer::HandleOpenRead(const WireFrame& frame,
-                                                         Session& session) {
+Result<StoreServer::Reply> StoreServer::HandleOpenRead(const WireFrame& frame,
+                                                      Session& session) {
   ByteReader r(frame.payload.data(), frame.payload.size());
   UCP_ASSIGN_OR_RETURN(std::string rel, r.GetString());
   UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> source, store_.OpenRead(rel));
@@ -1053,11 +1046,11 @@ Result<std::vector<uint8_t>> StoreServer::HandleOpenRead(const WireFrame& frame,
   ByteWriter w;
   w.PutU64(handle);
   w.PutU64(size);
-  return w.TakeBuffer();
+  return Reply{WireOp::kOpenReadOk, w.TakeBuffer()};
 }
 
-Result<std::vector<uint8_t>> StoreServer::HandleReadRange(const WireFrame& frame,
-                                                          Session& session) {
+Result<StoreServer::Reply> StoreServer::HandleReadRange(const WireFrame& frame,
+                                                       Session& session) {
   ByteReader r(frame.payload.data(), frame.payload.size());
   UCP_ASSIGN_OR_RETURN(uint64_t handle, r.GetU64());
   UCP_ASSIGN_OR_RETURN(uint64_t offset, r.GetU64());
@@ -1115,18 +1108,13 @@ Result<std::vector<uint8_t>> StoreServer::HandleReadRange(const WireFrame& frame
       }
     }
   }
-  return out;
+  return Reply{WireOp::kBytes, std::move(out)};
 }
 
 bool StoreServer::HandleFrame(int fd, const WireFrame& frame, Session& session) {
-  // v4 TRACE_CONTEXT prefix frame: stash the client's (trace_id, parent_span_id) for the
-  // next request on this connection; no response frame. On a pre-v4 session it is a
-  // protocol violation (the client would never have sent it).
+  // TRACE_CONTEXT prefix frame: stash the client's (trace_id, parent_span_id) for the
+  // next request on this connection; no response frame.
   if (frame.op == WireOp::kTraceContext) {
-    if (session.version < 4) {
-      SendError(fd, FailedPreconditionError("TRACE_CONTEXT requires protocol v4")).ok();
-      return false;
-    }
     ByteReader r(frame.payload.data(), frame.payload.size());
     Result<uint64_t> trace_id = r.GetU64();
     Result<uint64_t> span_id =
@@ -1181,308 +1169,143 @@ bool StoreServer::HandleFrameInner(int fd, const WireFrame& frame, Session& sess
     }
     return true;
   }
-
-  Status status = OkStatus();
-  Result<std::vector<uint8_t>> payload = std::vector<uint8_t>();
-  WireOp reply_op = WireOp::kOk;
-  switch (frame.op) {
-    case WireOp::kPing:
-      break;
-    case WireOp::kListTags: {
-      ByteReader r(frame.payload.data(), frame.payload.size());
-      Result<std::string> job = r.GetString();
-      if (!job.ok()) {
-        status = job.status();
-        break;
-      }
-      Result<std::vector<std::string>> tags = store_.ListTags(*job);
-      if (!tags.ok()) {
-        status = tags.status();
-        break;
-      }
-      payload = EncodeStrList(*tags);
-      reply_op = WireOp::kStrList;
-      break;
-    }
-    case WireOp::kList: {
-      ByteReader r(frame.payload.data(), frame.payload.size());
-      Result<std::string> rel = r.GetString();
-      if (!rel.ok()) {
-        status = rel.status();
-        break;
-      }
-      Result<std::vector<std::string>> entries = store_.List(*rel);
-      if (!entries.ok()) {
-        status = entries.status();
-        break;
-      }
-      payload = EncodeStrList(*entries);
-      reply_op = WireOp::kStrList;
-      break;
-    }
-    case WireOp::kReadSmall: {
-      ByteReader r(frame.payload.data(), frame.payload.size());
-      Result<std::string> rel = r.GetString();
-      if (!rel.ok()) {
-        status = rel.status();
-        break;
-      }
-      Result<std::string> text = store_.ReadSmallFile(*rel);
-      if (!text.ok()) {
-        status = text.status();
-        break;
-      }
-      if (text->size() > kMaxFramePayload) {
-        status = OutOfRangeError("file too large for READ_SMALL: " + *rel);
-        break;
-      }
-      payload = std::vector<uint8_t>(text->begin(), text->end());
-      reply_op = WireOp::kBytes;
-      break;
-    }
-    case WireOp::kOpenRead: {
-      payload = HandleOpenRead(frame, session);
-      if (!payload.ok()) {
-        status = payload.status();
-      }
-      reply_op = WireOp::kOpenReadOk;
-      break;
-    }
-    case WireOp::kReadRange: {
-      payload = HandleReadRange(frame, session);
-      if (!payload.ok()) {
-        status = payload.status();
-      }
-      reply_op = WireOp::kBytes;
-      break;
-    }
-    case WireOp::kCloseRead: {
-      ByteReader r(frame.payload.data(), frame.payload.size());
-      Result<uint64_t> handle = r.GetU64();
-      if (!handle.ok()) {
-        status = handle.status();
-        break;
-      }
-      session.reads.erase(*handle);
-      break;
-    }
-    case WireOp::kExists: {
-      ByteReader r(frame.payload.data(), frame.payload.size());
-      Result<std::string> rel = r.GetString();
-      if (!rel.ok()) {
-        status = rel.status();
-        break;
-      }
-      Result<bool> exists = store_.Exists(*rel);
-      if (!exists.ok()) {
-        status = exists.status();
-        break;
-      }
-      ByteWriter w;
-      w.PutU8(*exists ? 1 : 0);
-      payload = w.TakeBuffer();
-      reply_op = WireOp::kBool;
-      break;
-    }
-    case WireOp::kResetStaging: {
-      ByteReader r(frame.payload.data(), frame.payload.size());
-      Result<std::string> tag = r.GetString();
-      status = tag.ok() ? store_.ResetTagStaging(*tag) : tag.status();
-      if (status.ok()) {
-        // The reset discarded this tag's staging — other tags' saves on this lease keep
-        // their admitted budget.
-        std::lock_guard<std::mutex> lock(mu_);
-        ReleaseStagedBytesForTagLocked(*session.lease, *tag);
-        if (session.lease->named()) {
-          WriteJournalLocked();
-        }
-      }
-      break;
-    }
-    case WireOp::kWriteBegin:
-      status = HandleWriteBegin(frame, session);
-      break;
-    case WireOp::kWriteEnd:
-      status = HandleWriteEnd(frame, session);
-      break;
-    case WireOp::kCommitTag: {
-      ByteReader r(frame.payload.data(), frame.payload.size());
-      Result<std::string> tag = r.GetString();
-      Result<std::string> meta = tag.ok() ? r.GetString() : Result<std::string>(tag.status());
-      status = meta.ok() ? store_.CommitTag(*tag, *meta) : meta.status();
-      if (status.ok()) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ReleaseStagedBytesForTagLocked(*session.lease, *tag);
-        if (session.lease->named()) {
-          WriteJournalLocked();
-        }
-      } else {
-        DumpAnomaly("commit-failure",
-                    "COMMIT_TAG " + (tag.ok() ? *tag : std::string("<undecoded>")) +
-                        " failed: " + status.ToString());
-      }
-      break;
-    }
-    case WireOp::kAbortTag: {
-      ByteReader r(frame.payload.data(), frame.payload.size());
-      Result<std::string> tag = r.GetString();
-      status = tag.ok() ? store_.AbortTag(*tag) : tag.status();
-      if (status.ok()) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ReleaseStagedBytesForTagLocked(*session.lease, *tag);
-        if (session.lease->named()) {
-          WriteJournalLocked();
-        }
-      }
-      break;
-    }
-    case WireOp::kDeleteTag: {
-      ByteReader r(frame.payload.data(), frame.payload.size());
-      Result<std::string> tag = r.GetString();
-      status = tag.ok() ? store_.DeleteTag(*tag) : tag.status();
-      break;
-    }
-    case WireOp::kGc: {
-      ByteReader r(frame.payload.data(), frame.payload.size());
-      Result<std::string> job = r.GetString();
-      Result<uint32_t> keep = job.ok() ? r.GetU32() : Result<uint32_t>(job.status());
-      Result<uint8_t> dry = keep.ok() ? r.GetU8() : Result<uint8_t>(keep.status());
-      if (!dry.ok()) {
-        status = dry.status();
-        break;
-      }
-      Result<GcReport> report =
-          store_.Gc(*job, static_cast<int>(*keep), *dry != 0);
-      if (!report.ok()) {
-        status = report.status();
-        break;
-      }
-      ByteWriter w;
-      w.PutU32(static_cast<uint32_t>(report->removed.size()));
-      for (const std::string& tag : report->removed) {
-        w.PutString(tag);
-      }
-      w.PutU32(static_cast<uint32_t>(report->kept.size()));
-      for (const std::string& tag : report->kept) {
-        w.PutString(tag);
-      }
-      payload = w.TakeBuffer();
-      reply_op = WireOp::kGcReport;
-      break;
-    }
-    case WireOp::kSweepDebris: {
-      ByteReader r(frame.payload.data(), frame.payload.size());
-      Result<std::string> job = r.GetString();
-      Result<int> removed = job.ok() ? store_.SweepStagingDebris(*job)
-                                     : Result<int>(job.status());
-      if (!removed.ok()) {
-        status = removed.status();
-        break;
-      }
-      ByteWriter w;
-      w.PutI64(*removed);
-      payload = w.TakeBuffer();
-      reply_op = WireOp::kInt;
-      break;
-    }
-    case WireOp::kSessionOpen: {
-      if (session.version < 3) {
-        status = FailedPreconditionError("SESSION_OPEN requires protocol v3");
-        break;
-      }
-      payload = HandleSessionOpen(frame, session);
-      if (!payload.ok()) {
-        status = payload.status();
-      }
-      reply_op = WireOp::kSessionOpenOk;
-      break;
-    }
-    case WireOp::kSessionRenew: {
-      if (session.version < 3) {
-        status = FailedPreconditionError("SESSION_RENEW requires protocol v3");
-        break;
-      }
-      if (!session.lease->named()) {
-        status = FailedPreconditionError("SESSION_RENEW without a lease");
-        break;
-      }
-      if (draining_.load()) {
-        // Drain stops extending TTLs: the lease keeps whatever time it has left.
-        status = UnavailableError("server is draining; lease not renewed");
-        break;
-      }
-      session.lease->expires_at_ms.store(NowWallMs() + session.lease->ttl_ms.load());
-      break;
-    }
-    case WireOp::kWriteResume: {
-      if (session.version < 3) {
-        status = FailedPreconditionError("WRITE_RESUME requires protocol v3");
-        break;
-      }
-      payload = HandleWriteResume(frame);
-      if (!payload.ok()) {
-        status = payload.status();
-      }
-      reply_op = WireOp::kWriteResumeOk;
-      break;
-    }
-    case WireOp::kServerStat: {
-      ByteWriter w;
-      w.PutU32(std::min(kWireVersion, options_.max_wire_version));
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        w.PutU32(static_cast<uint32_t>(sessions_.size()));
-        uint32_t named = 0;
-        for (const auto& [id, lease] : leases_) {
-          named += lease->named() ? 1 : 0;
-        }
-        w.PutU32(named);
-      }
-      w.PutU64(staged_bytes_.load());
-      w.PutU8(draining_.load() ? 1 : 0);
-      payload = w.TakeBuffer();
-      reply_op = WireOp::kServerStatOk;
-      break;
-    }
-    case WireOp::kMetricsDump: {
-      if (session.version < 4) {
-        status = FailedPreconditionError("METRICS_DUMP requires protocol v4");
-        break;
-      }
-      ByteReader r(frame.payload.data(), frame.payload.size());
-      Result<uint8_t> format = r.GetU8();
-      if (!format.ok()) {
-        status = format.status();
-        break;
-      }
-      std::string text =
-          *format == 1 ? obs::DumpMetricsPrometheus() : obs::DumpMetricsText();
-      if (text.size() > kMaxFramePayload) {
-        text.resize(kMaxFramePayload);  // a metrics page this large is its own anomaly
-      }
-      payload = std::vector<uint8_t>(text.begin(), text.end());
-      reply_op = WireOp::kBytes;
-      break;
-    }
-    default:
-      status = UnimplementedError("unknown wire op " +
-                                  std::to_string(static_cast<int>(frame.op)));
-      break;
-  }
-
-  Status sent;
-  if (!status.ok()) {
+  Result<Reply> reply = Dispatch(frame, session);
+  if (!reply.ok()) {
     // Drain-mode lease refusals carry a machine-readable retry-after hint so clients
     // back off toward another daemon (or the post-restart one) instead of spinning.
     const bool drain_refusal =
-        draining_.load() && status.code() == StatusCode::kUnavailable &&
+        draining_.load() && reply.status().code() == StatusCode::kUnavailable &&
         (frame.op == WireOp::kSessionOpen || frame.op == WireOp::kSessionRenew);
-    sent = SendError(fd, status, drain_refusal ? 1000u : 0u);
-  } else {
-    sent = SendFrame(fd, reply_op, *payload);
-    ServerMetrics::Get().bytes_out.Add(9 + payload->size() + 4);
+    return SendError(fd, reply.status(), drain_refusal ? 1000u : 0u).ok();
   }
+  const Status sent = SendFrame(fd, reply->op, reply->payload);
+  ServerMetrics::Get().bytes_out.Add(9 + reply->payload.size() + 4);
   return sent.ok();
+}
+
+Result<StoreServer::Reply> StoreServer::Dispatch(const WireFrame& frame, Session& session) {
+  ByteReader r(frame.payload.data(), frame.payload.size());
+  switch (frame.op) {
+    case WireOp::kPing:
+      return Reply{};
+    case WireOp::kListTags: {
+      UCP_ASSIGN_OR_RETURN(std::string job, r.GetString());
+      UCP_ASSIGN_OR_RETURN(std::vector<std::string> tags, store_.ListTags(job));
+      return Reply{WireOp::kStrList, EncodeStrList(tags)};
+    }
+    case WireOp::kList: {
+      UCP_ASSIGN_OR_RETURN(std::string rel, r.GetString());
+      UCP_ASSIGN_OR_RETURN(std::vector<std::string> entries, store_.List(rel));
+      return Reply{WireOp::kStrList, EncodeStrList(entries)};
+    }
+    case WireOp::kReadSmall: {
+      UCP_ASSIGN_OR_RETURN(std::string rel, r.GetString());
+      UCP_ASSIGN_OR_RETURN(std::string text, store_.ReadSmallFile(rel));
+      if (text.size() > kMaxFramePayload) {
+        return OutOfRangeError("file too large for READ_SMALL: " + rel);
+      }
+      return Reply{WireOp::kBytes, std::vector<uint8_t>(text.begin(), text.end())};
+    }
+    case WireOp::kOpenRead:
+      return HandleOpenRead(frame, session);
+    case WireOp::kReadRange:
+      return HandleReadRange(frame, session);
+    case WireOp::kCloseRead: {
+      UCP_ASSIGN_OR_RETURN(uint64_t handle, r.GetU64());
+      session.reads.erase(handle);
+      return Reply{};
+    }
+    case WireOp::kExists: {
+      UCP_ASSIGN_OR_RETURN(std::string rel, r.GetString());
+      UCP_ASSIGN_OR_RETURN(bool exists, store_.Exists(rel));
+      return Reply{WireOp::kBool, {static_cast<uint8_t>(exists ? 1 : 0)}};
+    }
+    case WireOp::kResetStaging: {
+      UCP_ASSIGN_OR_RETURN(std::string tag, r.GetString());
+      UCP_RETURN_IF_ERROR(store_.ResetTagStaging(tag));
+      ReleaseStagedTag(*session.lease, tag);
+      return Reply{};
+    }
+    case WireOp::kWriteBegin:
+      UCP_RETURN_IF_ERROR(HandleWriteBegin(frame, session));
+      return Reply{};
+    case WireOp::kWriteEnd:
+      UCP_RETURN_IF_ERROR(HandleWriteEnd(frame, session));
+      return Reply{};
+    case WireOp::kCommitTag: {
+      UCP_ASSIGN_OR_RETURN(std::string tag, r.GetString());
+      UCP_ASSIGN_OR_RETURN(std::string meta, r.GetString());
+      const Status committed = store_.CommitTag(tag, meta);
+      if (!committed.ok()) {
+        DumpAnomaly("commit-failure", "COMMIT_TAG " + tag + " failed: " + committed.ToString());
+        return committed;
+      }
+      ReleaseStagedTag(*session.lease, tag);
+      return Reply{};
+    }
+    case WireOp::kAbortTag: {
+      UCP_ASSIGN_OR_RETURN(std::string tag, r.GetString());
+      UCP_RETURN_IF_ERROR(store_.AbortTag(tag));
+      ReleaseStagedTag(*session.lease, tag);
+      return Reply{};
+    }
+    case WireOp::kDeleteTag: {
+      UCP_ASSIGN_OR_RETURN(std::string tag, r.GetString());
+      UCP_RETURN_IF_ERROR(store_.DeleteTag(tag));
+      return Reply{};
+    }
+    case WireOp::kGc: {
+      UCP_ASSIGN_OR_RETURN(std::string job, r.GetString());
+      UCP_ASSIGN_OR_RETURN(uint32_t keep, r.GetU32());
+      UCP_ASSIGN_OR_RETURN(uint8_t dry, r.GetU8());
+      UCP_ASSIGN_OR_RETURN(GcReport report, store_.Gc(job, static_cast<int>(keep), dry != 0));
+      std::vector<uint8_t> payload = EncodeStrList(report.removed);
+      const std::vector<uint8_t> kept = EncodeStrList(report.kept);
+      payload.insert(payload.end(), kept.begin(), kept.end());
+      return Reply{WireOp::kGcReport, std::move(payload)};
+    }
+    case WireOp::kSweepDebris: {
+      UCP_ASSIGN_OR_RETURN(std::string job, r.GetString());
+      UCP_ASSIGN_OR_RETURN(int removed, store_.SweepStagingDebris(job));
+      ByteWriter w;
+      w.PutI64(removed);
+      return Reply{WireOp::kInt, w.TakeBuffer()};
+    }
+    case WireOp::kSessionOpen:
+      return HandleSessionOpen(frame, session);
+    case WireOp::kSessionRenew:
+      if (!session.lease->named()) {
+        return FailedPreconditionError("SESSION_RENEW without a lease");
+      }
+      if (draining_.load()) {
+        // Drain stops extending TTLs: the lease keeps whatever time it has left.
+        return UnavailableError("server is draining; lease not renewed");
+      }
+      session.lease->expires_at_ms.store(NowWallMs() + session.lease->ttl_ms.load());
+      return Reply{};
+    case WireOp::kWriteResume:
+      return HandleWriteResume(frame);
+    case WireOp::kServerStat: {
+      ByteWriter w;
+      w.PutU32(kWireVersion);
+      w.PutU32(static_cast<uint32_t>(active_sessions()));
+      w.PutU32(static_cast<uint32_t>(active_leases()));
+      w.PutU64(staged_bytes_.load());
+      w.PutU8(draining_.load() ? 1 : 0);
+      return Reply{WireOp::kServerStatOk, w.TakeBuffer()};
+    }
+    case WireOp::kMetricsDump: {
+      UCP_ASSIGN_OR_RETURN(uint8_t format, r.GetU8());
+      std::string text = format == 1 ? obs::DumpMetricsPrometheus() : obs::DumpMetricsText();
+      if (text.size() > kMaxFramePayload) {
+        text.resize(kMaxFramePayload);  // a metrics page this large is its own anomaly
+      }
+      return Reply{WireOp::kBytes, std::vector<uint8_t>(text.begin(), text.end())};
+    }
+    default:
+      return UnimplementedError("unknown wire op " +
+                                std::to_string(static_cast<int>(frame.op)));
+  }
 }
 
 void StoreServer::DumpAnomaly(const std::string& label, const std::string& detail) {
@@ -1562,8 +1385,7 @@ void StoreServer::HttpLoop() {
         }
         h["staged_bytes"] = static_cast<int64_t>(staged_bytes_.load());
         h["journal_seq"] = static_cast<int64_t>(journal_seq_.load());
-        h["wire_version"] =
-            static_cast<int64_t>(std::min(kWireVersion, options_.max_wire_version));
+        h["wire_version"] = static_cast<int64_t>(kWireVersion);
         body = Json(std::move(h)).Dump() + "\n";
         content_type = "application/json";
       } else if (path == "/metrics") {

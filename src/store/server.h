@@ -19,15 +19,15 @@
 // (lease, tag): commit/abort/reset of one tag releases only that tag's bytes, so two
 // saves multiplexed over one connection can't free each other's budget.
 //
-// Session leases (wire v3): a client may bind a lease (SESSION_OPEN with a self-generated
+// Session leases: a client may bind a lease (SESSION_OPEN with a self-generated
 // token and TTL). Staged bytes and half-streamed upload spools of a leased session survive
 // the socket — lease *expiry*, not connection death, is what reaps them.
 // A reconnecting client re-presents its token, re-adopts the lease (same admission
 // seniority), asks WRITE_RESUME how far each upload got, and continues from the
 // acknowledged offset. The lease table is journaled to `<root>/.ucp_serverd.journal` so a
 // restarted daemon re-adopts live-leased half-staged tags and sweeps expired ones.
-// Sessions without a lease (v1/v2 clients, or v3 clients that never SESSION_OPEN) keep
-// the historical semantics: everything releases the moment the connection dies.
+// Sessions without a lease (the client never sent SESSION_OPEN, or leases are disabled)
+// release everything the moment the connection dies.
 
 #ifndef UCP_SRC_STORE_SERVER_H_
 #define UCP_SRC_STORE_SERVER_H_
@@ -53,9 +53,6 @@ struct StoreServerOptions {
   int max_sessions = 64;
   uint64_t max_staged_bytes = 256ull << 20;   // admission budget for in-flight staging
   bool drain_on_shutdown = true;              // wait for idle sessions before closing them
-  // Highest protocol version this server will negotiate. Production leaves the default;
-  // the downgrade conformance tests pin v1/v2 server behavior with it.
-  uint32_t max_wire_version = kWireVersion;
   // Upper bound on the TTL a SESSION_OPEN may request (requests above it are clamped,
   // not refused). 0 disables leases entirely: SESSION_OPEN gets kFailedPrecondition and
   // every session falls back to release-on-disconnect.
@@ -112,6 +109,7 @@ class StoreServer {
   struct Session;
   struct OpenRead;
   struct Lease;
+  struct Reply;
 
   explicit StoreServer(StoreServerOptions options)
       : options_(std::move(options)), store_(options_.root) {}
@@ -123,21 +121,25 @@ class StoreServer {
   // One request frame -> one (or zero, for chunks) response frame. Returns false when the
   // connection must close. HandleFrame absorbs TRACE_CONTEXT prefix frames, adopts the
   // propagated context around a per-RPC server span, and records per-op histograms;
-  // HandleFrameInner is the actual dispatch.
+  // HandleFrameInner appends WRITE_CHUNK frames and sends Dispatch's reply or error.
   bool HandleFrame(int fd, const WireFrame& frame, Session& session);
   bool HandleFrameInner(int fd, const WireFrame& frame, Session& session);
+  // Decodes one request, runs it, and returns the reply frame to send.
+  Result<Reply> Dispatch(const WireFrame& frame, Session& session);
   Status HandleWriteBegin(const WireFrame& frame, Session& session);
   Status HandleWriteChunk(const WireFrame& frame, Session& session);
   Status HandleWriteEnd(const WireFrame& frame, Session& session);
-  Result<std::vector<uint8_t>> HandleWriteResume(const WireFrame& frame);
-  Result<std::vector<uint8_t>> HandleSessionOpen(const WireFrame& frame, Session& session);
-  Result<std::vector<uint8_t>> HandleReadRange(const WireFrame& frame, Session& session);
-  Result<std::vector<uint8_t>> HandleOpenRead(const WireFrame& frame, Session& session);
+  Result<Reply> HandleWriteResume(const WireFrame& frame);
+  Result<Reply> HandleSessionOpen(const WireFrame& frame, Session& session);
+  Result<Reply> HandleReadRange(const WireFrame& frame, Session& session);
+  Result<Reply> HandleOpenRead(const WireFrame& frame, Session& session);
   void AbandonOpenWrite(Session& session);
   // Releases the lease's staged-bytes budget and drops it from the table.
   // Caller holds mu_.
   void ReleaseLeaseLocked(Lease& lease);
-  void ReleaseStagedBytesForTagLocked(Lease& lease, const std::string& tag);
+  // After a reset, commit or abort of `tag`: releases the budget `lease` holds for that tag
+  // (other tags' saves on the lease keep theirs) and journals a named lease. Takes mu_.
+  void ReleaseStagedTag(Lease& lease, const std::string& tag);
   // Rewrites the lease journal from the current table. Caller holds mu_; no-op when
   // journaling is off.
   void WriteJournalLocked();

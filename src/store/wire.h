@@ -10,10 +10,10 @@
 //   u32 crc      CRC32 over the type byte followed by the payload
 //
 // A frame whose magic, length bound, or CRC fails is a *torn frame*: the receiver reports
-// kDataLoss and the connection is unusable (stream framing is lost). Protocol version is
-// negotiated by the first exchange — HELLO carries the client's [min,max] supported
-// versions, HELLO_OK picks one — so old clients and new servers fail closed with a typed
-// error instead of misparsing each other.
+// kDataLoss and the connection is unusable (stream framing is lost). The first exchange is
+// the handshake: HELLO carries the client's [min,max] supported versions and HELLO_OK
+// names the one the server speaks, so a peer outside the window fails closed with a typed
+// kFailedPrecondition instead of misparsing later frames.
 //
 // Transport-level transient errors (EINTR/EAGAIN, partial send/recv progress) are retried
 // inside SendAll/RecvAll with IoRetryPolicy backoff and surfaced in the io.retry.*
@@ -32,18 +32,12 @@
 namespace ucp {
 
 inline constexpr uint32_t kWireMagic = 0x57504355;  // "UCPW" little-endian
-// Version 2 added chunk-dedup ops that have since been retired, so v1 and v2 now speak the
-// same ops. Version 3 adds session leases (SESSION_OPEN / SESSION_RENEW), offset-addressed
-// WRITE_CHUNK frames, and the WRITE_RESUME query that together make interrupted uploads
-// resumable across reconnects and daemon restarts. Version 4 adds observability: the
-// TRACE_CONTEXT prefix frame that propagates a client (trace_id, parent_span_id) pair onto
-// the next request, and METRICS_DUMP for fetching the daemon's metrics page over the store
-// endpoint. Both sides still speak older versions: the negotiated version is
-// min(server max, client max) within the overlapping [min,max] ranges, and a client on an
-// old peer silently degrades (on v3 no trace header or remote metrics; on v2 and v1
-// additionally no lease, full-restart write semantics).
+// Wire version: v4 only. It carries session leases (SESSION_OPEN / SESSION_RENEW),
+// offset-addressed WRITE_BEGIN / WRITE_CHUNK frames and the WRITE_RESUME query that make
+// interrupted uploads resumable, and the TRACE_CONTEXT prefix frame and METRICS_DUMP op for
+// observability. (v1 and v2 had no leases or resumable writes and v3 lacked the two
+// observability ops; none of them is spoken any more.)
 inline constexpr uint32_t kWireVersion = 4;
-inline constexpr uint32_t kWireMinVersion = 1;
 // Bound on one frame's payload; larger files stream as multiple WRITE_CHUNK / READ_RANGE
 // exchanges. Also the admission unit for the server's torn-frame defense: a corrupt length
 // field can never make the server allocate more than this.
@@ -62,13 +56,12 @@ enum class WireOp : uint8_t {
   kCloseRead = 7,     // u64 handle
   kExists = 8,        // str rel
   kResetStaging = 9,  // str tag
-  kWriteBegin = 10,   // str tag | str rel | u64 total_bytes
-                      // v3 sessions append: | u64 resume_offset (0 = fresh write; > 0
-                      // continues a spooled upload whose first resume_offset bytes the
-                      // server already acknowledged via WRITE_RESUME)
-  kWriteChunk = 11,   // v1/v2: raw bytes (appended to the open write)
-                      // v3: u64 offset | raw bytes — idempotent: a chunk whose byte
-                      // range is already spooled is skipped, a gap is kDataLoss
+  kWriteBegin = 10,   // str tag | str rel | u64 total_bytes | u64 resume_offset
+                      // (0 = fresh write; > 0 continues a spooled upload whose first
+                      // resume_offset bytes the server already acknowledged via
+                      // WRITE_RESUME)
+  kWriteChunk = 11,   // u64 offset | raw bytes — idempotent: a chunk whose byte range is
+                      // already spooled is skipped, a gap is kDataLoss
   kWriteEnd = 12,     // u32 crc32 of the whole file body
   kCommitTag = 13,    // str tag | str meta_json
   kAbortTag = 14,     // str tag
@@ -77,12 +70,10 @@ enum class WireOp : uint8_t {
   kSweepDebris = 17,  // str job
   kPing = 18,         // empty
   // 19 and 20 (and the 73 reply) were the retired chunk-dedup ops; never reuse them.
-  // v3+ only (negotiated version >= 3; older sessions get kFailedPrecondition):
   kSessionOpen = 21,  // str lease_token | u32 ttl_ms — bind (or re-adopt) a lease
   kSessionRenew = 22, // empty — extend the bound lease's TTL (idle keep-alive)
   kWriteResume = 23,  // str tag | str rel — how many bytes the server already has
   kServerStat = 24,   // empty — sessions/leases/staged/draining snapshot
-  // v4+ only (negotiated version >= 4):
   kTraceContext = 25, // u64 trace_id | u64 parent_span_id — no response; annotates the
                       // *next* request frame on this connection with the client's trace
                       // context so the server's handling span joins the client's trace
@@ -90,8 +81,8 @@ enum class WireOp : uint8_t {
 
   kOk = 64,           // empty
   kError = 65,        // u8 status_code | str message
-                      // | optional trailing u32 retry_after_ms hint (v3 servers attach
-                      // it to drain-mode refusals; old clients ignore trailing bytes)
+                      // | optional trailing u32 retry_after_ms hint (attached to
+                      // drain-mode lease refusals)
   kHelloOk = 66,      // u32 version | u64 session_id | u32 max_frame
   kStrList = 67,      // u32 count | count * str
   kBytes = 68,        // raw bytes
@@ -117,7 +108,7 @@ const char* WireOpName(WireOp op);
 // Sends one complete frame. kUnavailable when the peer is gone (EPIPE/ECONNRESET) or
 // transient retries exhaust.
 Status SendFrame(int fd, WireOp op, const void* payload, size_t len);
-// Two-part payload (prefix ++ body in one frame): the v3 WRITE_CHUNK path prepends the
+// Two-part payload (prefix ++ body in one frame): the WRITE_CHUNK path prepends the
 // u64 offset to a chunk that lives in the caller's tensor buffer without an extra copy.
 Status SendFrame(int fd, WireOp op, const void* prefix, size_t prefix_len,
                  const void* payload, size_t len);

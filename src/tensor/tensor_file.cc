@@ -14,7 +14,7 @@ namespace {
 constexpr uint32_t kTensorMagic = 0x31544355;  // "UCT1" little-endian
 constexpr uint32_t kBundleMagic = 0x31424355;  // "UCB1" little-endian
 constexpr uint32_t kEndianTag = 0x01020304;
-constexpr uint32_t kFormatVersion = 3;  // see the header's version history
+constexpr uint32_t kFormatVersion = 3;  // the only version written or read
 
 // Chunk sizing: 64 KiB default, halved down to 4 KiB until a payload spans at least four
 // chunks, so chunk-CRC localization is meaningful even for simulator-scale tensors.
@@ -118,7 +118,7 @@ void DecodeElements(const uint8_t* raw, DType dtype, int64_t count, float* out) 
 }
 
 // ---------------------------------------------------------------------------
-// Shared header pieces (v1/v2/v3 all use the same dtype/shape/payload-size encoding).
+// Per-payload header pieces: dtype, shape and payload size.
 
 void PutHeader(ByteWriter& w, const Tensor& t, DType dtype) {
   w.PutU8(static_cast<uint8_t>(dtype));
@@ -162,8 +162,8 @@ Result<ParsedHeader> GetHeaderAndSize(ByteReader& r) {
 }
 
 std::string ChunkCrcErr(const std::string& what, size_t chunk_index, size_t num_chunks) {
-  // Keeps the v2 "per-tensor CRC mismatch in <member>" phrasing (callers and fsck match on
-  // it) while pinpointing the damaged chunk.
+  // Callers and fsck match on the "per-tensor CRC mismatch in <member>" phrasing; the
+  // suffix pinpoints the damaged chunk.
   return "per-tensor CRC mismatch in " + what + " (chunk " + std::to_string(chunk_index) +
          " of " + std::to_string(num_chunks) + ")";
 }
@@ -264,20 +264,24 @@ std::vector<uint8_t> BuildV3(const ByteWriter& header, const std::vector<V3Paylo
 // ---------------------------------------------------------------------------
 // Read-side helpers.
 
-// Checks magic + endian tag from the 12-byte prologue and classifies the format version:
-// a known version value (2, 3) at offset 8, anything else is pre-version-field v1. (A v1
-// tensor file has the dtype byte at offset 8, which never collides with 2/3 for the files
-// we write: dtype <= 2 and ndim >= 1 put a value >= 256 there.)
-Result<uint32_t> SniffPrologue(const uint8_t* p, uint32_t magic, const char* kind,
-                               const std::string& path) {
+// Checks magic, endian tag and format version from the 12-byte prologue. A version other
+// than 3 is kDataLoss, the code a bad magic gets: both CRCs cover the field, so bit rot in it
+// and a file from another build look alike, and either way resume must fall back to an
+// older tag.
+Status CheckPrologue(const uint8_t* p, uint32_t magic, const char* kind,
+                     const std::string& path) {
   if (LoadU32(p) != magic) {
     return DataLossError(std::string(kind) + " bad magic in " + path);
   }
   if (LoadU32(p + 4) != kEndianTag) {
     return DataLossError(std::string(kind) + " endianness mismatch in " + path);
   }
-  uint32_t v = LoadU32(p + 8);
-  return (v == 2 || v == 3) ? v : 1;
+  const uint32_t version = LoadU32(p + 8);
+  if (version != kFormatVersion) {
+    return DataLossError(std::string(kind) + " format version " + std::to_string(version) +
+                         " in " + path + " is not supported (only v3 is read)");
+  }
+  return OkStatus();
 }
 
 Status CheckFileCrc(const std::string& contents, const char* kind, const std::string& path) {
@@ -290,62 +294,27 @@ Status CheckFileCrc(const std::string& contents, const char* kind, const std::st
   return OkStatus();
 }
 
-Status CheckPayloadCrc(ByteReader& r, const void* payload, size_t size, const char* what) {
-  uint32_t actual = Crc32(payload, size);
-  UCP_ASSIGN_OR_RETURN(uint32_t stored, r.GetU32());
-  if (stored != actual) {
-    return DataLossError(std::string("per-tensor CRC mismatch in ") + what);
-  }
-  return OkStatus();
-}
-
-// Raw (undecoded) payload bytes of one legacy member; verifies the per-tensor CRC for v2.
-Result<std::vector<uint8_t>> GetRawPayloadLegacy(ByteReader& r, const ParsedHeader& h,
-                                                 uint32_t version, const std::string& name) {
-  std::vector<uint8_t> raw(h.payload_bytes);
-  UCP_RETURN_IF_ERROR(r.GetBytes(raw.data(), raw.size()));
-  if (version >= 2) {
-    UCP_RETURN_IF_ERROR(CheckPayloadCrc(r, raw.data(), raw.size(), name.c_str()));
-  }
-  return raw;
-}
-
-Result<Tensor> GetPayloadLegacy(ByteReader& r, const ParsedHeader& h, uint32_t version,
-                                const std::string& name) {
-  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, GetRawPayloadLegacy(r, h, version, name));
-  Tensor t = Tensor::Zeros(h.shape);
-  DecodeElements(raw.data(), h.dtype, t.numel(), t.data());
-  return t;
-}
-
-// Verifies the trailing file CRC, the prologue, and (for v2) the version field, returning a
-// reader positioned at the first header byte plus the sniffed version.
-struct LegacyFile {
-  ByteReader reader;
-  uint32_t version;
-};
-
-Result<LegacyFile> OpenLegacyOrV3(const std::string& contents, uint32_t magic,
-                                  const char* kind, const std::string& path) {
-  if (contents.size() < 16) {  // prologue + trailing CRC at minimum
+// Checks the prologue, the trailing file CRC and the header-size field of a whole file held
+// in memory; returns the header size (== the first payload's offset).
+Result<uint64_t> CheckWholeFile(const std::string& contents, uint32_t magic, const char* kind,
+                                const std::string& path) {
+  if (contents.size() < 24) {  // prologue + header size + trailing CRC at minimum
     return DataLossError(std::string(kind) + " file truncated: " + path);
   }
-  UCP_ASSIGN_OR_RETURN(
-      uint32_t version,
-      SniffPrologue(reinterpret_cast<const uint8_t*>(contents.data()), magic, kind, path));
+  const uint8_t* data = reinterpret_cast<const uint8_t*>(contents.data());
+  UCP_RETURN_IF_ERROR(CheckPrologue(data, magic, kind, path));
   UCP_RETURN_IF_ERROR(CheckFileCrc(contents, kind, path));
-  ByteReader r(contents.data(), contents.size() - 4);
-  (void)r.GetU32();  // magic (already checked)
-  (void)r.GetU32();  // endian (already checked)
-  if (version >= 2) {
-    (void)r.GetU32();  // version field
+  const uint64_t header_bytes = LoadU64(data + 12);
+  if (header_bytes < 24 || header_bytes > contents.size() - 4) {
+    return DataLossError(std::string(kind) + " header size out of range in " + path);
   }
-  return LegacyFile{r, version};
+  return header_bytes;
 }
 
-// Parsed v3 tensor-file header prefix (prefix = bytes [0, header_bytes), including its CRC).
+// Parsed tensor-file header prefix (prefix = bytes [0, header_bytes), including its CRC).
 struct V3TensorHeader {
   TensorFileInfo info;
+  uint64_t payload_offset = 0;  // == header_bytes
   std::vector<uint32_t> chunk_crcs;
 };
 
@@ -378,8 +347,10 @@ Result<std::pair<ParsedHeader, std::pair<uint32_t, std::vector<uint32_t>>>> GetV
   return std::make_pair(std::move(h), std::make_pair(chunk_bytes, std::move(crcs)));
 }
 
+// `file_size` is the size of the whole file the prefix came from; a file whose payload does
+// not end exactly at its trailing CRC is truncated (or padded) and rejected.
 Result<V3TensorHeader> ParseV3TensorPrefix(const uint8_t* prefix, uint64_t size,
-                                           const std::string& path) {
+                                           uint64_t file_size, const std::string& path) {
   UCP_RETURN_IF_ERROR(CheckHeaderCrc(prefix, size, "tensor", path));
   ByteReader r(prefix, static_cast<size_t>(size - 4));
   (void)r.GetU32();  // magic
@@ -393,13 +364,17 @@ Result<V3TensorHeader> ParseV3TensorPrefix(const uint8_t* prefix, uint64_t size,
   if (!r.AtEnd()) {
     return DataLossError("trailing bytes in tensor header of " + path);
   }
+  if (size + entry.first.payload_bytes + 4 != file_size) {
+    return DataLossError("tensor file truncated: " + path);
+  }
   V3TensorHeader h;
   h.info.shape = std::move(entry.first.shape);
   h.info.dtype = entry.first.dtype;
   h.info.payload_bytes = entry.first.payload_bytes;
-  h.info.format_version = 3;
+  h.info.format_version = kFormatVersion;
   h.info.chunk_bytes = entry.second.first;
   h.info.num_chunks = static_cast<uint32_t>(entry.second.second.size());
+  h.payload_offset = size;
   h.chunk_crcs = std::move(entry.second.second);
   return h;
 }
@@ -413,11 +388,10 @@ struct V3BundleHeader {
     std::vector<uint32_t> chunk_crcs;
   };
   std::vector<Member> members;
-  uint64_t payload_end = 0;  // absolute offset just past the last payload
 };
 
 Result<V3BundleHeader> ParseV3BundlePrefix(const uint8_t* prefix, uint64_t size,
-                                           const std::string& path) {
+                                           uint64_t file_size, const std::string& path) {
   UCP_RETURN_IF_ERROR(CheckHeaderCrc(prefix, size, "bundle", path));
   ByteReader r(prefix, static_cast<size_t>(size - 4));
   (void)r.GetU32();  // magic
@@ -447,7 +421,7 @@ Result<V3BundleHeader> ParseV3BundlePrefix(const uint8_t* prefix, uint64_t size,
     info.shape = std::move(entry.first.shape);
     info.dtype = entry.first.dtype;
     info.payload_bytes = entry.first.payload_bytes;
-    info.format_version = 3;
+    info.format_version = kFormatVersion;
     info.chunk_bytes = entry.second.first;
     info.num_chunks = static_cast<uint32_t>(entry.second.second.size());
     out.entries.emplace_back(std::move(name), std::move(info));
@@ -457,19 +431,61 @@ Result<V3BundleHeader> ParseV3BundlePrefix(const uint8_t* prefix, uint64_t size,
   if (!r.AtEnd()) {
     return DataLossError("trailing bytes in bundle header of " + path);
   }
-  out.payload_end = expected_offset;
+  if (expected_offset + 4 != file_size) {
+    return DataLossError("bundle file truncated: " + path);
+  }
   return out;
 }
 
-// Reads the [0, header_bytes) prefix of a v3 file (prologue already sniffed).
-Result<std::vector<uint8_t>> ReadV3Prefix(ByteSource& f, const char* kind) {
+// A whole file held in memory, parsed and fully verified: prologue, file CRC, header and
+// every payload chunk.
+Result<V3TensorHeader> VerifyTensorFile(const std::string& contents, const std::string& path) {
+  UCP_ASSIGN_OR_RETURN(uint64_t header_bytes,
+                       CheckWholeFile(contents, kTensorMagic, "tensor", path));
+  const uint8_t* data = reinterpret_cast<const uint8_t*>(contents.data());
+  UCP_ASSIGN_OR_RETURN(V3TensorHeader h,
+                       ParseV3TensorPrefix(data, header_bytes, contents.size(), path));
+  UCP_RETURN_IF_ERROR(VerifyChunks(data + h.payload_offset, h.info.payload_bytes,
+                                   h.info.chunk_bytes, h.chunk_crcs, path));
+  return h;
+}
+
+Result<V3BundleHeader> VerifyBundleFile(const std::string& contents, const std::string& path) {
+  UCP_ASSIGN_OR_RETURN(uint64_t header_bytes,
+                       CheckWholeFile(contents, kBundleMagic, "bundle", path));
+  const uint8_t* data = reinterpret_cast<const uint8_t*>(contents.data());
+  UCP_ASSIGN_OR_RETURN(V3BundleHeader h,
+                       ParseV3BundlePrefix(data, header_bytes, contents.size(), path));
+  for (size_t i = 0; i < h.entries.size(); ++i) {
+    const V3BundleHeader::Member& m = h.members[i];
+    UCP_RETURN_IF_ERROR(VerifyChunks(data + m.payload_offset,
+                                     h.entries[i].second.payload_bytes, m.chunk_bytes,
+                                     m.chunk_crcs, path + ":" + h.entries[i].first));
+  }
+  return h;
+}
+
+// Reads the full contents of a source into memory for a deep-verify pass.
+Result<std::string> SlurpSource(ByteSource& source) {
+  std::string contents(source.size(), '\0');
+  if (!contents.empty()) {
+    UCP_RETURN_IF_ERROR(source.ReadAt(0, contents.data(), contents.size()));
+  }
+  CountRead(contents.size());
+  return contents;
+}
+
+// Reads the [0, header_bytes) prefix of `f` after checking its prologue, so a wrong magic or
+// version is reported as such rather than as a bad header size.
+Result<std::vector<uint8_t>> ReadV3Prefix(ByteSource& f, uint32_t magic, const char* kind) {
   if (f.size() < 24) {
     return DataLossError(std::string(kind) + " file truncated: " + f.name());
   }
   uint8_t head[20];
   UCP_RETURN_IF_ERROR(f.ReadAt(0, head, sizeof(head)));
+  UCP_RETURN_IF_ERROR(CheckPrologue(head, magic, kind, f.name()));
   uint64_t header_bytes = LoadU64(head + 12);
-  if (header_bytes < 24 || header_bytes + 4 > f.size()) {
+  if (header_bytes < 24 || header_bytes > f.size() - 4) {
     return DataLossError(std::string(kind) + " header size out of range in " + f.name());
   }
   std::vector<uint8_t> prefix(static_cast<size_t>(header_bytes));
@@ -527,12 +543,6 @@ Status ReadChunkedRange(ByteSource& f, uint64_t payload_offset,
   return OkStatus();
 }
 
-Status Commit(const std::string& path, ByteWriter& w) {
-  uint32_t crc = Crc32(w.buffer().data(), w.size());
-  w.PutU32(crc);
-  return WriteFileAtomic(path, w.buffer().data(), w.size());
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -556,7 +566,8 @@ void ResetTensorIoStats() {
 // Single-tensor files.
 
 Status SaveTensor(const std::string& path, const Tensor& tensor, DType dtype) {
-  return SaveTensorAtVersion(path, tensor, dtype, kFormatVersion);
+  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> buf, SerializeTensor(tensor, dtype));
+  return WriteFileAtomic(path, buf.data(), buf.size());
 }
 
 Result<std::vector<uint8_t>> SerializeTensor(const Tensor& tensor, DType dtype) {
@@ -569,117 +580,32 @@ Result<std::vector<uint8_t>> SerializeTensor(const Tensor& tensor, DType dtype) 
   return BuildV3(w, payloads, dtype);
 }
 
-Status SaveTensorAtVersion(const std::string& path, const Tensor& tensor, DType dtype,
-                           uint32_t version) {
-  if (!tensor.defined()) {
-    return InvalidArgumentError("SaveTensor of undefined tensor: " + path);
-  }
-  if (version == 3) {
-    UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> buf, SerializeTensor(tensor, dtype));
-    return WriteFileAtomic(path, buf.data(), buf.size());
-  }
-  if (version != 1 && version != 2) {
-    return InvalidArgumentError("unknown tensor format version " + std::to_string(version));
-  }
-  std::vector<uint8_t> payload;
-  AppendPayload(payload, tensor, dtype);
-  ByteWriter w;
-  w.PutU32(kTensorMagic);
-  w.PutU32(kEndianTag);
-  if (version == 2) {
-    w.PutU32(2);
-  }
-  PutHeader(w, tensor, dtype);
-  w.PutU64(payload.size());
-  w.PutBytes(payload.data(), payload.size());
-  if (version == 2) {
-    w.PutU32(Crc32(payload.data(), payload.size()));  // per-tensor CRC
-  }
-  return Commit(path, w);
-}
-
 Result<Tensor> LoadTensor(const std::string& path) {
   UCP_ASSIGN_OR_RETURN(std::string contents, ReadFileToString(path));
   CountRead(contents.size());
-  UCP_ASSIGN_OR_RETURN(LegacyFile f, OpenLegacyOrV3(contents, kTensorMagic, "tensor", path));
-  const uint8_t* data = reinterpret_cast<const uint8_t*>(contents.data());
-  if (f.version == 3) {
-    uint64_t header_bytes = LoadU64(data + 12);
-    if (header_bytes < 24 || header_bytes + 4 > contents.size()) {
-      return DataLossError("tensor header size out of range in " + path);
-    }
-    UCP_ASSIGN_OR_RETURN(V3TensorHeader h, ParseV3TensorPrefix(data, header_bytes, path));
-    if (header_bytes + h.info.payload_bytes + 4 != contents.size()) {
-      return DataLossError("tensor file truncated: " + path);
-    }
-    const uint8_t* payload = data + header_bytes;
-    UCP_RETURN_IF_ERROR(
-        VerifyChunks(payload, h.info.payload_bytes, h.info.chunk_bytes, h.chunk_crcs, path));
-    Tensor t = Tensor::Zeros(h.info.shape);
-    DecodeElements(payload, h.info.dtype, t.numel(), t.data());
-    return t;
-  }
-  UCP_ASSIGN_OR_RETURN(ParsedHeader h, GetHeaderAndSize(f.reader));
-  return GetPayloadLegacy(f.reader, h, f.version, path);
+  UCP_ASSIGN_OR_RETURN(V3TensorHeader h, VerifyTensorFile(contents, path));
+  Tensor t = Tensor::Zeros(h.info.shape);
+  DecodeElements(reinterpret_cast<const uint8_t*>(contents.data()) + h.payload_offset,
+                 h.info.dtype, t.numel(), t.data());
+  return t;
 }
 
 Result<TensorFileInfo> StatTensor(const std::string& path) {
-  // v3: reads only the header prefix (verified by its own CRC). v1/v2: the view falls back
-  // to a whole-file read, so corrupted metadata still cannot plan a bad load.
+  // Reads only the header prefix, verified by its own CRC.
   UCP_ASSIGN_OR_RETURN(TensorFileView view, TensorFileView::Open(path));
   return view.info();
 }
 
-namespace {
-
-// Reads the full contents of a source into memory for a deep-verify pass.
-Result<std::string> SlurpSource(ByteSource& source) {
-  std::string contents(source.size(), '\0');
-  if (!contents.empty()) {
-    UCP_RETURN_IF_ERROR(source.ReadAt(0, contents.data(), contents.size()));
-  }
-  CountRead(contents.size());
-  return contents;
-}
-
-Status DeepVerifyTensorContents(const std::string& contents, const std::string& path);
-Status DeepVerifyBundleContents(const std::string& contents, const std::string& path);
-
-}  // namespace
-
 Status DeepVerifyTensorFile(const std::string& path) {
   UCP_ASSIGN_OR_RETURN(std::string contents, ReadFileToString(path));
   CountRead(contents.size());
-  return DeepVerifyTensorContents(contents, path);
+  return VerifyTensorFile(contents, path).status();
 }
 
 Status DeepVerifyTensorFile(std::unique_ptr<ByteSource> source) {
   UCP_ASSIGN_OR_RETURN(std::string contents, SlurpSource(*source));
-  return DeepVerifyTensorContents(contents, source->name());
+  return VerifyTensorFile(contents, source->name()).status();
 }
-
-namespace {
-
-Status DeepVerifyTensorContents(const std::string& contents, const std::string& path) {
-  UCP_ASSIGN_OR_RETURN(LegacyFile f, OpenLegacyOrV3(contents, kTensorMagic, "tensor", path));
-  const uint8_t* data = reinterpret_cast<const uint8_t*>(contents.data());
-  if (f.version == 3) {
-    uint64_t header_bytes = LoadU64(data + 12);
-    if (header_bytes < 24 || header_bytes + 4 > contents.size()) {
-      return DataLossError("tensor header size out of range in " + path);
-    }
-    UCP_ASSIGN_OR_RETURN(V3TensorHeader h, ParseV3TensorPrefix(data, header_bytes, path));
-    if (header_bytes + h.info.payload_bytes + 4 != contents.size()) {
-      return DataLossError("tensor file truncated: " + path);
-    }
-    return VerifyChunks(data + header_bytes, h.info.payload_bytes, h.info.chunk_bytes,
-                        h.chunk_crcs, path);
-  }
-  UCP_ASSIGN_OR_RETURN(ParsedHeader h, GetHeaderAndSize(f.reader));
-  return GetRawPayloadLegacy(f.reader, h, f.version, path).status();
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // TensorFileView.
@@ -691,40 +617,17 @@ Result<TensorFileView> TensorFileView::Open(const std::string& path) {
 
 Result<TensorFileView> TensorFileView::Open(std::unique_ptr<ByteSource> source) {
   const std::string path = source->name();
-  if (source->size() < 16) {
-    return DataLossError("tensor file truncated: " + path);
-  }
-  uint8_t prologue[12];
-  UCP_RETURN_IF_ERROR(source->ReadAt(0, prologue, sizeof(prologue)));
-  UCP_ASSIGN_OR_RETURN(uint32_t version, SniffPrologue(prologue, kTensorMagic, "tensor", path));
+  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> prefix,
+                       ReadV3Prefix(*source, kTensorMagic, "tensor"));
+  UCP_ASSIGN_OR_RETURN(V3TensorHeader h, ParseV3TensorPrefix(prefix.data(), prefix.size(),
+                                                             source->size(), path));
   TensorFileView view;
   view.path_ = path;
-  if (version == 3) {
-    UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> prefix, ReadV3Prefix(*source, "tensor"));
-    UCP_ASSIGN_OR_RETURN(V3TensorHeader h,
-                         ParseV3TensorPrefix(prefix.data(), prefix.size(), path));
-    if (prefix.size() + h.info.payload_bytes + 4 != source->size()) {
-      return DataLossError("tensor file truncated: " + path);
-    }
-    view.info_ = std::move(h.info);
-    view.chunk_crcs_ = std::move(h.chunk_crcs);
-    view.chunk_verified_.assign(view.chunk_crcs_.size(), false);
-    view.payload_offset_ = prefix.size();
-    view.source_ = std::move(source);
-    return view;
-  }
-  // Legacy: read and fully verify the whole file once; ranges are then served from memory.
-  std::string contents(source->size(), '\0');
-  UCP_RETURN_IF_ERROR(source->ReadAt(0, contents.data(), contents.size()));
-  CountRead(contents.size());
-  UCP_ASSIGN_OR_RETURN(LegacyFile lf, OpenLegacyOrV3(contents, kTensorMagic, "tensor", path));
-  UCP_ASSIGN_OR_RETURN(ParsedHeader h, GetHeaderAndSize(lf.reader));
-  UCP_ASSIGN_OR_RETURN(view.legacy_payload_,
-                       GetRawPayloadLegacy(lf.reader, h, lf.version, path));
-  view.info_.shape = std::move(h.shape);
-  view.info_.dtype = h.dtype;
-  view.info_.payload_bytes = h.payload_bytes;
-  view.info_.format_version = lf.version;
+  view.info_ = std::move(h.info);
+  view.chunk_crcs_ = std::move(h.chunk_crcs);
+  view.chunk_verified_.assign(view.chunk_crcs_.size(), false);
+  view.payload_offset_ = h.payload_offset;
+  view.source_ = std::move(source);
   return view;
 }
 
@@ -733,12 +636,6 @@ Status TensorFileView::ReadElements(int64_t elem_begin, int64_t elem_count, floa
     return InvalidArgumentError("ReadElements range [" + std::to_string(elem_begin) + ", " +
                                 std::to_string(elem_begin + elem_count) +
                                 ") out of bounds for " + path_);
-  }
-  if (source_ == nullptr) {
-    DecodeElements(legacy_payload_.data() +
-                       static_cast<uint64_t>(elem_begin) * DTypeSize(info_.dtype),
-                   info_.dtype, elem_count, out);
-    return OkStatus();
   }
   return ReadChunkedRange(*source_, payload_offset_, info_.payload_bytes, info_.chunk_bytes,
                           chunk_crcs_, chunk_verified_, scratch_, info_.dtype, elem_begin,
@@ -859,39 +756,15 @@ Status SaveBundle(const std::string& path, const TensorBundle& bundle, DType dty
 Result<TensorBundle> LoadBundle(const std::string& path) {
   UCP_ASSIGN_OR_RETURN(std::string contents, ReadFileToString(path));
   CountRead(contents.size());
-  UCP_ASSIGN_OR_RETURN(LegacyFile f, OpenLegacyOrV3(contents, kBundleMagic, "bundle", path));
+  UCP_ASSIGN_OR_RETURN(V3BundleHeader h, VerifyBundleFile(contents, path));
+  const uint8_t* data = reinterpret_cast<const uint8_t*>(contents.data());
   TensorBundle bundle;
-  if (f.version == 3) {
-    const uint8_t* data = reinterpret_cast<const uint8_t*>(contents.data());
-    uint64_t header_bytes = LoadU64(data + 12);
-    if (header_bytes < 24 || header_bytes + 4 > contents.size()) {
-      return DataLossError("bundle header size out of range in " + path);
-    }
-    UCP_ASSIGN_OR_RETURN(V3BundleHeader h, ParseV3BundlePrefix(data, header_bytes, path));
-    if (h.payload_end + 4 != contents.size()) {
-      return DataLossError("bundle file truncated: " + path);
-    }
-    bundle.meta = std::move(h.meta);
-    for (size_t i = 0; i < h.entries.size(); ++i) {
-      const TensorFileInfo& info = h.entries[i].second;
-      const V3BundleHeader::Member& m = h.members[i];
-      const std::string what = path + ":" + h.entries[i].first;
-      UCP_RETURN_IF_ERROR(VerifyChunks(data + m.payload_offset, info.payload_bytes,
-                                       m.chunk_bytes, m.chunk_crcs, what));
-      Tensor t = Tensor::Zeros(info.shape);
-      DecodeElements(data + m.payload_offset, info.dtype, t.numel(), t.data());
-      bundle.Add(h.entries[i].first, std::move(t));
-    }
-    return bundle;
-  }
-  UCP_ASSIGN_OR_RETURN(std::string meta_text, f.reader.GetString());
-  UCP_ASSIGN_OR_RETURN(bundle.meta, Json::Parse(meta_text));
-  UCP_ASSIGN_OR_RETURN(uint32_t count, f.reader.GetU32());
-  for (uint32_t i = 0; i < count; ++i) {
-    UCP_ASSIGN_OR_RETURN(std::string name, f.reader.GetString());
-    UCP_ASSIGN_OR_RETURN(ParsedHeader h, GetHeaderAndSize(f.reader));
-    UCP_ASSIGN_OR_RETURN(Tensor t, GetPayloadLegacy(f.reader, h, f.version, path + ":" + name));
-    bundle.Add(std::move(name), std::move(t));
+  bundle.meta = std::move(h.meta);
+  for (size_t i = 0; i < h.entries.size(); ++i) {
+    const TensorFileInfo& info = h.entries[i].second;
+    Tensor t = Tensor::Zeros(info.shape);
+    DecodeElements(data + h.members[i].payload_offset, info.dtype, t.numel(), t.data());
+    bundle.Add(h.entries[i].first, std::move(t));
   }
   return bundle;
 }
@@ -915,50 +788,13 @@ Result<BundleInfo> StatBundle(std::unique_ptr<ByteSource> source) {
 Status DeepVerifyBundleFile(const std::string& path) {
   UCP_ASSIGN_OR_RETURN(std::string contents, ReadFileToString(path));
   CountRead(contents.size());
-  return DeepVerifyBundleContents(contents, path);
+  return VerifyBundleFile(contents, path).status();
 }
 
 Status DeepVerifyBundleFile(std::unique_ptr<ByteSource> source) {
   UCP_ASSIGN_OR_RETURN(std::string contents, SlurpSource(*source));
-  return DeepVerifyBundleContents(contents, source->name());
+  return VerifyBundleFile(contents, source->name()).status();
 }
-
-namespace {
-
-Status DeepVerifyBundleContents(const std::string& contents, const std::string& path) {
-  UCP_ASSIGN_OR_RETURN(LegacyFile f, OpenLegacyOrV3(contents, kBundleMagic, "bundle", path));
-  if (f.version == 3) {
-    const uint8_t* data = reinterpret_cast<const uint8_t*>(contents.data());
-    uint64_t header_bytes = LoadU64(data + 12);
-    if (header_bytes < 24 || header_bytes + 4 > contents.size()) {
-      return DataLossError("bundle header size out of range in " + path);
-    }
-    UCP_ASSIGN_OR_RETURN(V3BundleHeader h, ParseV3BundlePrefix(data, header_bytes, path));
-    if (h.payload_end + 4 != contents.size()) {
-      return DataLossError("bundle file truncated: " + path);
-    }
-    for (size_t i = 0; i < h.entries.size(); ++i) {
-      const V3BundleHeader::Member& m = h.members[i];
-      UCP_RETURN_IF_ERROR(VerifyChunks(data + m.payload_offset,
-                                       h.entries[i].second.payload_bytes, m.chunk_bytes,
-                                       m.chunk_crcs, path + ":" + h.entries[i].first));
-    }
-    return OkStatus();
-  }
-  UCP_ASSIGN_OR_RETURN(std::string meta_text, f.reader.GetString());
-  UCP_ASSIGN_OR_RETURN(Json meta, Json::Parse(meta_text));
-  (void)meta;
-  UCP_ASSIGN_OR_RETURN(uint32_t count, f.reader.GetU32());
-  for (uint32_t i = 0; i < count; ++i) {
-    UCP_ASSIGN_OR_RETURN(std::string name, f.reader.GetString());
-    UCP_ASSIGN_OR_RETURN(ParsedHeader h, GetHeaderAndSize(f.reader));
-    UCP_RETURN_IF_ERROR(
-        GetRawPayloadLegacy(f.reader, h, f.version, path + ":" + name).status());
-  }
-  return OkStatus();
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // BundleFileView.
@@ -970,58 +806,23 @@ Result<BundleFileView> BundleFileView::Open(const std::string& path) {
 
 Result<BundleFileView> BundleFileView::Open(std::unique_ptr<ByteSource> source) {
   const std::string path = source->name();
-  if (source->size() < 16) {
-    return DataLossError("bundle file truncated: " + path);
-  }
-  uint8_t prologue[12];
-  UCP_RETURN_IF_ERROR(source->ReadAt(0, prologue, sizeof(prologue)));
-  UCP_ASSIGN_OR_RETURN(uint32_t version, SniffPrologue(prologue, kBundleMagic, "bundle", path));
+  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> prefix,
+                       ReadV3Prefix(*source, kBundleMagic, "bundle"));
+  UCP_ASSIGN_OR_RETURN(V3BundleHeader h, ParseV3BundlePrefix(prefix.data(), prefix.size(),
+                                                             source->size(), path));
   BundleFileView view;
   view.path_ = path;
-  if (version == 3) {
-    UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> prefix, ReadV3Prefix(*source, "bundle"));
-    UCP_ASSIGN_OR_RETURN(V3BundleHeader h,
-                         ParseV3BundlePrefix(prefix.data(), prefix.size(), path));
-    if (h.payload_end + 4 != source->size()) {
-      return DataLossError("bundle file truncated: " + path);
-    }
-    view.meta_ = std::move(h.meta);
-    view.entries_ = std::move(h.entries);
-    for (V3BundleHeader::Member& m : h.members) {
-      Member member;
-      member.payload_offset = m.payload_offset;
-      member.chunk_bytes = m.chunk_bytes;
-      member.chunk_verified.assign(m.chunk_crcs.size(), false);
-      member.chunk_crcs = std::move(m.chunk_crcs);
-      view.members_.push_back(std::move(member));
-    }
-    view.source_ = std::move(source);
-    return view;
-  }
-  // Legacy: one verified whole-file read; members become offsets into the raw payload blob.
-  std::string contents(source->size(), '\0');
-  UCP_RETURN_IF_ERROR(source->ReadAt(0, contents.data(), contents.size()));
-  CountRead(contents.size());
-  UCP_ASSIGN_OR_RETURN(LegacyFile lf, OpenLegacyOrV3(contents, kBundleMagic, "bundle", path));
-  UCP_ASSIGN_OR_RETURN(std::string meta_text, lf.reader.GetString());
-  UCP_ASSIGN_OR_RETURN(view.meta_, Json::Parse(meta_text));
-  UCP_ASSIGN_OR_RETURN(uint32_t count, lf.reader.GetU32());
-  for (uint32_t i = 0; i < count; ++i) {
-    UCP_ASSIGN_OR_RETURN(std::string name, lf.reader.GetString());
-    UCP_ASSIGN_OR_RETURN(ParsedHeader h, GetHeaderAndSize(lf.reader));
-    UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> raw,
-                         GetRawPayloadLegacy(lf.reader, h, lf.version, path + ":" + name));
+  view.meta_ = std::move(h.meta);
+  view.entries_ = std::move(h.entries);
+  for (V3BundleHeader::Member& m : h.members) {
     Member member;
-    member.payload_offset = view.legacy_payload_.size();
-    view.legacy_payload_.insert(view.legacy_payload_.end(), raw.begin(), raw.end());
+    member.payload_offset = m.payload_offset;
+    member.chunk_bytes = m.chunk_bytes;
+    member.chunk_verified.assign(m.chunk_crcs.size(), false);
+    member.chunk_crcs = std::move(m.chunk_crcs);
     view.members_.push_back(std::move(member));
-    TensorFileInfo info;
-    info.shape = std::move(h.shape);
-    info.dtype = h.dtype;
-    info.payload_bytes = h.payload_bytes;
-    info.format_version = lf.version;
-    view.entries_.emplace_back(std::move(name), std::move(info));
   }
+  view.source_ = std::move(source);
   return view;
 }
 
@@ -1058,12 +859,6 @@ Status BundleFileView::ReadTensorElements(size_t entry_index, int64_t elem_begin
                                 entries_[entry_index].first);
   }
   Member& m = members_[entry_index];
-  if (source_ == nullptr) {
-    DecodeElements(legacy_payload_.data() + m.payload_offset +
-                       static_cast<uint64_t>(elem_begin) * DTypeSize(info.dtype),
-                   info.dtype, elem_count, out);
-    return OkStatus();
-  }
   return ReadChunkedRange(*source_, m.payload_offset, info.payload_bytes, m.chunk_bytes,
                           m.chunk_crcs, m.chunk_verified, scratch_, info.dtype, elem_begin,
                           elem_count, out, path_ + ":" + entries_[entry_index].first);
@@ -1076,38 +871,28 @@ Result<std::optional<FileChunkIndex>> ReadFileChunkIndex(ByteSource& source) {
   if (source.size() < 16) {
     return std::optional<FileChunkIndex>(std::nullopt);
   }
-  uint8_t prologue[12];
-  UCP_RETURN_IF_ERROR(source.ReadAt(0, prologue, sizeof(prologue)));
-  const uint32_t magic = LoadU32(prologue);
+  uint8_t magic_bytes[4];
+  UCP_RETURN_IF_ERROR(source.ReadAt(0, magic_bytes, sizeof(magic_bytes)));
+  const uint32_t magic = LoadU32(magic_bytes);
   const bool is_tensor = magic == kTensorMagic;
   if (!is_tensor && magic != kBundleMagic) {
     return std::optional<FileChunkIndex>(std::nullopt);
   }
-  const char* kind = is_tensor ? "tensor" : "bundle";
-  UCP_ASSIGN_OR_RETURN(uint32_t version, SniffPrologue(prologue, magic, kind, source.name()));
-  if (version != 3) {
-    return std::optional<FileChunkIndex>(std::nullopt);  // v1/v2 have no chunk table
-  }
-  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> prefix, ReadV3Prefix(source, kind));
+  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> prefix,
+                       ReadV3Prefix(source, magic, is_tensor ? "tensor" : "bundle"));
   FileChunkIndex index;
   if (is_tensor) {
-    UCP_ASSIGN_OR_RETURN(V3TensorHeader h,
-                         ParseV3TensorPrefix(prefix.data(), prefix.size(), source.name()));
-    if (prefix.size() + h.info.payload_bytes + 4 != source.size()) {
-      return DataLossError("tensor file truncated: " + source.name());
-    }
+    UCP_ASSIGN_OR_RETURN(V3TensorHeader h, ParseV3TensorPrefix(prefix.data(), prefix.size(),
+                                                               source.size(), source.name()));
     ChunkRegion region;
-    region.begin = prefix.size();
-    region.end = prefix.size() + h.info.payload_bytes;
+    region.begin = h.payload_offset;
+    region.end = h.payload_offset + h.info.payload_bytes;
     region.chunk_bytes = h.info.chunk_bytes;
     region.chunk_crcs = std::move(h.chunk_crcs);
     index.regions.push_back(std::move(region));
   } else {
-    UCP_ASSIGN_OR_RETURN(V3BundleHeader h,
-                         ParseV3BundlePrefix(prefix.data(), prefix.size(), source.name()));
-    if (h.payload_end + 4 != source.size()) {
-      return DataLossError("bundle file truncated: " + source.name());
-    }
+    UCP_ASSIGN_OR_RETURN(V3BundleHeader h, ParseV3BundlePrefix(prefix.data(), prefix.size(),
+                                                               source.size(), source.name()));
     for (size_t i = 0; i < h.members.size(); ++i) {
       ChunkRegion region;
       region.begin = h.members[i].payload_offset;

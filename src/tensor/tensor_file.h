@@ -8,24 +8,19 @@
 //    training rank persists its shard of model/optimizer state as one bundle — the analogue
 //    of torch.save of a rank's state dict.
 //
-// Both carry an endianness tag, a format-version field (gated on load), CRC32 integrity
-// checks that localize damage to a named tensor (or, from v3, to one payload chunk), and a
-// trailing CRC32 over the entire file. Truncation and corruption are detected at load time
-// (kDataLoss); `ucp_tool fsck` reports the damaged member.
+// Both carry an endianness tag, a format-version field, CRC32 integrity checks that localize
+// damage to one payload chunk of a named tensor, and a trailing CRC32 over the entire file.
+// Truncation and corruption are detected at load time (kDataLoss); `ucp_tool fsck` reports
+// the damaged member.
 //
-// Format version history:
-//   1 — magic, endian tag, payloads, whole-file CRC. (No version field: readers sniff it
-//       by the absence of a known version value at the version offset.)
-//   2 — adds the version field and a CRC32 after every tensor payload.
-//   3 — range-readable layout: all headers form a fixed-size prefix (its size is recorded
-//       at a fixed offset and the prefix carries its own CRC), payloads are raw contiguous
-//       bytes protected by a table of per-chunk CRC32s (64 KiB chunks, shrinking to 4 KiB
-//       for small payloads), and bundle entries record absolute payload offsets. Stat* read
-//       only the prefix; TensorFileView/BundleFileView serve pread range reads verifying
-//       only the chunks a range touches. The trailing whole-file CRC remains for
-//       whole-file readers and deep fsck.
-//
-// Writers emit v3; readers accept v1, v2, and v3.
+// Format: v3 only. All headers form a fixed-size prefix (its size is recorded at a fixed
+// offset and the prefix carries its own CRC), payloads are raw contiguous bytes protected by
+// a table of per-chunk CRC32s (64 KiB chunks, shrinking to 4 KiB for small payloads), and
+// bundle entries record absolute payload offsets. Stat* read only the prefix;
+// TensorFileView/BundleFileView serve pread range reads verifying only the chunks a range
+// touches. The trailing whole-file CRC serves whole-file readers and deep fsck. A version
+// field other than 3 fails every reader with kDataLoss naming the value. (v1 and v2, which
+// had no chunk table and were read whole, are no longer read.)
 
 #ifndef UCP_SRC_TENSOR_TENSOR_FILE_H_
 #define UCP_SRC_TENSOR_TENSOR_FILE_H_
@@ -57,20 +52,14 @@ Result<Tensor> LoadTensor(const std::string& path);
 // both backends.
 Result<std::vector<uint8_t>> SerializeTensor(const Tensor& tensor, DType dtype = DType::kF32);
 
-// Writes the legacy format `version` (1 or 2) instead of the current one. Exists for
-// backward-compatibility tests and migration tooling; production saves use SaveTensor.
-Status SaveTensorAtVersion(const std::string& path, const Tensor& tensor, DType dtype,
-                           uint32_t version);
-
-// Header-only peek: shape/dtype/chunking without reading the payload. For v3 files this
-// reads a few hundred bytes (the header prefix, verified by its own CRC); v1/v2 files fall
-// back to a whole-file read so corruption still cannot bless a bad plan.
+// Header-only peek: shape/dtype/chunking without reading the payload. Reads a few hundred
+// bytes (the header prefix, verified by its own CRC).
 struct TensorFileInfo {
   Shape shape;
   DType dtype = DType::kF32;
   uint64_t payload_bytes = 0;
   uint32_t format_version = 0;
-  uint32_t chunk_bytes = 0;  // 0 for v1/v2 (no chunk table)
+  uint32_t chunk_bytes = 0;
   uint32_t num_chunks = 0;
 };
 Result<TensorFileInfo> StatTensor(const std::string& path);
@@ -94,11 +83,10 @@ struct TensorIoStats {
 TensorIoStats GetTensorIoStats();
 void ResetTensorIoStats();
 
-// A read-only view of one v3 tensor file: parses and verifies the header once, then serves
+// A read-only view of one tensor file: parses and verifies the header once, then serves
 // element/row ranges via pread, verifying only the CRC chunks each range touches (each
-// chunk at most once per view). For v1/v2 files the whole payload is read and verified at
-// Open and ranges are served from memory — same API, legacy cost. Not thread-safe; give
-// each worker its own view (the kernel-side pread is position-independent anyway).
+// chunk at most once per view). Not thread-safe; give each worker its own view (the
+// kernel-side pread is position-independent anyway).
 class TensorFileView {
  public:
   static Result<TensorFileView> Open(const std::string& path);
@@ -128,12 +116,11 @@ class TensorFileView {
 
   std::string path_;
   TensorFileInfo info_;
-  std::unique_ptr<ByteSource> source_;  // held only for v3 files
-  uint64_t payload_offset_ = 0;      // absolute file offset of the raw payload (v3)
+  std::unique_ptr<ByteSource> source_;
+  uint64_t payload_offset_ = 0;      // absolute file offset of the raw payload
   std::vector<uint32_t> chunk_crcs_;
   std::vector<bool> chunk_verified_;
   std::vector<uint8_t> scratch_;     // chunk read buffer, reused across calls
-  std::vector<uint8_t> legacy_payload_;  // v1/v2: whole payload, verified at Open
 };
 
 // An ordered state dict. Order is preserved because ZeRO's flattened groups depend on a
@@ -169,8 +156,8 @@ Result<std::vector<uint8_t>> SerializeBundle(const TensorBundle& bundle,
                                              DType dtype = DType::kF32);
 Result<TensorBundle> LoadBundle(const std::string& path);
 
-// Bundle metadata + member names/shapes without payloads. Header-only for v3 (see
-// StatTensor); whole-file for v1/v2.
+// Bundle metadata + member names/shapes without payloads, from the header alone (see
+// StatTensor).
 struct BundleInfo {
   Json meta;
   std::vector<std::pair<std::string, TensorFileInfo>> entries;
@@ -181,7 +168,7 @@ Result<BundleInfo> StatBundle(std::unique_ptr<ByteSource> source);
 // Bundle twin of TensorFileView: one header parse/verify at Open, then per-member range
 // reads via pread with chunk-granular CRC verification. The native checkpoint load path
 // reads its three flat optimizer tensors through this, and Extract uses it to pull flat
-// buffers without the v2-era double CRC pass (whole-file + per-tensor).
+// buffers with one chunk-CRC pass.
 class BundleFileView {
  public:
   static Result<BundleFileView> Open(const std::string& path);
@@ -203,7 +190,7 @@ class BundleFileView {
 
  private:
   struct Member {
-    uint64_t payload_offset = 0;  // absolute (v3) or offset into legacy_payload_ (v1/v2)
+    uint64_t payload_offset = 0;  // absolute file offset
     uint32_t chunk_bytes = 0;
     std::vector<uint32_t> chunk_crcs;
     std::vector<bool> chunk_verified;
@@ -215,12 +202,11 @@ class BundleFileView {
   Json meta_;
   std::vector<std::pair<std::string, TensorFileInfo>> entries_;
   std::vector<Member> members_;
-  std::unique_ptr<ByteSource> source_;  // held only for v3 files
+  std::unique_ptr<ByteSource> source_;
   std::vector<uint8_t> scratch_;
-  std::vector<uint8_t> legacy_payload_;  // v1/v2: all payloads back to back, verified
 };
 
-// The per-chunk CRC layout of one v3 container file (tensor or bundle), expressed in
+// The per-chunk CRC layout of one container file (tensor or bundle), expressed in
 // absolute file offsets. ucp_serverd builds this per open file so READ_RANGE requests can
 // be verified server-side before any payload byte crosses the wire. One region per payload
 // (a tensor file has one; a bundle has one per member, each with its own chunk size).
@@ -234,10 +220,10 @@ struct FileChunkIndex {
   std::vector<ChunkRegion> regions;
 };
 
-// Parses the self-checksummed v3 header prefix of `source` into a chunk index. Returns
-// nullopt (not an error) for legacy v1/v2 files and for files that are not UCT1/UCB1
-// containers at all — those are served without server-side payload verification (readers
-// still run their own whole-file checks). kDataLoss when a v3 header is damaged.
+// Parses the self-checksummed header prefix of `source` into a chunk index. Returns nullopt
+// (not an error) for files that are not UCT1/UCB1 containers at all; those are served
+// without server-side payload verification. kDataLoss when a container's version field is
+// not 3 or its header is damaged.
 Result<std::optional<FileChunkIndex>> ReadFileChunkIndex(ByteSource& source);
 
 }  // namespace ucp

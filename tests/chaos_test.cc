@@ -351,13 +351,13 @@ TEST_F(ChaosStoreTest, DrainRefusesNewLeasesWithRetryAfterHint) {
   ASSERT_NE(store_, nullptr);
   ASSERT_FALSE(store_->lease_token().empty());
 
-  // A raw v3 connection whose SESSION_RENEW we can inspect byte-for-byte.
+  // A raw connection whose SESSION_RENEW we can inspect byte-for-byte.
   int sv[2] = {-1, -1};
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   std::thread serve([&] { server_->ServeConnectionForTest(sv[1]); });
   {
     ByteWriter hello;
-    hello.PutU32(kWireMinVersion);
+    hello.PutU32(kWireVersion);
     hello.PutU32(kWireVersion);
     EXPECT_EQ(MustExchange(sv[0], WireOp::kHello, hello.buffer()).op, WireOp::kHelloOk);
     ByteWriter open;

@@ -68,10 +68,9 @@ std::string MetaJson(int64_t iteration) {
 // ---------------------------------------------------------------------------
 // Property 1: backend conformance. Every test below runs once against a
 // LocalStore on a temp dir and once against a RemoteStore talking to an
-// in-process daemon serving the same dir. The remote_v2/remote_v1 rows pin the
-// downgrade path: a v3 client against an older daemon must fall back cleanly
-// (no lease, release-on-disconnect semantics) and still satisfy the identical
-// contract bit-exactly.
+// in-process daemon serving the same dir. The remote_leaseless row connects with
+// lease_ttl_ms = 0: a session with release-on-disconnect semantics and no
+// reconnect must satisfy the identical contract bit-exactly.
 // ---------------------------------------------------------------------------
 
 class StoreConformanceTest : public ::testing::TestWithParam<const char*> {
@@ -82,19 +81,19 @@ class StoreConformanceTest : public ::testing::TestWithParam<const char*> {
       StoreServerOptions options;
       options.root = dir_;
       options.listen = "unix:" + dir_ + ".sock";  // sibling path: keeps List("") clean
-      options.max_wire_version = server_version();
       Result<std::unique_ptr<StoreServer>> started =
           StoreServer::Start(std::move(options));
       ASSERT_TRUE(started.ok()) << started.status();
       server_ = std::move(*started);
-      Result<std::shared_ptr<Store>> opened = OpenStore(server_->endpoint());
+      RemoteStoreOptions client;
+      if (leaseless()) {
+        client.lease_ttl_ms = 0;
+      }
+      Result<std::shared_ptr<RemoteStore>> opened =
+          RemoteStore::Connect(server_->endpoint(), client);
       ASSERT_TRUE(opened.ok()) << opened.status();
+      EXPECT_EQ((*opened)->lease_token().empty(), leaseless());
       store_ = *opened;
-      // The downgrade fallback must be visible to the client: no lease against a
-      // pre-lease daemon, a lease (by default) against a v3 one.
-      auto* remote_store = static_cast<RemoteStore*>(store_.get());
-      EXPECT_EQ(remote_store->negotiated_version(), server_version());
-      EXPECT_EQ(remote_store->lease_token().empty(), server_version() < 3);
     } else {
       store_ = std::make_shared<LocalStore>(dir_);
     }
@@ -110,12 +109,7 @@ class StoreConformanceTest : public ::testing::TestWithParam<const char*> {
   }
 
   bool remote() const { return std::string(GetParam()).rfind("remote", 0) == 0; }
-  uint32_t server_version() const {
-    const std::string param = GetParam();
-    if (param == "remote_v1") return 1;
-    if (param == "remote_v2") return 2;
-    return kWireVersion;
-  }
+  bool leaseless() const { return std::string(GetParam()) == "remote_leaseless"; }
 
   void CommitSimpleTag(const std::string& tag, int64_t iteration,
                        const std::string& file = "shard",
@@ -134,7 +128,7 @@ class StoreConformanceTest : public ::testing::TestWithParam<const char*> {
 };
 
 INSTANTIATE_TEST_SUITE_P(Backends, StoreConformanceTest,
-                         ::testing::Values("local", "remote", "remote_v2", "remote_v1"),
+                         ::testing::Values("local", "remote", "remote_leaseless"),
                          [](const ::testing::TestParamInfo<const char*>& info) {
                            return std::string(info.param);
                          });
@@ -305,7 +299,7 @@ TEST_P(StoreConformanceTest, RangeReadOverCorruptChunkIsTypedDataLoss) {
 class RemoteRangeVerifyTest : public StoreConformanceTest {};
 
 INSTANTIATE_TEST_SUITE_P(RemoteBackends, RemoteRangeVerifyTest,
-                         ::testing::Values("remote", "remote_v2", "remote_v1"),
+                         ::testing::Values("remote", "remote_leaseless"),
                          [](const ::testing::TestParamInfo<const char*>& row) {
                            return std::string(row.param);
                          });
@@ -494,60 +488,64 @@ TEST_F(StoreServerTest, ServerClosesConnectionOnTornFrame) {
   ::close(fds[0]);
 }
 
-// A client whose supported version window misses the server's fails closed with a typed
-// error frame instead of misparsing later exchanges.
+// A client whose supported version window misses the server's, above it or below it, fails
+// closed with a typed kFailedPrecondition error frame instead of misparsing later exchanges.
 TEST_F(StoreServerTest, VersionMismatchFailsClosed) {
-  int fds[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  std::thread serve([&] { server_->ServeConnectionForTest(fds[1]); });
-
-  std::vector<uint8_t> hello;
-  PutU32Le(hello, kWireVersion + 7);
-  PutU32Le(hello, kWireVersion + 9);
-  ASSERT_TRUE(SendFrame(fds[0], WireOp::kHello, hello).ok());
-  Result<WireFrame> reply = RecvFrame(fds[0]);
-  ASSERT_TRUE(reply.ok()) << reply.status();
-  EXPECT_EQ(reply->op, WireOp::kError);
-  serve.join();
-  ::close(fds[0]);
-}
-
-// The retired chunk-dedup ops (request types 19 and 20) get the typed "unknown wire op"
-// reply at v2, where they used to live, and at today's version, and the session keeps
-// serving afterwards.
-TEST_F(StoreServerTest, RetiredChunkOpsAreUnknownAndTheSessionSurvives) {
-  for (uint32_t version : {2u, kWireVersion}) {
+  const std::pair<uint32_t, uint32_t> windows[] = {{kWireVersion + 7, kWireVersion + 9},
+                                                   {1, kWireVersion - 1}};
+  for (const auto& [min_version, max_version] : windows) {
+    SCOPED_TRACE("[" + std::to_string(min_version) + ", " + std::to_string(max_version) + "]");
     int fds[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
     std::thread serve([&] { server_->ServeConnectionForTest(fds[1]); });
 
     std::vector<uint8_t> hello;
-    PutU32Le(hello, version);
-    PutU32Le(hello, version);
+    PutU32Le(hello, min_version);
+    PutU32Le(hello, max_version);
     ASSERT_TRUE(SendFrame(fds[0], WireOp::kHello, hello).ok());
-    Result<WireFrame> ok = RecvFrame(fds[0]);
-    ASSERT_TRUE(ok.ok()) << ok.status();
-    ASSERT_EQ(ok->op, WireOp::kHelloOk);
-
-    for (uint8_t op : {19, 20}) {
-      ASSERT_TRUE(SendFrame(fds[0], static_cast<WireOp>(op), std::vector<uint8_t>(8)).ok());
-      Result<WireFrame> reply = RecvFrame(fds[0]);
-      ASSERT_TRUE(reply.ok()) << reply.status();
-      ASSERT_EQ(reply->op, WireOp::kError) << "op " << int{op} << " at v" << version;
-      ByteReader r(reply->payload.data(), reply->payload.size());
-      Result<uint8_t> code = r.GetU8();
-      Result<std::string> message = r.GetString();
-      ASSERT_TRUE(message.ok()) << message.status();
-      EXPECT_EQ(static_cast<StatusCode>(*code), StatusCode::kUnimplemented) << *message;
-      EXPECT_NE(message->find("unknown wire op"), std::string::npos) << *message;
-    }
-    ASSERT_TRUE(SendFrame(fds[0], WireOp::kPing, std::vector<uint8_t>()).ok());
-    Result<WireFrame> pong = RecvFrame(fds[0]);
-    ASSERT_TRUE(pong.ok()) << pong.status();
-    EXPECT_EQ(pong->op, WireOp::kOk);
-    ::close(fds[0]);
+    Result<WireFrame> reply = RecvFrame(fds[0]);
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    EXPECT_EQ(reply->op, WireOp::kError);
+    ASSERT_FALSE(reply->payload.empty());
+    EXPECT_EQ(reply->payload[0], static_cast<uint8_t>(StatusCode::kFailedPrecondition));
     serve.join();
+    ::close(fds[0]);
   }
+}
+
+// The retired chunk-dedup ops (request types 19 and 20) get the typed "unknown wire op"
+// reply, and the session keeps serving afterwards.
+TEST_F(StoreServerTest, RetiredChunkOpsAreUnknownAndTheSessionSurvives) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::thread serve([&] { server_->ServeConnectionForTest(fds[1]); });
+
+  std::vector<uint8_t> hello;
+  PutU32Le(hello, kWireVersion);
+  PutU32Le(hello, kWireVersion);
+  ASSERT_TRUE(SendFrame(fds[0], WireOp::kHello, hello).ok());
+  Result<WireFrame> ok = RecvFrame(fds[0]);
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  ASSERT_EQ(ok->op, WireOp::kHelloOk);
+
+  for (uint8_t op : {19, 20}) {
+    ASSERT_TRUE(SendFrame(fds[0], static_cast<WireOp>(op), std::vector<uint8_t>(8)).ok());
+    Result<WireFrame> reply = RecvFrame(fds[0]);
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    ASSERT_EQ(reply->op, WireOp::kError) << "op " << int{op};
+    ByteReader r(reply->payload.data(), reply->payload.size());
+    Result<uint8_t> code = r.GetU8();
+    Result<std::string> message = r.GetString();
+    ASSERT_TRUE(message.ok()) << message.status();
+    EXPECT_EQ(static_cast<StatusCode>(*code), StatusCode::kUnimplemented) << *message;
+    EXPECT_NE(message->find("unknown wire op"), std::string::npos) << *message;
+  }
+  ASSERT_TRUE(SendFrame(fds[0], WireOp::kPing, std::vector<uint8_t>()).ok());
+  Result<WireFrame> pong = RecvFrame(fds[0]);
+  ASSERT_TRUE(pong.ok()) << pong.status();
+  EXPECT_EQ(pong->op, WireOp::kOk);
+  ::close(fds[0]);
+  serve.join();
 }
 
 // Property 3: transient socket errors on either side of an exchange are retried, counted
@@ -644,6 +642,7 @@ TEST_F(StoreServerTest, HostileWriteBeginTotalIsRejectedNotFatal) {
   begin.PutString("global_step1");
   begin.PutString("shard");
   begin.PutU64(uint64_t{1} << 63);
+  begin.PutU64(0);  // resume offset: a fresh write
   ASSERT_TRUE(SendFrame(fds[0], WireOp::kWriteBegin, begin.buffer()).ok());
   Result<WireFrame> reply = RecvFrame(fds[0]);
   ASSERT_TRUE(reply.ok()) << reply.status();
@@ -767,8 +766,8 @@ TEST_F(StoreServerTest, FinishedConnectionThreadsAreReaped) {
 
 // Property 6a: a client that vanishes mid-save leaves no visible tag, the server releases
 // its admission budget, and the next client saves normally. The doomed client runs
-// lease-less (ttl 0): these are the release-on-disconnect semantics every v1/v2 client
-// and every no-lease v3 client gets. A *leased* client's staged state instead survives to
+// lease-less (ttl 0): these are the release-on-disconnect semantics every client without
+// a lease gets. A *leased* client's staged state instead survives to
 // lease expiry — that arm lives in chaos_test.cc.
 TEST_F(StoreServerTest, ClientCrashMidSaveLeavesNoVisibleTag) {
   RemoteStoreOptions no_lease;
@@ -897,7 +896,7 @@ TEST_F(StoreServerTest, DaemonKillMidSaveNeverLeavesAcceptedTag) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire v4 observability: distributed trace-context propagation, per-RPC
+// Wire observability: distributed trace-context propagation, per-RPC
 // latency/bytes histograms, METRICS_DUMP, and the HTTP exposition.
 // ---------------------------------------------------------------------------
 
@@ -955,14 +954,13 @@ std::string TraceArg(const Json& event, const char* key) {
   return v.ok() ? *v : std::string();
 }
 
-// The tentpole property: a v4 client ships (trace_id, span_id) ahead of each traced
+// The tentpole property: a client ships (trace_id, span_id) ahead of each traced
 // request, and the daemon's handling span parents under the client RPC span and is
 // attributed to (session, lease, tag).
 TEST_F(StoreServerTest, TraceContextParentsServerSpansUnderClientRpc) {
   obs::SetTraceEnabled(true);
   obs::ResetTrace();
   std::shared_ptr<RemoteStore> store = Connect();
-  ASSERT_GE(store->negotiated_version(), 4u);
   ASSERT_TRUE(store->ResetTagStaging("global_step1").ok());
   Result<std::unique_ptr<StoreWriter>> writer = store->OpenTagForWrite("global_step1");
   ASSERT_TRUE(writer.ok()) << writer.status();
@@ -1078,46 +1076,6 @@ TEST_F(StoreServerTest, TraceContextSurvivesConnDropAndWriteResume) {
   EXPECT_EQ(resume_trace, save_trace);
   EXPECT_EQ(server_write_traces.size(), 1u);
   EXPECT_TRUE(server_write_traces.count(save_trace));
-}
-
-// Downgrade: a v4 client on a v3-capped daemon negotiates v3, never emits the
-// TRACE_CONTEXT header (the ops succeed — an unexpected header would be a typed error on
-// a v3 session), and METRICS_DUMP fails typed as unimplemented.
-TEST_F(StoreServerTest, V4ClientAgainstV3ServerDropsTraceHeaderCleanly) {
-  server_->Shutdown();
-  StoreServerOptions options;
-  options.root = dir_;
-  options.listen = "unix:" + dir_ + ".sock";
-  options.max_wire_version = 3;
-  StartServer(std::move(options));
-
-  obs::SetTraceEnabled(true);
-  obs::ResetTrace();
-  std::shared_ptr<RemoteStore> store = Connect();
-  ASSERT_EQ(store->negotiated_version(), 3u);
-  ASSERT_TRUE(store->ResetTagStaging("global_step1").ok());
-  Result<std::unique_ptr<StoreWriter>> writer = store->OpenTagForWrite("global_step1");
-  ASSERT_TRUE(writer.ok()) << writer.status();
-  ASSERT_TRUE((*writer)->WriteFile("shard", std::string(64 * 1024, 'v')).ok());
-  ASSERT_TRUE(store->CommitTag("global_step1", MetaJson(1)).ok());
-  EXPECT_EQ(store->MetricsDump(/*prometheus=*/true).status().code(),
-            StatusCode::kUnimplemented);
-
-  // The server still records handling spans, but with no propagated context: the client
-  // traced locally and dropped the header at the negotiated version.
-  Result<Json> parsed = Json::Parse(obs::ExportChromeTraceJson());
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  bool saw_server_write = false;
-  for (const Json& e : **parsed->GetArray("traceEvents")) {
-    Result<std::string> name = e.GetString("name");
-    if (name.ok() && *name == "store.server.rpc" &&
-        TraceArg(e, "op") == "write_begin") {
-      saw_server_write = true;
-      EXPECT_TRUE(TraceArg(e, "trace_id").empty())
-          << "v3 session must never receive a trace context";
-    }
-  }
-  EXPECT_TRUE(saw_server_write);
 }
 
 #endif  // UCP_OBS_ENABLED

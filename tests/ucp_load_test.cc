@@ -5,8 +5,9 @@
 //     target grid.
 //  2. Chunked CRCs localize damage: bit-rot inside one 64 KiB chunk fails only the ranges
 //     that touch it; untouched ranges still load, and header-only Stat still succeeds.
-//  3. Backward compatibility: v1/v2 files round-trip through the view API, and a UCP
-//     checkpoint rewritten at v2 still loads bit-exactly through the sliced path.
+//  3. Only v3 is read: a version field of 1, 2 or 4 fails every reader with kDataLoss
+//     naming the value, with or without resealed CRCs, and so does a header size that
+//     would wrap the readers' bounds check.
 //  4. The sliced arm reads strictly fewer bytes than the reference arm.
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <cstring>
 
 #include "src/ckpt/checkpoint.h"
+#include "src/common/crc32.h"
 #include "src/common/fs.h"
 #include "src/tensor/tensor_file.h"
 #include "src/ucp/converter.h"
@@ -160,67 +162,104 @@ TEST_F(LoadEnv, ChunkVerificationIsMemoizedPerView) {
   EXPECT_EQ(second.bytes_read - first.bytes_read, 50u * 320 * 4);
 }
 
-// Property 3a: the legacy writers round-trip through every reader entry point.
-TEST_F(LoadEnv, LegacyVersionsRoundTripThroughViews) {
-  Tensor t = Tensor::Zeros({7, 9});
-  for (int64_t i = 0; i < t.numel(); ++i) {
-    t.data()[i] = 1.0f / static_cast<float>(i + 1);
+// Property 3: v3 is the only format version read. A v3 file whose version field says 1, 2 or
+// 4 fails kDataLoss naming that value through every reader, whether or not its header and
+// file CRCs were resealed over the edited field.
+
+// `file` with the bytes at `at` replaced by `value`. `reseal` recomputes the header CRC
+// (at the file's original header size) and the file CRC over the edit.
+template <typename T>
+std::vector<uint8_t> Patched(std::vector<uint8_t> file, size_t at, T value, bool reseal) {
+  uint64_t header_bytes = 0;
+  std::memcpy(&header_bytes, file.data() + 12, sizeof(header_bytes));
+  std::memcpy(file.data() + at, &value, sizeof(value));
+  if (reseal) {
+    const uint32_t header_crc = Crc32(file.data(), header_bytes - 4);
+    std::memcpy(file.data() + header_bytes - 4, &header_crc, sizeof(header_crc));
+    const uint32_t file_crc = Crc32(file.data(), file.size() - 4);
+    std::memcpy(file.data() + file.size() - 4, &file_crc, sizeof(file_crc));
   }
-  for (uint32_t version : {1u, 2u}) {
-    SCOPED_TRACE(version);
-    const std::string path = Sub("v" + std::to_string(version));
-    ASSERT_TRUE(SaveTensorAtVersion(path, t, DType::kF32, version).ok());
+  return file;
+}
 
-    Result<TensorFileInfo> info = StatTensor(path);
-    ASSERT_TRUE(info.ok()) << info.status();
-    EXPECT_EQ(info->format_version, version);
-    EXPECT_EQ(info->num_chunks, 0u);  // no chunk table before v3
-    EXPECT_EQ(info->shape, t.shape());
+// A serialized tensor file and bundle file, written after `patch` and handed to every reader.
+class ReaderMatrix {
+ public:
+  explicit ReaderMatrix(const std::string& dir)
+      : tensor_path_(PathJoin(dir, "t.uct")), bundle_path_(PathJoin(dir, "b.ucb")) {
+    const Tensor t = Tensor::Full({7, 9}, 0.25f);
+    TensorBundle bundle;
+    bundle.Add("w", t);
+    bundle.meta = Json(JsonObject{{"iteration", Json(int64_t{3})}});
+    tensor_file_ = *SerializeTensor(t);
+    bundle_file_ = *SerializeBundle(bundle);
+  }
 
-    Result<Tensor> whole = LoadTensor(path);
-    ASSERT_TRUE(whole.ok());
-    EXPECT_TRUE(Tensor::BitEqual(*whole, t));
+  template <typename Patch>
+  std::vector<std::pair<const char*, Status>> Read(const Patch& patch) {
+    const std::vector<uint8_t> tensor_bytes = patch(tensor_file_);
+    const std::vector<uint8_t> bundle_bytes = patch(bundle_file_);
+    UCP_CHECK(WriteFileAtomic(tensor_path_, tensor_bytes.data(), tensor_bytes.size()).ok());
+    UCP_CHECK(WriteFileAtomic(bundle_path_, bundle_bytes.data(), bundle_bytes.size()).ok());
+    Result<std::unique_ptr<ByteSource>> tensor_source = FileByteSource::Open(tensor_path_);
+    Result<std::unique_ptr<ByteSource>> bundle_source = FileByteSource::Open(bundle_path_);
+    UCP_CHECK(tensor_source.ok() && bundle_source.ok());
+    return {
+        {"LoadTensor", LoadTensor(tensor_path_).status()},
+        {"StatTensor", StatTensor(tensor_path_).status()},
+        {"TensorFileView::Open", TensorFileView::Open(tensor_path_).status()},
+        {"DeepVerifyTensorFile", DeepVerifyTensorFile(tensor_path_)},
+        {"ReadFileChunkIndex(tensor)", ReadFileChunkIndex(**tensor_source).status()},
+        {"LoadBundle", LoadBundle(bundle_path_).status()},
+        {"StatBundle", StatBundle(bundle_path_).status()},
+        {"BundleFileView::Open", BundleFileView::Open(bundle_path_).status()},
+        {"DeepVerifyBundleFile", DeepVerifyBundleFile(bundle_path_)},
+        {"ReadFileChunkIndex(bundle)", ReadFileChunkIndex(**bundle_source).status()},
+    };
+  }
 
-    Result<TensorFileView> view = TensorFileView::Open(path);
-    ASSERT_TRUE(view.ok()) << view.status();
-    Result<Tensor> range = view->ReadRange(2, 3);
-    ASSERT_TRUE(range.ok()) << range.status();
-    EXPECT_TRUE(Tensor::BitEqual(*range, t.Narrow(0, 2, 3)));
+ private:
+  std::string tensor_path_;
+  std::string bundle_path_;
+  std::vector<uint8_t> tensor_file_;
+  std::vector<uint8_t> bundle_file_;
+};
+
+TEST_F(LoadEnv, UnsupportedVersionFieldFailsDataLossThroughEveryReader) {
+  ReaderMatrix readers(dir_);
+  for (uint32_t version : {3u, 1u, 2u, 4u}) {
+    for (bool reseal : {true, false}) {
+      if (version == 3 && !reseal) {
+        continue;  // identical to the resealed v3 control
+      }
+      SCOPED_TRACE("version " + std::to_string(version) + (reseal ? " resealed" : ""));
+      const auto outcomes = readers.Read([&](const std::vector<uint8_t>& file) {
+        return Patched(file, 8, version, reseal);
+      });
+      for (const auto& [reader, status] : outcomes) {
+        if (version == 3) {
+          EXPECT_TRUE(status.ok()) << reader << ": " << status;
+          continue;
+        }
+        EXPECT_EQ(status.code(), StatusCode::kDataLoss) << reader << ": " << status;
+        EXPECT_NE(status.message().find("format version " + std::to_string(version)),
+                  std::string::npos)
+            << reader << ": " << status;
+      }
+    }
   }
 }
 
-// Property 3b: a UCP checkpoint whose atoms were written by an old (v2) build still loads
-// through the sliced path, bit-exactly.
-TEST_F(LoadEnv, V2AtomsLoadBitExactThroughSlicedPath) {
-  ModelConfig model = TinyGpt();
-  MakeUcp(model);
-
-  // Downgrade every atom state file to v2 in place.
-  Result<UcpMeta> meta = ReadUcpMeta(Sub("ucp"));
-  ASSERT_TRUE(meta.ok());
-  for (const std::string& name : meta->atom_names) {
-    for (const char* state : {"fp32", "exp_avg", "exp_avg_sq"}) {
-      const std::string path = PathJoin(AtomDir(Sub("ucp"), name), state);
-      Result<Tensor> t = LoadTensor(path);
-      ASSERT_TRUE(t.ok()) << path;
-      ASSERT_TRUE(SaveTensorAtVersion(path, *t, DType::kF32, 2).ok());
-    }
-  }
-  ASSERT_EQ(StatTensor(PathJoin(AtomDir(Sub("ucp"), meta->atom_names[0]), "fp32"))
-                ->format_version,
-            2u);
-
-  ParallelConfig target{2, 2, 2, 1, 1, 1};
-  TrainingRun sliced(ConfigFor(model, target));
-  LoadAll(sliced, Sub("ucp"), {.sliced = true});
-  TrainingRun whole(ConfigFor(model, target));
-  LoadAll(whole, Sub("ucp"), {.sliced = false});
-  for (int r = 0; r < sliced.world_size(); ++r) {
-    const ZeroOptimizer& a = sliced.trainer(r).optimizer();
-    const ZeroOptimizer& b = whole.trainer(r).optimizer();
-    EXPECT_TRUE(Tensor::BitEqual(a.MasterState(), b.MasterState())) << "rank " << r;
-    EXPECT_TRUE(Tensor::BitEqual(a.ExpAvgState(), b.ExpAvgState())) << "rank " << r;
-    EXPECT_TRUE(Tensor::BitEqual(a.ExpAvgSqState(), b.ExpAvgSqState())) << "rank " << r;
+// A header-size field within 4 of 2^64 must not wrap the readers' bounds check into
+// reading or allocating past the file, even with every CRC resealed: each reader fails
+// kDataLoss.
+TEST_F(LoadEnv, HeaderSizeNearTwoToTheSixtyFourFailsDataLossThroughEveryReader) {
+  ReaderMatrix readers(dir_);
+  const auto outcomes = readers.Read([](const std::vector<uint8_t>& file) {
+    return Patched(file, 12, ~uint64_t{0} - 1, /*reseal=*/true);
+  });
+  for (const auto& [reader, status] : outcomes) {
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << reader << ": " << status;
   }
 }
 

@@ -38,8 +38,8 @@
 //       counts (reads tensor headers only — no payload I/O).
 //
 //   ucp_tool metrics  [--store ENDPOINT | <subcommand> <args...>]
-//       With --store, fetch a live daemon's metrics page over the wire (v4
-//       METRICS_DUMP) and print both the text table and the Prometheus exposition.
+//       With --store, fetch a live daemon's metrics page over the wire (METRICS_DUMP)
+//       and print both the text table and the Prometheus exposition.
 //       Otherwise run the nested subcommand, then print the process metrics registry
 //       (src/obs/metrics.h) as text. Metrics are process-local, so wrapping the command
 //       is how a CLI run gets a non-empty snapshot; with no nested command it prints
@@ -443,7 +443,7 @@ int CmdFsck(const Flags& flags) {
   return code;
 }
 
-// Header-only: StatTensor parses the v3 metadata prefix without touching payload bytes, so
+// Header-only: StatTensor parses the metadata prefix without touching payload bytes, so
 // this stays fast even on checkpoints too large to re-read.
 int CmdStat(const Flags& flags) {
   if (flags.positional.size() != 1) {
@@ -492,7 +492,7 @@ int CmdStat(const Flags& flags) {
 
 // Retention for steady-state training: keep the newest `keep_last` *committed* tags (plus
 // whatever `latest` names), leave uncommitted tags and `.staging` debris to fsck / the
-// next save. `prune` is the blunter tool that counts every tag.
+// next save.
 int CmdGc(Flags flags) {
   Status open_error = OkStatus();
   std::shared_ptr<Store> store = OpenToolStore(flags, &open_error);
@@ -533,7 +533,7 @@ int CmdMetrics(int argc, char** argv) {
 }
 
 // `ucp_tool metrics --store ENDPOINT` — a live daemon's registry instead of this
-// process's, fetched over the wire (v4 METRICS_DUMP; the same payload /metrics serves).
+// process's, fetched over the wire (METRICS_DUMP; the same payload /metrics serves).
 // Connects lease-less so the probe leaves no state behind on the server.
 int CmdMetricsRemote(const Flags& flags) {
   if (!flags.positional.empty()) {
@@ -749,9 +749,9 @@ int CmdSoakReplay(const Flags& flags) {
 }
 
 // `ucp_tool ping --store ENDPOINT` — the first thing to run when saves hang: proves the
-// daemon is reachable, shows the negotiated wire version, the round-trip time, and (v3)
-// the server's session/lease/staged-bytes counters including drain state. Connects
-// lease-less (ttl 0) so the probe leaves no state behind on the server.
+// daemon is reachable, shows the wire version it reports, the round-trip time, and the
+// server's session/lease/staged-bytes counters including drain state. Connects lease-less
+// (ttl 0) so the probe leaves no state behind on the server.
 int CmdPing(const Flags& flags) {
   if (flags.store.empty() || !flags.positional.empty()) {
     return Usage();
@@ -774,16 +774,15 @@ int CmdPing(const Flags& flags) {
       std::chrono::duration<double, std::milli>(ping_start - dial_start).count();
   const double rtt_ms =
       std::chrono::duration<double, std::milli>(ping_end - ping_start).count();
-  std::printf("%s: alive  wire v%u  connect %.2f ms  ping %.2f ms\n", flags.store.c_str(),
-              (*store)->negotiated_version(), connect_ms, rtt_ms);
   Result<RemoteServerStat> stat = (*store)->ServerStat();
-  if (stat.ok()) {
-    std::printf("  sessions %u  named leases %u  staged %llu bytes%s\n", stat->sessions,
-                stat->leases, static_cast<unsigned long long>(stat->staged_bytes),
-                stat->draining ? "  DRAINING (refusing new sessions)" : "");
-  } else if (stat.status().code() != StatusCode::kUnimplemented) {
+  if (!stat.ok()) {
     return Fail(stat.status());
   }
+  std::printf("%s: alive  wire v%u  connect %.2f ms  ping %.2f ms\n", flags.store.c_str(),
+              stat->wire_version, connect_ms, rtt_ms);
+  std::printf("  sessions %u  named leases %u  staged %llu bytes%s\n", stat->sessions,
+              stat->leases, static_cast<unsigned long long>(stat->staged_bytes),
+              stat->draining ? "  DRAINING (refusing new sessions)" : "");
   return 0;
 }
 
