@@ -12,14 +12,18 @@
 //                         continue degraded immediately.
 //
 // BENCH_recovery.json reports the detect / teardown / rebuild / convert / load split per
-// arm (RecoveryTiming, as measured by the supervisor). The paper-level point: the
-// reconfigured arm pays a one-time conversion but needs no replacement hardware, and the
-// split shows where that time goes.
+// arm (RecoveryTiming, as measured by the supervisor). Each arm runs kRuns times; each phase
+// is recorded as its median (`<phase>_seconds`) and its spread (`<phase>_iqr_over_median`),
+// since one run of a millisecond-scale phase swings by several times on a shared box. The
+// paper-level point: the reconfigured arm pays a one-time conversion but needs no
+// replacement hardware, and the split shows where that time goes.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/json.h"
@@ -31,8 +35,10 @@ namespace {
 constexpr int64_t kLastIteration = 15;
 constexpr int64_t kKillIteration = 8;
 constexpr int kVictim = 7;
+constexpr int kRuns = 5;
 
-Json RunArm(const char* label, bool rebuild_same_strategy) {
+// One kill-and-recover run of an arm.
+RecoveryTiming RunOnce(const char* label, bool rebuild_same_strategy) {
   const std::string dir = bench::FreshDir(std::string("fig13_") + label);
   TrainerConfig cfg = bench::MakeConfig(Gpt3Scaled(), {2, 2, 2, 1, 1, 1});
 
@@ -49,13 +55,32 @@ Json RunArm(const char* label, bool rebuild_same_strategy) {
   UCP_CHECK(report.ok) << report.status.ToString();
   UCP_CHECK(report.recoveries == 1);
   const RecoveryTiming& t = report.timings[0];
-
   std::printf(
       "fig13/%s: detect=%.3fs teardown=%.3fs rebuild=%.3fs convert=%.3fs load=%.3fs "
       "total=%.3fs (%s -> %s, resumed %s)\n",
       label, t.detect_seconds, t.teardown_seconds, t.rebuild_seconds, t.convert_seconds,
       t.load_seconds, t.total_seconds, t.old_strategy.ToString().c_str(),
       t.new_strategy.ToString().c_str(), t.resumed_tag.c_str());
+  return t;
+}
+
+// The q-quantile of sorted samples, interpolating linearly between neighbours.
+double Quantile(const std::vector<double>& sorted, double q) {
+  const double at = q * static_cast<double>(sorted.size() - 1);
+  const size_t lo = static_cast<size_t>(at);
+  const size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] + (at - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
+}
+
+Json RunArm(const char* label, bool rebuild_same_strategy) {
+  std::vector<RecoveryTiming> runs;
+  for (int i = 0; i < kRuns; ++i) {
+    runs.push_back(RunOnce(label, rebuild_same_strategy));
+    UCP_CHECK(runs.back().new_strategy == runs[0].new_strategy &&
+              runs.back().resumed_tag == runs[0].resumed_tag &&
+              runs.back().resume_path == runs[0].resume_path);
+  }
+  const RecoveryTiming& t = runs[0];
 
   JsonObject arm;
   arm["arm"] = label;
@@ -63,12 +88,28 @@ Json RunArm(const char* label, bool rebuild_same_strategy) {
   arm["new_strategy"] = t.new_strategy.ToString();
   arm["resumed_tag"] = t.resumed_tag;
   arm["resume_path"] = t.resume_path == ResumeReport::Path::kNative ? "native" : "ucp";
-  arm["detect_seconds"] = t.detect_seconds;
-  arm["teardown_seconds"] = t.teardown_seconds;
-  arm["rebuild_seconds"] = t.rebuild_seconds;
-  arm["convert_seconds"] = t.convert_seconds;
-  arm["load_seconds"] = t.load_seconds;
-  arm["total_seconds"] = t.total_seconds;
+  arm["runs"] = kRuns;
+  const std::pair<const char*, double RecoveryTiming::*> phases[] = {
+      {"detect", &RecoveryTiming::detect_seconds},
+      {"teardown", &RecoveryTiming::teardown_seconds},
+      {"rebuild", &RecoveryTiming::rebuild_seconds},
+      {"convert", &RecoveryTiming::convert_seconds},
+      {"load", &RecoveryTiming::load_seconds},
+      {"total", &RecoveryTiming::total_seconds},
+  };
+  for (const auto& [phase, field] : phases) {
+    std::vector<double> samples;
+    for (const RecoveryTiming& run : runs) {
+      samples.push_back(run.*field);
+    }
+    std::sort(samples.begin(), samples.end());
+    const double median = Quantile(samples, 0.5);
+    const double iqr = Quantile(samples, 0.75) - Quantile(samples, 0.25);
+    arm[std::string(phase) + "_seconds"] = median;
+    arm[std::string(phase) + "_iqr_over_median"] = median > 0.0 ? iqr / median : 0.0;
+    std::printf("fig13/%s/%s: median=%.4fs iqr/median=%.2f (n=%d)\n", label, phase, median,
+                median > 0.0 ? iqr / median : 0.0, kRuns);
+  }
   return Json(std::move(arm));
 }
 

@@ -430,11 +430,13 @@ int main(int argc, char** argv) {
     }
   }
 
+  const bool within_bound = *tracer_overhead.GetBool("within_bound");
   ucp::JsonObject doc;
   doc["benchmark"] = "fig15_server";
   doc["arms"] = std::move(arms);
   doc["tracer_overhead"] = std::move(tracer_overhead);
   ucp::bench::WriteBenchReport("BENCH_server.json", std::move(doc));
   ucp::bench::WriteTraceIfRequested(trace_file);
-  return 0;
+  // A tripped tracer bound fails the run.
+  return within_bound ? 0 : 1;
 }

@@ -221,9 +221,6 @@ Status AsyncCheckpointEngine::FlushShards(const std::shared_ptr<PendingSave>& sa
       }
     }
     UCP_RETURN_IF_ERROR(WriteSnapshotShards(*writer, *save->snaps[static_cast<size_t>(r)]));
-    if (!options_.batch_fsyncs) {
-      UCP_RETURN_IF_ERROR(batch.SyncAll());  // eager mode: flush after every rank's shards
-    }
   }
   // The batch point: every shard's data reaches the platter before the commit rename.
   return batch.SyncAll();

@@ -56,9 +56,6 @@ struct AsyncCheckpointOptions {
     kDropOldest  // cancel the oldest in-flight save — never stalls training
   };
   Backpressure backpressure = Backpressure::kBlock;
-  // Defer per-file fsyncs and issue them in one batch right before the commit rename
-  // (ScopedFsyncBatch). Same durability, fewer stalls inside the write loop.
-  bool batch_fsyncs = true;
   // > 0: run GcCheckpoints(dir, keep_last) after every successful commit (scoped to
   // `job`'s namespace).
   int keep_last = 0;

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "src/ckpt/checkpoint.h"
-#include "src/common/fs.h"
 
 namespace ucp {
 
@@ -27,14 +26,12 @@ void CopyIntoSlot(TensorBundle& bundle, size_t index, const std::string& name,
 
 void RankCheckpointSnapshot::CaptureFrom(const RankTrainer& trainer) {
   coord = trainer.coord();
-  compute_dtype = trainer.config().compute_dtype;
-  bytes = 0;
 
   const ZeroOptimizer& opt = trainer.optimizer();
   CopyIntoSlot(optim, 0, "fp32_flat", opt.master_state_ref());
   CopyIntoSlot(optim, 1, "exp_avg", opt.exp_avg_ref());
   CopyIntoSlot(optim, 2, "exp_avg_sq", opt.exp_avg_sq_ref());
-  bytes += 3 * opt.master_state_ref().numel() * static_cast<int64_t>(sizeof(float));
+  bytes = 3 * opt.master_state_ref().numel() * static_cast<int64_t>(sizeof(float));
   JsonObject optim_meta;
   optim_meta["flat_layout"] = opt.layout().ToJson();
   optim_meta["zero_stage"] = opt.zero_stage();
@@ -44,74 +41,18 @@ void RankCheckpointSnapshot::CaptureFrom(const RankTrainer& trainer) {
   optim_meta["pp_index"] = coord.pp;
   optim_meta["sp_index"] = coord.sp;
   optim.meta = Json(std::move(optim_meta));
-
-  // Model states mirror the synchronous save: one file per model-parallel rank, written by
-  // its dp==0 member; ZeRO-3 carries no parameter payloads (the flats are authoritative).
-  has_model_states = coord.dp == 0;
-  if (has_model_states) {
-    size_t slot = 0;
-    if (trainer.config().strategy.zero_stage < 3) {
-      for (const ParamPtr& p : trainer.model().store().params()) {
-        if (p->tied_secondary) {
-          continue;  // canonical copy lives on the first stage
-        }
-        CopyIntoSlot(model_states, slot++, p->info.name, p->value);
-        bytes += p->value.numel() * static_cast<int64_t>(sizeof(float));
-      }
-    }
-    model_states.tensors.resize(slot);
-    JsonObject ms_meta;
-    ms_meta["tp_index"] = coord.tp;
-    ms_meta["pp_index"] = coord.pp;
-    ms_meta["sp_index"] = coord.sp;
-    ms_meta["zero_stage"] = opt.zero_stage();
-    model_states.meta = Json(std::move(ms_meta));
-  }
 }
 
-Result<std::vector<SnapshotShard>> SerializeSnapshotShards(
-    const RankCheckpointSnapshot& snap) {
-  std::vector<SnapshotShard> shards;
-  {
-    SnapshotShard shard;
-    shard.rel =
-        OptimStatesFileName(snap.coord.dp, snap.coord.tp, snap.coord.pp, snap.coord.sp);
-    UCP_ASSIGN_OR_RETURN(shard.bytes, SerializeBundle(snap.optim));
-    shards.push_back(std::move(shard));
-  }
-  if (snap.has_model_states) {
-    SnapshotShard shard;
-    shard.rel = ModelStatesFileName(snap.coord.tp, snap.coord.pp, snap.coord.sp);
-    UCP_ASSIGN_OR_RETURN(shard.bytes,
-                         SerializeBundle(snap.model_states, snap.compute_dtype));
-    shards.push_back(std::move(shard));
-  }
-  return shards;
+Result<SnapshotShard> SerializeSnapshotShards(const RankCheckpointSnapshot& snap) {
+  SnapshotShard shard;
+  shard.rel = OptimStatesFileName(snap.coord.dp, snap.coord.tp, snap.coord.pp, snap.coord.sp);
+  UCP_ASSIGN_OR_RETURN(shard.bytes, SerializeBundle(snap.optim));
+  return shard;
 }
 
 Status WriteSnapshotShards(StoreWriter& writer, const RankCheckpointSnapshot& snap) {
-  UCP_ASSIGN_OR_RETURN(std::vector<SnapshotShard> shards, SerializeSnapshotShards(snap));
-  for (const SnapshotShard& shard : shards) {
-    UCP_RETURN_IF_ERROR(writer.WriteFile(shard.rel, shard.bytes.data(),
-                                         shard.bytes.size()));
-  }
-  return OkStatus();
-}
-
-Status WriteSnapshotShards(const std::string& staging,
-                           const RankCheckpointSnapshot& snap) {
-  UCP_RETURN_IF_ERROR(SaveBundle(
-      PathJoin(staging,
-               OptimStatesFileName(snap.coord.dp, snap.coord.tp, snap.coord.pp,
-                                   snap.coord.sp)),
-      snap.optim));
-  if (snap.has_model_states) {
-    UCP_RETURN_IF_ERROR(SaveBundle(
-        PathJoin(staging,
-                 ModelStatesFileName(snap.coord.tp, snap.coord.pp, snap.coord.sp)),
-        snap.model_states, snap.compute_dtype));
-  }
-  return OkStatus();
+  UCP_ASSIGN_OR_RETURN(SnapshotShard shard, SerializeSnapshotShards(snap));
+  return writer.WriteFile(shard.rel, shard.bytes.data(), shard.bytes.size());
 }
 
 }  // namespace ucp

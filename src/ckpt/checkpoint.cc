@@ -122,45 +122,26 @@ Result<LoadedOptimState> LoadLocalState(const std::string& dir, const std::strin
         " — convert through UCP to resume under a different strategy");
   }
 
+  // Range-read this rank's shard through a view: the header parses once, and only the
+  // chunks backing each requested tensor are verified (not the whole file).
   const RankCoord& coord = trainer.coord();
-  const std::string tag_dir = PathJoin(dir, tag);
+  const std::string path =
+      PathJoin(PathJoin(dir, tag), OptimStatesFileName(coord.dp, coord.tp, coord.pp, coord.sp));
+  UCP_ASSIGN_OR_RETURN(BundleFileView optim, BundleFileView::Open(path));
 
-  // Validate the model-states file (name/shape strictness), then restore optimizer state.
-  UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> ms_source,
-                       FileByteSource::Open(PathJoin(
-                           tag_dir, ModelStatesFileName(coord.tp, coord.pp, coord.sp))));
-  UCP_ASSIGN_OR_RETURN(BundleInfo ms_info, StatBundle(std::move(ms_source)));
-  if (trainer.config().strategy.zero_stage < 3) {
-    for (const ParamPtr& p : trainer.model().store().params()) {
-      if (p->tied_secondary) {
-        continue;
-      }
-      bool found = false;
-      for (const auto& [name, info] : ms_info.entries) {
-        if (name == p->info.name) {
-          if (info.shape != p->value.shape()) {
-            return FailedPreconditionError("shape mismatch for " + p->info.name +
-                                           ": checkpoint " + ShapeToString(info.shape) +
-                                           " vs model " + ShapeToString(p->value.shape()));
-          }
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        return FailedPreconditionError("parameter missing from checkpoint: " + p->info.name);
-      }
-    }
+  // Name/shape strictness: the shard's flat layout (every parameter's name, shard shape and
+  // place in the flat buffers) must be exactly the live optimizer's.
+  if (!optim.meta().Has("flat_layout")) {
+    return DataLossError("optimizer bundle missing flat_layout: " + path);
+  }
+  UCP_ASSIGN_OR_RETURN(FlatLayout layout,
+                       FlatLayout::FromJson(optim.meta().AsObject().at("flat_layout")));
+  const std::string mismatch =
+      FlatLayoutMismatch(layout, "checkpoint", trainer.optimizer().layout(), "model");
+  if (!mismatch.empty()) {
+    return FailedPreconditionError("flat layout mismatch in " + path + " at " + mismatch);
   }
 
-  // Range-read the three flat tensors through the view: the header parses once, and for v3
-  // files only the chunks backing each requested tensor are verified (not the whole file).
-  UCP_ASSIGN_OR_RETURN(
-      std::unique_ptr<ByteSource> optim_source,
-      FileByteSource::Open(PathJoin(
-          tag_dir, OptimStatesFileName(coord.dp, coord.tp, coord.pp, coord.sp))));
-  UCP_ASSIGN_OR_RETURN(BundleFileView optim,
-                       BundleFileView::Open(std::move(optim_source)));
   if (optim.IndexOf("fp32_flat") < 0 || optim.IndexOf("exp_avg") < 0 ||
       optim.IndexOf("exp_avg_sq") < 0) {
     return DataLossError("optimizer states bundle is missing tensors");

@@ -7,13 +7,12 @@
 //                                                          without it is an aborted save and
 //                                                          is skipped by every reader
 //   <dir>/<tag>/checkpoint_meta.json                    -- model config, strategy, iteration
-//   <dir>/<tag>/mp_rank_TT_PPP_sp_SS_model_states       -- per model-parallel rank (saved by
-//                                                          its dp==0 member): parameter shard
-//                                                          tensors at the compute dtype
 //   <dir>/<tag>/zero_pp_rank_D_mp_rank_TT_PPP_sp_SS_optim_states
-//                                                       -- per rank: flat fp32 master /
-//                                                          exp_avg / exp_avg_sq partitions +
-//                                                          the FlatLayout metadata
+//                                                       -- per rank, its only shard file: flat
+//                                                          fp32 master / exp_avg / exp_avg_sq
+//                                                          partitions + the FlatLayout
+//                                                          metadata (parameter names, shard
+//                                                          shapes, flat offsets)
 //
 // Saving is crash-consistent: every shard is written into a `<tag>.staging` sibling
 // directory (each file itself tmp-written, fsynced, renamed), the staging directory is
@@ -27,8 +26,10 @@
 // trainer-coupled collectives on top.
 //
 // Loading is strict, reproducing the Fig. 1 failure mode: resuming under a different
-// parallelism strategy or world size fails with FAILED_PRECONDITION instead of silently
-// mis-mapping state. UCP (src/ucp) is the sanctioned way to reshape checkpoints.
+// parallelism strategy or world size, or with a shard whose flat layout differs from the
+// live optimizer's in any parameter name or shard shape, fails with FAILED_PRECONDITION
+// instead of silently mis-mapping state. UCP (src/ucp) is the sanctioned way to reshape
+// checkpoints.
 
 #ifndef UCP_SRC_CKPT_CHECKPOINT_H_
 #define UCP_SRC_CKPT_CHECKPOINT_H_

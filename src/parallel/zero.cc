@@ -60,6 +60,40 @@ Result<FlatLayout> FlatLayout::FromJson(const Json& json) {
   return layout;
 }
 
+std::string FlatLayoutMismatch(const FlatLayout& a, const std::string& a_label,
+                               const FlatLayout& b, const std::string& b_label) {
+  auto versus = [&](const std::string& what, const std::string& x, const std::string& y) {
+    return what + ": " + a_label + " " + x + " vs " + b_label + " " + y;
+  };
+  const size_t common = std::min(a.segments.size(), b.segments.size());
+  for (size_t i = 0; i < common; ++i) {
+    const FlatSegment& x = a.segments[i];
+    const FlatSegment& y = b.segments[i];
+    if (x.name != y.name) {
+      return versus("flat segment " + std::to_string(i), x.name, y.name);
+    }
+    if (x.shape != y.shape) {
+      return versus("shard shape of " + x.name, ShapeToString(x.shape), ShapeToString(y.shape));
+    }
+    if (x.numel != y.numel) {
+      return versus("numel of " + x.name, std::to_string(x.numel), std::to_string(y.numel));
+    }
+    if (x.offset != y.offset) {
+      return versus("offset of " + x.name, std::to_string(x.offset), std::to_string(y.offset));
+    }
+  }
+  if (a.segments.size() != b.segments.size()) {
+    const bool a_longer = a.segments.size() > b.segments.size();
+    return "parameter " + (a_longer ? a : b).segments[common].name + " is only in the " +
+           (a_longer ? a_label : b_label) + " layout";
+  }
+  if (a.padded_total != b.padded_total) {
+    return versus("padded total", std::to_string(a.padded_total),
+                  std::to_string(b.padded_total));
+  }
+  return "";
+}
+
 ZeroOptimizer::ZeroOptimizer(ParamStore* store, int zero_stage, ProcessGroup dp_group,
                              ProcessGroup world_group, DType compute_dtype)
     : store_(store),

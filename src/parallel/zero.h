@@ -55,6 +55,14 @@ struct FlatLayout {
   static Result<FlatLayout> FromJson(const Json& json);
 };
 
+// The first difference between two flat layouts, naming the parameter it is in: a segment's
+// name, shard shape, numel or offset, a segment only one side has, or the padded total.
+// `a_label` / `b_label` name the two sides in the text. Empty when they agree. The strict
+// native load (checkpoint vs live), the UCP load (plan vs live) and Extract (DP peers) all
+// check through it.
+std::string FlatLayoutMismatch(const FlatLayout& a, const std::string& a_label,
+                               const FlatLayout& b, const std::string& b_label);
+
 class ZeroOptimizer {
  public:
   // Re-points every param in `store` into the flat buffers. `dp_group` is the ZeRO process

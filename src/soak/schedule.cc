@@ -53,7 +53,7 @@ Result<FsOp> FsOpFromName(const std::string& name) {
 // the driver asserts (a torn `latest` is indistinguishable from cross-namespace
 // contamination), while shard/metadata damage exercises exactly the fallback paths the
 // soak is after.
-const char* const kFaultTargets[] = {"_model_states", "_optim_states", "checkpoint_meta"};
+const char* const kFaultTargets[] = {"_optim_states", "checkpoint_meta"};
 
 }  // namespace
 
@@ -275,7 +275,7 @@ std::vector<SoakEvent> GenerateSoakSchedule(const SoakOptions& options) {
       static const FsOp kOps[] = {FsOp::kWrite, FsOp::kFsync, FsOp::kRename, FsOp::kRead};
       event.fs_op = static_cast<int>(kOps[bounded(4)]);
     }
-    event.fs_path_substr = kFaultTargets[bounded(3)];
+    event.fs_path_substr = kFaultTargets[bounded(2)];
     event.fs_nth = 1 + static_cast<int>(bounded(4));
     event.fs_seed = draw64();
     event.fs_fail_count = 1 + static_cast<int>(bounded(2));

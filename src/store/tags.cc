@@ -84,10 +84,6 @@ std::string TagForIteration(const std::string& job, int64_t iteration) {
   return JobTagPrefix(job) + TagForIteration(iteration);
 }
 
-std::string ModelStatesFileName(int tp, int pp, int sp) {
-  return StrFormat("mp_rank_%02d_%03d_sp_%02d_model_states", tp, pp, sp);
-}
-
 std::string OptimStatesFileName(int dp, int tp, int pp, int sp) {
   return StrFormat("zero_pp_rank_%d_mp_rank_%02d_%03d_sp_%02d_optim_states", dp, tp, pp, sp);
 }

@@ -49,8 +49,8 @@ bool ParseTagName(const std::string& name, std::string* job, int64_t* iteration)
 std::string TagForIteration(int64_t iteration);
 std::string TagForIteration(const std::string& job, int64_t iteration);
 
-// File-name helpers (shared with the UCP converter).
-std::string ModelStatesFileName(int tp, int pp, int sp);
+// Name of one rank's shard file, the only file a save writes per rank (shared with the UCP
+// converter).
 std::string OptimStatesFileName(int dp, int tp, int pp, int sp);
 
 // Name of the staging sibling a save of `tag` writes into before committing.

@@ -5,29 +5,6 @@
 
 namespace ucp {
 
-const char* DTypeName(DType dtype) {
-  switch (dtype) {
-    case DType::kF32:
-      return "f32";
-    case DType::kBF16:
-      return "bf16";
-    case DType::kF16:
-      return "f16";
-  }
-  return "unknown";
-}
-
-size_t DTypeSize(DType dtype) {
-  switch (dtype) {
-    case DType::kF32:
-      return 4;
-    case DType::kBF16:
-    case DType::kF16:
-      return 2;
-  }
-  return 0;
-}
-
 uint16_t F32ToBf16(float value) {
   uint32_t bits;
   std::memcpy(&bits, &value, sizeof(bits));

@@ -13,11 +13,9 @@
 
 namespace ucp {
 
-// Storage widths supported by the tensor file format.
+// Compute dtypes of mixed-precision training. The values are stored as `compute_dtype` in
+// checkpoint metadata; tensor files hold fp32 only.
 enum class DType : uint8_t { kF32 = 0, kBF16 = 1, kF16 = 2 };
-
-const char* DTypeName(DType dtype);
-size_t DTypeSize(DType dtype);
 
 // Scalar conversions (round-to-nearest-even for bf16; standard IEEE half conversion for f16).
 uint16_t F32ToBf16(float value);

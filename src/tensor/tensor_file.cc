@@ -77,51 +77,15 @@ void PatchU64(std::vector<uint8_t>& buf, size_t at, uint64_t v) {
 }
 
 // ---------------------------------------------------------------------------
-// Payload encoding/decoding. On-disk payloads are raw little-endian values of the storage
-// dtype; in-memory tensors are always fp32.
+// Per-payload header pieces: dtype, shape and payload size. Payloads are raw little-endian
+// fp32, the in-memory layout, so encoding and decoding are plain copies.
 
-// Appends the payload of `t` stored as `dtype`: f32 is one copy from the tensor, bf16/f16 are
-// converted straight into the buffer.
-void AppendPayload(std::vector<uint8_t>& buf, const Tensor& t, DType dtype) {
-  const float* p = t.data();
-  const int64_t n = t.numel();
-  if (dtype == DType::kF32) {
-    const auto* bytes = reinterpret_cast<const uint8_t*>(p);
-    buf.insert(buf.end(), bytes, bytes + static_cast<size_t>(n) * sizeof(float));
-    return;
-  }
-  uint16_t (*const to_half)(float) = dtype == DType::kBF16 ? F32ToBf16 : F32ToF16;
-  const size_t at = buf.size();
-  buf.resize(at + static_cast<size_t>(n) * 2);
-  uint8_t* out = buf.data() + at;
-  for (int64_t i = 0; i < n; ++i) {
-    const uint16_t v = to_half(p[i]);
-    out[2 * i] = static_cast<uint8_t>(v & 0xFF);
-    out[2 * i + 1] = static_cast<uint8_t>(v >> 8);
-  }
-}
+// The payload dtype byte: 0 (f32) is the only value written or read, and a reader refuses
+// any other byte with kDataLoss.
+constexpr uint8_t kF32DtypeByte = 0;
 
-void DecodeElements(const uint8_t* raw, DType dtype, int64_t count, float* out) {
-  switch (dtype) {
-    case DType::kF32:
-      std::memcpy(out, raw, static_cast<size_t>(count) * sizeof(float));
-      break;
-    case DType::kBF16:
-    case DType::kF16:
-      for (int64_t i = 0; i < count; ++i) {
-        uint16_t v = static_cast<uint16_t>(raw[2 * i]) |
-                     (static_cast<uint16_t>(raw[2 * i + 1]) << 8);
-        out[i] = dtype == DType::kBF16 ? Bf16ToF32(v) : F16ToF32(v);
-      }
-      break;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Per-payload header pieces: dtype, shape and payload size.
-
-void PutHeader(ByteWriter& w, const Tensor& t, DType dtype) {
-  w.PutU8(static_cast<uint8_t>(dtype));
+void PutHeader(ByteWriter& w, const Tensor& t) {
+  w.PutU8(kF32DtypeByte);
   w.PutU32(static_cast<uint32_t>(t.ndim()));
   for (int i = 0; i < t.ndim(); ++i) {
     w.PutI64(t.dim(i));
@@ -130,17 +94,16 @@ void PutHeader(ByteWriter& w, const Tensor& t, DType dtype) {
 
 struct ParsedHeader {
   Shape shape;
-  DType dtype;
   uint64_t payload_bytes;
 };
 
-Result<ParsedHeader> GetHeaderAndSize(ByteReader& r) {
+Result<ParsedHeader> GetHeaderAndSize(ByteReader& r, const std::string& what) {
   ParsedHeader h;
   UCP_ASSIGN_OR_RETURN(uint8_t dtype_byte, r.GetU8());
-  if (dtype_byte > static_cast<uint8_t>(DType::kF16)) {
-    return DataLossError("unknown dtype byte " + std::to_string(dtype_byte));
+  if (dtype_byte != kF32DtypeByte) {
+    return DataLossError("payload dtype byte " + std::to_string(dtype_byte) + " in " + what +
+                         " is not supported (only f32 is read)");
   }
-  h.dtype = static_cast<DType>(dtype_byte);
   UCP_ASSIGN_OR_RETURN(uint32_t ndim, r.GetU32());
   if (ndim > 16) {
     return DataLossError("implausible tensor rank " + std::to_string(ndim));
@@ -153,7 +116,7 @@ Result<ParsedHeader> GetHeaderAndSize(ByteReader& r) {
     h.shape.push_back(d);
   }
   UCP_ASSIGN_OR_RETURN(h.payload_bytes, r.GetU64());
-  uint64_t expect = static_cast<uint64_t>(ShapeNumel(h.shape)) * DTypeSize(h.dtype);
+  uint64_t expect = static_cast<uint64_t>(ShapeNumel(h.shape)) * sizeof(float);
   if (h.payload_bytes != expect) {
     return DataLossError("payload size " + std::to_string(h.payload_bytes) +
                          " does not match shape " + ShapeToString(h.shape));
@@ -215,11 +178,11 @@ void PutPrologue(ByteWriter& w, uint32_t magic) {
 }
 
 // dtype, shape, payload size and chunk table (CRC slots zeroed) of one payload.
-V3Payload PutV3Entry(ByteWriter& w, const Tensor& t, DType dtype) {
-  V3Payload p{&t, static_cast<uint64_t>(t.numel()) * DTypeSize(dtype), 0, 0, 0};
+V3Payload PutV3Entry(ByteWriter& w, const Tensor& t) {
+  V3Payload p{&t, static_cast<uint64_t>(t.numel()) * sizeof(float), 0, 0, 0};
   p.chunk_bytes = PickChunkBytes(p.bytes);
   const uint32_t num_chunks = NumChunksFor(p.bytes, p.chunk_bytes);
-  PutHeader(w, t, dtype);
+  PutHeader(w, t);
   w.PutU64(p.bytes);
   w.PutU32(p.chunk_bytes);
   w.PutU32(num_chunks);
@@ -230,8 +193,7 @@ V3Payload PutV3Entry(ByteWriter& w, const Tensor& t, DType dtype) {
   return p;
 }
 
-std::vector<uint8_t> BuildV3(const ByteWriter& header, const std::vector<V3Payload>& payloads,
-                             DType dtype) {
+std::vector<uint8_t> BuildV3(const ByteWriter& header, const std::vector<V3Payload>& payloads) {
   const uint64_t header_bytes = header.size() + 4;  // + header_crc
   uint64_t file_bytes = header_bytes + 4;           // + file_crc
   for (const V3Payload& p : payloads) {
@@ -247,7 +209,8 @@ std::vector<uint8_t> BuildV3(const ByteWriter& header, const std::vector<V3Paylo
     if (p.offset_slot != 0) {
       PatchU64(buf, p.offset_slot, at);
     }
-    AppendPayload(buf, *p.tensor, dtype);
+    const auto* payload = reinterpret_cast<const uint8_t*>(p.tensor->data());
+    buf.insert(buf.end(), payload, payload + p.bytes);
     for (uint64_t start = 0, ci = 0; start < p.bytes; start += p.chunk_bytes, ++ci) {
       const uint64_t size = std::min<uint64_t>(p.chunk_bytes, p.bytes - start);
       PatchU32(buf, p.crc_slot + 4 * ci,
@@ -331,7 +294,7 @@ Status CheckHeaderCrc(const uint8_t* prefix, uint64_t size, const char* kind,
 
 Result<std::pair<ParsedHeader, std::pair<uint32_t, std::vector<uint32_t>>>> GetV3Entry(
     ByteReader& r, const std::string& what) {
-  UCP_ASSIGN_OR_RETURN(ParsedHeader h, GetHeaderAndSize(r));
+  UCP_ASSIGN_OR_RETURN(ParsedHeader h, GetHeaderAndSize(r, what));
   UCP_ASSIGN_OR_RETURN(uint32_t chunk_bytes, r.GetU32());
   if (chunk_bytes == 0) {
     return DataLossError("zero chunk size in " + what);
@@ -369,7 +332,6 @@ Result<V3TensorHeader> ParseV3TensorPrefix(const uint8_t* prefix, uint64_t size,
   }
   V3TensorHeader h;
   h.info.shape = std::move(entry.first.shape);
-  h.info.dtype = entry.first.dtype;
   h.info.payload_bytes = entry.first.payload_bytes;
   h.info.format_version = kFormatVersion;
   h.info.chunk_bytes = entry.second.first;
@@ -419,7 +381,6 @@ Result<V3BundleHeader> ParseV3BundlePrefix(const uint8_t* prefix, uint64_t size,
     expected_offset += entry.first.payload_bytes;
     TensorFileInfo info;
     info.shape = std::move(entry.first.shape);
-    info.dtype = entry.first.dtype;
     info.payload_bytes = entry.first.payload_bytes;
     info.format_version = kFormatVersion;
     info.chunk_bytes = entry.second.first;
@@ -494,19 +455,19 @@ Result<std::vector<uint8_t>> ReadV3Prefix(ByteSource& f, uint32_t magic, const c
   return prefix;
 }
 
-// The chunk-verifying positional read shared by TensorFileView and BundleFileView: decodes
+// The chunk-verifying positional read shared by TensorFileView and BundleFileView: copies
 // elements [elem_begin, elem_begin + elem_count) of a payload living at `payload_offset` in
 // `f`. Unverified chunks are read whole (and their CRC checked once); already-verified
 // chunks are read only where the range overlaps them.
 Status ReadChunkedRange(ByteSource& f, uint64_t payload_offset,
                         uint64_t payload_bytes, uint32_t chunk_bytes,
                         const std::vector<uint32_t>& crcs, std::vector<bool>& verified,
-                        std::vector<uint8_t>& scratch, DType dtype, int64_t elem_begin,
+                        std::vector<uint8_t>& scratch, int64_t elem_begin,
                         int64_t elem_count, float* out, const std::string& what) {
   if (elem_count == 0) {
     return OkStatus();
   }
-  const uint64_t esize = DTypeSize(dtype);
+  const uint64_t esize = sizeof(float);
   const uint64_t byte_begin = static_cast<uint64_t>(elem_begin) * esize;
   const uint64_t byte_end = byte_begin + static_cast<uint64_t>(elem_count) * esize;
   const size_t first_chunk = static_cast<size_t>(byte_begin / chunk_bytes);
@@ -530,13 +491,12 @@ Status ReadChunkedRange(ByteSource& f, uint64_t payload_offset,
       }
       verified[ci] = true;
       ChunksVerifiedCounter().Add(1);
-      DecodeElements(scratch.data() + (overlap_begin - chunk_start), dtype,
-                     static_cast<int64_t>(overlap_bytes / esize), dst);
+      std::memcpy(dst, scratch.data() + (overlap_begin - chunk_start), overlap_bytes);
     } else {
       UCP_RETURN_IF_ERROR(f.ReadAt(payload_offset + overlap_begin, scratch.data(),
                                    overlap_bytes));
       CountRead(overlap_bytes);
-      DecodeElements(scratch.data(), dtype, static_cast<int64_t>(overlap_bytes / esize), dst);
+      std::memcpy(dst, scratch.data(), overlap_bytes);
     }
     dst += overlap_bytes / esize;
   }
@@ -565,19 +525,19 @@ void ResetTensorIoStats() {
 // ---------------------------------------------------------------------------
 // Single-tensor files.
 
-Status SaveTensor(const std::string& path, const Tensor& tensor, DType dtype) {
-  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> buf, SerializeTensor(tensor, dtype));
+Status SaveTensor(const std::string& path, const Tensor& tensor) {
+  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> buf, SerializeTensor(tensor));
   return WriteFileAtomic(path, buf.data(), buf.size());
 }
 
-Result<std::vector<uint8_t>> SerializeTensor(const Tensor& tensor, DType dtype) {
+Result<std::vector<uint8_t>> SerializeTensor(const Tensor& tensor) {
   if (!tensor.defined()) {
     return InvalidArgumentError("SerializeTensor of undefined tensor");
   }
   ByteWriter w;
   PutPrologue(w, kTensorMagic);
-  const std::vector<V3Payload> payloads = {PutV3Entry(w, tensor, dtype)};
-  return BuildV3(w, payloads, dtype);
+  const std::vector<V3Payload> payloads = {PutV3Entry(w, tensor)};
+  return BuildV3(w, payloads);
 }
 
 Result<Tensor> LoadTensor(const std::string& path) {
@@ -585,8 +545,7 @@ Result<Tensor> LoadTensor(const std::string& path) {
   CountRead(contents.size());
   UCP_ASSIGN_OR_RETURN(V3TensorHeader h, VerifyTensorFile(contents, path));
   Tensor t = Tensor::Zeros(h.info.shape);
-  DecodeElements(reinterpret_cast<const uint8_t*>(contents.data()) + h.payload_offset,
-                 h.info.dtype, t.numel(), t.data());
+  std::memcpy(t.data(), contents.data() + h.payload_offset, h.info.payload_bytes);
   return t;
 }
 
@@ -638,8 +597,8 @@ Status TensorFileView::ReadElements(int64_t elem_begin, int64_t elem_count, floa
                                 ") out of bounds for " + path_);
   }
   return ReadChunkedRange(*source_, payload_offset_, info_.payload_bytes, info_.chunk_bytes,
-                          chunk_crcs_, chunk_verified_, scratch_, info_.dtype, elem_begin,
-                          elem_count, out, path_);
+                          chunk_crcs_, chunk_verified_, scratch_, elem_begin, elem_count,
+                          out, path_);
 }
 
 Result<Tensor> TensorFileView::ReadRange(int64_t row_begin, int64_t row_count) {
@@ -729,7 +688,7 @@ const Tensor* TensorBundle::Find(const std::string& name) const {
 // ---------------------------------------------------------------------------
 // Bundle files.
 
-Result<std::vector<uint8_t>> SerializeBundle(const TensorBundle& bundle, DType dtype) {
+Result<std::vector<uint8_t>> SerializeBundle(const TensorBundle& bundle) {
   ByteWriter w;
   PutPrologue(w, kBundleMagic);
   w.PutString(bundle.meta.Dump());
@@ -741,15 +700,15 @@ Result<std::vector<uint8_t>> SerializeBundle(const TensorBundle& bundle, DType d
       return InvalidArgumentError("SerializeBundle of undefined tensor " + name);
     }
     w.PutString(name);
-    payloads.push_back(PutV3Entry(w, tensor, dtype));
+    payloads.push_back(PutV3Entry(w, tensor));
     payloads.back().offset_slot = w.size();
     w.PutU64(0);  // payload_offset, patched by BuildV3
   }
-  return BuildV3(w, payloads, dtype);
+  return BuildV3(w, payloads);
 }
 
-Status SaveBundle(const std::string& path, const TensorBundle& bundle, DType dtype) {
-  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> buf, SerializeBundle(bundle, dtype));
+Status SaveBundle(const std::string& path, const TensorBundle& bundle) {
+  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> buf, SerializeBundle(bundle));
   return WriteFileAtomic(path, buf.data(), buf.size());
 }
 
@@ -763,7 +722,7 @@ Result<TensorBundle> LoadBundle(const std::string& path) {
   for (size_t i = 0; i < h.entries.size(); ++i) {
     const TensorFileInfo& info = h.entries[i].second;
     Tensor t = Tensor::Zeros(info.shape);
-    DecodeElements(data + h.members[i].payload_offset, info.dtype, t.numel(), t.data());
+    std::memcpy(t.data(), data + h.members[i].payload_offset, info.payload_bytes);
     bundle.Add(h.entries[i].first, std::move(t));
   }
   return bundle;
@@ -860,8 +819,8 @@ Status BundleFileView::ReadTensorElements(size_t entry_index, int64_t elem_begin
   }
   Member& m = members_[entry_index];
   return ReadChunkedRange(*source_, m.payload_offset, info.payload_bytes, m.chunk_bytes,
-                          m.chunk_crcs, m.chunk_verified, scratch_, info.dtype, elem_begin,
-                          elem_count, out, path_ + ":" + entries_[entry_index].first);
+                          m.chunk_crcs, m.chunk_verified, scratch_, elem_begin, elem_count,
+                          out, path_ + ":" + entries_[entry_index].first);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@
 //    <param>/fp32, <param>/exp_avg, <param>/exp_avg_sq — the .pt-file analogue from the
 //    paper (§3.1).
 //  - Bundle files ("UCB1"): an ordered map of named tensors plus a JSON metadata blob. Each
-//    training rank persists its shard of model/optimizer state as one bundle — the analogue
-//    of torch.save of a rank's state dict.
+//    training rank persists its optimizer-state shard as one bundle — the analogue of
+//    torch.save of a rank's state dict.
 //
 // Both carry an endianness tag, a format-version field, CRC32 integrity checks that localize
 // damage to one payload chunk of a named tensor, and a trailing CRC32 over the entire file.
@@ -20,7 +20,8 @@
 // TensorFileView/BundleFileView serve pread range reads verifying only the chunks a range
 // touches. The trailing whole-file CRC serves whole-file readers and deep fsck. A version
 // field other than 3 fails every reader with kDataLoss naming the value. (v1 and v2, which
-// had no chunk table and were read whole, are no longer read.)
+// had no chunk table and were read whole, are no longer read.) Payloads are fp32: a dtype
+// byte other than 0 (f32) fails every reader with kDataLoss naming the byte.
 
 #ifndef UCP_SRC_TENSOR_TENSOR_FILE_H_
 #define UCP_SRC_TENSOR_TENSOR_FILE_H_
@@ -36,27 +37,24 @@
 #include "src/common/fs.h"
 #include "src/common/json.h"
 #include "src/common/status.h"
-#include "src/tensor/bf16.h"
 #include "src/tensor/tensor.h"
 
 namespace ucp {
 
-// In-memory tensors are always fp32; `dtype` selects the storage width. Loading converts
-// back to fp32 (lossy round-trip for bf16/f16, by design).
-Status SaveTensor(const std::string& path, const Tensor& tensor, DType dtype = DType::kF32);
+// Tensors are stored as fp32, the only payload dtype written or read.
+Status SaveTensor(const std::string& path, const Tensor& tensor);
 Result<Tensor> LoadTensor(const std::string& path);
 
 // The exact bytes SaveTensor/SaveBundle would write, without writing them. The checkpoint
 // store's write path streams these through a StoreWriter (local: the same WriteFileAtomic
 // as before; remote: chunked frames to ucp_serverd), so serialization is shared between
 // both backends.
-Result<std::vector<uint8_t>> SerializeTensor(const Tensor& tensor, DType dtype = DType::kF32);
+Result<std::vector<uint8_t>> SerializeTensor(const Tensor& tensor);
 
-// Header-only peek: shape/dtype/chunking without reading the payload. Reads a few hundred
-// bytes (the header prefix, verified by its own CRC).
+// Header-only peek: shape/chunking without reading the payload. Reads a few hundred bytes
+// (the header prefix, verified by its own CRC).
 struct TensorFileInfo {
   Shape shape;
-  DType dtype = DType::kF32;
   uint64_t payload_bytes = 0;
   uint32_t format_version = 0;
   uint32_t chunk_bytes = 0;
@@ -150,10 +148,8 @@ struct TensorBundle {
   mutable std::unordered_map<std::string, size_t> index_;
 };
 
-Status SaveBundle(const std::string& path, const TensorBundle& bundle,
-                  DType dtype = DType::kF32);
-Result<std::vector<uint8_t>> SerializeBundle(const TensorBundle& bundle,
-                                             DType dtype = DType::kF32);
+Status SaveBundle(const std::string& path, const TensorBundle& bundle);
+Result<std::vector<uint8_t>> SerializeBundle(const TensorBundle& bundle);
 Result<TensorBundle> LoadBundle(const std::string& path);
 
 // Bundle metadata + member names/shapes without payloads, from the header alone (see

@@ -158,17 +158,11 @@ Result<UcpLocalState> LoadUcpLocal(Store& store, const std::string& ucp_rel,
 
   // Cross-check the plan against the live optimizer layout; a mismatch means the planner
   // and the runtime disagree about the model, which must never pass silently.
-  const FlatLayout& live = trainer.optimizer().layout();
-  if (live.padded_total != plan.layout.padded_total ||
-      live.segments.size() != plan.layout.segments.size()) {
-    return InternalError("GenUcpMetadata plan does not match the live optimizer layout");
-  }
-  for (size_t i = 0; i < live.segments.size(); ++i) {
-    if (live.segments[i].name != plan.layout.segments[i].name ||
-        live.segments[i].offset != plan.layout.segments[i].offset ||
-        live.segments[i].numel != plan.layout.segments[i].numel) {
-      return InternalError("GenUcpMetadata segment mismatch at " + live.segments[i].name);
-    }
+  const std::string mismatch =
+      FlatLayoutMismatch(plan.layout, "plan", trainer.optimizer().layout(), "live");
+  if (!mismatch.empty()) {
+    return InternalError("GenUcpMetadata plan does not match the live optimizer layout at " +
+                         mismatch);
   }
 
   if (!options.sliced) {

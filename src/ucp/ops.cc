@@ -58,9 +58,11 @@ Result<ExtractedRank> Extract(const std::string& tag_dir, const ParallelConfig& 
     if (dp == 0) {
       layout = std::move(this_layout);
       out.zero_stage = static_cast<int>(stage);
-    } else if (this_layout.padded_total != layout.padded_total ||
-               this_layout.segments.size() != layout.segments.size()) {
-      return DataLossError("inconsistent flat layouts across DP partitions in " + path);
+    } else if (const std::string mismatch =
+                   FlatLayoutMismatch(this_layout, "this partition", layout, "DP rank 0");
+               !mismatch.empty()) {
+      return DataLossError("inconsistent flat layouts across DP partitions in " + path +
+                           " at " + mismatch);
     }
 
     if (bundle.IndexOf("fp32_flat") < 0 || bundle.IndexOf("exp_avg") < 0 ||

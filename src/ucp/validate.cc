@@ -108,24 +108,6 @@ Result<ValidationReport> ValidateNativeCheckpoint(const std::string& dir,
   for (int pp = 0; pp < s.pp; ++pp) {
     for (int sp = 0; sp < s.sp; ++sp) {
       for (int tp = 0; tp < s.tp; ++tp) {
-        // Model states (one per model-parallel rank).
-        std::string ms_path = PathJoin(tag_dir, ModelStatesFileName(tp, pp, sp));
-        checks.push_back({ms_path, [ms_path, &s, &options] {
-          UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> source,
-                               FileByteSource::Open(ms_path));
-          UCP_ASSIGN_OR_RETURN(BundleInfo info, StatBundle(std::move(source)));
-          if (s.zero_stage < 3 && info.entries.empty()) {
-            return DataLossError("model states unexpectedly empty for ZeRO stage " +
-                                 std::to_string(s.zero_stage));
-          }
-          if (options.deep) {
-            UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> deep_source,
-                                 FileByteSource::Open(ms_path));
-            return DeepVerifyBundleFile(std::move(deep_source));
-          }
-          return OkStatus();
-        }});
-
         for (int dp = 0; dp < s.dp; ++dp) {
           size_t slot = static_cast<size_t>(((pp * s.sp + sp) * s.tp + tp) * s.dp + dp);
           std::string optim_path = PathJoin(tag_dir, OptimStatesFileName(dp, tp, pp, sp));

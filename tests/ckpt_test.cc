@@ -1,13 +1,18 @@
 // Native distributed checkpointing: save/load round trips, strict-load failure on strategy
-// mismatch (the Fig. 1 behaviour), corruption handling, and the foreign DDP-style format.
+// or flat-layout mismatch (the Fig. 1 behaviour), corruption handling, tags written with an
+// extra per-model-parallel-rank file by older builds, and the foreign DDP-style format.
 
 #include <gtest/gtest.h>
+
+#include <functional>
 
 #include "src/ckpt/checkpoint.h"
 #include "src/ckpt/foreign.h"
 #include "src/common/fs.h"
 #include "src/tensor/tensor_file.h"
 #include "src/ucp/atom.h"
+#include "src/ucp/converter.h"
+#include "src/ucp/validate.h"
 
 namespace ucp {
 namespace {
@@ -55,7 +60,6 @@ TEST_F(CkptTest, MetaJsonRoundTrip) {
 
 TEST_F(CkptTest, FileNamingMatchesLayout) {
   EXPECT_EQ(TagForIteration(100), "global_step100");
-  EXPECT_EQ(ModelStatesFileName(1, 2, 0), "mp_rank_01_002_sp_00_model_states");
   EXPECT_EQ(OptimStatesFileName(3, 0, 1, 0), "zero_pp_rank_3_mp_rank_00_001_sp_00_optim_states");
 }
 
@@ -67,8 +71,8 @@ TEST_F(CkptTest, SaveWritesExpectedFiles) {
   EXPECT_EQ(*ReadLatestTag(dir_), "global_step2");
   std::string tag_dir = PathJoin(dir_, "global_step2");
   auto files = *ListDir(tag_dir);
-  // 8 optim files (one per rank), 4 model-states files (per tp x pp), 1 meta, 1 marker.
-  EXPECT_EQ(files.size(), 14u);
+  // 8 optim files (one per rank, its only shard file), 1 meta, 1 marker.
+  EXPECT_EQ(files.size(), 10u);
   EXPECT_TRUE(IsTagComplete(dir_, "global_step2"));
   Result<CheckpointMeta> meta = ReadCheckpointMeta(dir_, "global_step2");
   ASSERT_TRUE(meta.ok());
@@ -175,19 +179,106 @@ TEST_F(CkptTest, LatestTagTracksNewestSave) {
   EXPECT_EQ(*ReadLatestTag(dir_), "global_step2");
 }
 
-TEST_F(CkptTest, TiedSecondaryExcludedFromModelStates) {
-  TrainerConfig cfg = ConfigFor({1, 2, 1, 1, 0, 1});
-  cfg.model.arch = ArchKind::kBloom;
-  cfg.model.tied_embeddings = true;
-  TrainingRun run(cfg);
-  run.Train(1, 1);
-  SaveAll(run, 1);
-  // Last-stage model states must not carry the tied embedding copy.
-  Result<BundleInfo> info = StatBundle(
-      PathJoin(PathJoin(dir_, "global_step1"), ModelStatesFileName(0, 1, 0)));
-  ASSERT_TRUE(info.ok());
-  for (const auto& [name, unused] : info->entries) {
-    EXPECT_NE(name, "language_model.embedding.word_embeddings.weight");
+// Within one strategy the strict check still binds each shard to the live model: a shard whose
+// flat_layout renames one parameter, or gives it another shard shape with the same numel,
+// fails with kFailedPrecondition naming that parameter on every rank, even with every CRC
+// valid. ZeRO-3 shards carry the same layout and get the same check.
+TEST_F(CkptTest, FlatLayoutMismatchIsFailedPreconditionNamingTheParameter) {
+  // Each edit changes one flat segment (segment 1, a 2-D weight).
+  const std::vector<std::pair<const char*, std::function<void(JsonObject&)>>> edits = {
+      {"renamed", [](JsonObject& segment) {
+         segment["name"] = Json(segment.at("name").AsString() + "_renamed");
+       }},
+      {"transposed shard shape", [](JsonObject& segment) {
+         JsonArray& shape = segment.at("shape").AsArray();
+         ASSERT_EQ(shape.size(), 2u);
+         ASSERT_NE(shape[0].AsInt(), shape[1].AsInt());
+         std::swap(shape[0], shape[1]);
+       }},
+  };
+  for (ParallelConfig strategy : {ParallelConfig{1, 1, 2, 1, 1, 1},
+                                  ParallelConfig{1, 1, 2, 1, 3, 1}}) {
+    for (const auto& [what, edit] : edits) {
+      SCOPED_TRACE(strategy.ToString() + " " + what);
+      ASSERT_TRUE(RemoveAll(dir_).ok());
+      const TrainerConfig cfg = ConfigFor(strategy);
+      TrainingRun source(cfg);
+      source.Train(1, 2);
+      SaveAll(source, 2);
+
+      // Every DP peer's shard carries the same layout; edit each and reseal the file.
+      std::string param;
+      for (int dp = 0; dp < strategy.dp; ++dp) {
+        const std::string path =
+            PathJoin(PathJoin(dir_, "global_step2"), OptimStatesFileName(dp, 0, 0, 0));
+        Result<TensorBundle> bundle = LoadBundle(path);
+        ASSERT_TRUE(bundle.ok()) << bundle.status();
+        JsonObject& segment = bundle->meta["flat_layout"]["segments"].AsArray()[1].AsObject();
+        param = segment.at("name").AsString();
+        edit(segment);
+        ASSERT_TRUE(SaveBundle(path, *bundle).ok());
+      }
+
+      TrainingRun run(cfg);
+      std::vector<Status> statuses(static_cast<size_t>(run.world_size()));
+      run.Run([&](RankTrainer& t) {
+        statuses[static_cast<size_t>(t.rank())] =
+            LoadDistributedCheckpoint(dir_, "global_step2", t);
+      });
+      for (const Status& s : statuses) {
+        EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s;
+        EXPECT_NE(s.message().find(param), std::string::npos) << s;
+      }
+    }
+  }
+}
+
+// Older builds also wrote one mp_rank_TT_PPP_sp_SS_model_states file per model-parallel
+// rank. No reader opens it: a tag carrying one, whatever its bytes, still resumes
+// bit-exactly, converts, and passes fsck.
+TEST_F(CkptTest, LegacyModelStatesFileIsIgnored) {
+  TrainerConfig cfg = ConfigFor({1, 1, 2, 1, 1, 1});
+  TrainingRun source(cfg);
+  source.Train(1, 2);
+  SaveAll(source, 2);
+  const std::vector<double> continued = source.Train(3, 4);
+
+  TensorBundle params;
+  params.Add("language_model.embedding.word_embeddings.weight", Tensor::Full({4, 8}, 0.5f));
+  params.meta = Json(JsonObject{{"tp_index", Json(int64_t{0})}});
+  const std::string legacy =
+      PathJoin(PathJoin(dir_, "global_step2"), "mp_rank_00_000_sp_00_model_states");
+  const std::vector<std::pair<const char*, std::string>> contents = {
+      {"garbage", std::string(1000, '\x5a')},
+      {"empty", ""},
+      {"bundle", [&] {
+         std::vector<uint8_t> bytes = *SerializeBundle(params);
+         return std::string(bytes.begin(), bytes.end());
+       }()},
+  };
+  for (const auto& [label, bytes] : contents) {
+    SCOPED_TRACE(label);
+    ASSERT_TRUE(WriteFileAtomic(legacy, bytes).ok());
+
+    TrainingRun resumed(cfg);
+    resumed.Run([&](RankTrainer& t) {
+      Status s = LoadDistributedCheckpoint(dir_, "global_step2", t);
+      UCP_CHECK(s.ok()) << s.ToString();
+    });
+    const std::vector<double> after = resumed.Train(3, 4);
+    ASSERT_EQ(after.size(), continued.size());
+    for (size_t i = 0; i < continued.size(); ++i) {
+      EXPECT_DOUBLE_EQ(after[i], continued[i]) << "iter " << 3 + i;
+    }
+
+    const std::string ucp_dir = PathJoin(dir_, "global_step2.ucp");
+    ASSERT_TRUE(RemoveAll(ucp_dir).ok());
+    Result<ConvertStats> converted = ConvertToUcp(dir_, "global_step2", ucp_dir);
+    EXPECT_TRUE(converted.ok()) << converted.status();
+
+    Result<FsckReport> fsck = Fsck(dir_, FsckOptions{});
+    ASSERT_TRUE(fsck.ok()) << fsck.status();
+    EXPECT_TRUE(fsck->clean()) << fsck->ToString();
   }
 }
 

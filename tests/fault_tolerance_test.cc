@@ -363,8 +363,8 @@ TEST_F(FaultToleranceTest, FsckExitCodesDistinguishCleanRepairedUnrecoverable) {
   EXPECT_EQ(clean->ExitCode(false), 0);
   EXPECT_EQ(clean->ExitCode(true), 0);
 
-  // Corrupt the newest tag's model shard: report-only fsck exits 1 and renames nothing.
-  CorruptFile(Sub("ckpt/global_step4/mp_rank_00_000_sp_00_model_states"));
+  // Corrupt the newest tag's shard: report-only fsck exits 1 and renames nothing.
+  CorruptFile(Sub("ckpt/global_step4/zero_pp_rank_0_mp_rank_00_000_sp_00_optim_states"));
   Result<FsckReport> found = Fsck(Sub("ckpt"), FsckOptions{});
   ASSERT_TRUE(found.ok()) << found.status();
   EXPECT_EQ(found->ExitCode(false), 1);
@@ -387,7 +387,7 @@ TEST_F(FaultToleranceTest, FsckExitCodesDistinguishCleanRepairedUnrecoverable) {
   EXPECT_EQ(*FindLatestValidTag(Sub("ckpt")), "global_step2");
 
   // Corrupt the last surviving tag too: quarantine leaves nothing resumable -> 2.
-  CorruptFile(Sub("ckpt/global_step2/mp_rank_00_000_sp_00_model_states"));
+  CorruptFile(Sub("ckpt/global_step2/zero_pp_rank_0_mp_rank_00_000_sp_00_optim_states"));
   Result<FsckReport> unrecoverable = Fsck(Sub("ckpt"), qopts);
   ASSERT_TRUE(unrecoverable.ok()) << unrecoverable.status();
   EXPECT_EQ(unrecoverable->ExitCode(true), 2);

@@ -7,7 +7,8 @@
 //     that touch it; untouched ranges still load, and header-only Stat still succeeds.
 //  3. Only v3 is read: a version field of 1, 2 or 4 fails every reader with kDataLoss
 //     naming the value, with or without resealed CRCs, and so does a header size that
-//     would wrap the readers' bounds check.
+//     would wrap the readers' bounds check. Only f32 payloads are read: a dtype byte of 1
+//     (bf16) or 2 (f16) fails every reader with kDataLoss too.
 //  4. The sliced arm reads strictly fewer bytes than the reference arm.
 
 #include <gtest/gtest.h>
@@ -260,6 +261,52 @@ TEST_F(LoadEnv, HeaderSizeNearTwoToTheSixtyFourFailsDataLossThroughEveryReader) 
   });
   for (const auto& [reader, status] : outcomes) {
     EXPECT_EQ(status.code(), StatusCode::kDataLoss) << reader << ": " << status;
+  }
+}
+
+// Offset of the first payload's dtype byte: right after the 20-byte prologue of a tensor file;
+// after the meta string, the entry count and the first member's name in a bundle.
+size_t FirstDtypeOffset(const std::vector<uint8_t>& file) {
+  size_t at = 20;
+  if (file[2] == 'B') {  // "UCB1"
+    uint32_t meta_bytes = 0;
+    std::memcpy(&meta_bytes, file.data() + at, sizeof(meta_bytes));
+    at += 4 + meta_bytes + 4;
+    uint32_t name_bytes = 0;
+    std::memcpy(&name_bytes, file.data() + at, sizeof(name_bytes));
+    at += 4 + name_bytes;
+  }
+  return at;
+}
+
+// Payloads are f32 only: a dtype byte of 1 (bf16) or 2 (f16) fails every reader with
+// kDataLoss. With the CRCs resealed over the edit, the message names the byte; without, a
+// CRC check refuses the file first. Byte 0, resealed, is the control.
+TEST_F(LoadEnv, HalfPrecisionDtypeByteFailsDataLossThroughEveryReader) {
+  ReaderMatrix readers(dir_);
+  for (uint8_t dtype : {uint8_t{0}, uint8_t{1}, uint8_t{2}}) {
+    for (bool reseal : {true, false}) {
+      if (dtype == 0 && !reseal) {
+        continue;  // identical to the resealed control
+      }
+      SCOPED_TRACE("dtype byte " + std::to_string(dtype) + (reseal ? " resealed" : ""));
+      const auto outcomes = readers.Read([&](const std::vector<uint8_t>& file) {
+        EXPECT_EQ(file[FirstDtypeOffset(file)], 0);
+        return Patched(file, FirstDtypeOffset(file), dtype, reseal);
+      });
+      for (const auto& [reader, status] : outcomes) {
+        if (dtype == 0) {
+          EXPECT_TRUE(status.ok()) << reader << ": " << status;
+          continue;
+        }
+        EXPECT_EQ(status.code(), StatusCode::kDataLoss) << reader << ": " << status;
+        if (reseal) {
+          EXPECT_NE(status.message().find("dtype byte " + std::to_string(dtype)),
+                    std::string::npos)
+              << reader << ": " << status;
+        }
+      }
+    }
   }
 }
 
