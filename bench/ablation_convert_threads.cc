@@ -1,8 +1,7 @@
 // Ablation (paper Table 2, Union): "The Union operation can execute in parallel at
 // individual parameter level. More parallelism leads to faster speed but is also more
 // memory intensive." This bench sweeps the converter's worker-thread count over a
-// larger-than-default checkpoint and reports conversion time per phase, plus the modeled
-// NVMe transfer time for the bytes moved (the DeepNVMe substitution).
+// larger-than-default checkpoint and reports conversion time per phase.
 
 #include <benchmark/benchmark.h>
 
@@ -38,7 +37,6 @@ void BM_Convert(benchmark::State& state) {
   const std::string ucp_dir = "/tmp/ucp_bench/ablation_threads_out";
   double extract_seconds = 0.0;
   double union_seconds = 0.0;
-  int64_t bytes = 0;
   int atoms = 0;
   for (auto _ : state) {
     state.PauseTiming();
@@ -49,7 +47,6 @@ void BM_Convert(benchmark::State& state) {
     UCP_CHECK(stats.ok()) << stats.status().ToString();
     extract_seconds += stats->extract_seconds;
     union_seconds += stats->union_seconds;
-    bytes = stats->bytes_read + stats->bytes_written;
     atoms = stats->atoms_written;
   }
   state.counters["extract_ms"] =
@@ -57,8 +54,6 @@ void BM_Convert(benchmark::State& state) {
   state.counters["union_ms"] =
       benchmark::Counter(union_seconds * 1e3 / static_cast<double>(state.iterations()));
   state.counters["atoms"] = benchmark::Counter(atoms);
-  state.counters["modeled_nvme_ms"] =
-      benchmark::Counter(ModeledTransferSeconds(bytes, atoms * 3 + 8) * 1e3);
 }
 
 }  // namespace

@@ -176,42 +176,6 @@ JsonObject RunLoadComparison() {
 }  // namespace
 }  // namespace ucp
 
-namespace ucp {
-namespace {
-
-// Projects the measurement to paper scale with the NVMe transfer model (DESIGN.md): at
-// simulator scale, per-file costs dominate and inflate the UCP ratio; with multi-GB
-// checkpoints the payload dominates, parallel conversion amortizes across workers, and the
-// ratio falls toward the paper's 1.14x-1.37x.
-void PrintModeledProjection() {
-  struct PaperModel {
-    const char* name;
-    double params;
-  };
-  const PaperModel models[] = {{"gpt-1.7B", 1.7e9}, {"gpt-7B", 7e9}, {"gpt-13B", 13e9}};
-  const int ranks = 8;        // parallel per-rank loads
-  const int workers = 8;      // conversion parallelism
-  std::printf("\n# modeled NVMe projection (3.2 GB/s/device, %d ranks, %d convert workers)\n",
-              ranks, workers);
-  std::printf("# %-10s %14s %18s %8s\n", "model", "std_load_s", "convert+ucp_load_s",
-              "ratio");
-  for (const PaperModel& m : models) {
-    double optim_bytes = 12.0 * m.params;            // fp32 master + exp_avg + exp_avg_sq
-    double model_bytes = 4.0 * m.params;             // published weights
-    double standard = ModeledTransferSeconds(
-        static_cast<int64_t>((optim_bytes + model_bytes) / ranks), 2);
-    double convert = ModeledTransferSeconds(
-        static_cast<int64_t>(2.0 * optim_bytes / workers), 64);  // read + write, parallel
-    double ucp_load =
-        ModeledTransferSeconds(static_cast<int64_t>(optim_bytes / ranks), 32);
-    std::printf("# %-10s %14.2f %18.2f %8.2fx\n", m.name, standard, convert + ucp_load,
-                (convert + ucp_load) / standard);
-  }
-}
-
-}  // namespace
-}  // namespace ucp
-
 int main(int argc, char** argv) {
   const std::string trace_file = ucp::bench::ExtractTraceFlag(&argc, argv);
   benchmark::Initialize(&argc, argv);
@@ -235,7 +199,5 @@ int main(int argc, char** argv) {
 
   ucp::bench::WriteBenchReport("BENCH_load_cost.json", ucp::RunLoadComparison());
   ucp::bench::WriteTraceIfRequested(trace_file);
-
-  ucp::PrintModeledProjection();
   return 0;
 }

@@ -186,7 +186,9 @@ ArmResult RunLoadArm(const std::string& backend, const std::string& dir,
 // lease, asks WRITE_RESUME how far the server got, and re-sends only the tail. The
 // store.client metric deltas split the traffic into resumed (acknowledged, not re-sent)
 // vs restarted (sent before the drop, then sent again) bytes — the survivability
-// acceptance bound is restarted < 50% of resumed.
+// acceptance bound is restarted < 50% of resumed, and a run that resumed nothing fails it.
+constexpr double kMaxRestartFraction = 0.5;
+
 struct ChaosResult {
   ArmResult arm;
   int64_t reconnects = 0;
@@ -261,11 +263,15 @@ Json ChaosArmJson(const ChaosResult& r) {
       r.resumed_bytes > 0
           ? static_cast<double>(r.restarted_bytes) / static_cast<double>(r.resumed_bytes)
           : 0.0;
+  const bool within = r.resumed_bytes > 0 &&
+                      static_cast<double>(r.restarted_bytes) <
+                          kMaxRestartFraction * static_cast<double>(r.resumed_bytes);
   std::printf(
       "fig15/save-chaos/remote/1: %.3fs, %.1f MiB/s, %lld reconnects, resumed %.1f MiB, "
-      "re-sent %.1f MiB (%.0f%% of acked)\n",
+      "re-sent %.1f MiB (%.0f%% of acked, bound %.0f%%) %s\n",
       r.arm.seconds, r.arm.throughput_mib_s, static_cast<long long>(r.reconnects),
-      resumed_mib, restarted_mib, restart_fraction * 100.0);
+      resumed_mib, restarted_mib, restart_fraction * 100.0, kMaxRestartFraction * 100.0,
+      within ? "OK" : "FAIL");
   JsonObject arm;
   arm["arm"] = std::string("save-chaos/remote/1");
   arm["workload"] = std::string("save-chaos");
@@ -280,6 +286,8 @@ Json ChaosArmJson(const ChaosResult& r) {
   arm["resumed_bytes"] = static_cast<int64_t>(r.resumed_bytes);
   arm["restarted_bytes"] = static_cast<int64_t>(r.restarted_bytes);
   arm["restart_fraction_of_acked"] = restart_fraction;
+  arm["restart_bound_fraction"] = kMaxRestartFraction;
+  arm["within_bound"] = within;
   return Json(std::move(arm));
 }
 
@@ -402,6 +410,7 @@ int main(int argc, char** argv) {
 
   ucp::JsonArray arms;
   ucp::Json tracer_overhead;
+  bool chaos_within_bound = false;
   for (const char* backend : {"local", "remote"}) {
     const std::string dir =
         ucp::bench::FreshDir(std::string("fig15_server_") + backend);
@@ -424,19 +433,21 @@ int main(int argc, char** argv) {
           ucp::RunLoadArm(backend, dir, server.get(), clients)));
     }
     if (server != nullptr) {
-      arms.emplace_back(ucp::ChaosArmJson(ucp::RunChaosSaveArm(server.get())));
+      ucp::Json chaos = ucp::ChaosArmJson(ucp::RunChaosSaveArm(server.get()));
+      chaos_within_bound = *chaos.GetBool("within_bound");
+      arms.emplace_back(std::move(chaos));
       tracer_overhead = ucp::RunRemoteTracerOverheadCheck(server.get());
       server->Shutdown();
     }
   }
 
-  const bool within_bound = *tracer_overhead.GetBool("within_bound");
+  const bool within_bound = *tracer_overhead.GetBool("within_bound") && chaos_within_bound;
   ucp::JsonObject doc;
   doc["benchmark"] = "fig15_server";
   doc["arms"] = std::move(arms);
   doc["tracer_overhead"] = std::move(tracer_overhead);
   ucp::bench::WriteBenchReport("BENCH_server.json", std::move(doc));
   ucp::bench::WriteTraceIfRequested(trace_file);
-  // A tripped tracer bound fails the run.
+  // A tripped bound, tracer overhead or chaos re-send, fails the run.
   return within_bound ? 0 : 1;
 }

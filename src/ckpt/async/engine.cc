@@ -209,7 +209,8 @@ Status AsyncCheckpointEngine::FlushShards(const std::shared_ptr<PendingSave>& sa
   UCP_TRACE_SPAN_ARGS("save.async.write_shards", ::ucp::obs::TraceArgs().S("tag", save->tag));
   UCP_RETURN_IF_ERROR(store_->ResetTagStaging(save->tag));
   // The batch applies to LocalStore writers (which stage through WriteFileAtomic on this
-  // thread); remote writers fsync server-side at commit.
+  // thread, starting each shard's writeback as it is written); the daemon fsyncs each of a
+  // remote writer's files at its WRITE_END.
   ScopedFsyncBatch batch;
   UCP_ASSIGN_OR_RETURN(std::unique_ptr<StoreWriter> writer,
                        store_->OpenTagForWrite(save->tag));

@@ -1,6 +1,7 @@
 #include "src/common/fault_fs.h"
 
 #include <atomic>
+#include <cstring>
 #include <mutex>
 #include <utility>
 
@@ -48,12 +49,19 @@ AuditState& Audit() {
   return *state;
 }
 
-// Leaked on thread exit by design (trivially destructible storage keeps the hook safe to
-// call from detached/static-destruction contexts).
-thread_local std::string* t_audit_context = nullptr;
+// The calling thread's audit context, in fixed storage sized to the longest job id
+// (IsValidJobId). Trivially destructible and never allocated, so the hook stays safe to
+// call during thread and static teardown and a thread's exit frees nothing. Zero-initialized:
+// every thread starts with the empty context.
+constexpr size_t kMaxAuditContextBytes = 64;
+struct AuditContext {
+  char bytes[kMaxAuditContextBytes];
+  size_t size;
+};
+thread_local AuditContext t_audit_context;
 
 std::string CurrentAuditContext() {
-  return t_audit_context == nullptr ? std::string() : *t_audit_context;
+  return std::string(t_audit_context.bytes, t_audit_context.size);
 }
 
 }  // namespace
@@ -64,21 +72,10 @@ std::string IoAuditViolation::ToString() const {
 }
 
 void SetThreadIoAuditContext(const std::string& context) {
-  if (t_audit_context == nullptr) {
-    t_audit_context = new std::string();
-  }
-  *t_audit_context = context;
+  UCP_CHECK_LE(context.size(), kMaxAuditContextBytes) << "audit context " << context;
+  std::memcpy(t_audit_context.bytes, context.data(), context.size());
+  t_audit_context.size = context.size();
 }
-
-ScopedIoAuditContext::ScopedIoAuditContext(std::string context)
-    : previous_(CurrentAuditContext()) {
-  if (t_audit_context == nullptr) {
-    t_audit_context = new std::string();
-  }
-  *t_audit_context = std::move(context);
-}
-
-ScopedIoAuditContext::~ScopedIoAuditContext() { *t_audit_context = previous_; }
 
 ScopedIoAudit::ScopedIoAudit(std::vector<IoAuditBucket> buckets) {
   AuditState& a = Audit();

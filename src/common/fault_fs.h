@@ -96,22 +96,11 @@ struct IoAuditReport {
   std::vector<IoAuditViolation> violations;
 };
 
-// Sticky variant: tags the calling thread until overwritten (for threads whose lifetime
-// the caller doesn't control, e.g. a checkpoint engine's flusher via pre_flush_hook).
-void SetThreadIoAuditContext(const std::string& context);
-
 // Declares the calling thread's audit context (typically the job id its rank works for)
-// for the lifetime of the object. Nesting restores the previous context on destruction.
-class ScopedIoAuditContext {
- public:
-  explicit ScopedIoAuditContext(std::string context);
-  ~ScopedIoAuditContext();
-  ScopedIoAuditContext(const ScopedIoAuditContext&) = delete;
-  ScopedIoAuditContext& operator=(const ScopedIoAuditContext&) = delete;
-
- private:
-  std::string previous_;
-};
+// until overwritten, including on threads whose lifetime the caller doesn't control (a
+// checkpoint engine's flusher, via pre_flush_hook). Aborts on a context longer than the
+// 64 bytes IsValidJobId allows a job id.
+void SetThreadIoAuditContext(const std::string& context);
 
 // Process-global audit; at most one active at a time (a second construction aborts).
 class ScopedIoAudit {

@@ -71,10 +71,18 @@ Status RetryTransient(Op&& op) {
   }
 }
 
-// Writes `size` bytes to a freshly-created `path` and (fault permitting) fsyncs it. Used for
-// both the atomic tmp file and the torn-write injection path.
+// What WriteWholeFile does with the bytes once they are written.
+enum class AfterWrite {
+  kNothing,         // the fault injector's torn and bit-rotted files
+  kFsync,           // an eager atomic write
+  kStartWriteback,  // an atomic write whose fsync an enclosing ScopedFsyncBatch defers
+};
+
+// Writes `size` bytes to a freshly-created `path`, then does what `after` says (an fsync
+// only fault permitting). Used for both the atomic tmp file and the torn-write injection
+// path.
 Status WriteWholeFile(const std::string& path, const void* data, size_t size,
-                      bool want_fsync) {
+                      AfterWrite after) {
   int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
     return IoError("open for write failed: " + path + ": " + std::strerror(errno));
@@ -93,7 +101,10 @@ Status WriteWholeFile(const std::string& path, const void* data, size_t size,
     p += n;
     left -= static_cast<size_t>(n);
   }
-  if (want_fsync) {
+  if (after == AfterWrite::kStartWriteback) {
+    StartWriteback(fd, 0, size);
+  }
+  if (after == AfterWrite::kFsync) {
     NoteFsOp(FsOp::kFsync, path);
     FaultAction fa = CheckFault(FsOp::kFsync, path);
     if (fa.fail) {
@@ -126,7 +137,7 @@ Status FlipBitInFile(const std::string& path, uint64_t bit_index) {
   }
   uint64_t bit = bit_index % (contents->size() * 8);
   (*contents)[bit / 8] ^= static_cast<char>(1u << (bit % 8));
-  return WriteWholeFile(path, contents->data(), contents->size(), /*want_fsync=*/false);
+  return WriteWholeFile(path, contents->data(), contents->size(), AfterWrite::kNothing);
 }
 
 // Innermost active fsync batch on this thread; null when writes flush eagerly.
@@ -157,6 +168,17 @@ Status FsyncExistingFile(const std::string& path) {
 }
 
 }  // namespace
+
+void StartWriteback(int fd, uint64_t offset, uint64_t size) {
+#ifdef __linux__
+  ::sync_file_range(fd, static_cast<off64_t>(offset), static_cast<off64_t>(size),
+                    SYNC_FILE_RANGE_WRITE);
+#else
+  (void)fd;
+  (void)offset;
+  (void)size;
+#endif
+}
 
 ScopedFsyncBatch::ScopedFsyncBatch() : previous_(g_active_fsync_batch) {
   g_active_fsync_batch = this;
@@ -256,14 +278,15 @@ Status WriteFileAtomic(const std::string& path, const void* data, size_t size) {
     // is told the write succeeded — the on-disk state after a crash on a filesystem whose
     // rename was journaled before the data blocks were flushed.
     size_t kept = size == 0 ? 0 : static_cast<size_t>(wa.torn_bytes % size);
-    return WriteWholeFile(path, data, kept, /*want_fsync=*/false);
+    return WriteWholeFile(path, data, kept, AfterWrite::kNothing);
   }
   // A per-process counter keeps concurrent writers (converter thread pool) from colliding on
   // the temporary name.
   static std::atomic<uint64_t> counter{0};
   std::string tmp = path + ".tmp." + std::to_string(counter.fetch_add(1));
   ScopedFsyncBatch* batch = g_active_fsync_batch;
-  Status written = WriteWholeFile(tmp, data, size, /*want_fsync=*/batch == nullptr);
+  Status written = WriteWholeFile(
+      tmp, data, size, batch == nullptr ? AfterWrite::kFsync : AfterWrite::kStartWriteback);
   if (!written.ok()) {
     std::remove(tmp.c_str());
     return written;

@@ -59,14 +59,23 @@ Result<int64_t> FileMtimeSeconds(const std::string& path);
 Status WriteFileAtomic(const std::string& path, const void* data, size_t size);
 Status WriteFileAtomic(const std::string& path, const std::string& contents);
 
+// Starts the kernel's writeback of bytes [offset, offset + size) of the open file `fd` and
+// returns without waiting for it (sync_file_range with SYNC_FILE_RANGE_WRITE; a no-op off
+// Linux). A hint only: it makes nothing durable, and the fsync that must still follow
+// reports any I/O error, so there is no result. Writers whose fsync comes later call it
+// right after writing, so the disk drains these bytes while the next ones are produced
+// and the fsync waits only for the tail. It may block while the device queue is full.
+void StartWriteback(int fd, uint64_t offset, uint64_t size);
+
 // Batches fsyncs on the current thread. While an instance is in scope, WriteFileAtomic on
-// this thread defers the per-file fsync and records the final path; SyncAll() then flushes
-// every recorded file in one pass (each fsync still routes through the fault injector).
-// Durability placement, not elision: the checkpoint flusher calls SyncAll() before the
-// commit rename, so nothing the commit protocol trusts can be un-flushed. Used by the async
-// checkpoint engine, where moving fsyncs out of the per-shard write path is most of the
-// flush-throughput win. Nestable; destruction without SyncAll() simply drops the batch
-// (the caller aborted — its staging dir is untrusted debris anyway).
+// this thread defers the per-file fsync, starts the file's writeback (StartWriteback) and
+// records the final path; SyncAll() then flushes every recorded file in one pass (each
+// fsync still routes through the fault injector). Durability placement, not elision: the
+// checkpoint flusher calls SyncAll() before the commit rename, so nothing the commit
+// protocol trusts can be un-flushed. Used by the async checkpoint engine, where moving
+// fsyncs out of the per-shard write path is most of the flush-throughput win. Nestable;
+// destruction without SyncAll() simply drops the batch (the caller aborted — its staging
+// dir is untrusted debris anyway).
 class ScopedFsyncBatch {
  public:
   ScopedFsyncBatch();

@@ -15,6 +15,7 @@
 
 #include "src/common/bytes.h"
 #include "src/common/crc32.h"
+#include "src/common/fs.h"
 #include "src/common/json.h"
 #include "src/common/logging.h"
 #include "src/obs/flight_recorder.h"
@@ -898,6 +899,9 @@ Status StoreServer::HandleWriteChunk(const WireFrame& frame, Session& session) {
   }
   UCP_RETURN_IF_ERROR(
       PwriteAll(session.spool_fd, data, n, session.write_spooled, session.spool_path));
+  // The disk drains this chunk while the client streams the next, so WRITE_END's fsync
+  // waits only for the tail.
+  StartWriteback(session.spool_fd, session.write_spooled, n);
   session.write_crc = Crc32Update(session.write_crc, data, n);
   session.write_spooled += n;
   return OkStatus();

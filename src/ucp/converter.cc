@@ -59,17 +59,6 @@ Status CommitUcpStaging(const std::string& staging, const std::string& ucp_dir) 
   return WriteFileAtomic(PathJoin(ucp_dir, "complete"), "ucp");
 }
 
-}  // namespace
-
-double ModeledTransferSeconds(int64_t bytes, int num_files, double bandwidth_bytes_per_sec,
-                              double per_file_latency_sec) {
-  UCP_CHECK_GT(bandwidth_bytes_per_sec, 0.0);
-  return static_cast<double>(bytes) / bandwidth_bytes_per_sec +
-         static_cast<double>(num_files) * per_file_latency_sec;
-}
-
-namespace {
-
 // The whole conversion, writing into `staging`. Errors may leave `staging` partially
 // populated; the caller removes it.
 Result<ConvertStats> ConvertToUcpImpl(const std::string& ckpt_dir, const std::string& tag,

@@ -27,18 +27,11 @@ struct ConvertStats {
   int atoms_written = 0;
   double extract_seconds = 0.0;
   double union_seconds = 0.0;
-  // Checkpoint bytes consumed / produced; feed into ModeledTransferSeconds to project what
-  // the conversion would cost on real storage (the DeepNVMe substitution — see DESIGN.md).
+  // Bytes of the source shard files read, and of the UCP directory written (also exported
+  // as the `convert.bytes_read` / `convert.bytes_written` counters).
   int64_t bytes_read = 0;
   int64_t bytes_written = 0;
 };
-
-// Transfer time of `bytes` on a device with the given sequential bandwidth and fixed
-// per-file latency — the simulator's stand-in for DeepNVMe's near-peak sequential reads.
-// Defaults approximate one NVMe drive (3.2 GB/s, 100 us/file).
-double ModeledTransferSeconds(int64_t bytes, int num_files,
-                              double bandwidth_bytes_per_sec = 3.2e9,
-                              double per_file_latency_sec = 1e-4);
 
 // Native distributed checkpoint -> UCP. `ckpt_dir`/`tag` locate the source; `ucp_dir` is
 // created (must not already contain a UCP checkpoint).

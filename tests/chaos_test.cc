@@ -203,7 +203,7 @@ TEST_F(ChaosStoreTest, ConnDropMidWriteResumesAndCommitsBitExact) {
   EXPECT_GE(reconnects, 3u);
   // The whole point of WRITE_RESUME: across the three drops the client salvaged
   // acknowledged prefixes and re-sent strictly less than it salvaged. (The tight <50%
-  // re-send bound is measured by the fig15_server chaos arm.)
+  // re-send bound is checked by the fig15_server chaos arm, which fails its run.)
   EXPECT_GT(resumed, 0u);
   EXPECT_LT(restarted, resumed);
 

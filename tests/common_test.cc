@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/common/bytes.h"
 #include "src/common/crc32.h"
+#include "src/common/fault_fs.h"
 #include "src/common/fs.h"
 #include "src/common/json.h"
 #include "src/common/rng.h"
@@ -391,6 +394,122 @@ TEST_F(FsTest, PathJoinEdgeCases) {
   EXPECT_EQ(PathJoin("a", "/b"), "a/b");
   EXPECT_EQ(PathJoin("", "b"), "b");
   EXPECT_EQ(PathJoin("a", ""), "a");
+}
+
+// ---------------- ScopedFsyncBatch ----------------
+
+// Each test arms a plan that counts the fsyncs under the test dir and, except where a test
+// wants a failure, never fires.
+class ScopedFsyncBatchTest : public FsTest {
+ protected:
+  FaultPlan CountFsyncs() const {
+    FaultPlan plan;
+    plan.op = FsOp::kFsync;
+    plan.nth = 1 << 30;
+    plan.path_substr = dir_;
+    return plan;
+  }
+
+  // Writes `size` seeded bytes to `name` under the test dir and remembers them.
+  Status Write(const std::string& name, size_t size) {
+    std::string bytes(size, '\0');
+    Rng rng(size + name.size());
+    for (char& c : bytes) {
+      c = static_cast<char>(rng.NextU64());
+    }
+    const std::string path = PathJoin(dir_, name);
+    written_[path] = bytes;
+    return WriteFileAtomic(path, bytes);
+  }
+
+  void ExpectAllReadBackExact() const {
+    for (const auto& [path, bytes] : written_) {
+      Result<std::string> back = ReadFileToString(path);
+      ASSERT_TRUE(back.ok()) << back.status().ToString();
+      EXPECT_TRUE(*back == bytes) << path;
+    }
+  }
+
+  std::map<std::string, std::string> written_;
+};
+
+TEST_F(ScopedFsyncBatchTest, DefersEveryFsyncUntilSyncAll) {
+  ScopedFault fault(CountFsyncs());
+  {
+    ScopedFsyncBatch batch;
+    ASSERT_TRUE(Write("shard0", 1).ok());
+    ASSERT_TRUE(Write("shard1", 4096 + 3).ok());
+    ASSERT_TRUE(Write("shard2", (1u << 20) + 17).ok());
+    EXPECT_EQ(FaultOpsSeen(), 0);
+    EXPECT_EQ(batch.pending(), 3u);
+
+    ASSERT_TRUE(batch.SyncAll().ok());
+    EXPECT_EQ(FaultOpsSeen(), 3);
+    EXPECT_EQ(batch.pending(), 0u);
+
+    ASSERT_TRUE(batch.SyncAll().ok());
+    EXPECT_EQ(FaultOpsSeen(), 3);
+  }
+  EXPECT_FALSE(FaultFired());
+  ExpectAllReadBackExact();
+  EXPECT_EQ(ListDir(dir_)->size(), 3u);  // no tmp debris
+}
+
+TEST_F(ScopedFsyncBatchTest, WriteOutsideAnyBatchFsyncsAtOnce) {
+  ScopedFault fault(CountFsyncs());
+  ASSERT_TRUE(Write("eager", 4096).ok());
+  EXPECT_EQ(FaultOpsSeen(), 1);
+  {
+    ScopedFsyncBatch batch;
+    ASSERT_TRUE(Write("deferred", 4096).ok());
+    EXPECT_EQ(FaultOpsSeen(), 1);
+    ASSERT_TRUE(batch.SyncAll().ok());
+  }
+  // The batch is gone, so writes flush eagerly again.
+  ASSERT_TRUE(Write("eager_again", 10).ok());
+  EXPECT_EQ(FaultOpsSeen(), 3);
+  ExpectAllReadBackExact();
+}
+
+TEST_F(ScopedFsyncBatchTest, InnerBatchRecordsOnlyItsOwnWrites) {
+  ScopedFault fault(CountFsyncs());
+  ScopedFsyncBatch outer;
+  ASSERT_TRUE(Write("outer0", 100).ok());
+  {
+    ScopedFsyncBatch inner;
+    ASSERT_TRUE(Write("inner0", 200).ok());
+    ASSERT_TRUE(Write("inner1", 300).ok());
+    EXPECT_EQ(inner.pending(), 2u);
+    EXPECT_EQ(outer.pending(), 1u);
+    ASSERT_TRUE(inner.SyncAll().ok());
+    EXPECT_EQ(FaultOpsSeen(), 2);
+  }
+  // The outer batch is active again once the inner one is destroyed.
+  ASSERT_TRUE(Write("outer1", 400).ok());
+  EXPECT_EQ(outer.pending(), 2u);
+  EXPECT_EQ(FaultOpsSeen(), 2);
+  ASSERT_TRUE(outer.SyncAll().ok());
+  EXPECT_EQ(FaultOpsSeen(), 4);
+  ExpectAllReadBackExact();
+}
+
+TEST_F(ScopedFsyncBatchTest, FailStopOnSecondFsyncFailsSyncAllNamingThatFile) {
+  FaultPlan plan = CountFsyncs();
+  plan.kind = FaultPlan::Kind::kFailStop;
+  plan.nth = 2;
+  ScopedFault fault(plan);
+  ScopedFsyncBatch batch;
+  ASSERT_TRUE(Write("shard0", 4096).ok());
+  ASSERT_TRUE(Write("shard1", 4096).ok());
+  ASSERT_TRUE(Write("shard2", 4096).ok());
+  const Status synced = batch.SyncAll();
+  EXPECT_EQ(synced.code(), StatusCode::kIoError);
+  EXPECT_NE(synced.message().find(PathJoin(dir_, "shard1")), std::string::npos)
+      << synced.ToString();
+  EXPECT_TRUE(FaultFired());
+  // SyncAll stops at the failure: the third file is never fsynced.
+  EXPECT_EQ(FaultOpsSeen(), 2);
+  ExpectAllReadBackExact();
 }
 
 // ---------------- ThreadPool ----------------
