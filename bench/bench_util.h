@@ -53,6 +53,28 @@ inline void LoadUcpAll(TrainingRun& run, const std::string& ucp_dir) {
   });
 }
 
+// The median of repeated timing samples and their spread, IQR / median (quartiles
+// interpolate linearly between neighbouring samples). Every repeated arm records both.
+struct MedianSpread {
+  double median = 0.0;
+  double iqr_over_median = 0.0;
+};
+
+inline MedianSpread Summarize(std::vector<double> samples) {
+  UCP_CHECK(!samples.empty());
+  std::sort(samples.begin(), samples.end());
+  auto quantile = [&](double q) {
+    const double at = q * static_cast<double>(samples.size() - 1);
+    const size_t lo = static_cast<size_t>(at);
+    const size_t hi = std::min(lo + 1, samples.size() - 1);
+    return samples[lo] + (at - static_cast<double>(lo)) * (samples[hi] - samples[lo]);
+  };
+  MedianSpread out;
+  out.median = quantile(0.5);
+  out.iqr_over_median = out.median > 0.0 ? (quantile(0.75) - quantile(0.25)) / out.median : 0.0;
+  return out;
+}
+
 inline std::string FreshDir(const std::string& name) {
   std::string dir = "/tmp/ucp_bench/" + name;
   UCP_CHECK(RemoveAll(dir).ok());

@@ -133,7 +133,8 @@ JsonObject RunAsyncSaveComparison() {
     AsyncCheckpointOptions options;
     options.flush_threads = 2;
     options.max_in_flight = 2;
-    AsyncCheckpointEngine engine(async_dir, run.world_size(), options);
+    AsyncCheckpointEngine engine(std::make_shared<LocalStore>(async_dir), run.world_size(),
+                                 options);
     auto save_async = [&](int64_t iteration) {
       run.Run([&](RankTrainer& t) {
         Status s = engine.SaveAsync(t, iteration);

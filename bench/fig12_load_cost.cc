@@ -11,7 +11,8 @@
 // A second comparison isolates the UCP load executor itself — serial whole-file assembly
 // vs the sliced path (each rank preads only the atom ranges inside its partition, inline on
 // its own thread) — and emits BENCH_load_cost.json with wall-clock and bytes-read-per-rank
-// for both arms.
+// for both arms. It runs kRounds rounds of one timed load per arm, alternating which arm
+// goes first, and records each arm's median and IQR / median.
 
 #include <benchmark/benchmark.h>
 
@@ -108,10 +109,7 @@ void run_with_options(TrainingRun& run, const std::string& ucp_dir,
 // wall-clock and bytes-read-per-rank for both arms into BENCH_load_cost.json.
 JsonObject RunLoadComparison() {
   using Clock = std::chrono::steady_clock;
-  auto seconds_between = [](Clock::time_point a, Clock::time_point b) {
-    return std::chrono::duration<double>(b - a).count();
-  };
-  constexpr int kReps = 3;
+  constexpr int kRounds = 9;
   const int world = kStrategy.world_size();
 
   JsonArray arms;
@@ -124,39 +122,48 @@ JsonObject RunLoadComparison() {
         ConvertToUcp(f.ckpt_dir, TagForIteration(2), ucp_dir, {.num_threads = 4});
     UCP_CHECK(stats.ok()) << stats.status().ToString();
 
-    auto run_arm = [&](const UcpLoadOptions& options, uint64_t* bytes_per_rank) {
-      // Warm-up rep excluded from timing (first touch pays page-cache population for both
-      // arms alike; steady-state is the quantity of interest).
-      run_with_options(*f.run, ucp_dir, options);
+    // One timed load; returns its wall time and sets the bytes it read per rank.
+    auto load_once = [&](bool sliced, uint64_t* bytes_per_rank) {
       ResetTensorIoStats();
       const auto t0 = Clock::now();
-      for (int i = 0; i < kReps; ++i) {
-        run_with_options(*f.run, ucp_dir, options);
-      }
-      const double seconds = seconds_between(t0, Clock::now()) / kReps;
-      *bytes_per_rank =
-          GetTensorIoStats().bytes_read / static_cast<uint64_t>(kReps * world);
+      run_with_options(*f.run, ucp_dir, {.sliced = sliced});
+      const double seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+      *bytes_per_rank = GetTensorIoStats().bytes_read / static_cast<uint64_t>(world);
       return seconds;
     };
 
+    // One untimed load per arm first: the first touch pays page-cache population.
     uint64_t serial_bytes = 0, sliced_bytes = 0;
-    const double serial_seconds = run_arm({.sliced = false}, &serial_bytes);
-    const double sliced_seconds = run_arm({.sliced = true}, &sliced_bytes);
+    load_once(false, &serial_bytes);
+    load_once(true, &sliced_bytes);
+    std::vector<double> serial_samples, sliced_samples;
+    for (int round = 0; round < kRounds; ++round) {
+      // Alternate which arm goes first, so neither always follows the other.
+      for (const bool sliced : {round % 2 == 1, round % 2 == 0}) {
+        (sliced ? sliced_samples : serial_samples)
+            .push_back(load_once(sliced, sliced ? &sliced_bytes : &serial_bytes));
+      }
+    }
+    const bench::MedianSpread serial = bench::Summarize(serial_samples);
+    const bench::MedianSpread sliced = bench::Summarize(sliced_samples);
 
     const double fraction =
         static_cast<double>(sliced_bytes) / static_cast<double>(serial_bytes);
-    const double speedup = serial_seconds / sliced_seconds;
+    const double speedup = serial.median / sliced.median;
     std::printf(
-        "fig12/ucp_load/%s serial=%.3fms sliced=%.3fms speedup=%.2fx "
-        "bytes/rank %llu -> %llu (%.1f%%)\n",
-        arm.size_label, serial_seconds * 1e3, sliced_seconds * 1e3, speedup,
-        static_cast<unsigned long long>(serial_bytes),
-        static_cast<unsigned long long>(sliced_bytes), fraction * 100.0);
+        "fig12/ucp_load/%s serial=%.3fms (iqr/median %.2f) sliced=%.3fms (iqr/median %.2f) "
+        "speedup=%.2fx bytes/rank %llu -> %llu (%.1f%%), %d rounds\n",
+        arm.size_label, serial.median * 1e3, serial.iqr_over_median, sliced.median * 1e3,
+        sliced.iqr_over_median, speedup, static_cast<unsigned long long>(serial_bytes),
+        static_cast<unsigned long long>(sliced_bytes), fraction * 100.0, kRounds);
 
     JsonObject entry;
     entry["model"] = arm.size_label;
-    entry["serial_whole_file_seconds"] = serial_seconds;
-    entry["sliced_seconds"] = sliced_seconds;
+    entry["runs"] = kRounds;
+    entry["serial_whole_file_seconds"] = serial.median;
+    entry["serial_whole_file_iqr_over_median"] = serial.iqr_over_median;
+    entry["sliced_seconds"] = sliced.median;
+    entry["sliced_iqr_over_median"] = sliced.iqr_over_median;
     entry["speedup"] = speedup;
     entry["serial_bytes_read_per_rank"] = static_cast<int64_t>(serial_bytes);
     entry["sliced_bytes_read_per_rank"] = static_cast<int64_t>(sliced_bytes);
@@ -168,7 +175,6 @@ JsonObject RunLoadComparison() {
   doc["benchmark"] = "fig12_ucp_load_serial_vs_sliced";
   doc["strategy"] = kStrategy.ToString();
   doc["world_size"] = world;
-  doc["loads_per_arm"] = kReps;
   doc["arms"] = std::move(arms);
   return doc;
 }

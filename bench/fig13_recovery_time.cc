@@ -64,14 +64,6 @@ RecoveryTiming RunOnce(const char* label, bool rebuild_same_strategy) {
   return t;
 }
 
-// The q-quantile of sorted samples, interpolating linearly between neighbours.
-double Quantile(const std::vector<double>& sorted, double q) {
-  const double at = q * static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(at);
-  const size_t hi = std::min(lo + 1, sorted.size() - 1);
-  return sorted[lo] + (at - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
-}
-
 Json RunArm(const char* label, bool rebuild_same_strategy) {
   std::vector<RecoveryTiming> runs;
   for (int i = 0; i < kRuns; ++i) {
@@ -102,13 +94,11 @@ Json RunArm(const char* label, bool rebuild_same_strategy) {
     for (const RecoveryTiming& run : runs) {
       samples.push_back(run.*field);
     }
-    std::sort(samples.begin(), samples.end());
-    const double median = Quantile(samples, 0.5);
-    const double iqr = Quantile(samples, 0.75) - Quantile(samples, 0.25);
-    arm[std::string(phase) + "_seconds"] = median;
-    arm[std::string(phase) + "_iqr_over_median"] = median > 0.0 ? iqr / median : 0.0;
-    std::printf("fig13/%s/%s: median=%.4fs iqr/median=%.2f (n=%d)\n", label, phase, median,
-                median > 0.0 ? iqr / median : 0.0, kRuns);
+    const bench::MedianSpread summary = bench::Summarize(std::move(samples));
+    arm[std::string(phase) + "_seconds"] = summary.median;
+    arm[std::string(phase) + "_iqr_over_median"] = summary.iqr_over_median;
+    std::printf("fig13/%s/%s: median=%.4fs iqr/median=%.2f (n=%d)\n", label, phase,
+                summary.median, summary.iqr_over_median, kRuns);
   }
   return Json(std::move(arm));
 }

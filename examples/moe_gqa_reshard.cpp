@@ -55,7 +55,8 @@ void Demo(const char* title, const ucp::ModelConfig& model,
 
   // Inspect the focus parameter: local shard on the source vs consolidated atom.
   ParamPtr shard = source.trainer(0).model().store().FindOrNull(focus_param);
-  Result<ParamState> atom = ReadAtom(workdir + "/ucp", focus_param);
+  LocalStore ucp(workdir + "/ucp");
+  Result<ParamState> atom = ReadAtom(ucp, "", focus_param);
   UCP_CHECK(atom.ok()) << atom.status().ToString();
   std::printf("parameter %s\n", focus_param);
   if (shard != nullptr) {

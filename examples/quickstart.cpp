@@ -48,9 +48,10 @@ int main() {
   // ---- 3. Convert to UCP (this is the only step a strategy change costs). ----
   // Discover the newest committed tag instead of hardcoding it: FindLatestValidTag skips
   // uncommitted or damaged tags, unlike the advisory `latest` pointer.
-  Result<std::string> tag = FindLatestValidTag(workdir + "/ckpt");
+  LocalStore ckpt(workdir + "/ckpt");
+  Result<std::string> tag = FindLatestValidTag(ckpt);
   UCP_CHECK(tag.ok()) << tag.status().ToString();
-  Result<ConvertStats> stats = ConvertToUcp(workdir + "/ckpt", *tag, workdir + "/ucp");
+  Result<ConvertStats> stats = ConvertToUcp(ckpt, *tag, workdir + "/ucp");
   UCP_CHECK(stats.ok()) << stats.status().ToString();
   std::printf("converted to UCP: %d atom checkpoints (extract %.0f ms, union %.0f ms)\n",
               stats->atoms_written, stats->extract_seconds * 1e3,

@@ -42,11 +42,6 @@ struct AsyncMetrics {
 
 }  // namespace
 
-AsyncCheckpointEngine::AsyncCheckpointEngine(std::string dir, int world_size,
-                                             AsyncCheckpointOptions options)
-    : AsyncCheckpointEngine(std::make_shared<LocalStore>(std::move(dir)), world_size,
-                            std::move(options)) {}
-
 AsyncCheckpointEngine::AsyncCheckpointEngine(std::shared_ptr<Store> store, int world_size,
                                              AsyncCheckpointOptions options)
     : store_(std::move(store)), world_size_(world_size), options_(std::move(options)) {

@@ -56,8 +56,8 @@ struct AsyncCheckpointOptions {
     kDropOldest  // cancel the oldest in-flight save — never stalls training
   };
   Backpressure backpressure = Backpressure::kBlock;
-  // > 0: run GcCheckpoints(dir, keep_last) after every successful commit (scoped to
-  // `job`'s namespace).
+  // > 0: run Store::Gc(job, keep_last) after every successful commit (scoped to `job`'s
+  // namespace).
   int keep_last = 0;
   // Tag namespace inside a shared store: saves commit `<job>.global_stepN` tags and move
   // the `latest.<job>` pointer. Empty = the default namespace.
@@ -86,11 +86,9 @@ struct AsyncSaveStats {
 
 class AsyncCheckpointEngine {
  public:
-  // One engine per checkpoint store, shared by every rank thread of the run. The dir form
-  // wraps a LocalStore on `dir`; the Store form takes any backend (a RemoteStore here puts
-  // the whole flush — staging, commit, GC — on the other side of the wire).
-  AsyncCheckpointEngine(std::string dir, int world_size,
-                        AsyncCheckpointOptions options = {});
+  // One engine per checkpoint store, shared by every rank thread of the run. Any backend:
+  // a LocalStore on a directory, or a RemoteStore, which puts the whole flush (staging,
+  // commit, GC) on the other side of the wire.
   AsyncCheckpointEngine(std::shared_ptr<Store> store, int world_size,
                         AsyncCheckpointOptions options = {});
   // Drains in-flight saves (equivalent to WaitAll) before tearing down the pool.

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "src/ckpt/async/snapshot.h"
-#include "src/common/fs.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/tensor/tensor_file.h"
@@ -105,9 +104,9 @@ struct LoadedOptimState {
   int64_t steps = 0;
 };
 
-Result<LoadedOptimState> LoadLocalState(const std::string& dir, const std::string& tag,
+Result<LoadedOptimState> LoadLocalState(Store& store, const std::string& tag,
                                         RankTrainer& trainer) {
-  UCP_ASSIGN_OR_RETURN(CheckpointMeta meta, ReadCheckpointMeta(dir, tag));
+  UCP_ASSIGN_OR_RETURN(CheckpointMeta meta, ReadCheckpointMeta(store, tag));
 
   // The Fig. 1 behaviour: distributed checkpoints are coupled to the strategy that produced
   // them. Any mismatch is an error, not a best-effort remap.
@@ -125,21 +124,23 @@ Result<LoadedOptimState> LoadLocalState(const std::string& dir, const std::strin
   // Range-read this rank's shard through a view: the header parses once, and only the
   // chunks backing each requested tensor are verified (not the whole file).
   const RankCoord& coord = trainer.coord();
-  const std::string path =
-      PathJoin(PathJoin(dir, tag), OptimStatesFileName(coord.dp, coord.tp, coord.pp, coord.sp));
-  UCP_ASSIGN_OR_RETURN(BundleFileView optim, BundleFileView::Open(path));
+  UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> source,
+                       store.OpenRead(JoinRel(tag, OptimStatesFileName(coord.dp, coord.tp,
+                                                                       coord.pp, coord.sp))));
+  UCP_ASSIGN_OR_RETURN(BundleFileView optim, BundleFileView::Open(std::move(source)));
 
   // Name/shape strictness: the shard's flat layout (every parameter's name, shard shape and
   // place in the flat buffers) must be exactly the live optimizer's.
   if (!optim.meta().Has("flat_layout")) {
-    return DataLossError("optimizer bundle missing flat_layout: " + path);
+    return DataLossError("optimizer bundle missing flat_layout: " + optim.path());
   }
   UCP_ASSIGN_OR_RETURN(FlatLayout layout,
                        FlatLayout::FromJson(optim.meta().AsObject().at("flat_layout")));
   const std::string mismatch =
       FlatLayoutMismatch(layout, "checkpoint", trainer.optimizer().layout(), "model");
   if (!mismatch.empty()) {
-    return FailedPreconditionError("flat layout mismatch in " + path + " at " + mismatch);
+    return FailedPreconditionError("flat layout mismatch in " + optim.path() + " at " +
+                                   mismatch);
   }
 
   if (optim.IndexOf("fp32_flat") < 0 || optim.IndexOf("exp_avg") < 0 ||
@@ -156,9 +157,9 @@ Result<LoadedOptimState> LoadLocalState(const std::string& dir, const std::strin
 
 }  // namespace
 
-Status LoadDistributedCheckpoint(const std::string& dir, const std::string& tag,
+Status LoadDistributedCheckpoint(Store& store, const std::string& tag,
                                  RankTrainer& trainer) {
-  Result<LoadedOptimState> local = LoadLocalState(dir, tag, trainer);
+  Result<LoadedOptimState> local = LoadLocalState(store, tag, trainer);
   // Collective agreement before installing state: ZeroOptimizer::LoadState all-gathers
   // across the DP group, so a rank that failed its local reads must fail *everyone* here —
   // otherwise healthy peers would strand inside the collective. Every rank reaches this
@@ -173,6 +174,12 @@ Status LoadDistributedCheckpoint(const std::string& dir, const std::string& tag,
   }
   return trainer.optimizer().LoadState(local->master, local->exp_avg, local->exp_avg_sq,
                                        local->steps);
+}
+
+Status LoadDistributedCheckpoint(const std::string& dir, const std::string& tag,
+                                 RankTrainer& trainer) {
+  LocalStore store(dir);
+  return LoadDistributedCheckpoint(store, tag, trainer);
 }
 
 }  // namespace ucp

@@ -20,10 +20,11 @@
 // updated. A crash at any point leaves either no tag, ignorable staging debris, or an
 // unmarked tag — never a tag that readers would trust. See docs/durability.md.
 //
-// All storage primitives (tag grammar, CheckpointMeta, commit/list/GC, the dir-based free
-// functions) live in src/store/ behind the Store interface, so the same save runs against
-// a local directory or a ucp_serverd daemon; this header re-exports them and adds the
-// trainer-coupled collectives on top.
+// All storage primitives (tag grammar, CheckpointMeta, commit/list/GC, the meta and
+// marker reads) live in src/store/ behind the Store interface, so the same save and load
+// run against a local directory or a ucp_serverd daemon; this header re-exports them and
+// adds the trainer-coupled collectives on top. Every read opens its file through
+// Store::OpenRead / ReadSmallFile; only LocalStore turns a tag-relative name into a path.
 //
 // Loading is strict, reproducing the Fig. 1 failure mode: resuming under a different
 // parallelism strategy or world size, or with a shard whose flat layout differs from the
@@ -57,6 +58,9 @@ Status SaveDistributedCheckpoint(const std::string& dir, RankTrainer& trainer,
 CheckpointMeta MetaForSave(const RankTrainer& trainer, int64_t iteration);
 
 // Strict native load: the trainer's model + strategy must match the checkpoint exactly.
+// Collective. Each rank opens its one shard through `store`; the dir overload wraps a
+// LocalStore on `dir`.
+Status LoadDistributedCheckpoint(Store& store, const std::string& tag, RankTrainer& trainer);
 Status LoadDistributedCheckpoint(const std::string& dir, const std::string& tag,
                                  RankTrainer& trainer);
 

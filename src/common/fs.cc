@@ -253,6 +253,23 @@ Result<uint64_t> FileSize(const std::string& path) {
   return size;
 }
 
+uint64_t DirBytes(const std::string& path) {
+  Result<std::vector<std::string>> entries = ListDir(path);
+  if (!entries.ok()) {
+    return 0;
+  }
+  uint64_t total = 0;
+  for (const std::string& name : *entries) {
+    const std::string child = PathJoin(path, name);
+    if (DirExists(child)) {
+      total += DirBytes(child);
+    } else if (Result<uint64_t> size = FileSize(child); size.ok()) {
+      total += *size;
+    }
+  }
+  return total;
+}
+
 Result<int64_t> FileMtimeSeconds(const std::string& path) {
   struct ::stat st;
   if (::stat(path.c_str(), &st) != 0) {

@@ -50,6 +50,9 @@ bool DirExists(const std::string& path);
 
 Result<uint64_t> FileSize(const std::string& path);
 
+// Total bytes of the regular files under `path`, recursively; 0 when it does not exist.
+uint64_t DirBytes(const std::string& path);
+
 // Last-modification time of `path` in whole seconds since the POSIX epoch.
 Result<int64_t> FileMtimeSeconds(const std::string& path);
 

@@ -135,7 +135,8 @@ SupervisorReport Supervisor::Train(int64_t first_iteration, int64_t last_iterati
               *remote, cfg.strategy.world_size(), options_.async);
         } else {
           engine = std::make_unique<AsyncCheckpointEngine>(
-              options_.ckpt_dir, cfg.strategy.world_size(), options_.async);
+              std::make_shared<LocalStore>(options_.ckpt_dir), cfg.strategy.world_size(),
+              options_.async);
         }
       }
     }
@@ -144,8 +145,8 @@ SupervisorReport Supervisor::Train(int64_t first_iteration, int64_t last_iterati
     int64_t next = first_iteration;
     ResumeReport resume_report;
     bool resumed = false;
-    if (!options_.ckpt_dir.empty() &&
-        FindLatestValidTag(options_.ckpt_dir, options_.async.job).ok()) {
+    LocalStore ckpt(options_.ckpt_dir);
+    if (!options_.ckpt_dir.empty() && FindLatestValidTag(ckpt, options_.async.job).ok()) {
       UCP_TRACE_SPAN("recovery.resume");
       Status resume_status = OkStatus();
       std::mutex resume_mu;

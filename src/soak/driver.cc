@@ -82,6 +82,7 @@ SoakRunReport RunSoakSchedule(const SoakOptions& options,
     report.status = made;
     return report;
   }
+  LocalStore store(options.dir);
 
   // through_daemon: every save goes through this in-process ucp_serverd serving the same
   // root over a unix socket. The server object is restartable in place (kDaemonRestart),
@@ -178,8 +179,7 @@ SoakRunReport RunSoakSchedule(const SoakOptions& options,
         current_max_in_flight = std::max(1, event.max_in_flight);
         break;
       case SoakEventKind::kGc: {
-        Result<GcReport> gc =
-            GcCheckpoints(options.dir, event.keep_last, /*dry_run=*/false, options.job);
+        Result<GcReport> gc = store.Gc(options.job, event.keep_last, /*dry_run=*/false);
         if (gc.ok()) {
           line["gc_removed"] = static_cast<int64_t>(gc->removed.size());
           line["gc_kept"] = static_cast<int64_t>(gc->kept.size());
@@ -213,7 +213,7 @@ SoakRunReport RunSoakSchedule(const SoakOptions& options,
       case SoakEventKind::kTrain: {
         const int64_t first = completed + 1;
         const int64_t last = completed + event.iterations;
-        const bool had_resume_tag = FindLatestValidTag(options.dir, options.job).ok();
+        const bool had_resume_tag = FindLatestValidTag(store, options.job).ok();
         const bool clean_segment = !pending_kill.has_value() && !pending_fs.has_value() &&
                                    !pending_conn.has_value();
 

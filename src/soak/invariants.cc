@@ -17,7 +17,7 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-// Mirrors CleanStagingDebris's ownership rule: `<tag>.staging` and `<tag>.ucp.staging`
+// Mirrors Store::SweepStagingDebris's ownership rule: `<tag>.staging` and `<tag>.ucp.staging`
 // belong to the namespace their tag parses into; unparseable staging names can only belong
 // to the default namespace.
 bool StagingOwnedByJob(const std::string& name, const std::string& job) {
@@ -43,13 +43,14 @@ SoakInvariantResult CheckSoakInvariants(const SoakInvariantContext& context) {
 
   // I1 — no committed tag ahead of training progress.
   ++result.checks_run;
+  LocalStore store(context.dir);
   std::vector<std::string> committed;
-  Result<std::vector<std::string>> tags = ListCheckpointTags(context.dir, context.job);
+  Result<std::vector<std::string>> tags = store.ListTags(context.job);
   if (!tags.ok()) {
     violation(std::string("I1: listing tags failed: ") + StatusCodeName(tags.status().code()));
   } else {
     for (const std::string& tag : *tags) {
-      if (!IsTagComplete(context.dir, tag)) {
+      if (!IsTagComplete(store, tag)) {
         continue;  // an aborted save; readers skip it by design
       }
       committed.push_back(tag);
@@ -65,7 +66,7 @@ SoakInvariantResult CheckSoakInvariants(const SoakInvariantContext& context) {
 
   // I2 — the resumable frontier is monotone absent corruption.
   ++result.checks_run;
-  Result<std::string> latest_valid = FindLatestValidTag(context.dir, context.job);
+  Result<std::string> latest_valid = FindLatestValidTag(store, context.job);
   if (latest_valid.ok()) {
     result.latest_valid_tag = *latest_valid;
     ParseTagName(*latest_valid, nullptr, &result.latest_valid_iteration);
@@ -86,7 +87,7 @@ SoakInvariantResult CheckSoakInvariants(const SoakInvariantContext& context) {
     ValidateOptions options;
     options.deep = true;
     options.num_threads = 0;  // inline: keeps the check deterministic and cheap at soak scale
-    Result<ValidationReport> report = ValidateNativeCheckpoint(context.dir, *it, options);
+    Result<ValidationReport> report = ValidateNativeCheckpoint(store, *it, options);
     if (report.ok() && report->ok()) {
       found_clean = true;
       break;
@@ -119,13 +120,13 @@ SoakInvariantResult CheckSoakInvariants(const SoakInvariantContext& context) {
 
   // I5 — the latest pointer stays inside the namespace and never names an uncommitted tag.
   ++result.checks_run;
-  Result<std::string> pointer = ReadLatestTag(context.dir, context.job);
+  Result<std::string> pointer = ReadLatestTag(store, context.job);
   if (pointer.ok()) {
     std::string pointer_job;
     if (!ParseTagName(*pointer, &pointer_job, nullptr) || pointer_job != context.job) {
       violation("I5: latest pointer names a foreign tag: " + *pointer);
     } else if (DirExists(PathJoin(context.dir, *pointer)) &&
-               !IsTagComplete(context.dir, *pointer)) {
+               !IsTagComplete(store, *pointer)) {
       violation("I5: latest pointer names uncommitted tag " + *pointer);
     }
   }
@@ -137,7 +138,7 @@ SoakInvariantResult CheckSoakInvariants(const SoakInvariantContext& context) {
   for (const std::string& tag : context.must_exist_tags) {
     if (!DirExists(PathJoin(context.dir, tag))) {
       violation("I8: committed tag " + tag + " vanished from the store");
-    } else if (!IsTagComplete(context.dir, tag)) {
+    } else if (!IsTagComplete(store, tag)) {
       violation("I8: committed tag " + tag + " lost its complete marker");
     }
   }

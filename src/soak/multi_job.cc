@@ -52,7 +52,8 @@ MultiJobReport::JobResult RunOneJob(const MultiJobOptions& options, const std::s
     engine_options.pre_flush_hook = [job](int64_t) { SetThreadIoAuditContext(job); };
     std::optional<AsyncCheckpointEngine> engine;
     if (endpoint.empty()) {
-      engine.emplace(options.dir, run.world_size(), engine_options);
+      engine.emplace(std::make_shared<LocalStore>(options.dir), run.world_size(),
+                     engine_options);
     } else {
       Result<std::shared_ptr<Store>> store = OpenStore(endpoint);
       if (!store.ok()) {
@@ -92,7 +93,8 @@ MultiJobReport::JobResult RunOneJob(const MultiJobOptions& options, const std::s
   }
 
   // Final store state, still under this job's audit identity.
-  Result<std::string> latest = FindLatestValidTag(options.dir, job);
+  LocalStore store(options.dir);
+  Result<std::string> latest = FindLatestValidTag(store, job);
   if (!latest.ok()) {
     note(latest.status());
   } else {
@@ -103,7 +105,7 @@ MultiJobReport::JobResult RunOneJob(const MultiJobOptions& options, const std::s
     validate_options.deep = true;
     validate_options.num_threads = 0;
     Result<ValidationReport> validated =
-        ValidateNativeCheckpoint(options.dir, *latest, validate_options);
+        ValidateNativeCheckpoint(store, *latest, validate_options);
     result.deep_valid = validated.ok() && validated->ok();
 
     TrainingRun reload(config);
@@ -119,10 +121,10 @@ MultiJobReport::JobResult RunOneJob(const MultiJobOptions& options, const std::s
     });
   }
 
-  Result<std::vector<std::string>> tags = ListCheckpointTags(options.dir, job);
+  Result<std::vector<std::string>> tags = store.ListTags(job);
   if (tags.ok()) {
     for (const std::string& tag : *tags) {
-      result.committed_tags += IsTagComplete(options.dir, tag) ? 1 : 0;
+      result.committed_tags += IsTagComplete(store, tag) ? 1 : 0;
     }
   }
 

@@ -64,7 +64,7 @@ enum class SoakEventKind {
   kTrain = 0,     // drive the supervisor for `iterations` steps (faults armed beforehand fire here)
   kRankKill,      // arm a rank kill for the next train segment
   kFsFault,       // arm a filesystem fault plan for the next train segment
-  kGc,            // GcCheckpoints(keep_last) in the run's namespace
+  kGc,            // Store::Gc(keep_last) in the run's namespace
   kBackpressure,  // set the async engine's max_in_flight for subsequent segments
   kFsck,          // store-wide integrity scan (no quarantine)
   kConnDrop,      // arm a socket fault (errno + peer drop) for the next train segment

@@ -1,7 +1,6 @@
 #include "src/store/local_store.h"
 
 #include <algorithm>
-#include <tuple>
 #include <utility>
 
 #include "src/common/strings.h"
@@ -243,78 +242,6 @@ Result<int> LocalStore::SweepStagingDebris(const std::string& job) {
     ++removed;
   }
   return removed;
-}
-
-// ---- Dir-based wrappers -------------------------------------------------------------------
-
-Status CommitCheckpointTag(const std::string& dir, const std::string& tag,
-                           const CheckpointMeta& meta) {
-  return LocalStore(dir).CommitTag(tag, meta.ToJson().Dump(2));
-}
-
-Result<int> CleanStagingDebris(const std::string& dir, const std::string& job) {
-  return LocalStore(dir).SweepStagingDebris(job);
-}
-
-Result<std::string> ReadLatestTag(const std::string& dir, const std::string& job) {
-  if (!IsValidJobId(job)) {
-    return InvalidArgumentError("bad job id: " + job);
-  }
-  return ReadFileToString(PathJoin(dir, LatestFileName(job)));
-}
-
-bool IsTagComplete(const std::string& dir, const std::string& tag) {
-  return FileExists(PathJoin(PathJoin(dir, tag), kCompleteMarker));
-}
-
-Result<std::string> FindLatestValidTag(const std::string& dir, const std::string& job) {
-  LocalStore store(dir);
-  Result<std::string> tag = FindLatestValidTag(store, job);
-  if (!tag.ok() && tag.status().code() == StatusCode::kNotFound) {
-    return NotFoundError("no committed checkpoint tag under " + dir);
-  }
-  return tag;
-}
-
-Result<CheckpointMeta> ReadCheckpointMeta(const std::string& dir, const std::string& tag) {
-  const std::string tag_dir = PathJoin(dir, tag);
-  if (DirExists(tag_dir) && !FileExists(PathJoin(tag_dir, kCompleteMarker))) {
-    return DataLossError("checkpoint tag " + tag +
-                         " is not committed (missing 'complete' marker)");
-  }
-  UCP_ASSIGN_OR_RETURN(std::string text,
-                       ReadFileToString(PathJoin(tag_dir, "checkpoint_meta.json")));
-  UCP_ASSIGN_OR_RETURN(Json json, Json::Parse(text));
-  return CheckpointMeta::FromJson(json);
-}
-
-Result<std::vector<std::string>> ListCheckpointTags(const std::string& dir,
-                                                    const std::string& job) {
-  return LocalStore(dir).ListTags(job);
-}
-
-Result<std::vector<std::string>> ListAllCheckpointTags(const std::string& dir) {
-  UCP_ASSIGN_OR_RETURN(std::vector<std::string> entries, ListDir(dir));
-  std::vector<std::tuple<std::string, int64_t, std::string>> tagged;
-  for (const std::string& name : entries) {
-    std::string tag_job;
-    int64_t iteration = 0;
-    if (ParseTagName(name, &tag_job, &iteration) && DirExists(PathJoin(dir, name))) {
-      tagged.emplace_back(tag_job, iteration, name);
-    }
-  }
-  std::sort(tagged.begin(), tagged.end());
-  std::vector<std::string> tags;
-  tags.reserve(tagged.size());
-  for (auto& [job, iteration, name] : tagged) {
-    tags.push_back(std::move(name));
-  }
-  return tags;
-}
-
-Result<GcReport> GcCheckpoints(const std::string& dir, int keep_last, bool dry_run,
-                               const std::string& job) {
-  return LocalStore(dir).Gc(job, keep_last, dry_run);
 }
 
 }  // namespace ucp

@@ -83,28 +83,6 @@ std::string ParentDir(const std::string& path) {
   return slash == std::string::npos ? std::string(".") : path.substr(0, slash);
 }
 
-// Total file bytes under `path`, recursively; 0 when it doesn't exist. Used to recompute
-// an adopted lease's staged-byte charge from what actually survived the restart.
-uint64_t DirBytes(const std::string& path) {
-  if (!DirExists(path)) {
-    return 0;
-  }
-  uint64_t total = 0;
-  Result<std::vector<std::string>> entries = ListDir(path);
-  if (!entries.ok()) {
-    return 0;
-  }
-  for (const std::string& name : *entries) {
-    const std::string child = PathJoin(path, name);
-    if (DirExists(child)) {
-      total += DirBytes(child);
-    } else if (Result<uint64_t> size = FileSize(child); size.ok()) {
-      total += *size;
-    }
-  }
-  return total;
-}
-
 // Writes exactly [data, data+size) at `offset` (pwrite loop; EINTR absorbed).
 Status PwriteAll(int fd, const void* data, size_t size, uint64_t offset,
                  const std::string& path) {

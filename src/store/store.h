@@ -1,11 +1,13 @@
 // The unified checkpoint-store abstraction.
 //
-// Every byte of checkpoint I/O — save (sync and async), sliced UCP load, GC, tooling —
-// goes through `Store`, so a training job is indifferent to whether its checkpoints live
-// in a local directory (LocalStore, the direct-FS path this repo always had) or behind
-// `ucp_serverd` (RemoteStore, speaking the framed wire protocol in wire.h). The interface
-// is deliberately narrow (Portus/ByteCheckpoint-style decoupling): relative paths and tag
-// names only, staged writes with an explicit commit, positional reads via ByteSource so
+// Every checkpoint read (native load, Extract and conversion's source side, validation,
+// the UCP load, the resume tag walk) and every save, commit and GC goes through `Store`,
+// so a training job is indifferent to whether its checkpoints live in a local directory
+// (LocalStore) or behind `ucp_serverd` (RemoteStore, speaking the framed wire protocol in
+// wire.h). The writes that still take a path are conversion's atom output and fsck's
+// quarantine renames (docs/store.md). The interface is deliberately narrow
+// (Portus/ByteCheckpoint-style decoupling): relative paths and tag names only, staged
+// writes with an explicit commit, positional reads via ByteSource so
 // TensorFileView/BundleFileView range reads work unchanged over either backend.
 //
 // Commit protocol (identical on both backends; the remote one runs it server-side):
@@ -33,7 +35,7 @@
 
 namespace ucp {
 
-// Retention outcome of one Gc() pass (see LocalStore::Gc for the policy).
+// Retention outcome of one Gc() pass (see Store::Gc for the policy).
 struct GcReport {
   std::vector<std::string> removed;  // committed tags deleted (ascending iteration)
   std::vector<std::string> kept;     // committed tags surviving
@@ -138,18 +140,28 @@ class Store {
   // Removes a committed tag and its cached `.ucp` conversion. OK when absent.
   virtual Status DeleteTag(const std::string& tag) = 0;
 
-  // Namespace-scoped retention (see the long policy comment on LocalStore::Gc).
+  // Retention for steady-state training (`ucp_tool gc`, AsyncCheckpointOptions::keep_last):
+  // keeps the newest `keep_last` *committed* tags of `job`'s namespace. Uncommitted tags
+  // and staging debris are never touched: they belong to crashed-save recovery, and a tag
+  // mid-commit by a concurrent flusher must not be swept. Never deletes the tag the job's
+  // `latest` names, nor the newest tag whose metadata still reads back: when every tag in
+  // the keep window is damaged, that older tag is the job's only resume point. Other jobs'
+  // tags and pointers are invisible to it. Call from one process per job.
   virtual Result<GcReport> Gc(const std::string& job, int keep_last, bool dry_run) = 0;
 
-  // Removes stale `<tag>.staging` / `<tag>.ucp.staging` dirs in `job`'s namespace.
-  // Returns the number removed.
+  // Removes stale `<tag>.staging` / `<tag>.ucp.staging` dirs in `job`'s namespace (debris
+  // of crashed saves and conversions, never trusted by any reader). Returns the number
+  // removed. Call with no save in flight for `job`; other jobs' staging is never touched,
+  // since sweeping a concurrent flush's staging would fail its commit rename.
   virtual Result<int> SweepStagingDebris(const std::string& job) = 0;
 };
 
 // ---- Store-generic helpers (compositions of the primitives above) ------------------------
 
-// Reads the job's latest pointer. Advisory — written after the commit marker, so it can lag
-// one save behind; resume must use FindLatestValidTag.
+// Reads the job's latest pointer. Advisory: it is written after the commit marker, so a
+// crash can leave it one save behind, and fsck quarantine can orphan it. Resume must use
+// FindLatestValidTag; this is for diagnostics and retention's "never delete what latest
+// names" guard.
 Result<std::string> ReadLatestTag(Store& store, const std::string& job = "");
 
 // True when the tag's `complete` commit marker exists (the save finished).

@@ -60,7 +60,7 @@ std::string AtomRel(const std::string& ucp_rel, const std::string& param_name) {
 
 namespace {
 
-// Whole-tensor read through a Store's positional source (ReadAtom's remote-capable arm).
+// Whole-tensor read through a Store's positional source.
 Result<Tensor> LoadTensorFromStore(Store& store, const std::string& rel) {
   UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> source, store.OpenRead(rel));
   UCP_ASSIGN_OR_RETURN(TensorFileView view, TensorFileView::Open(std::move(source)));
@@ -97,19 +97,6 @@ Status WriteAtom(const std::string& ucp_dir, const ParamState& state,
   return WriteFileAtomic(PathJoin(dir, "meta.json"), Json(std::move(meta)).Dump(2));
 }
 
-Result<ParamState> ReadAtom(const std::string& ucp_dir, const std::string& param_name) {
-  const std::string dir = AtomDir(ucp_dir, param_name);
-  ParamState state;
-  state.name = param_name;
-  UCP_ASSIGN_OR_RETURN(state.fp32, LoadTensor(PathJoin(dir, "fp32")));
-  UCP_ASSIGN_OR_RETURN(state.exp_avg, LoadTensor(PathJoin(dir, "exp_avg")));
-  UCP_ASSIGN_OR_RETURN(state.exp_avg_sq, LoadTensor(PathJoin(dir, "exp_avg_sq")));
-  if (!state.fp32.SameShape(state.exp_avg) || !state.fp32.SameShape(state.exp_avg_sq)) {
-    return DataLossError("atom tensors of " + param_name + " have inconsistent shapes");
-  }
-  return state;
-}
-
 Result<ParamState> ReadAtom(Store& store, const std::string& ucp_rel,
                             const std::string& param_name) {
   const std::string dir = AtomRel(ucp_rel, param_name);
@@ -125,32 +112,14 @@ Result<ParamState> ReadAtom(Store& store, const std::string& ucp_rel,
   return state;
 }
 
-Result<Shape> ReadAtomShape(const std::string& ucp_dir, const std::string& param_name) {
-  UCP_ASSIGN_OR_RETURN(TensorFileInfo info,
-                       StatTensor(PathJoin(AtomDir(ucp_dir, param_name), "fp32")));
-  return info.shape;
-}
-
 Status WriteUcpMeta(const std::string& ucp_dir, const UcpMeta& meta) {
   return WriteFileAtomic(PathJoin(ucp_dir, "ucp_meta.json"), meta.ToJson().Dump(2));
-}
-
-bool IsUcpComplete(const std::string& ucp_dir) {
-  return FileExists(PathJoin(ucp_dir, "ucp_meta.json")) &&
-         FileExists(PathJoin(ucp_dir, "complete"));
 }
 
 bool IsUcpComplete(Store& store, const std::string& ucp_rel) {
   Result<bool> meta = store.Exists(JoinRel(ucp_rel, "ucp_meta.json"));
   Result<bool> marker = store.Exists(JoinRel(ucp_rel, "complete"));
   return meta.ok() && *meta && marker.ok() && *marker;
-}
-
-Result<UcpMeta> ReadUcpMeta(const std::string& ucp_dir) {
-  UCP_ASSIGN_OR_RETURN(std::string text,
-                       ReadFileToString(PathJoin(ucp_dir, "ucp_meta.json")));
-  UCP_ASSIGN_OR_RETURN(Json json, Json::Parse(text));
-  return UcpMeta::FromJson(json);
 }
 
 Result<UcpMeta> ReadUcpMeta(Store& store, const std::string& ucp_rel) {

@@ -52,20 +52,19 @@ std::string AtomRel(const std::string& ucp_rel, const std::string& param_name);
 Status WriteAtom(const std::string& ucp_dir, const ParamState& state,
                  const PatternRule& source_pattern);
 
-Result<ParamState> ReadAtom(const std::string& ucp_dir, const std::string& param_name);
+// The readers take the UCP checkpoint at `ucp_rel` inside `store` ("" = the store root, so
+// a LocalStore on a UCP directory reads that directory).
+
+// Whole atom, read through chunk-verified views: the header and every payload chunk are
+// CRC-checked, the trailing whole-file CRC is not (deep fsck checks it).
 Result<ParamState> ReadAtom(Store& store, const std::string& ucp_rel,
                             const std::string& param_name);
 
-// Header-only shape probe (used by GenUcpMetadata-style planning and tests).
-Result<Shape> ReadAtomShape(const std::string& ucp_dir, const std::string& param_name);
-
 Status WriteUcpMeta(const std::string& ucp_dir, const UcpMeta& meta);
-Result<UcpMeta> ReadUcpMeta(const std::string& ucp_dir);
 Result<UcpMeta> ReadUcpMeta(Store& store, const std::string& ucp_rel);
 
 // True when the UCP dir carries both its metadata and the `complete` commit marker the
 // converter drops last. A dir without the marker is an aborted conversion.
-bool IsUcpComplete(const std::string& ucp_dir);
 bool IsUcpComplete(Store& store, const std::string& ucp_rel);
 
 }  // namespace ucp

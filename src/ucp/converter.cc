@@ -20,30 +20,12 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-// Total size of a directory tree in bytes (counts atom payloads after conversion).
-int64_t DirBytes(const std::string& dir) {
-  int64_t total = 0;
-  Result<std::vector<std::string>> entries = ListDir(dir);
-  if (!entries.ok()) {
-    return 0;
-  }
-  for (const std::string& name : *entries) {
-    std::string path = PathJoin(dir, name);
-    if (DirExists(path)) {
-      total += DirBytes(path);
-    } else {
-      Result<uint64_t> size = FileSize(path);
-      total += size.ok() ? static_cast<int64_t>(*size) : 0;
-    }
-  }
-  return total;
-}
-
 // Conversion writes every atom into a `.staging` sibling; only a fully-written tree is
 // renamed to `ucp_dir` (marker last). A failed or crashed conversion leaves no partial
 // `ucp_dir`, so a retry never trips the AlreadyExists guard.
 Result<std::string> BeginUcpStaging(const std::string& ucp_dir) {
-  if (IsUcpComplete(ucp_dir)) {
+  LocalStore existing(ucp_dir);
+  if (IsUcpComplete(existing, "")) {
     return AlreadyExistsError("UCP checkpoint already exists at " + ucp_dir);
   }
   // An unmarked ucp_dir is debris of an interrupted conversion — replace it.
@@ -61,13 +43,12 @@ Status CommitUcpStaging(const std::string& staging, const std::string& ucp_dir) 
 
 // The whole conversion, writing into `staging`. Errors may leave `staging` partially
 // populated; the caller removes it.
-Result<ConvertStats> ConvertToUcpImpl(const std::string& ckpt_dir, const std::string& tag,
+Result<ConvertStats> ConvertToUcpImpl(Store& source, const std::string& tag,
                                       const std::string& staging,
                                       const ConvertOptions& options) {
   const std::string& ucp_dir = staging;
-  UCP_ASSIGN_OR_RETURN(CheckpointMeta meta, ReadCheckpointMeta(ckpt_dir, tag));
+  UCP_ASSIGN_OR_RETURN(CheckpointMeta meta, ReadCheckpointMeta(source, tag));
   const ParallelConfig& src = meta.strategy;
-  const std::string tag_dir = PathJoin(ckpt_dir, tag);
 
   PatternLibrary default_library = PatternLibrary::ForStrategy(meta.model, src);
   const PatternLibrary& library =
@@ -107,7 +88,7 @@ Result<ConvertStats> ConvertToUcpImpl(const std::string& ckpt_dir, const std::st
         ::ucp::obs::TraceArgs().I("model_ranks", static_cast<int64_t>(model_ranks.size())));
     pool.ParallelFor(model_ranks.size(), [&](size_t i) {
       const ModelRank& mr = model_ranks[i];
-      Result<ExtractedRank> extracted = Extract(tag_dir, src, mr.tp, mr.pp, mr.sp);
+      Result<ExtractedRank> extracted = Extract(source, tag, src, mr.tp, mr.pp, mr.sp);
       std::lock_guard<std::mutex> lock(mu);
       if (!extracted.ok()) {
         if (first_error.ok()) {
@@ -116,6 +97,7 @@ Result<ConvertStats> ConvertToUcpImpl(const std::string& ckpt_dir, const std::st
         return;
       }
       steps_taken = extracted->steps_taken;
+      stats.bytes_read += extracted->bytes_read;
       for (ParamState& state : extracted->params) {
         ShardContribution contribution;
         contribution.coord = extracted->coord;
@@ -129,16 +111,6 @@ Result<ConvertStats> ConvertToUcpImpl(const std::string& ckpt_dir, const std::st
     return first_error;
   }
   stats.extract_seconds = SecondsSince(extract_start);
-  for (const ModelRank& mr : model_ranks) {
-    for (int dp = 0; dp < src.dp; ++dp) {
-      Result<uint64_t> size =
-          FileSize(PathJoin(tag_dir, OptimStatesFileName(dp, mr.tp, mr.pp, mr.sp)));
-      stats.bytes_read += size.ok() ? static_cast<int64_t>(*size) : 0;
-      if (src.zero_stage == 0) {
-        break;  // stage 0: one full copy read per model rank
-      }
-    }
-  }
 
   // ---- Union phase: parallel over parameters (Algorithm 1, lines 7-21) ----
   auto union_start = std::chrono::steady_clock::now();
@@ -185,7 +157,7 @@ Result<ConvertStats> ConvertToUcpImpl(const std::string& ckpt_dir, const std::st
     return first_error;
   }
   stats.union_seconds = SecondsSince(union_start);
-  stats.bytes_written = DirBytes(ucp_dir);
+  stats.bytes_written = static_cast<int64_t>(DirBytes(ucp_dir));
 
   // ---- Manifest ----
   UcpMeta ucp_meta;
@@ -287,22 +259,29 @@ void PublishConvertStats(const ConvertStats& stats) {
 
 }  // namespace
 
-Result<ConvertStats> ConvertToUcp(const std::string& ckpt_dir, const std::string& tag,
+Result<ConvertStats> ConvertToUcp(Store& source, const std::string& tag,
                                   const std::string& ucp_dir,
                                   const ConvertOptions& options) {
   UCP_TRACE_SPAN_ARGS("convert.to_ucp", ::ucp::obs::TraceArgs().S("tag", tag));
   UCP_ASSIGN_OR_RETURN(std::string staging, BeginUcpStaging(ucp_dir));
-  Result<ConvertStats> stats = ConvertToUcpImpl(ckpt_dir, tag, staging, options);
+  Result<ConvertStats> stats = ConvertToUcpImpl(source, tag, staging, options);
   if (!stats.ok()) {
     RemoveAll(staging).ok();  // best effort: leave no debris, keep the retry path clean
     return stats.status();
   }
   UCP_RETURN_IF_ERROR(CommitUcpStaging(staging, ucp_dir));
   PublishConvertStats(*stats);
-  UCP_LOG(Info) << "converted " << PathJoin(ckpt_dir, tag) << " -> " << ucp_dir << " ("
-                << stats->atoms_written << " atoms, extract " << stats->extract_seconds
-                << "s, union " << stats->union_seconds << "s)";
+  UCP_LOG(Info) << "converted " << tag << " from " << source.Describe() << " -> " << ucp_dir
+                << " (" << stats->atoms_written << " atoms, extract "
+                << stats->extract_seconds << "s, union " << stats->union_seconds << "s)";
   return stats;
+}
+
+Result<ConvertStats> ConvertToUcp(const std::string& ckpt_dir, const std::string& tag,
+                                  const std::string& ucp_dir,
+                                  const ConvertOptions& options) {
+  LocalStore source(ckpt_dir);
+  return ConvertToUcp(source, tag, ucp_dir, options);
 }
 
 Result<ConvertStats> ConvertForeignToUcp(const std::string& foreign_dir,

@@ -27,14 +27,19 @@ struct ConvertStats {
   int atoms_written = 0;
   double extract_seconds = 0.0;
   double union_seconds = 0.0;
-  // Bytes of the source shard files read, and of the UCP directory written (also exported
-  // as the `convert.bytes_read` / `convert.bytes_written` counters).
+  // Total size of the source shard files Extract opened, and of the UCP directory written
+  // (also exported as the `convert.bytes_read` / `convert.bytes_written` counters).
   int64_t bytes_read = 0;
   int64_t bytes_written = 0;
 };
 
-// Native distributed checkpoint -> UCP. `ckpt_dir`/`tag` locate the source; `ucp_dir` is
-// created (must not already contain a UCP checkpoint).
+// Native distributed checkpoint -> UCP. The source, checkpoint `tag`, is read through
+// `source` (meta and every shard); the atoms are written into the local directory
+// `ucp_dir`, which is created (it must not already hold a committed UCP checkpoint). The
+// dir overload reads from a LocalStore on `ckpt_dir`.
+Result<ConvertStats> ConvertToUcp(Store& source, const std::string& tag,
+                                  const std::string& ucp_dir,
+                                  const ConvertOptions& options = {});
 Result<ConvertStats> ConvertToUcp(const std::string& ckpt_dir, const std::string& tag,
                                   const std::string& ucp_dir,
                                   const ConvertOptions& options = {});

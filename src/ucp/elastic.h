@@ -33,8 +33,10 @@ struct ResumeReport {
 // (kDataLoss/kIoError/kNotFound) falls back to the next older committed tag; the first
 // failure is reported when nothing resumes. The pre-resume debris sweep is scoped to
 // `job`, so resuming one job of a shared store never disturbs a sibling's in-flight save.
-// Collective: every rank of the run must call it; rank 0 performs the conversion while the
-// others wait at a barrier.
+// Every read (the tag walk, meta, the native load, the conversion's source, the `.ucp`
+// cache check and the UCP load) goes through a LocalStore on `dir`; only the conversion's
+// atoms are written by path. Collective: every rank of the run must call it; rank 0
+// performs the conversion while the others wait at a barrier.
 Result<ResumeReport> ResumeElastic(const std::string& dir, RankTrainer& trainer,
                                    const std::string& job = "");
 

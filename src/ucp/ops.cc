@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/ckpt/checkpoint.h"
-#include "src/common/fs.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/tensor/tensor_file.h"
@@ -27,8 +26,8 @@ Result<Tensor> StripPadding(const Tensor& flat, int64_t logical_total) {
   return flat.Narrow(0, 0, logical_total);
 }
 
-Result<ExtractedRank> Extract(const std::string& tag_dir, const ParallelConfig& src, int tp,
-                              int pp, int sp) {
+Result<ExtractedRank> Extract(Store& store, const std::string& tag, const ParallelConfig& src,
+                              int tp, int pp, int sp) {
   UCP_TRACE_SPAN_ARGS(
       "ucp.extract",
       ::ucp::obs::TraceArgs().I("tp", tp).I("pp", pp).I("sp", sp).I("src_dp", src.dp));
@@ -43,11 +42,13 @@ Result<ExtractedRank> Extract(const std::string& tag_dir, const ParallelConfig& 
   std::vector<Tensor> exp_avg_sq_parts;
 
   for (int dp = 0; dp < src.dp; ++dp) {
-    const std::string path = PathJoin(tag_dir, OptimStatesFileName(dp, tp, pp, sp));
     // Parse metadata once and range-read just the three flat tensors (v3 bundles verify
     // only the chunks those tensors occupy).
-    UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> source, FileByteSource::Open(path));
+    UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> source,
+                         store.OpenRead(JoinRel(tag, OptimStatesFileName(dp, tp, pp, sp))));
+    out.bytes_read += static_cast<int64_t>(source->size());
     UCP_ASSIGN_OR_RETURN(BundleFileView bundle, BundleFileView::Open(std::move(source)));
+    const std::string& path = bundle.path();
     UCP_ASSIGN_OR_RETURN(int64_t stage, bundle.meta().GetInt("zero_stage"));
     UCP_ASSIGN_OR_RETURN(out.steps_taken, bundle.meta().GetInt("steps_taken"));
     if (!bundle.meta().Has("flat_layout")) {

@@ -23,15 +23,16 @@ struct ExtractedRank {
   RankCoord coord;  // dp is meaningless here (all DP partitions were merged)
   int zero_stage = 0;
   int64_t steps_taken = 0;
+  int64_t bytes_read = 0;  // total size of the shard files opened
   std::vector<ParamState> params;  // shapes are this rank's TP-shard shapes
 };
 
 // Extract: reads all `src.dp` optimizer-state files of model-parallel rank (tp, pp, sp)
-// from a native distributed checkpoint, reassembles the flat fp32/exp_avg/exp_avg_sq
+// of checkpoint `tag` through `store`, reassembles the flat fp32/exp_avg/exp_avg_sq
 // buffers (concatenating ZeRO partitions in DP order), strips padding, and slices the
 // per-parameter segments. Callable in parallel across model-parallel ranks (Table 2).
-Result<ExtractedRank> Extract(const std::string& tag_dir, const ParallelConfig& src, int tp,
-                              int pp, int sp);
+Result<ExtractedRank> Extract(Store& store, const std::string& tag, const ParallelConfig& src,
+                              int tp, int pp, int sp);
 
 // One rank's contribution of one parameter to the union.
 struct ShardContribution {

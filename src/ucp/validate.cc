@@ -1,8 +1,10 @@
 #include "src/ucp/validate.h"
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "src/ckpt/checkpoint.h"
 #include "src/common/fs.h"
@@ -29,16 +31,17 @@ std::string ValidationReport::ToString() const {
 
 namespace {
 
-// A deferred per-file integrity check. Checks are collected first, fanned out on a
-// ThreadPool, and merged into the report in submission order, so the findings are
-// deterministic no matter how the pool schedules them.
+// A deferred integrity check of one store-relative file. Checks are collected first, fanned
+// out on a ThreadPool, and merged into the report in submission order, so the findings are
+// deterministic no matter how the pool schedules them. RunChecks opens the file; `fn`
+// checks what it reads from it.
 struct FileCheck {
-  std::string path;
-  std::function<Status()> fn;
+  std::string rel;
+  std::function<Status(std::unique_ptr<ByteSource>)> fn;
 };
 
-void RunChecks(const std::vector<FileCheck>& checks, const ValidateOptions& options,
-               ValidationReport& report) {
+void RunChecks(Store& store, const std::vector<FileCheck>& checks,
+               const ValidateOptions& options, ValidationReport& report) {
   struct Slot {
     bool missing = false;
     uint64_t size = 0;
@@ -47,23 +50,24 @@ void RunChecks(const std::vector<FileCheck>& checks, const ValidateOptions& opti
   std::vector<Slot> slots(checks.size());
   ThreadPool pool(options.num_threads > 0 ? static_cast<size_t>(options.num_threads) : 0);
   pool.ParallelFor(checks.size(), [&](size_t i) {
-    Result<uint64_t> size = FileSize(checks[i].path);
-    if (!size.ok()) {
-      slots[i].missing = true;
+    Result<std::unique_ptr<ByteSource>> source = store.OpenRead(checks[i].rel);
+    if (!source.ok()) {
+      slots[i].missing = source.status().code() == StatusCode::kNotFound;
+      slots[i].status = source.status();
       return;
     }
-    slots[i].size = *size;
-    slots[i].status = checks[i].fn();
+    slots[i].size = (*source)->size();
+    slots[i].status = checks[i].fn(std::move(source).value());
   });
   for (size_t i = 0; i < checks.size(); ++i) {
     if (slots[i].missing) {
-      report.problems.push_back("missing file: " + checks[i].path);
+      report.problems.push_back("missing file: " + checks[i].rel);
       continue;
     }
     ++report.files_checked;
     report.bytes_checked += static_cast<int64_t>(slots[i].size);
     if (!slots[i].status.ok()) {
-      report.problems.push_back(checks[i].path + ": " + slots[i].status.ToString());
+      report.problems.push_back(checks[i].rel + ": " + slots[i].status.ToString());
     }
   }
 }
@@ -71,30 +75,49 @@ void RunChecks(const std::vector<FileCheck>& checks, const ValidateOptions& opti
 // ReadCheckpointMeta refuses uncommitted tags outright; the validator instead records the
 // missing marker as a finding and keeps scanning, so fsck can still localize the damage
 // inside an aborted save.
-Result<CheckpointMeta> ReadMetaUngated(const std::string& dir, const std::string& tag) {
+Result<CheckpointMeta> ReadMetaUngated(Store& store, const std::string& tag) {
   UCP_ASSIGN_OR_RETURN(std::string text,
-                       ReadFileToString(PathJoin(PathJoin(dir, tag), "checkpoint_meta.json")));
+                       store.ReadSmallFile(JoinRel(tag, "checkpoint_meta.json")));
   UCP_ASSIGN_OR_RETURN(Json json, Json::Parse(text));
   return CheckpointMeta::FromJson(json);
 }
 
+// Every checkpoint tag under `dir` across all job namespaces (ascending by job id, then
+// iteration). For fsck's store-wide sweep only: resume and retention stay namespace-scoped.
+Result<std::vector<std::string>> ListAllCheckpointTags(const std::string& dir) {
+  UCP_ASSIGN_OR_RETURN(std::vector<std::string> entries, ListDir(dir));
+  std::vector<std::tuple<std::string, int64_t, std::string>> tagged;
+  for (const std::string& name : entries) {
+    std::string tag_job;
+    int64_t iteration = 0;
+    if (ParseTagName(name, &tag_job, &iteration) && DirExists(PathJoin(dir, name))) {
+      tagged.emplace_back(tag_job, iteration, name);
+    }
+  }
+  std::sort(tagged.begin(), tagged.end());
+  std::vector<std::string> tags;
+  tags.reserve(tagged.size());
+  for (auto& [job, iteration, name] : tagged) {
+    tags.push_back(std::move(name));
+  }
+  return tags;
+}
+
 }  // namespace
 
-Result<ValidationReport> ValidateNativeCheckpoint(const std::string& dir,
-                                                  const std::string& tag,
+Result<ValidationReport> ValidateNativeCheckpoint(Store& store, const std::string& tag,
                                                   const ValidateOptions& options) {
   ValidationReport report;
-  if (!IsTagComplete(dir, tag)) {
+  if (!IsTagComplete(store, tag)) {
     report.problems.push_back("missing 'complete' marker: the save of " + tag +
                               " never committed");
   }
-  Result<CheckpointMeta> meta = ReadMetaUngated(dir, tag);
+  Result<CheckpointMeta> meta = ReadMetaUngated(store, tag);
   if (!meta.ok()) {
     report.problems.push_back("checkpoint_meta.json: " + meta.status().ToString());
     return report;
   }
   const ParallelConfig& s = meta->strategy;
-  const std::string tag_dir = PathJoin(dir, tag);
 
   std::vector<FileCheck> checks;
 
@@ -103,19 +126,18 @@ Result<ValidationReport> ValidateNativeCheckpoint(const std::string& dir,
   // Distinct checks write distinct slots, so the parallel phase needs no locking.
   std::vector<int64_t> padded_totals(
       static_cast<size_t>(s.pp) * s.sp * s.tp * s.dp, -1);
-  std::vector<std::string> optim_paths(padded_totals.size());
+  std::vector<std::string> optim_rels(padded_totals.size());
 
   for (int pp = 0; pp < s.pp; ++pp) {
     for (int sp = 0; sp < s.sp; ++sp) {
       for (int tp = 0; tp < s.tp; ++tp) {
         for (int dp = 0; dp < s.dp; ++dp) {
           size_t slot = static_cast<size_t>(((pp * s.sp + sp) * s.tp + tp) * s.dp + dp);
-          std::string optim_path = PathJoin(tag_dir, OptimStatesFileName(dp, tp, pp, sp));
-          optim_paths[slot] = optim_path;
+          std::string optim_rel = JoinRel(tag, OptimStatesFileName(dp, tp, pp, sp));
+          optim_rels[slot] = optim_rel;
           int64_t* padded_out = &padded_totals[slot];
-          checks.push_back({optim_path, [optim_path, &s, &options, padded_out] {
-            UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> source,
-                                 FileByteSource::Open(optim_path));
+          checks.push_back({optim_rel, [&store, optim_rel, &s, &options,
+                                        padded_out](std::unique_ptr<ByteSource> source) {
             UCP_ASSIGN_OR_RETURN(BundleInfo info, StatBundle(std::move(source)));
             const TensorFileInfo* fp32 = nullptr;
             for (const char* key : {"fp32_flat", "exp_avg", "exp_avg_sq"}) {
@@ -150,7 +172,7 @@ Result<ValidationReport> ValidateNativeCheckpoint(const std::string& dir,
             *padded_out = layout.padded_total;
             if (options.deep) {
               UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> deep_source,
-                                   FileByteSource::Open(optim_path));
+                                   store.OpenRead(optim_rel));
               return DeepVerifyBundleFile(std::move(deep_source));
             }
             return OkStatus();
@@ -159,7 +181,7 @@ Result<ValidationReport> ValidateNativeCheckpoint(const std::string& dir,
       }
     }
   }
-  RunChecks(checks, options, report);
+  RunChecks(store, checks, options, report);
 
   // Cross-DP agreement post-pass, once every file has reported in.
   for (int pp = 0; pp < s.pp; ++pp) {
@@ -172,7 +194,7 @@ Result<ValidationReport> ValidateNativeCheckpoint(const std::string& dir,
             continue;  // file was missing/damaged; already reported
           }
           if (group_total >= 0 && padded_totals[slot] != group_total) {
-            report.problems.push_back(optim_paths[slot] +
+            report.problems.push_back(optim_rels[slot] +
                                       ": flat layout disagrees with DP peers");
           }
           group_total = padded_totals[slot];
@@ -186,11 +208,12 @@ Result<ValidationReport> ValidateNativeCheckpoint(const std::string& dir,
 Result<ValidationReport> ValidateUcpCheckpoint(const std::string& ucp_dir,
                                                const ValidateOptions& options) {
   ValidationReport report;
-  if (FileExists(PathJoin(ucp_dir, "ucp_meta.json")) && !IsUcpComplete(ucp_dir)) {
+  LocalStore store(ucp_dir);
+  if (FileExists(PathJoin(ucp_dir, "ucp_meta.json")) && !IsUcpComplete(store, "")) {
     report.problems.push_back("missing 'complete' marker: the conversion into " + ucp_dir +
                               " never committed");
   }
-  Result<UcpMeta> meta = ReadUcpMeta(ucp_dir);
+  Result<UcpMeta> meta = ReadUcpMeta(store, "");
   if (!meta.ok()) {
     report.problems.push_back("ucp_meta.json: " + meta.status().ToString());
     return report;
@@ -211,22 +234,24 @@ Result<ValidationReport> ValidateUcpCheckpoint(const std::string& ucp_dir,
       continue;
     }
     for (const char* file : {"fp32", "exp_avg", "exp_avg_sq"}) {
-      std::string path = PathJoin(AtomDir(ucp_dir, name), file);
+      std::string rel = JoinRel(AtomRel("", name), file);
       const Shape* want = &it->second;
-      checks.push_back({path, [path, want, &options] {
-        UCP_ASSIGN_OR_RETURN(TensorFileInfo info, StatTensor(path));
-        if (info.shape != *want) {
-          return DataLossError("shape " + ShapeToString(info.shape) +
+      checks.push_back({rel, [&store, rel, want,
+                              &options](std::unique_ptr<ByteSource> source) -> Status {
+        UCP_ASSIGN_OR_RETURN(TensorFileView view, TensorFileView::Open(std::move(source)));
+        if (view.info().shape != *want) {
+          return DataLossError("shape " + ShapeToString(view.info().shape) +
                                " does not match inventory " + ShapeToString(*want));
         }
         if (options.deep) {
-          return DeepVerifyTensorFile(path);
+          UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> deep_source, store.OpenRead(rel));
+          return DeepVerifyTensorFile(std::move(deep_source));
         }
         return OkStatus();
       }});
     }
   }
-  RunChecks(checks, options, report);
+  RunChecks(store, checks, options, report);
   for (const auto& [name, shape] : expected) {
     if (!seen.count(name)) {
       report.problems.push_back("inventory parameter missing from UCP checkpoint: " + name);
@@ -321,8 +346,8 @@ bool LooksLikeUcpDir(const std::string& path) {
          DirExists(PathJoin(path, "atoms"));
 }
 
-// Renames a damaged directory aside. The `.quarantined` suffix fails ListCheckpointTags'
-// numeric-suffix parse, so resumes stop considering it.
+// Renames a damaged directory aside. The `.quarantined` suffix fails the tag-name parse
+// behind Store::ListTags, so resumes stop considering it.
 void QuarantineDir(const std::string& dir, FsckReport& out) {
   const std::string target = dir + ".quarantined";
   Status status = RemoveAll(target);
@@ -362,9 +387,10 @@ Result<FsckReport> Fsck(const std::string& path, const FsckOptions& options) {
 
   // Checkpoint root: every tag across every job namespace, every cached <tag>.ucp dir, the
   // per-job `latest` pointers, and any staging debris left by a crashed save or conversion.
+  LocalStore root(path);
   UCP_ASSIGN_OR_RETURN(std::vector<std::string> tags, ListAllCheckpointTags(path));
   for (const std::string& tag : tags) {
-    UCP_ASSIGN_OR_RETURN(ValidationReport report, ValidateNativeCheckpoint(path, tag, vopts));
+    UCP_ASSIGN_OR_RETURN(ValidationReport report, ValidateNativeCheckpoint(root, tag, vopts));
     bool damaged = !report.ok();
     out.entries.push_back({tag, std::move(report)});
     if (damaged && quarantine) {
@@ -424,10 +450,10 @@ Result<FsckReport> Fsck(const std::string& path, const FsckOptions& options) {
       }
     }
     if (FileExists(PathJoin(path, pointer))) {
-      Result<std::string> latest = ReadLatestTag(path, job);
+      Result<std::string> latest = ReadLatestTag(root, job);
       if (!latest.ok()) {
         out.notes.push_back(pointer + ": " + latest.status().ToString());
-      } else if (!IsTagComplete(path, *latest)) {
+      } else if (!IsTagComplete(root, *latest)) {
         out.notes.push_back(pointer + " points at '" + *latest +
                             "', which is missing or uncommitted");
       }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/store/store.h"
 
 namespace ucp {
 
@@ -30,11 +31,11 @@ struct ValidateOptions {
   int num_threads = 4;
 };
 
-// Native distributed checkpoint: metadata parses; every expected shard file (per the saved
-// strategy) exists, passes its CRC, and carries tensors consistent with the flat-layout
-// metadata; flat layouts agree across DP partitions.
-Result<ValidationReport> ValidateNativeCheckpoint(const std::string& dir,
-                                                  const std::string& tag,
+// Native distributed checkpoint `tag`, read through `store`: metadata parses; every
+// expected shard file (per the saved strategy) exists, passes its CRC, and carries tensors
+// consistent with the flat-layout metadata; flat layouts agree across DP partitions.
+// Findings name files by their store-relative path.
+Result<ValidationReport> ValidateNativeCheckpoint(Store& store, const std::string& tag,
                                                   const ValidateOptions& options = {});
 
 // UCP atom directory: the manifest parses; every listed atom has its three state tensors

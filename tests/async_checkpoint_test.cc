@@ -1,6 +1,6 @@
 // Async checkpoint engine tests: snapshot isolation (a flushed tag holds pre-mutation
 // values bit-exactly), both backpressure policies, ordered commits under concurrent
-// flushers, keep_last retention, and the GcCheckpoints / CleanStagingDebris helpers the
+// flushers, keep_last retention, and the Store::Gc / SweepStagingDebris helpers the
 // engine composes with. The pre_flush_hook makes every "flush still in progress" state
 // deterministic — no sleeps stand in for synchronization.
 
@@ -69,6 +69,10 @@ class AsyncCheckpointTest : public ::testing::Test {
   void TearDown() override { ASSERT_TRUE(RemoveAll(dir_).ok()); }
 
   std::string Sub(const std::string& name) { return PathJoin(dir_, name); }
+  // A LocalStore on Sub(name), for the Store& readers.
+  std::shared_ptr<LocalStore> StoreAt(const std::string& name) {
+    return std::make_shared<LocalStore>(Sub(name));
+  }
 
   static void SaveAllSync(TrainingRun& run, const std::string& dir, int64_t iteration) {
     run.Run([&](RankTrainer& t) {
@@ -95,7 +99,7 @@ TEST_F(AsyncCheckpointTest, PeriodicAsyncSavesCommitAndResumeMatchesReference) {
 
   {
     TrainingRun run(cfg);
-    AsyncCheckpointEngine engine(Sub("ckpt"), run.world_size());
+    AsyncCheckpointEngine engine(StoreAt("ckpt"), run.world_size());
     run.Train(1, 4, [&](RankTrainer& t, int64_t it) {
       if (it % 2 == 0) {
         Status s = engine.SaveAsync(t, it);
@@ -112,10 +116,10 @@ TEST_F(AsyncCheckpointTest, PeriodicAsyncSavesCommitAndResumeMatchesReference) {
     EXPECT_GT(stats.bytes_flushed, 0);
   }
 
-  EXPECT_TRUE(IsTagComplete(Sub("ckpt"), "global_step2"));
-  EXPECT_TRUE(IsTagComplete(Sub("ckpt"), "global_step4"));
-  EXPECT_EQ(*ReadLatestTag(Sub("ckpt")), "global_step4");
-  EXPECT_EQ(*FindLatestValidTag(Sub("ckpt")), "global_step4");
+  EXPECT_TRUE(IsTagComplete(*StoreAt("ckpt"), "global_step2"));
+  EXPECT_TRUE(IsTagComplete(*StoreAt("ckpt"), "global_step4"));
+  EXPECT_EQ(*ReadLatestTag(*StoreAt("ckpt")), "global_step4");
+  EXPECT_EQ(*FindLatestValidTag(*StoreAt("ckpt")), "global_step4");
 
   // A fresh world resumes from the async-committed tag and reproduces the reference
   // trajectory bit for bit.
@@ -146,7 +150,7 @@ TEST_F(AsyncCheckpointTest, SnapshotIsolatesFlushFromLaterTraining) {
   FlushGate gate(2);
   AsyncCheckpointOptions options;
   options.pre_flush_hook = [&gate](int64_t it) { gate(it); };
-  AsyncCheckpointEngine engine(Sub("async"), async_run.world_size(), options);
+  AsyncCheckpointEngine engine(StoreAt("async"), async_run.world_size(), options);
   SaveAsyncAll(async_run, engine, 2);
   gate.AwaitArrival();
 
@@ -177,7 +181,7 @@ TEST_F(AsyncCheckpointTest, BlockBackpressureStallsSaveUntilSlotFrees) {
   options.max_in_flight = 1;
   options.backpressure = AsyncCheckpointOptions::Backpressure::kBlock;
   options.pre_flush_hook = [&gate](int64_t it) { gate(it); };
-  AsyncCheckpointEngine engine(Sub("ckpt"), run.world_size(), options);
+  AsyncCheckpointEngine engine(StoreAt("ckpt"), run.world_size(), options);
 
   SaveAsyncAll(run, engine, 2);  // occupies the single in-flight slot
   gate.AwaitArrival();
@@ -202,9 +206,9 @@ TEST_F(AsyncCheckpointTest, BlockBackpressureStallsSaveUntilSlotFrees) {
   AsyncSaveStats stats = engine.stats();
   EXPECT_EQ(stats.commits, 2);
   EXPECT_EQ(stats.drops, 0);
-  EXPECT_TRUE(IsTagComplete(Sub("ckpt"), "global_step2"));
-  EXPECT_TRUE(IsTagComplete(Sub("ckpt"), "global_step4"));
-  EXPECT_EQ(*ReadLatestTag(Sub("ckpt")), "global_step4");
+  EXPECT_TRUE(IsTagComplete(*StoreAt("ckpt"), "global_step2"));
+  EXPECT_TRUE(IsTagComplete(*StoreAt("ckpt"), "global_step4"));
+  EXPECT_EQ(*ReadLatestTag(*StoreAt("ckpt")), "global_step4");
 }
 
 TEST_F(AsyncCheckpointTest, DropOldestCancelsStalledSaveWithoutBlocking) {
@@ -217,7 +221,7 @@ TEST_F(AsyncCheckpointTest, DropOldestCancelsStalledSaveWithoutBlocking) {
   options.max_in_flight = 1;
   options.backpressure = AsyncCheckpointOptions::Backpressure::kDropOldest;
   options.pre_flush_hook = [&gate](int64_t it) { gate(it); };
-  AsyncCheckpointEngine engine(Sub("ckpt"), run.world_size(), options);
+  AsyncCheckpointEngine engine(StoreAt("ckpt"), run.world_size(), options);
 
   SaveAsyncAll(run, engine, 2);
   gate.AwaitArrival();
@@ -236,8 +240,8 @@ TEST_F(AsyncCheckpointTest, DropOldestCancelsStalledSaveWithoutBlocking) {
   EXPECT_EQ(stats.failures, 0);
   EXPECT_FALSE(DirExists(Sub("ckpt/global_step2")));
   EXPECT_FALSE(DirExists(Sub("ckpt/global_step2.staging")));
-  EXPECT_TRUE(IsTagComplete(Sub("ckpt"), "global_step4"));
-  EXPECT_EQ(*ReadLatestTag(Sub("ckpt")), "global_step4");
+  EXPECT_TRUE(IsTagComplete(*StoreAt("ckpt"), "global_step4"));
+  EXPECT_EQ(*ReadLatestTag(*StoreAt("ckpt")), "global_step4");
 }
 
 TEST_F(AsyncCheckpointTest, ConcurrentFlushesCommitInSaveOrder) {
@@ -253,7 +257,7 @@ TEST_F(AsyncCheckpointTest, ConcurrentFlushesCommitInSaveOrder) {
   options.flush_threads = 2;
   options.max_in_flight = 2;
   options.pre_flush_hook = [&gate](int64_t it) { gate(it); };
-  AsyncCheckpointEngine engine(Sub("ckpt"), run.world_size(), options);
+  AsyncCheckpointEngine engine(StoreAt("ckpt"), run.world_size(), options);
 
   SaveAsyncAll(run, engine, 2);
   gate.AwaitArrival();
@@ -262,9 +266,9 @@ TEST_F(AsyncCheckpointTest, ConcurrentFlushesCommitInSaveOrder) {
   gate.Release();
   ASSERT_TRUE(engine.WaitAll().ok());
 
-  EXPECT_TRUE(IsTagComplete(Sub("ckpt"), "global_step2"));
-  EXPECT_TRUE(IsTagComplete(Sub("ckpt"), "global_step4"));
-  EXPECT_EQ(*ReadLatestTag(Sub("ckpt")), "global_step4");
+  EXPECT_TRUE(IsTagComplete(*StoreAt("ckpt"), "global_step2"));
+  EXPECT_TRUE(IsTagComplete(*StoreAt("ckpt"), "global_step4"));
+  EXPECT_EQ(*ReadLatestTag(*StoreAt("ckpt")), "global_step4");
   EXPECT_EQ(engine.stats().commits, 2);
 }
 
@@ -274,7 +278,7 @@ TEST_F(AsyncCheckpointTest, KeepLastRetiresOldTagsAfterEachCommit) {
 
   AsyncCheckpointOptions options;
   options.keep_last = 2;
-  AsyncCheckpointEngine engine(Sub("ckpt"), run.world_size(), options);
+  AsyncCheckpointEngine engine(StoreAt("ckpt"), run.world_size(), options);
   for (int64_t it = 2; it <= 8; it += 2) {
     run.Train(it - 1, it);
     SaveAsyncAll(run, engine, it);
@@ -283,9 +287,9 @@ TEST_F(AsyncCheckpointTest, KeepLastRetiresOldTagsAfterEachCommit) {
 
   EXPECT_FALSE(DirExists(Sub("ckpt/global_step2")));
   EXPECT_FALSE(DirExists(Sub("ckpt/global_step4")));
-  EXPECT_TRUE(IsTagComplete(Sub("ckpt"), "global_step6"));
-  EXPECT_TRUE(IsTagComplete(Sub("ckpt"), "global_step8"));
-  EXPECT_EQ(*ReadLatestTag(Sub("ckpt")), "global_step8");
+  EXPECT_TRUE(IsTagComplete(*StoreAt("ckpt"), "global_step6"));
+  EXPECT_TRUE(IsTagComplete(*StoreAt("ckpt"), "global_step8"));
+  EXPECT_EQ(*ReadLatestTag(*StoreAt("ckpt")), "global_step8");
   EXPECT_EQ(engine.stats().commits, 4);
 }
 
@@ -294,7 +298,7 @@ TEST_F(AsyncCheckpointTest, WaitForIterationReportsPerSaveOutcomes) {
   TrainingRun run(cfg);
   run.Train(1, 2);
 
-  AsyncCheckpointEngine engine(Sub("ckpt"), run.world_size());
+  AsyncCheckpointEngine engine(StoreAt("ckpt"), run.world_size());
   SaveAsyncAll(run, engine, 2);
   EXPECT_TRUE(engine.WaitForIteration(2).ok());
   EXPECT_EQ(engine.WaitForIteration(3).code(), StatusCode::kNotFound);
@@ -315,20 +319,20 @@ TEST_F(AsyncCheckpointTest, GcProtectsLatestUncommittedTagsAndStagingDebris) {
   ASSERT_TRUE(MakeDirs(Sub("ckpt/global_step5.staging")).ok());
   ASSERT_TRUE(WriteFileAtomic(Sub("ckpt/global_step5.staging/partial"), "x").ok());
 
-  Result<GcReport> dry = GcCheckpoints(Sub("ckpt"), 1, /*dry_run=*/true);
+  Result<GcReport> dry = StoreAt("ckpt")->Gc("", 1, /*dry_run=*/true);
   ASSERT_TRUE(dry.ok()) << dry.status();
   EXPECT_EQ(dry->removed, std::vector<std::string>{"global_step2"});
   EXPECT_EQ(dry->kept, std::vector<std::string>{"global_step6"});
   EXPECT_TRUE(DirExists(Sub("ckpt/global_step2")));  // dry run touches nothing
 
-  Result<GcReport> gc = GcCheckpoints(Sub("ckpt"), 1);
+  Result<GcReport> gc = StoreAt("ckpt")->Gc("", 1, /*dry_run=*/false);
   ASSERT_TRUE(gc.ok()) << gc.status();
   EXPECT_EQ(gc->removed, std::vector<std::string>{"global_step2"});
   EXPECT_FALSE(DirExists(Sub("ckpt/global_step2")));
   EXPECT_FALSE(DirExists(Sub("ckpt/global_step2.ucp")));  // the cache follows its tag
   EXPECT_TRUE(DirExists(Sub("ckpt/global_step4")));       // uncommitted: not GC's business
   EXPECT_TRUE(FileExists(Sub("ckpt/global_step5.staging/partial")));
-  EXPECT_TRUE(IsTagComplete(Sub("ckpt"), "global_step6"));
+  EXPECT_TRUE(IsTagComplete(*StoreAt("ckpt"), "global_step6"));
 }
 
 TEST_F(AsyncCheckpointTest, GcNeverDeletesWhatLatestNamesEvenWhenStale) {
@@ -342,7 +346,7 @@ TEST_F(AsyncCheckpointTest, GcNeverDeletesWhatLatestNamesEvenWhenStale) {
   // tags). Retention must keep both the pointer's target and the newest keep_last tags.
   ASSERT_TRUE(WriteFileAtomic(Sub("ckpt/latest"), "global_step2").ok());
 
-  Result<GcReport> gc = GcCheckpoints(Sub("ckpt"), 1);
+  Result<GcReport> gc = StoreAt("ckpt")->Gc("", 1, /*dry_run=*/false);
   ASSERT_TRUE(gc.ok()) << gc.status();
   EXPECT_EQ(gc->removed, std::vector<std::string>{"global_step4"});
   EXPECT_TRUE(DirExists(Sub("ckpt/global_step2")));  // latest's target survives
@@ -360,16 +364,16 @@ TEST_F(AsyncCheckpointTest, GcNeverDeletesTheResumeFrontierWhenNewerTagsAreDamag
   // that raced the commit marker leaves behind). global_step2 is now the resume frontier.
   ASSERT_TRUE(WriteFileAtomic(Sub("ckpt/global_step4/checkpoint_meta.json"), "{\"trunc").ok());
   ASSERT_TRUE(WriteFileAtomic(Sub("ckpt/global_step6/checkpoint_meta.json"), "{\"trunc").ok());
-  ASSERT_EQ(*FindLatestValidTag(Sub("ckpt")), "global_step2");
+  ASSERT_EQ(*FindLatestValidTag(*StoreAt("ckpt")), "global_step2");
 
   // keep_last=1 would keep only damaged global_step6 by recency; the frontier must be
   // pinned anyway or the job has nothing left to resume from.
-  Result<GcReport> gc = GcCheckpoints(Sub("ckpt"), 1);
+  Result<GcReport> gc = StoreAt("ckpt")->Gc("", 1, /*dry_run=*/false);
   ASSERT_TRUE(gc.ok()) << gc.status();
   EXPECT_EQ(gc->removed, std::vector<std::string>{"global_step4"});
   EXPECT_TRUE(DirExists(Sub("ckpt/global_step2")));  // the frontier survives
   EXPECT_TRUE(DirExists(Sub("ckpt/global_step6")));  // newest committed survives
-  EXPECT_EQ(*FindLatestValidTag(Sub("ckpt")), "global_step2");
+  EXPECT_EQ(*FindLatestValidTag(*StoreAt("ckpt")), "global_step2");
 }
 
 TEST_F(AsyncCheckpointTest, CleanStagingDebrisSweepsOnlyStagingDirectories) {
@@ -380,13 +384,13 @@ TEST_F(AsyncCheckpointTest, CleanStagingDebrisSweepsOnlyStagingDirectories) {
   ASSERT_TRUE(MakeDirs(Sub("ckpt/global_step4.staging")).ok());
   ASSERT_TRUE(WriteFileAtomic(Sub("ckpt/global_step4.staging/shard"), "junk").ok());
 
-  Result<int> swept = CleanStagingDebris(Sub("ckpt"));
+  Result<int> swept = StoreAt("ckpt")->SweepStagingDebris("");
   ASSERT_TRUE(swept.ok()) << swept.status();
   EXPECT_EQ(*swept, 1);
   EXPECT_FALSE(DirExists(Sub("ckpt/global_step4.staging")));
-  EXPECT_TRUE(IsTagComplete(Sub("ckpt"), "global_step2"));
+  EXPECT_TRUE(IsTagComplete(*StoreAt("ckpt"), "global_step2"));
 
-  EXPECT_EQ(*CleanStagingDebris(Sub("ckpt")), 0);  // idempotent on a clean dir
+  EXPECT_EQ(*StoreAt("ckpt")->SweepStagingDebris(""), 0);  // idempotent on a clean dir
 }
 
 }  // namespace

@@ -29,7 +29,10 @@ TrainerConfig ConfigFor(const ParallelConfig& strategy) {
 
 class CkptTest : public ::testing::Test {
  protected:
-  void SetUp() override { dir_ = *MakeTempDir("ucp_ckpt_test"); }
+  void SetUp() override {
+    dir_ = *MakeTempDir("ucp_ckpt_test");
+    store_ = std::make_unique<LocalStore>(dir_);
+  }
   void TearDown() override { ASSERT_TRUE(RemoveAll(dir_).ok()); }
 
   void SaveAll(TrainingRun& run, int64_t iteration) {
@@ -40,6 +43,7 @@ class CkptTest : public ::testing::Test {
   }
 
   std::string dir_;
+  std::unique_ptr<LocalStore> store_;  // on dir_
 };
 
 TEST_F(CkptTest, MetaJsonRoundTrip) {
@@ -68,13 +72,13 @@ TEST_F(CkptTest, SaveWritesExpectedFiles) {
   run.Train(1, 2);
   SaveAll(run, 2);
 
-  EXPECT_EQ(*ReadLatestTag(dir_), "global_step2");
+  EXPECT_EQ(*ReadLatestTag(*store_), "global_step2");
   std::string tag_dir = PathJoin(dir_, "global_step2");
   auto files = *ListDir(tag_dir);
   // 8 optim files (one per rank, its only shard file), 1 meta, 1 marker.
   EXPECT_EQ(files.size(), 10u);
-  EXPECT_TRUE(IsTagComplete(dir_, "global_step2"));
-  Result<CheckpointMeta> meta = ReadCheckpointMeta(dir_, "global_step2");
+  EXPECT_TRUE(IsTagComplete(*store_, "global_step2"));
+  Result<CheckpointMeta> meta = ReadCheckpointMeta(*store_, "global_step2");
   ASSERT_TRUE(meta.ok());
   EXPECT_EQ(meta->iteration, 2);
 }
@@ -176,7 +180,7 @@ TEST_F(CkptTest, LatestTagTracksNewestSave) {
   SaveAll(run, 1);
   run.Train(2, 2);
   SaveAll(run, 2);
-  EXPECT_EQ(*ReadLatestTag(dir_), "global_step2");
+  EXPECT_EQ(*ReadLatestTag(*store_), "global_step2");
 }
 
 // Within one strategy the strict check still binds each shard to the live model: a shard whose
@@ -292,7 +296,7 @@ TEST_F(CkptTest, TruncatedMetaJsonIsError) {
   std::string path = PathJoin(PathJoin(dir_, "global_step1"), "checkpoint_meta.json");
   std::string text = *ReadFileToString(path);
   ASSERT_TRUE(WriteFileAtomic(path, text.substr(0, text.size() / 2)).ok());
-  EXPECT_FALSE(ReadCheckpointMeta(dir_, "global_step1").ok());
+  EXPECT_FALSE(ReadCheckpointMeta(*store_, "global_step1").ok());
 }
 
 TEST_F(CkptTest, MetaWrongFormatVersionIsFailedPrecondition) {
@@ -351,7 +355,7 @@ TEST_F(CkptTest, ListCheckpointTagsSortedByIteration) {
     run.Train(it, it);
     SaveAll(run, it);
   }
-  EXPECT_EQ(*ListCheckpointTags(dir_),
+  EXPECT_EQ(*store_->ListTags(""),
             (std::vector<std::string>{"global_step2", "global_step9", "global_step100"}));
 }
 
@@ -361,19 +365,20 @@ TEST_F(CkptTest, GcKeepsNewestAndLatest) {
     run.Train(it, it);
     SaveAll(run, it);
   }
-  Result<GcReport> gc = GcCheckpoints(dir_, 2);
+  Result<GcReport> gc = store_->Gc("", 2, /*dry_run=*/false);
   ASSERT_TRUE(gc.ok()) << gc.status();
   EXPECT_EQ(gc->removed,
             (std::vector<std::string>{"global_step1", "global_step2", "global_step3"}));
-  EXPECT_EQ(*ListCheckpointTags(dir_),
+  EXPECT_EQ(*store_->ListTags(""),
             (std::vector<std::string>{"global_step4", "global_step5"}));
-  EXPECT_EQ(*ReadLatestTag(dir_), "global_step5");
+  EXPECT_EQ(*ReadLatestTag(*store_), "global_step5");
   // Keeping more than exist is a no-op; keep_last < 1 is rejected.
-  gc = GcCheckpoints(dir_, 10);
+  gc = store_->Gc("", 10, /*dry_run=*/false);
   ASSERT_TRUE(gc.ok()) << gc.status();
   EXPECT_TRUE(gc->removed.empty());
-  EXPECT_EQ(ListCheckpointTags(dir_)->size(), 2u);
-  EXPECT_EQ(GcCheckpoints(dir_, 0).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(store_->ListTags("")->size(), 2u);
+  EXPECT_EQ(store_->Gc("", 0, /*dry_run=*/false).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // ---------------- Foreign format ----------------

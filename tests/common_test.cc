@@ -388,6 +388,18 @@ TEST_F(FsTest, ListDirSorted) {
   EXPECT_EQ(*ListDir(dir_), (std::vector<std::string>{"a", "b"}));
 }
 
+TEST_F(FsTest, DirBytesSumsNestedFilesAndReadsZeroWhenMissing) {
+  ASSERT_TRUE(MakeDirs(PathJoin(dir_, "a/b")).ok());
+  ASSERT_TRUE(MakeDirs(PathJoin(dir_, "empty")).ok());
+  ASSERT_TRUE(WriteFileAtomic(PathJoin(dir_, "top"), std::string(7, 'x')).ok());
+  ASSERT_TRUE(WriteFileAtomic(PathJoin(dir_, "a/mid"), std::string(100, 'y')).ok());
+  ASSERT_TRUE(WriteFileAtomic(PathJoin(dir_, "a/b/leaf"), std::string(4096, 'z')).ok());
+  EXPECT_EQ(DirBytes(dir_), 7u + 100u + 4096u);
+  EXPECT_EQ(DirBytes(PathJoin(dir_, "a")), 100u + 4096u);
+  EXPECT_EQ(DirBytes(PathJoin(dir_, "empty")), 0u);
+  EXPECT_EQ(DirBytes(PathJoin(dir_, "absent")), 0u);
+}
+
 TEST_F(FsTest, PathJoinEdgeCases) {
   EXPECT_EQ(PathJoin("a", "b"), "a/b");
   EXPECT_EQ(PathJoin("a/", "b"), "a/b");

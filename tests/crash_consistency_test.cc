@@ -38,6 +38,10 @@ class CrashConsistencyTest : public ::testing::Test {
   }
 
   std::string Sub(const std::string& name) { return PathJoin(dir_, name); }
+  // A LocalStore on Sub(name), for the Store& readers.
+  std::shared_ptr<LocalStore> StoreAt(const std::string& name) {
+    return std::make_shared<LocalStore>(Sub(name));
+  }
 
   static void SaveAll(TrainingRun& run, const std::string& dir, int64_t iteration) {
     run.Run([&](RankTrainer& t) {
@@ -97,7 +101,7 @@ TEST_P(CrashMatrixTest, ResumeFallsBackToLastValidTagBitExact) {
   EXPECT_EQ(save.ok(), !c.save_fails) << c.label << ": " << save.ToString();
   EXPECT_EQ(DirExists(Sub("ckpt/global_step4")), c.tag4_dir_remains) << c.label;
   if (c.check_find_latest) {
-    Result<std::string> valid = FindLatestValidTag(Sub("ckpt"));
+    Result<std::string> valid = FindLatestValidTag(*StoreAt("ckpt"));
     ASSERT_TRUE(valid.ok()) << valid.status();
     EXPECT_EQ(*valid, "global_step2") << c.label;
   }
@@ -167,15 +171,15 @@ TEST_F(CrashConsistencyTest, SaveRetriesCleanlyOverCrashDebris) {
   }
   ASSERT_FALSE(save.ok());
   ASSERT_TRUE(DirExists(Sub("ckpt/global_step4")));
-  EXPECT_FALSE(IsTagComplete(Sub("ckpt"), "global_step4"));
-  EXPECT_EQ(ReadCheckpointMeta(Sub("ckpt"), "global_step4").status().code(),
+  EXPECT_FALSE(IsTagComplete(*StoreAt("ckpt"), "global_step4"));
+  EXPECT_EQ(ReadCheckpointMeta(*StoreAt("ckpt"), "global_step4").status().code(),
             StatusCode::kDataLoss);
 
   // The retry replaces the debris and commits.
   SaveAll(run, Sub("ckpt"), 4);
-  EXPECT_TRUE(IsTagComplete(Sub("ckpt"), "global_step4"));
-  EXPECT_EQ(*ReadLatestTag(Sub("ckpt")), "global_step4");
-  EXPECT_EQ(*FindLatestValidTag(Sub("ckpt")), "global_step4");
+  EXPECT_TRUE(IsTagComplete(*StoreAt("ckpt"), "global_step4"));
+  EXPECT_EQ(*ReadLatestTag(*StoreAt("ckpt")), "global_step4");
+  EXPECT_EQ(*FindLatestValidTag(*StoreAt("ckpt")), "global_step4");
 
   TrainingRun resumed(cfg);
   resumed.Run([&](RankTrainer& t) {
@@ -235,7 +239,7 @@ TEST_F(CrashConsistencyTest, ConverterCrashLeavesNoDebrisAndRetrySucceeds) {
 
   Result<ConvertStats> retry = ConvertToUcp(Sub("ckpt"), "global_step2", Sub("ucp"));
   ASSERT_TRUE(retry.ok()) << retry.status();
-  EXPECT_TRUE(IsUcpComplete(Sub("ucp")));
+  EXPECT_TRUE(IsUcpComplete(*StoreAt("ucp"), ""));
   EXPECT_EQ(ConvertToUcp(Sub("ckpt"), "global_step2", Sub("ucp")).status().code(),
             StatusCode::kAlreadyExists);
 }
@@ -252,7 +256,7 @@ TEST_F(CrashConsistencyTest, AtomBitRotIsCaughtOnReadAndByFsck) {
     ASSERT_TRUE(ConvertToUcp(Sub("ckpt"), "global_step2", Sub("ucp")).ok());
     EXPECT_TRUE(FaultFired());
   }
-  EXPECT_EQ(ReadAtom(Sub("ucp"), victim).status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(ReadAtom(*StoreAt("ucp"), "", victim).status().code(), StatusCode::kDataLoss);
 
   Result<FsckReport> fsck = Fsck(Sub("ucp"), /*quarantine=*/false);
   ASSERT_TRUE(fsck.ok()) << fsck.status();
@@ -307,10 +311,10 @@ TEST_F(CrashConsistencyTest, UncommittedTagIsFlaggedByValidatorAndMetaReader) {
   SaveAll(run, Sub("ckpt"), 2);
   ASSERT_TRUE(RemoveAll(Sub("ckpt/global_step2/complete")).ok());
 
-  EXPECT_FALSE(IsTagComplete(Sub("ckpt"), "global_step2"));
-  EXPECT_EQ(ReadCheckpointMeta(Sub("ckpt"), "global_step2").status().code(),
+  EXPECT_FALSE(IsTagComplete(*StoreAt("ckpt"), "global_step2"));
+  EXPECT_EQ(ReadCheckpointMeta(*StoreAt("ckpt"), "global_step2").status().code(),
             StatusCode::kDataLoss);
-  Result<ValidationReport> report = ValidateNativeCheckpoint(Sub("ckpt"), "global_step2");
+  Result<ValidationReport> report = ValidateNativeCheckpoint(*StoreAt("ckpt"), "global_step2");
   ASSERT_TRUE(report.ok());
   ASSERT_FALSE(report->ok());
   EXPECT_NE(report->problems[0].find("complete"), std::string::npos);
@@ -351,7 +355,7 @@ TEST_P(AsyncCrashMatrixTest, ResumeAfterKilledFlushFallsBackBitExact) {
 
   Status wait = OkStatus();
   {
-    AsyncCheckpointEngine engine(Sub("ckpt"), victim.world_size(),
+    AsyncCheckpointEngine engine(StoreAt("ckpt"), victim.world_size(),
                                  AsyncCheckpointOptions{/*flush_threads=*/1});
     ScopedFault fault(c.plan);
     victim.Run([&](RankTrainer& t) {
@@ -368,7 +372,7 @@ TEST_P(AsyncCrashMatrixTest, ResumeAfterKilledFlushFallsBackBitExact) {
   EXPECT_EQ(wait.ok(), !c.wait_fails) << c.label << ": " << wait.ToString();
   EXPECT_EQ(DirExists(Sub("ckpt/global_step4")), c.tag4_dir_remains) << c.label;
   if (c.check_find_latest) {
-    Result<std::string> valid = FindLatestValidTag(Sub("ckpt"));
+    Result<std::string> valid = FindLatestValidTag(*StoreAt("ckpt"));
     ASSERT_TRUE(valid.ok()) << valid.status();
     EXPECT_EQ(*valid, "global_step2") << c.label;
   }
@@ -461,7 +465,7 @@ TEST_F(CrashConsistencyTest, ForeignIngestCrashLeavesNoTrustedUcpAndRetrySucceed
   Result<ConvertStats> retry =
       ConvertForeignToUcp(Sub("foreign"), "foreign_step2", Sub("ucp"));
   ASSERT_TRUE(retry.ok()) << retry.status();
-  EXPECT_TRUE(IsUcpComplete(Sub("ucp")));
+  EXPECT_TRUE(IsUcpComplete(*StoreAt("ucp"), ""));
 }
 
 TEST_F(CrashConsistencyTest, TornForeignBundleIsRejectedAtIngest) {
@@ -504,7 +508,7 @@ TEST_F(CrashConsistencyTest, TornAtomWriteDuringForeignIngestIsCaughtByFsck) {
     ASSERT_TRUE(stats.ok()) << stats.status();
     EXPECT_TRUE(FaultFired());
   }
-  EXPECT_TRUE(IsUcpComplete(Sub("ucp")));  // the marker is there...
+  EXPECT_TRUE(IsUcpComplete(*StoreAt("ucp"), ""));  // the marker is there...
 
   Result<FsckReport> fsck = Fsck(Sub("ucp"), /*quarantine=*/false);
   ASSERT_TRUE(fsck.ok()) << fsck.status();

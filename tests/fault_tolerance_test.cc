@@ -384,7 +384,8 @@ TEST_F(FaultToleranceTest, FsckExitCodesDistinguishCleanRepairedUnrecoverable) {
   EXPECT_TRUE(DirExists(Sub("ckpt/global_step4.quarantined")));
   EXPECT_NE(repaired->QuarantineSummary().find("1 quarantined"), std::string::npos);
   EXPECT_NE(repaired->QuarantineSummary().find("1 intact entry remains"), std::string::npos);
-  EXPECT_EQ(*FindLatestValidTag(Sub("ckpt")), "global_step2");
+  LocalStore ckpt(Sub("ckpt"));
+  EXPECT_EQ(*FindLatestValidTag(ckpt), "global_step2");
 
   // Corrupt the last surviving tag too: quarantine leaves nothing resumable -> 2.
   CorruptFile(Sub("ckpt/global_step2/zero_pp_rank_0_mp_rank_00_000_sp_00_optim_states"));

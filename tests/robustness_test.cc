@@ -128,7 +128,8 @@ TEST_F(RobustnessTest, UcpMetaTamperedVersionRejected) {
   Json meta = *Json::Parse(*ReadFileToString(PathJoin(Sub("ucp"), "ucp_meta.json")));
   meta["format_version"] = 999;
   ASSERT_TRUE(WriteFileAtomic(PathJoin(Sub("ucp"), "ucp_meta.json"), meta.Dump()).ok());
-  EXPECT_EQ(ReadUcpMeta(Sub("ucp")).status().code(), StatusCode::kFailedPrecondition);
+  LocalStore ucp(Sub("ucp"));
+  EXPECT_EQ(ReadUcpMeta(ucp, "").status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(RobustnessTest, SaveIsAtomicUnderRepeatedOverwrites) {

@@ -24,6 +24,7 @@
 #include "src/soak/multi_job.h"
 #include "src/soak/schedule.h"
 #include "src/soak/stress.h"
+#include "src/ucp/validate.h"
 
 namespace ucp {
 namespace {
@@ -351,7 +352,8 @@ TEST_F(SoakTest, GcAndStagingSweepsAreJobScoped) {
   ASSERT_TRUE(MakeDirs(Sub("global_step9.staging")).ok());
 
   // jobA's sweep removes exactly its own debris.
-  Result<int> swept = CleanStagingDebris(dir_, "jobA");
+  LocalStore store(dir_);
+  Result<int> swept = store.SweepStagingDebris("jobA");
   ASSERT_TRUE(swept.ok()) << swept.status();
   EXPECT_EQ(*swept, 1);
   EXPECT_FALSE(DirExists(Sub("jobA.global_step9.staging")));
@@ -359,21 +361,23 @@ TEST_F(SoakTest, GcAndStagingSweepsAreJobScoped) {
   EXPECT_TRUE(DirExists(Sub("global_step9.staging")));
 
   // The default namespace's sweep leaves jobB alone too.
-  ASSERT_TRUE(CleanStagingDebris(dir_).ok());
+  ASSERT_TRUE(store.SweepStagingDebris("").ok());
   EXPECT_TRUE(DirExists(Sub("jobB.global_step7.ucp.staging")));
   EXPECT_FALSE(DirExists(Sub("global_step9.staging")));
 
   // jobA's retention deletes only jobA's oldest tag.
-  Result<GcReport> gc = GcCheckpoints(dir_, /*keep_last=*/1, /*dry_run=*/false, "jobA");
+  Result<GcReport> gc = store.Gc("jobA", /*keep_last=*/1, /*dry_run=*/false);
   ASSERT_TRUE(gc.ok()) << gc.status();
   ASSERT_EQ(gc->removed.size(), 1u);
   EXPECT_EQ(gc->removed[0], "jobA.global_step1");
-  EXPECT_EQ(*ListCheckpointTags(dir_, "jobA"), (std::vector<std::string>{"jobA.global_step2"}));
-  EXPECT_EQ(ListCheckpointTags(dir_, "jobB")->size(), 2u);
-  EXPECT_EQ(ListCheckpointTags(dir_)->size(), 1u);
+  EXPECT_EQ(*store.ListTags("jobA"), (std::vector<std::string>{"jobA.global_step2"}));
+  EXPECT_EQ(store.ListTags("jobB")->size(), 2u);
+  EXPECT_EQ(store.ListTags("")->size(), 1u);
 
-  // Store-wide listing still sees every namespace.
-  EXPECT_EQ(ListAllCheckpointTags(dir_)->size(), 4u);
+  // fsck's store-wide sweep still sees every namespace's tags.
+  Result<FsckReport> fsck = Fsck(dir_, /*quarantine=*/false);
+  ASSERT_TRUE(fsck.ok()) << fsck.status();
+  EXPECT_EQ(fsck->entries.size(), 4u);
 }
 
 // ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -122,10 +123,26 @@ class StoreConformanceTest : public ::testing::TestWithParam<const char*> {
     ASSERT_TRUE(committed.ok()) << committed.ToString();
   }
 
+  // Saves `run` at `iteration` through store_, on every rank.
+  void SaveThroughStore(TrainingRun& run, int64_t iteration) {
+    run.Run([&](RankTrainer& trainer) {
+      Status saved = SaveDistributedCheckpoint(*store_, trainer, iteration);
+      UCP_CHECK(saved.ok()) << saved.ToString();
+    });
+  }
+
   std::string dir_;
   std::unique_ptr<StoreServer> server_;
   std::shared_ptr<Store> store_;
 };
+
+TrainerConfig ReaderConfig(const ParallelConfig& strategy) {
+  TrainerConfig config;
+  config.model = TinyGpt();
+  config.strategy = strategy;
+  config.global_batch = 8;
+  return config;
+}
 
 INSTANTIATE_TEST_SUITE_P(Backends, StoreConformanceTest,
                          ::testing::Values("local", "remote", "remote_leaseless"),
@@ -293,6 +310,120 @@ TEST_P(StoreConformanceTest, RangeReadOverCorruptChunkIsTypedDataLoss) {
   EXPECT_EQ(view->ReadRange(100, 20).status().code(), StatusCode::kDataLoss);
 }
 
+// The checkpoint readers on every backend: the native load, the conversion's source side and
+// native validation open every file through the Store they are given.
+TEST_P(StoreConformanceTest, NativeLoadThroughStoreResumesBitExact) {
+  const TrainerConfig config = ReaderConfig({1, 1, 2, 1, 1, 1});
+  TrainingRun source(config);
+  source.Train(1, 2);
+  SaveThroughStore(source, 2);
+  const std::vector<double> expected = source.Train(3, 4);
+
+  TrainingRun resumed(config);
+  resumed.Run([&](RankTrainer& trainer) {
+    Status loaded = LoadDistributedCheckpoint(*store_, "global_step2", trainer);
+    UCP_CHECK(loaded.ok()) << loaded.ToString();
+  });
+  EXPECT_EQ(resumed.Train(3, 4), expected);
+  for (int r = 0; r < source.world_size(); ++r) {
+    const ZeroOptimizer& a = resumed.trainer(r).optimizer();
+    const ZeroOptimizer& b = source.trainer(r).optimizer();
+    EXPECT_TRUE(Tensor::BitEqual(a.MasterState(), b.MasterState())) << "rank " << r;
+    EXPECT_TRUE(Tensor::BitEqual(a.ExpAvgState(), b.ExpAvgState())) << "rank " << r;
+    EXPECT_TRUE(Tensor::BitEqual(a.ExpAvgSqState(), b.ExpAvgSqState())) << "rank " << r;
+  }
+
+  // Another strategy is refused on every rank, never remapped.
+  TrainingRun other(ReaderConfig({2, 1, 1, 1, 0, 1}));
+  std::vector<Status> statuses(static_cast<size_t>(other.world_size()));
+  other.Run([&](RankTrainer& trainer) {
+    statuses[static_cast<size_t>(trainer.rank())] =
+        LoadDistributedCheckpoint(*store_, "global_step2", trainer);
+  });
+  for (const Status& status : statuses) {
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status;
+  }
+}
+
+TEST_P(StoreConformanceTest, ConvertThroughStoreWritesTheDirFormsAtoms) {
+  const ParallelConfig strategy{2, 1, 2, 1, 1, 1};
+  TrainingRun source(ReaderConfig(strategy));
+  source.Train(1, 2);
+  SaveThroughStore(source, 2);
+
+  // The atoms land in local directories outside the store.
+  const std::string out = *MakeTempDir("store_conv");
+  const std::string via_store = PathJoin(out, "via_store");
+  const std::string via_dir = PathJoin(out, "via_dir");
+  Result<ConvertStats> a = ConvertToUcp(*store_, "global_step2", via_store);
+  ASSERT_TRUE(a.ok()) << a.status();
+  Result<ConvertStats> b = ConvertToUcp(dir_, "global_step2", via_dir);
+  ASSERT_TRUE(b.ok()) << b.status();
+
+  // bytes_read is the size of every shard file Extract opened: all of them under ZeRO-1.
+  int64_t shard_bytes = 0;
+  for (int tp = 0; tp < strategy.tp; ++tp) {
+    for (int dp = 0; dp < strategy.dp; ++dp) {
+      shard_bytes += static_cast<int64_t>(
+          *FileSize(PathJoin(PathJoin(dir_, "global_step2"), OptimStatesFileName(dp, tp, 0, 0))));
+    }
+  }
+  EXPECT_EQ(a->bytes_read, shard_bytes);
+  EXPECT_EQ(b->bytes_read, shard_bytes);
+  EXPECT_EQ(a->bytes_written, b->bytes_written);
+  EXPECT_EQ(a->atoms_written, b->atoms_written);
+
+  LocalStore converted(via_store);
+  Result<UcpMeta> meta = ReadUcpMeta(converted, "");
+  ASSERT_TRUE(meta.ok()) << meta.status();
+  ASSERT_FALSE(meta->atom_names.empty());
+  for (const std::string& name : meta->atom_names) {
+    for (const char* file : {"fp32", "exp_avg", "exp_avg_sq", "meta.json"}) {
+      Result<std::string> x = ReadFileToString(PathJoin(AtomDir(via_store, name), file));
+      Result<std::string> y = ReadFileToString(PathJoin(AtomDir(via_dir, name), file));
+      ASSERT_TRUE(x.ok() && y.ok()) << name << "/" << file;
+      EXPECT_TRUE(*x == *y) << name << "/" << file << " differs";
+    }
+  }
+  ASSERT_TRUE(RemoveAll(out).ok());
+}
+
+TEST_P(StoreConformanceTest, ValidateNativeThroughStoreReportsFlippedByteAndMissingShard) {
+  TrainingRun source(ReaderConfig({1, 1, 2, 1, 1, 1}));
+  source.Train(1, 2);
+  SaveThroughStore(source, 2);
+  const std::string tag = "global_step2";
+  Result<ValidationReport> clean = ValidateNativeCheckpoint(*store_, tag);
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  EXPECT_TRUE(clean->ok()) << clean->ToString();
+  EXPECT_EQ(clean->files_checked, 2);
+
+  // Flip the first payload byte of DP rank 0's shard, and delete DP rank 1's, on disk
+  // under the store's root.
+  const std::string flipped = OptimStatesFileName(0, 0, 0, 0);
+  const std::string path = PathJoin(PathJoin(dir_, tag), flipped);
+  uint64_t payload_begin = 0;
+  {
+    Result<std::unique_ptr<ByteSource>> file = FileByteSource::Open(path);
+    ASSERT_TRUE(file.ok()) << file.status();
+    Result<std::optional<FileChunkIndex>> index = ReadFileChunkIndex(**file);
+    ASSERT_TRUE(index.ok() && index->has_value()) << index.status();
+    payload_begin = (**index).regions.front().begin;
+  }
+  std::string bytes = *ReadFileToString(path);
+  bytes[payload_begin] = static_cast<char>(bytes[payload_begin] ^ 0x5a);
+  ASSERT_TRUE(WriteFileAtomic(path, bytes).ok());
+  const std::string deleted = OptimStatesFileName(1, 0, 0, 0);
+  ASSERT_TRUE(RemoveAll(PathJoin(PathJoin(dir_, tag), deleted)).ok());
+
+  Result<ValidationReport> damaged = ValidateNativeCheckpoint(*store_, tag);
+  ASSERT_TRUE(damaged.ok()) << damaged.status();
+  ASSERT_EQ(damaged->problems.size(), 2u) << damaged->ToString();
+  EXPECT_EQ(damaged->problems[0].rfind(JoinRel(tag, flipped) + ": DATA_LOSS", 0), 0u)
+      << damaged->problems[0];
+  EXPECT_EQ(damaged->problems[1], "missing file: " + JoinRel(tag, deleted));
+}
+
 // The daemon's own READ_RANGE check, seen through a raw ByteSource read that no client-side
 // view re-verifies: a corrupted chunk never ships, whether the range covers it exactly or only
 // its last bytes. Remote rows only; a local ByteSource is the file itself.
@@ -424,6 +555,7 @@ class StoreServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = *MakeTempDir("store_srv");
+    local_ = std::make_unique<LocalStore>(dir_);
     StoreServerOptions options;
     options.root = dir_;
     options.listen = "unix:" + dir_ + ".sock";
@@ -454,6 +586,7 @@ class StoreServerTest : public ::testing::Test {
   }
 
   std::string dir_;
+  std::unique_ptr<LocalStore> local_;  // the daemon's root, read directly
   std::unique_ptr<StoreServer> server_;
 };
 
@@ -618,7 +751,7 @@ TEST_F(StoreServerTest, AdmissionControlRejectsThenAdmits) {
   EXPECT_EQ(server_->staged_bytes(), 0u);
   ASSERT_TRUE((*w2)->WriteFile("shard", blob).ok());
   ASSERT_TRUE(second->CommitTag("global_step2", MetaJson(2)).ok());
-  EXPECT_TRUE(IsTagComplete(dir_, "global_step2"));
+  EXPECT_TRUE(IsTagComplete(*local_, "global_step2"));
 }
 
 // Property 4b: the declared WRITE_BEGIN size is untrusted input. A hostile u64 (here
@@ -685,7 +818,7 @@ TEST_F(StoreServerTest, WriteLargerThanBudgetFailsTypedWithoutRetry) {
   // Within-budget saves on the same connection still go through.
   ASSERT_TRUE((*writer)->WriteFile("shard", std::string(16 * 1024, 'y')).ok());
   ASSERT_TRUE(store->CommitTag("global_step1", MetaJson(1)).ok());
-  EXPECT_TRUE(IsTagComplete(dir_, "global_step1"));
+  EXPECT_TRUE(IsTagComplete(*local_, "global_step1"));
 }
 
 // Property 4d: staged bytes are attributed per (session, tag). With two async saves
@@ -784,8 +917,8 @@ TEST_F(StoreServerTest, ClientCrashMidSaveLeavesNoVisibleTag) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   EXPECT_EQ(server_->staged_bytes(), 0u);
-  EXPECT_FALSE(IsTagComplete(dir_, "global_step3"));
-  EXPECT_EQ(FindLatestValidTag(dir_).status().code(), StatusCode::kNotFound);
+  EXPECT_FALSE(IsTagComplete(*local_, "global_step3"));
+  EXPECT_EQ(FindLatestValidTag(*local_).status().code(), StatusCode::kNotFound);
 
   std::shared_ptr<RemoteStore> next = Connect();
   ASSERT_TRUE(next->ResetTagStaging("global_step3").ok());
@@ -793,7 +926,7 @@ TEST_F(StoreServerTest, ClientCrashMidSaveLeavesNoVisibleTag) {
   ASSERT_TRUE(retry.ok());
   ASSERT_TRUE((*retry)->WriteFile("shard", std::string("fresh")).ok());
   ASSERT_TRUE(next->CommitTag("global_step3", MetaJson(3)).ok());
-  EXPECT_TRUE(IsTagComplete(dir_, "global_step3"));
+  EXPECT_TRUE(IsTagComplete(*local_, "global_step3"));
 }
 
 // Errno-mapping regressions: every connection-level errno the injector can raise must
@@ -863,7 +996,7 @@ TEST_F(StoreServerTest, DaemonKillMidSaveNeverLeavesAcceptedTag) {
       UCP_CHECK(saved.ok()) << saved.ToString();
     });
   }
-  ASSERT_TRUE(IsTagComplete(dir_, "global_step2"));
+  ASSERT_TRUE(IsTagComplete(*local_, "global_step2"));
 
   // Stage the next save and kill the daemon (no drain) before it commits. A short
   // reconnect deadline keeps the commit's (correct) redial attempts against the
@@ -879,8 +1012,8 @@ TEST_F(StoreServerTest, DaemonKillMidSaveNeverLeavesAcceptedTag) {
   EXPECT_FALSE(store->CommitTag("global_step3", MetaJson(3)).ok());
 
   // The interrupted tag is invisible to every acceptance path.
-  EXPECT_FALSE(IsTagComplete(dir_, "global_step3"));
-  Result<std::string> valid = FindLatestValidTag(dir_);
+  EXPECT_FALSE(IsTagComplete(*local_, "global_step3"));
+  Result<std::string> valid = FindLatestValidTag(*local_);
   ASSERT_TRUE(valid.ok()) << valid.status();
   EXPECT_EQ(*valid, "global_step2");
   Result<FsckReport> fsck = Fsck(dir_, /*quarantine=*/false);

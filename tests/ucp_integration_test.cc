@@ -38,6 +38,10 @@ class UcpEnv : public ::testing::Test {
   void TearDown() override { ASSERT_TRUE(RemoveAll(dir_).ok()); }
 
   std::string Sub(const std::string& name) { return PathJoin(dir_, name); }
+  // A LocalStore on Sub(name), for the Store& readers.
+  std::shared_ptr<LocalStore> StoreAt(const std::string& name) {
+    return std::make_shared<LocalStore>(Sub(name));
+  }
 
   static void SaveAll(TrainingRun& run, const std::string& dir, int64_t iteration) {
     run.Run([&](RankTrainer& t) {
@@ -96,11 +100,11 @@ TEST_P(ReshardSweepTest, LosslessAndContinuous) {
   ASSERT_TRUE(stats2.ok()) << stats2.status();
 
   // Lossless round trip: both UCP directories hold bit-identical atoms.
-  Result<UcpMeta> meta = ReadUcpMeta(Sub("ucp"));
+  Result<UcpMeta> meta = ReadUcpMeta(*StoreAt("ucp"), "");
   ASSERT_TRUE(meta.ok());
   for (const std::string& name : meta->atom_names) {
-    Result<ParamState> a = ReadAtom(Sub("ucp"), name);
-    Result<ParamState> b = ReadAtom(Sub("ucp2"), name);
+    Result<ParamState> a = ReadAtom(*StoreAt("ucp"), "", name);
+    Result<ParamState> b = ReadAtom(*StoreAt("ucp2"), "", name);
     ASSERT_TRUE(a.ok()) << name;
     ASSERT_TRUE(b.ok()) << name;
     EXPECT_TRUE(Tensor::BitEqual(a->fp32, b->fp32)) << name;
@@ -161,7 +165,7 @@ TEST_F(UcpEnv, AtomsMatchSerialRunState) {
   // DP averaging order differs between dp=1 and dp=2, so compare within tolerance; PP-only
   // splits would be bit-exact.
   for (const ParamPtr& p : serial.trainer(0).model().store().params()) {
-    Result<ParamState> atom = ReadAtom(Sub("ucp"), p->info.name);
+    Result<ParamState> atom = ReadAtom(*StoreAt("ucp"), "", p->info.name);
     ASSERT_TRUE(atom.ok()) << p->info.name;
     EXPECT_EQ(atom->fp32.shape(), p->value.shape());
     EXPECT_TRUE(Tensor::AllClose(atom->fp32, p->value, 1e-4f, 1e-3f)) << p->info.name;
@@ -291,7 +295,7 @@ TEST_F(UcpEnv, ValidationPassesOnHealthyCheckpoints) {
   SaveAll(run, Sub("ckpt"), 2);
   ASSERT_TRUE(ConvertToUcp(Sub("ckpt"), "global_step2", Sub("ucp")).ok());
 
-  Result<ValidationReport> native = ValidateNativeCheckpoint(Sub("ckpt"), "global_step2");
+  Result<ValidationReport> native = ValidateNativeCheckpoint(*StoreAt("ckpt"), "global_step2");
   ASSERT_TRUE(native.ok());
   EXPECT_TRUE(native->ok()) << native->ToString();
   EXPECT_GT(native->files_checked, 0);
@@ -318,7 +322,7 @@ TEST_F(UcpEnv, ValidationFlagsMissingAndCorruptFiles) {
                   "exp_avg"))
                   .ok());
 
-  Result<ValidationReport> native = ValidateNativeCheckpoint(Sub("ckpt"), "global_step2");
+  Result<ValidationReport> native = ValidateNativeCheckpoint(*StoreAt("ckpt"), "global_step2");
   ASSERT_TRUE(native.ok());
   EXPECT_FALSE(native->ok());
 

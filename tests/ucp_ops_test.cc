@@ -9,6 +9,7 @@
 #include "src/ckpt/checkpoint.h"
 #include "src/common/fs.h"
 #include "src/common/rng.h"
+#include "src/tensor/tensor_file.h"
 #include "src/ucp/converter.h"
 #include "src/ucp/loader.h"
 #include "src/ucp/ops.h"
@@ -178,16 +179,18 @@ TEST_F(AtomTest, WriteReadRoundTrip) {
                                Tensor::Gaussian({8, 4}, rng, 0, 1.0f));
   PatternRule rule{ParamPattern::kFragmentParams, "*", 0, {}};
   ASSERT_TRUE(WriteAtom(dir_, state, rule).ok());
-  Result<ParamState> back = ReadAtom(dir_, state.name);
+  LocalStore ucp(dir_);
+  Result<ParamState> back = ReadAtom(ucp, "", state.name);
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(Tensor::BitEqual(back->fp32, state.fp32));
   EXPECT_TRUE(Tensor::BitEqual(back->exp_avg, state.exp_avg));
   EXPECT_TRUE(Tensor::BitEqual(back->exp_avg_sq, state.exp_avg_sq));
-  EXPECT_EQ(*ReadAtomShape(dir_, state.name), (Shape{8, 4}));
+  EXPECT_EQ(StatTensor(PathJoin(AtomDir(dir_, state.name), "fp32"))->shape, (Shape{8, 4}));
 }
 
 TEST_F(AtomTest, MissingAtomIsNotFound) {
-  EXPECT_EQ(ReadAtom(dir_, "no.such.param").status().code(), StatusCode::kNotFound);
+  LocalStore ucp(dir_);
+  EXPECT_EQ(ReadAtom(ucp, "", "no.such.param").status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(AtomTest, UcpMetaRoundTrip) {
@@ -199,7 +202,8 @@ TEST_F(AtomTest, UcpMetaRoundTrip) {
   meta.data_seed = 4;
   meta.atom_names = {"a.weight", "b.bias"};
   ASSERT_TRUE(WriteUcpMeta(dir_, meta).ok());
-  Result<UcpMeta> back = ReadUcpMeta(dir_);
+  LocalStore ucp(dir_);
+  Result<UcpMeta> back = ReadUcpMeta(ucp, "");
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(back->model == meta.model);
   EXPECT_TRUE(back->source_strategy == meta.source_strategy);
@@ -227,11 +231,18 @@ TEST_F(ExtractTest, ReassemblesParamsFromZeroPartitions) {
     UCP_CHECK(SaveDistributedCheckpoint(dir_, t, 2).ok());
   });
 
-  Result<ExtractedRank> extracted =
-      Extract(PathJoin(dir_, "global_step2"), cfg.strategy, 0, 0, 0);
+  LocalStore ckpt(dir_);
+  Result<ExtractedRank> extracted = Extract(ckpt, "global_step2", cfg.strategy, 0, 0, 0);
   ASSERT_TRUE(extracted.ok()) << extracted.status();
   EXPECT_EQ(extracted->steps_taken, 2);
   EXPECT_EQ(extracted->zero_stage, 2);
+  // Both ZeRO partitions were opened, and bytes_read is their total size.
+  int64_t shard_bytes = 0;
+  for (int dp = 0; dp < 2; ++dp) {
+    shard_bytes += static_cast<int64_t>(*FileSize(
+        PathJoin(PathJoin(dir_, "global_step2"), OptimStatesFileName(dp, 0, 0, 0))));
+  }
+  EXPECT_EQ(extracted->bytes_read, shard_bytes);
 
   // Every extracted fp32 state must equal the live parameter value (fp32 mode: published
   // values == masters).
@@ -246,7 +257,9 @@ TEST_F(ExtractTest, ReassemblesParamsFromZeroPartitions) {
 }
 
 TEST_F(ExtractTest, MissingFileIsNotFound) {
-  EXPECT_EQ(Extract(dir_, ParallelConfig{}, 0, 0, 0).status().code(), StatusCode::kNotFound);
+  LocalStore ckpt(dir_);
+  EXPECT_EQ(Extract(ckpt, "global_step1", ParallelConfig{}, 0, 0, 0).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST(GenUcpMetadataTest, PlanMatchesLiveOptimizerLayout) {

@@ -15,7 +15,7 @@
 //   ucp_tool inspect-ckpt <ckpt_dir> <tag>
 //       Print a native checkpoint's metadata and shard files.
 //
-//   ucp_tool spec     <ckpt_dir> <tag>
+//   ucp_tool spec     [--store ENDPOINT | <ckpt_dir>] <tag>
 //       Print the generated UCP pattern spec for a checkpoint's source strategy (a starting
 //       point for hand-edited specs).
 //
@@ -69,10 +69,10 @@
 //   ucp_tool help
 //       Print this usage text to stdout and exit 0.
 //
-// Store-aware subcommands (tags, gc, inspect-ckpt) accept `--store unix:/path` or
-// `--store tcp:host:port` in place of <ckpt_dir> to run against a live ucp_serverd
-// (docs/store.md). Every subcommand prints usage to stderr and exits 2 on bad arguments;
-// operational failures exit 1.
+// Store-aware subcommands (tags, gc, inspect-ckpt, spec, validate-ckpt) accept
+// `--store unix:/path` or `--store tcp:host:port` in place of <ckpt_dir> to run against a
+// live ucp_serverd (docs/store.md). Every subcommand prints usage to stderr and exits 2 on
+// bad arguments; operational failures exit 1.
 
 #include <algorithm>
 #include <cerrno>
@@ -110,10 +110,10 @@ void PrintUsage(std::FILE* out) {
                "  ucp_tool convert-foreign <foreign_dir> <tag> <ucp_dir> [--threads N]\n"
                "  ucp_tool inspect <ucp_dir>\n"
                "  ucp_tool inspect-ckpt [--store ENDPOINT | <ckpt_dir>] <tag>\n"
-               "  ucp_tool spec <ckpt_dir> <tag>\n"
+               "  ucp_tool spec [--store ENDPOINT | <ckpt_dir>] <tag>\n"
                "  ucp_tool plan <ucp_dir> <tp> <pp> <dp> <sp> <zero_stage> [rank]\n"
                "  ucp_tool validate <ucp_dir>\n"
-               "  ucp_tool validate-ckpt <ckpt_dir> <tag>\n"
+               "  ucp_tool validate-ckpt [--store ENDPOINT | <ckpt_dir>] <tag>\n"
                "  ucp_tool fsck <path> [--quarantine] [--fast] [--threads N]\n"
                "  ucp_tool stat <ucp_dir>\n"
                "  ucp_tool tags [--store ENDPOINT | <ckpt_dir>]\n"
@@ -255,7 +255,8 @@ int CmdInspect(const Flags& flags) {
   if (flags.positional.size() != 1) {
     return Usage();
   }
-  Result<UcpMeta> meta = ReadUcpMeta(flags.positional[0]);
+  LocalStore ucp(flags.positional[0]);
+  Result<UcpMeta> meta = ReadUcpMeta(ucp, "");
   if (!meta.ok()) {
     return Fail(meta.status());
   }
@@ -269,12 +270,13 @@ int CmdInspect(const Flags& flags) {
   std::printf("  atoms (%zu):\n", meta->atom_names.size());
   int64_t total_numel = 0;
   for (const std::string& name : meta->atom_names) {
-    Result<Shape> shape = ReadAtomShape(flags.positional[0], name);
-    if (!shape.ok()) {
-      return Fail(shape.status());
+    Result<TensorFileInfo> fp32 =
+        StatTensor(PathJoin(AtomDir(flags.positional[0], name), "fp32"));
+    if (!fp32.ok()) {
+      return Fail(fp32.status());
     }
-    total_numel += ShapeNumel(*shape);
-    std::printf("    %-70s %s\n", name.c_str(), ShapeToString(*shape).c_str());
+    total_numel += ShapeNumel(fp32->shape);
+    std::printf("    %-70s %s\n", name.c_str(), ShapeToString(fp32->shape).c_str());
   }
   std::printf("  total parameters: %lld (x3 fp32 states on disk)\n",
               static_cast<long long>(total_numel));
@@ -355,11 +357,16 @@ int CmdTags(Flags flags) {
   return 0;
 }
 
-int CmdSpec(const Flags& flags) {
-  if (flags.positional.size() != 2) {
+int CmdSpec(Flags flags) {
+  Status open_error = OkStatus();
+  std::shared_ptr<Store> store = OpenToolStore(flags, &open_error);
+  if (store == nullptr) {
+    return open_error.ok() ? Usage() : Fail(open_error);
+  }
+  if (flags.positional.size() != 1) {
     return Usage();
   }
-  Result<CheckpointMeta> meta = ReadCheckpointMeta(flags.positional[0], flags.positional[1]);
+  Result<CheckpointMeta> meta = ReadCheckpointMeta(*store, flags.positional[0]);
   if (!meta.ok()) {
     return Fail(meta.status());
   }
@@ -372,7 +379,8 @@ int CmdPlan(const Flags& flags) {
   if (flags.positional.size() < 6 || flags.positional.size() > 7) {
     return Usage();
   }
-  Result<UcpMeta> meta = ReadUcpMeta(flags.positional[0]);
+  LocalStore ucp(flags.positional[0]);
+  Result<UcpMeta> meta = ReadUcpMeta(ucp, "");
   if (!meta.ok()) {
     return Fail(meta.status());
   }
@@ -397,13 +405,21 @@ int CmdPlan(const Flags& flags) {
   return 0;
 }
 
-int CmdValidate(const Flags& flags, bool native) {
-  if (flags.positional.size() != (native ? 2u : 1u)) {
+int CmdValidate(Flags flags, bool native) {
+  std::shared_ptr<Store> store;  // the native checkpoint's; a UCP dir is validated by path
+  if (native) {
+    Status open_error = OkStatus();
+    store = OpenToolStore(flags, &open_error);
+    if (store == nullptr) {
+      return open_error.ok() ? Usage() : Fail(open_error);
+    }
+  }
+  if (flags.positional.size() != 1) {
     return Usage();
   }
-  Result<ValidationReport> report =
-      native ? ValidateNativeCheckpoint(flags.positional[0], flags.positional[1])
-             : ValidateUcpCheckpoint(flags.positional[0]);
+  Result<ValidationReport> report = native
+                                        ? ValidateNativeCheckpoint(*store, flags.positional[0])
+                                        : ValidateUcpCheckpoint(flags.positional[0]);
   if (!report.ok()) {
     return Fail(report.status());
   }
@@ -450,7 +466,8 @@ int CmdStat(const Flags& flags) {
     return Usage();
   }
   const std::string& ucp_dir = flags.positional[0];
-  Result<UcpMeta> meta = ReadUcpMeta(ucp_dir);
+  LocalStore ucp(ucp_dir);
+  Result<UcpMeta> meta = ReadUcpMeta(ucp, "");
   if (!meta.ok()) {
     return Fail(meta.status());
   }
