@@ -131,7 +131,6 @@ JsonObject RunAsyncSaveComparison() {
     const std::string async_dir =
         bench::FreshDir(std::string("fig11_async_cmp_async_") + arm.size_label);
     AsyncCheckpointOptions options;
-    options.flush_threads = 2;
     options.max_in_flight = 2;
     AsyncCheckpointEngine engine(std::make_shared<LocalStore>(async_dir), run.world_size(),
                                  options);

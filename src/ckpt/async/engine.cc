@@ -48,10 +48,7 @@ AsyncCheckpointEngine::AsyncCheckpointEngine(std::shared_ptr<Store> store, int w
   UCP_CHECK_GE(world_size_, 1);
   UCP_CHECK_GE(options_.max_in_flight, 1);
   free_snaps_.resize(static_cast<size_t>(world_size_));
-  // At least one worker: a zero-thread pool would run flushes inline on the rank thread
-  // that completes the gather, which defeats the engine's purpose.
-  pool_ = std::make_unique<ThreadPool>(
-      static_cast<size_t>(std::max(1, options_.flush_threads)));
+  pool_ = std::make_unique<ThreadPool>(1);
 }
 
 AsyncCheckpointEngine::~AsyncCheckpointEngine() {
@@ -73,36 +70,10 @@ std::shared_ptr<AsyncCheckpointEngine::PendingSave> AsyncCheckpointEngine::FindL
   return nullptr;
 }
 
-int AsyncCheckpointEngine::ActiveCountLocked() const {
-  int active = 0;
-  for (const auto& save : inflight_) {
-    if (!save->resolved && !save->cancelled) {
-      ++active;
-    }
-  }
-  return active;
-}
-
-bool AsyncCheckpointEngine::DropOldestLocked() {
-  for (const auto& save : inflight_) {
-    // Only a fully-gathered save can be dropped: peers are still going to call SaveAsync
-    // for a gathering one, and a committing one is past the point of no return.
-    if (!save->resolved && !save->cancelled && !save->committing &&
-        save->arrived == world_size_) {
-      save->cancelled = true;
-      cv_.notify_all();  // its flusher may be parked at the commit ticket
-      return true;
-    }
-  }
-  return false;
-}
-
 void AsyncCheckpointEngine::ResolveLocked(const std::shared_ptr<PendingSave>& save,
                                           Status result) {
-  save->result = result;
-  save->resolved = true;
   outcomes_[save->iteration] = result;
-  if (!result.ok() && !save->cancelled) {
+  if (!result.ok() && !save->abandoned) {
     if (result.code() == StatusCode::kUnavailable) {
       // The store was unreachable past the client's reconnect deadline. That is a
       // property of the moment, not of the run: the save is skipped (resume falls back
@@ -141,27 +112,20 @@ Status AsyncCheckpointEngine::SaveAsync(RankTrainer& trainer, int64_t iteration)
   std::unique_ptr<RankCheckpointSnapshot> buf;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      save = FindLocked(iteration);
-      if (save != nullptr) {
-        break;  // a peer already opened this save; backpressure was its problem
-      }
-      if (ActiveCountLocked() < options_.max_in_flight) {
-        save = std::make_shared<PendingSave>();
-        save->iteration = iteration;
-        save->tag = TagForIteration(options_.job, iteration);
-        save->snaps.resize(static_cast<size_t>(world_size_));
-        save->started = t0;
-        inflight_.push_back(save);
-        break;
-      }
-      if (options_.backpressure == AsyncCheckpointOptions::Backpressure::kDropOldest &&
-          DropOldestLocked()) {
-        ++stats_.drops;
-        AsyncMetrics::Get().drops.Add(1);
-        continue;  // the drop freed a slot immediately; cleanup happens on the flusher
-      }
-      cv_.wait(lock);
+    // Blocks while the window is full, unless a peer already opened this save (backpressure
+    // was its problem).
+    cv_.wait(lock, [&] {
+      return FindLocked(iteration) != nullptr ||
+             static_cast<int>(inflight_.size()) < options_.max_in_flight;
+    });
+    save = FindLocked(iteration);
+    if (save == nullptr) {
+      save = std::make_shared<PendingSave>();
+      save->iteration = iteration;
+      save->tag = TagForIteration(options_.job, iteration);
+      save->snaps.resize(static_cast<size_t>(world_size_));
+      save->started = t0;
+      inflight_.push_back(save);
     }
     auto& freelist = free_snaps_[static_cast<size_t>(rank)];
     if (!freelist.empty()) {
@@ -188,8 +152,7 @@ Status AsyncCheckpointEngine::SaveAsync(RankTrainer& trainer, int64_t iteration)
     if (++save->arrived == world_size_) {
       ++stats_.saves_started;
       AsyncMetrics::Get().started.Add(1);
-      // Gathering saves are never drop targets, so the save cannot be cancelled yet; the
-      // flusher owns all cancellation handling from here on.
+      // Submitted under mu_, in the order gathers complete: save order (engine.h).
       pool_->Submit([this, save] { Flush(save); });
     }
     const double blocked = SecondsSince(t0);
@@ -200,98 +163,54 @@ Status AsyncCheckpointEngine::SaveAsync(RankTrainer& trainer, int64_t iteration)
   return OkStatus();
 }
 
-Status AsyncCheckpointEngine::FlushShards(const std::shared_ptr<PendingSave>& save) {
-  UCP_TRACE_SPAN_ARGS("save.async.write_shards", ::ucp::obs::TraceArgs().S("tag", save->tag));
-  UCP_RETURN_IF_ERROR(store_->ResetTagStaging(save->tag));
+Status AsyncCheckpointEngine::FlushShards(const PendingSave& save) {
+  UCP_TRACE_SPAN_ARGS("save.async.write_shards", ::ucp::obs::TraceArgs().S("tag", save.tag));
+  UCP_RETURN_IF_ERROR(store_->ResetTagStaging(save.tag));
   // The batch applies to LocalStore writers (which stage through WriteFileAtomic on this
   // thread, starting each shard's writeback as it is written); the daemon fsyncs each of a
   // remote writer's files at its WRITE_END.
   ScopedFsyncBatch batch;
-  UCP_ASSIGN_OR_RETURN(std::unique_ptr<StoreWriter> writer,
-                       store_->OpenTagForWrite(save->tag));
-  for (int r = 0; r < world_size_; ++r) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (save->cancelled) {
-        return FailedPreconditionError("save " + save->tag + " dropped by backpressure");
-      }
-    }
-    UCP_RETURN_IF_ERROR(WriteSnapshotShards(*writer, *save->snaps[static_cast<size_t>(r)]));
+  UCP_ASSIGN_OR_RETURN(std::unique_ptr<StoreWriter> writer, store_->OpenTagForWrite(save.tag));
+  for (const auto& snap : save.snaps) {
+    UCP_RETURN_IF_ERROR(WriteSnapshotShards(*writer, *snap));
   }
   // The batch point: every shard's data reaches the platter before the commit rename.
   return batch.SyncAll();
 }
 
-void AsyncCheckpointEngine::Flush(std::shared_ptr<PendingSave> save) {
+void AsyncCheckpointEngine::Flush(const std::shared_ptr<PendingSave>& save) {
   UCP_TRACE_NAMED_SPAN(span, "save.async.flush");
   UCP_TRACE_SPAN_ARG_S(span, "tag", save->tag);
   if (options_.pre_flush_hook) {
     options_.pre_flush_hook(save->iteration);
   }
 
-  Status flushed = FlushShards(save);
-
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!flushed.ok()) {
-    lock.unlock();
+  // The gather is complete, so no rank thread touches `save` any more: its snapshots and
+  // meta are read here without mu_. Every older save has resolved (one FIFO flusher), so
+  // this commit advances `latest` in save order and retention sweeps no live staging.
+  Status result = FlushShards(*save);
+  if (!result.ok()) {
     store_->AbortTag(save->tag).ok();  // best effort: keep the tag retryable
-    lock.lock();
-    ResolveLocked(save, save->cancelled
-                            ? FailedPreconditionError("save " + save->tag +
-                                                      " dropped by backpressure")
-                            : flushed);
-    return;
+  } else {
+    result = store_->CommitTag(save->tag, save->meta.ToJson().Dump(2));
   }
-
-  // Ordered commit: wait until every earlier save has resolved, so `latest` and the tag
-  // sequence advance monotonically even with several flushes in flight. A cancellation
-  // while parked here aborts the wait.
-  cv_.wait(lock, [&] {
-    if (save->cancelled) {
-      return true;
-    }
-    for (const auto& other : inflight_) {
-      if (other.get() == save.get()) {
-        return true;
-      }
-      if (!other->resolved) {
-        return false;
-      }
-    }
-    return true;  // unreachable: `save` is always in the deque here
-  });
-  if (save->cancelled) {
-    lock.unlock();
-    store_->AbortTag(save->tag).ok();
-    lock.lock();
-    ResolveLocked(save, FailedPreconditionError("save " + save->tag +
-                                                " dropped by backpressure"));
-    return;
-  }
-  save->committing = true;
-  const CheckpointMeta meta = save->meta;
-  lock.unlock();
-
-  Status committed = store_->CommitTag(save->tag, meta.ToJson().Dump(2));
-  if (committed.ok() && options_.keep_last > 0) {
-    // Retention rides the commit ticket (no other commit can interleave), so a concurrent
-    // flusher's staging/rename is never swept mid-flight.
+  if (result.ok() && options_.keep_last > 0) {
     Result<GcReport> gc = store_->Gc(options_.job, options_.keep_last, /*dry_run=*/false);
     if (!gc.ok()) {
       UCP_LOG(Warning) << "post-commit gc failed: " << gc.status().ToString();
     }
   }
 
-  lock.lock();
-  if (committed.ok()) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (result.ok()) {
     ++stats_.commits;
     stats_.last_committed_iteration =
         std::max(stats_.last_committed_iteration, save->iteration);
     const double flush_s = SecondsSince(save->started);
     stats_.flush_seconds += flush_s;
     uint64_t save_bytes = 0;
-    for (int r = 0; r < world_size_; ++r) {
-      save_bytes += save->snaps[static_cast<size_t>(r)]->bytes;
+    for (const auto& snap : save->snaps) {
+      save_bytes += snap->bytes;
     }
     stats_.bytes_flushed += save_bytes;
     AsyncMetrics& am = AsyncMetrics::Get();
@@ -300,7 +219,7 @@ void AsyncCheckpointEngine::Flush(std::shared_ptr<PendingSave> save) {
     am.flush_seconds.Observe(flush_s);
     am.last_committed.Max(save->iteration);
   }
-  ResolveLocked(save, committed);
+  ResolveLocked(save, result);
 }
 
 Status AsyncCheckpointEngine::WaitForIteration(int64_t iteration) {
@@ -320,12 +239,12 @@ int AsyncCheckpointEngine::AbandonIncomplete() {
   for (const auto& save : inflight_) {
     // No flusher job exists yet for a gathering save (submission happens on the last
     // arrival), so resolving it here races with nothing.
-    if (!save->resolved && save->arrived < world_size_) {
+    if (save->arrived < world_size_) {
       victims.push_back(save);
     }
   }
   for (const auto& save : victims) {
-    save->cancelled = true;  // keeps ResolveLocked from counting this as a flush failure
+    save->abandoned = true;  // keeps ResolveLocked from counting this as a flush failure
     ResolveLocked(save, FailedPreconditionError(
                             "save " + save->tag +
                             " abandoned: gather incomplete after rank failure"));

@@ -7,12 +7,19 @@
 //      rank's optimizer partition and published parameters into buffers recycled from a
 //      per-rank freelist — in steady state a pure host memcpy, the only part of a save
 //      that stalls TrainIteration.
-//   2. FLUSH (background): once every rank's snapshot for an iteration has arrived, a
-//      flusher job on a ThreadPool serializes all shards into the tag's staged area through
-//      the engine's Store (local: the standard `<tag>.staging` directory with batched
-//      fsyncs; remote: chunked frames to ucp_serverd), then runs the PR 1 commit protocol
-//      (rename -> `complete` marker -> `latest`). Commits land in save order, so `latest`
-//      never regresses even with several saves in flight.
+//   2. FLUSH (background): once every rank's snapshot for an iteration has arrived, the
+//      engine's single flusher thread serializes all shards into the tag's staged area
+//      through the engine's Store (local: the standard `<tag>.staging` directory with
+//      batched fsyncs; remote: chunked frames to ucp_serverd), then runs the commit
+//      protocol (rename -> `complete` marker -> `latest`) and the optional retention GC.
+//
+// Commit order: every rank calls SaveAsync in save order, so the last snapshot of an older
+// save always arrives before the last snapshot of a younger one, and saves finish gathering
+// in save order. The last arrival hands the save to one FIFO worker, which flushes and
+// commits saves one at a time in that order. `latest` therefore never regresses, no two
+// flushes or commits ever interleave (retention cannot sweep another save's staging), and
+// the sequence of store operations is a function of the save schedule alone — which is what
+// the soak driver's replay and the crash matrix's nth-op injection rely on.
 //
 // Because the flusher — not the rank threads — performs the commit, the "every shard on
 // disk" agreement is the engine's own gather (all world_size snapshots present) instead of
@@ -20,10 +27,9 @@
 // states the commit protocol already tolerates: staging debris, an unmarked tag, or a
 // committed tag with a stale `latest` (see docs/async_checkpointing.md).
 //
-// Backpressure: at most `max_in_flight` saves may be unresolved at once. A new SaveAsync
-// beyond that either blocks (kBlock, default — bounds memory at max_in_flight+1 snapshot
-// sets per rank) or cancels the oldest unresolved save (kDropOldest — training never
-// stalls; the dropped tag is simply never committed, which resumes handle by design).
+// Backpressure: at most `max_in_flight` saves may be unresolved at once. A SaveAsync beyond
+// that blocks until one resolves, which bounds memory at max_in_flight+1 snapshot sets per
+// rank and never loses a checkpoint.
 
 #ifndef UCP_SRC_CKPT_ASYNC_ENGINE_H_
 #define UCP_SRC_CKPT_ASYNC_ENGINE_H_
@@ -45,17 +51,9 @@
 namespace ucp {
 
 struct AsyncCheckpointOptions {
-  // Background flusher threads. >1 overlaps shard serialization of distinct saves; the
-  // commit order stays save order regardless.
-  int flush_threads = 1;
-  // Unresolved (snapshotted but not yet committed/failed/dropped) saves allowed before
-  // backpressure applies. Bounds host memory: each in-flight save holds one snapshot set.
+  // Unresolved (snapshotted but not yet committed/failed/abandoned) saves allowed before
+  // SaveAsync blocks. Bounds host memory: each in-flight save holds one snapshot set.
   int max_in_flight = 1;
-  enum class Backpressure {
-    kBlock,      // SaveAsync waits for a slot — never loses a checkpoint
-    kDropOldest  // cancel the oldest in-flight save — never stalls training
-  };
-  Backpressure backpressure = Backpressure::kBlock;
   // > 0: run Store::Gc(job, keep_last) after every successful commit (scoped to `job`'s
   // namespace).
   int keep_last = 0;
@@ -71,7 +69,7 @@ struct AsyncCheckpointOptions {
 struct AsyncSaveStats {
   int64_t saves_started = 0;   // fully-gathered saves handed to the flusher
   int64_t commits = 0;
-  int64_t drops = 0;           // saves cancelled by kDropOldest
+  int64_t drops = 0;           // saves abandoned by AbandonIncomplete
   int64_t failures = 0;
   // Saves that failed with kUnavailable (store unreachable past the reconnect deadline):
   // skipped-and-retried-next-save rather than treated as a training-run abort — they do
@@ -103,7 +101,7 @@ class AsyncCheckpointEngine {
   Status SaveAsync(RankTrainer& trainer, int64_t iteration);
 
   // Blocks until the save of `iteration` resolves and returns its outcome: OkStatus once
-  // committed, kFailedPrecondition if it was dropped by backpressure, the flush error
+  // committed, kFailedPrecondition if AbandonIncomplete abandoned it, the flush error
   // otherwise. kNotFound if no save of that iteration was ever started.
   Status WaitForIteration(int64_t iteration);
 
@@ -129,20 +127,15 @@ class AsyncCheckpointEngine {
     int arrived = 0;
     CheckpointMeta meta;
     bool meta_set = false;
-    bool cancelled = false;   // kDropOldest victim; flusher cleans up
-    bool committing = false;  // commit started — past the point of no return
-    bool resolved = false;    // committed, failed, or dropped
-    Status result;
+    bool abandoned = false;  // resolved by AbandonIncomplete before its gather completed
     std::chrono::steady_clock::time_point started;
   };
 
   // All *Locked members require mu_.
   std::shared_ptr<PendingSave> FindLocked(int64_t iteration);
-  int ActiveCountLocked() const;
-  bool DropOldestLocked();
   void ResolveLocked(const std::shared_ptr<PendingSave>& save, Status result);
-  void Flush(std::shared_ptr<PendingSave> save);
-  Status FlushShards(const std::shared_ptr<PendingSave>& save);
+  void Flush(const std::shared_ptr<PendingSave>& save);
+  Status FlushShards(const PendingSave& save);
 
   const std::shared_ptr<Store> store_;
   const int world_size_;
@@ -150,12 +143,12 @@ class AsyncCheckpointEngine {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<std::shared_ptr<PendingSave>> inflight_;  // save order; pruned on resolution
+  std::deque<std::shared_ptr<PendingSave>> inflight_;  // unresolved saves, in save order
   std::map<int64_t, Status> outcomes_;                 // resolved saves, for WaitForIteration
   std::vector<std::vector<std::unique_ptr<RankCheckpointSnapshot>>> free_snaps_;
   Status first_error_;
   AsyncSaveStats stats_;
-  std::unique_ptr<ThreadPool> pool_;
+  std::unique_ptr<ThreadPool> pool_;  // the single flusher: one worker, FIFO queue
 };
 
 }  // namespace ucp

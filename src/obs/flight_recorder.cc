@@ -16,6 +16,9 @@ namespace obs {
 
 namespace {
 
+// Newest trace events kept per thread in a dossier.
+constexpr size_t kMaxEventsPerThread = 512;
+
 std::atomic<uint64_t> g_dump_seq{0};
 
 bool EnsureDir(const std::string& path, std::string* err) {
@@ -68,8 +71,7 @@ std::string SanitizeLabel(const std::string& label) {
 }  // namespace
 
 bool DumpFlightRecord(const std::string& dir, const std::string& label,
-                      const FlightRecordOptions& options, std::string* trace_path,
-                      std::string* err) {
+                      std::string* trace_path, std::string* err) {
   std::string local_err;
   if (err == nullptr) {
     err = &local_err;
@@ -82,25 +84,18 @@ bool DumpFlightRecord(const std::string& dir, const std::string& label,
   const std::string stem =
       flight_dir + "/flight-" + std::to_string(seq) + "-" + SanitizeLabel(label);
 
-  const std::string trace_json = ExportChromeTraceJson(options.max_events_per_thread);
+  const std::string trace_json = ExportChromeTraceJson(kMaxEventsPerThread);
   const std::string trace_file = stem + ".trace.json";
   if (!WriteWhole(trace_file, trace_json, err)) {
     return false;
   }
-  if (options.include_metrics) {
-    // Metrics failure doesn't invalidate the trace dossier; report best-effort.
-    std::string metrics_err;
-    WriteWhole(stem + ".metrics.txt", DumpMetricsText(), &metrics_err);
-  }
+  // Metrics failure doesn't invalidate the trace dossier; report best-effort.
+  std::string metrics_err;
+  WriteWhole(stem + ".metrics.txt", DumpMetricsText(), &metrics_err);
   if (trace_path != nullptr) {
     *trace_path = trace_file;
   }
   return true;
-}
-
-bool DumpFlightRecord(const std::string& dir, const std::string& label,
-                      std::string* trace_path, std::string* err) {
-  return DumpFlightRecord(dir, label, FlightRecordOptions{}, trace_path, err);
 }
 
 }  // namespace obs

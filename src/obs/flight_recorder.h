@@ -5,7 +5,7 @@
 // moments before. The span tracer already keeps that history in per-thread rings
 // (src/obs/trace.h); DumpFlightRecord writes it out as
 //
-//   <dir>/flightrec/flight-<seq>-<label>.trace.json   Chrome trace (last N events/thread)
+//   <dir>/flightrec/flight-<seq>-<label>.trace.json   Chrome trace (last 512 events/thread)
 //   <dir>/flightrec/flight-<seq>-<label>.metrics.txt  DumpMetricsText() at dump time
 //
 // where <seq> is a process-wide dump counter (a run with repeated failures keeps every
@@ -25,21 +25,9 @@
 namespace ucp {
 namespace obs {
 
-struct FlightRecordOptions {
-  // Newest events kept per thread; 0 = everything in the rings.
-  size_t max_events_per_thread = 512;
-  // Also write the metrics snapshot alongside the trace.
-  bool include_metrics = true;
-};
-
 // Writes the dossier under <dir>/flightrec/ (created if missing). On success returns true
 // and sets `trace_path` to the .trace.json written; on failure returns false and sets
 // `err`. Thread-safe; concurrent dumps get distinct sequence numbers.
-bool DumpFlightRecord(const std::string& dir, const std::string& label,
-                      const FlightRecordOptions& options, std::string* trace_path,
-                      std::string* err);
-
-// Convenience overload with default options.
 bool DumpFlightRecord(const std::string& dir, const std::string& label,
                       std::string* trace_path, std::string* err);
 

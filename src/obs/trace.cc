@@ -206,6 +206,14 @@ void AppendKV(std::string& body, const char* key, const std::string& json_value)
   body += json_value;
 }
 
+// Appends a trace or span id as a JSON string (TraceIdHex's 16 hex digits).
+void AppendIdKV(std::string& body, const char* key, uint64_t id) {
+  std::string quoted = "\"";
+  quoted += TraceIdHex(id);
+  quoted += '"';
+  AppendKV(body, key, quoted);
+}
+
 }  // namespace
 
 void SetThreadRank(int rank) { LocalState().rank = rank; }
@@ -527,10 +535,10 @@ ScopedSpan::~ScopedSpan() {
   ev.name = name_;
   ev.args_json = std::move(args_);
   if (own_span_id_ != 0) {
-    AppendKV(ev.args_json, "trace_id", "\"" + TraceIdHex(trace_id_) + "\"");
-    AppendKV(ev.args_json, "span_id", "\"" + TraceIdHex(own_span_id_) + "\"");
+    AppendIdKV(ev.args_json, "trace_id", trace_id_);
+    AppendIdKV(ev.args_json, "span_id", own_span_id_);
     if (parent_span_id_ != 0) {
-      AppendKV(ev.args_json, "parent_span_id", "\"" + TraceIdHex(parent_span_id_) + "\"");
+      AppendIdKV(ev.args_json, "parent_span_id", parent_span_id_);
     }
   }
   ev.start_ns = start_ns_;
@@ -578,10 +586,9 @@ void TraceInstant(const char* name, std::string args_json) {
   ev.name = name;
   ev.args_json = std::move(args_json);
   if (state.ctx.valid()) {
-    AppendKV(ev.args_json, "trace_id", "\"" + TraceIdHex(state.ctx.trace_id) + "\"");
+    AppendIdKV(ev.args_json, "trace_id", state.ctx.trace_id);
     if (state.ctx.span_id != 0) {
-      AppendKV(ev.args_json, "parent_span_id",
-               "\"" + TraceIdHex(state.ctx.span_id) + "\"");
+      AppendIdKV(ev.args_json, "parent_span_id", state.ctx.span_id);
     }
   }
   ev.start_ns = TraceNowNs();

@@ -19,10 +19,8 @@
 // threads without a rank (the launcher, thread pools, checkpoint flushers) share pid 0
 // ("runtime"). RunSpmd tags each rank thread via SetThreadRank.
 //
-// Compile-time gate: building with -DUCP_OBS=OFF (CMake) defines UCP_OBS_ENABLED=0 and the
-// UCP_TRACE_* macros expand to nothing — zero code, zero data, for overhead-proof builds.
-// At runtime tracing can also be toggled with SetTraceEnabled; a disabled span is one
-// relaxed atomic load.
+// Tracing is toggled at runtime with SetTraceEnabled; a disabled span is one relaxed atomic
+// load (fig11 bounds what an enabled one costs a save).
 //
 // Dependency note: like metrics.h this sits below src/common — standard library only. The
 // Chrome JSON is serialized by hand here and parsed back with src/common/json in tests.
@@ -33,10 +31,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#ifndef UCP_OBS_ENABLED
-#define UCP_OBS_ENABLED 1
-#endif
 
 namespace ucp {
 namespace obs {
@@ -221,8 +215,6 @@ uint64_t TraceNowNs();
 //   UCP_TRACE_SPAN_ARG_D(span, "wait_ms", wait * 1e3);
 //   UCP_TRACE_INSTANT("recovery.detected", ::ucp::obs::TraceArgs().S("rank", "3"));
 
-#if UCP_OBS_ENABLED
-
 #define UCP_OBS_CONCAT_INNER(a, b) a##b
 #define UCP_OBS_CONCAT(a, b) UCP_OBS_CONCAT_INNER(a, b)
 
@@ -236,31 +228,5 @@ uint64_t TraceNowNs();
 #define UCP_TRACE_SPAN_ARG_D(var, key, value) var.ArgD(key, value)
 #define UCP_TRACE_SPAN_ARG_S(var, key, value) var.ArgS(key, value)
 #define UCP_TRACE_INSTANT(name, ...) ::ucp::obs::TraceInstant(name, ##__VA_ARGS__)
-
-#else  // UCP_OBS_ENABLED
-
-#define UCP_TRACE_SPAN(name) \
-  do {                       \
-  } while (0)
-#define UCP_TRACE_SPAN_ARGS(name, args_expr) \
-  do {                                       \
-  } while (0)
-#define UCP_TRACE_NAMED_SPAN(var, name) \
-  do {                                  \
-  } while (0)
-#define UCP_TRACE_SPAN_ARG_I(var, key, value) \
-  do {                                        \
-  } while (0)
-#define UCP_TRACE_SPAN_ARG_D(var, key, value) \
-  do {                                        \
-  } while (0)
-#define UCP_TRACE_SPAN_ARG_S(var, key, value) \
-  do {                                        \
-  } while (0)
-#define UCP_TRACE_INSTANT(name, ...) \
-  do {                               \
-  } while (0)
-
-#endif  // UCP_OBS_ENABLED
 
 #endif  // UCP_SRC_OBS_TRACE_H_

@@ -245,10 +245,7 @@ SoakRunReport RunSoakSchedule(const SoakOptions& options,
         supervisor_options.checkpoint_every = options.checkpoint_every;
         supervisor_options.async.job = options.job;
         supervisor_options.async.keep_last = 0;  // retention is a schedule event, not ambient
-        // Single flusher + blocking backpressure: see the determinism contract in driver.h.
-        supervisor_options.async.flush_threads = 1;
         supervisor_options.async.max_in_flight = current_max_in_flight;
-        supervisor_options.async.backpressure = AsyncCheckpointOptions::Backpressure::kBlock;
         supervisor_options.watchdog_timeout = std::chrono::milliseconds(options.watchdog_ms);
         if (server != nullptr) {
           supervisor_options.store_endpoint = server->endpoint();

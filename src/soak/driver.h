@@ -10,11 +10,11 @@
 // (seed, shape, strategy, namespace). The JSONL log therefore contains no wall-clock times
 // and no absolute paths — only event specs, training/loss observations, invariant
 // observations and violations — which is what lets `ucp_tool soak-replay <failure.jsonl>`
-// re-execute a failure log in a fresh directory and produce a byte-identical log. Two
-// driver choices exist solely for this contract: the async engine runs a single flusher
-// thread (so the nth-matching-operation counter of a filesystem fault always lands on the
-// same operation), and backpressure stays in kBlock mode (kDropOldest makes the committed
-// set timing-dependent).
+// re-execute a failure log in a fresh directory and produce a byte-identical log. The
+// async engine's design serves this contract: its single flusher commits saves one at a
+// time in save order (so the nth-matching-operation counter of a filesystem fault always
+// lands on the same operation), and a save beyond max_in_flight blocks rather than being
+// dropped (so the committed set does not depend on timing).
 
 #ifndef UCP_SRC_SOAK_DRIVER_H_
 #define UCP_SRC_SOAK_DRIVER_H_

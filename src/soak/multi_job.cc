@@ -47,7 +47,6 @@ MultiJobReport::JobResult RunOneJob(const MultiJobOptions& options, const std::s
     AsyncCheckpointOptions engine_options;
     engine_options.job = job;
     engine_options.keep_last = options.keep_last;
-    engine_options.flush_threads = 1;
     engine_options.max_in_flight = 2;
     engine_options.pre_flush_hook = [job](int64_t) { SetThreadIoAuditContext(job); };
     std::optional<AsyncCheckpointEngine> engine;

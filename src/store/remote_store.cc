@@ -257,11 +257,9 @@ Result<WireFrame> RemoteStore::ExchangeLocked(WireOp op,
   // TRACE_CONTEXT header below carries *its* id as parent — the server's handling span
   // becomes its child in the merged trace.
   UCP_TRACE_NAMED_SPAN(span, "store.client.rpc");
-#if UCP_OBS_ENABLED
   if (obs::TraceEnabled()) {
     span.ArgS("op", WireOpName(op));
   }
-#endif
   const uint64_t start_ns = obs::TraceNowNs();
   Result<WireFrame> reply = [&]() -> Result<WireFrame> {
     if (fd_ < 0) {
@@ -488,13 +486,11 @@ Status RemoteStore::WriteFileLocked(const std::string& tag, const std::string& r
   // RPC span — pre-drop, reconnect, post-resume — shares this trace_id), not two roots.
   obs::ScopedTraceContext trace_root;
   UCP_TRACE_NAMED_SPAN(file_span, "store.client.write_file");
-#if UCP_OBS_ENABLED
   if (obs::TraceEnabled()) {
     file_span.ArgS("tag", tag);
     file_span.ArgS("rel", rel);
     file_span.ArgI("bytes", static_cast<int64_t>(size));
   }
-#endif
   uint64_t resume = 0;
   uint64_t sent_high = 0;
   for (int reconnect_round = 0;; ++reconnect_round) {
@@ -660,11 +656,9 @@ Status RemoteStore::CommitTag(const std::string& tag, const std::string& meta_js
   // logical operation — one trace.
   obs::ScopedTraceContext trace_root;
   UCP_TRACE_NAMED_SPAN(commit_span, "store.client.commit_tag");
-#if UCP_OBS_ENABLED
   if (obs::TraceEnabled()) {
     commit_span.ArgS("tag", tag);
   }
-#endif
   Result<WireFrame> reply = ExchangeLocked(WireOp::kCommitTag, req.buffer(), WireOp::kOk);
   if (reply.ok()) {
     return OkStatus();

@@ -1121,7 +1121,6 @@ bool StoreServer::HandleFrame(int fd, const WireFrame& frame, Session& session) 
   bool keep_open;
   {
     UCP_TRACE_NAMED_SPAN(span, "store.server.rpc");
-#if UCP_OBS_ENABLED
     if (obs::TraceEnabled()) {
       span.ArgS("op", WireOpName(frame.op));
       span.ArgI("session", static_cast<int64_t>(session.id));
@@ -1131,7 +1130,6 @@ bool StoreServer::HandleFrame(int fd, const WireFrame& frame, Session& session) 
         span.ArgS("tag", tag);
       }
     }
-#endif
     keep_open = HandleFrameInner(fd, frame, session);
   }
   RpcSecondsFor(frame.op).Observe(static_cast<double>(obs::TraceNowNs() - start_ns) *

@@ -71,30 +71,12 @@ Result<Tensor> LoadTensorFromStore(Store& store, const std::string& rel) {
 
 }  // namespace
 
-Status WriteAtom(const std::string& ucp_dir, const ParamState& state,
-                 const PatternRule& source_pattern) {
+Status WriteAtom(const std::string& ucp_dir, const ParamState& state) {
   const std::string dir = AtomDir(ucp_dir, state.name);
   UCP_RETURN_IF_ERROR(MakeDirs(dir));
   UCP_RETURN_IF_ERROR(SaveTensor(PathJoin(dir, "fp32"), state.fp32));
   UCP_RETURN_IF_ERROR(SaveTensor(PathJoin(dir, "exp_avg"), state.exp_avg));
-  UCP_RETURN_IF_ERROR(SaveTensor(PathJoin(dir, "exp_avg_sq"), state.exp_avg_sq));
-
-  JsonObject meta;
-  JsonArray shape;
-  for (int i = 0; i < state.fp32.ndim(); ++i) {
-    shape.push_back(Json(state.fp32.dim(i)));
-  }
-  meta["shape"] = Json(std::move(shape));
-  meta["source_pattern"] = ParamPatternName(source_pattern.pattern);
-  if (source_pattern.pattern == ParamPattern::kFragmentParams) {
-    meta["partition_dim"] = source_pattern.dim;
-    JsonArray sections;
-    for (int64_t s : source_pattern.sections) {
-      sections.push_back(Json(s));
-    }
-    meta["sections"] = Json(std::move(sections));
-  }
-  return WriteFileAtomic(PathJoin(dir, "meta.json"), Json(std::move(meta)).Dump(2));
+  return SaveTensor(PathJoin(dir, "exp_avg_sq"), state.exp_avg_sq);
 }
 
 Result<ParamState> ReadAtom(Store& store, const std::string& ucp_rel,

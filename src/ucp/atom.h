@@ -1,12 +1,11 @@
 // Atom checkpoints (paper §3.1): the consolidated, strategy-agnostic representation. One
 // directory per parameter holding three single-tensor files — fp32 weights and the two Adam
-// moments — plus a small JSON sidecar:
+// moments — whose headers carry the full shape:
 //
 //   <ucp_dir>/ucp_meta.json
 //   <ucp_dir>/atoms/<param_name>/fp32
 //   <ucp_dir>/atoms/<param_name>/exp_avg
 //   <ucp_dir>/atoms/<param_name>/exp_avg_sq
-//   <ucp_dir>/atoms/<param_name>/meta.json   (full shape + source pattern, for inspection)
 
 #ifndef UCP_SRC_UCP_ATOM_H_
 #define UCP_SRC_UCP_ATOM_H_
@@ -18,7 +17,6 @@
 #include "src/parallel/topology.h"
 #include "src/store/store.h"
 #include "src/tensor/tensor.h"
-#include "src/ucp/patterns.h"
 
 namespace ucp {
 
@@ -48,9 +46,8 @@ std::string AtomDir(const std::string& ucp_dir, const std::string& param_name);
 // checkpoint at `ucp_rel` ("" = the store root). Same layout either way.
 std::string AtomRel(const std::string& ucp_rel, const std::string& param_name);
 
-// Writes one atom (three tensor files + sidecar). Thread-safe across distinct params.
-Status WriteAtom(const std::string& ucp_dir, const ParamState& state,
-                 const PatternRule& source_pattern);
+// Writes one atom (three tensor files). Thread-safe across distinct params.
+Status WriteAtom(const std::string& ucp_dir, const ParamState& state);
 
 // The readers take the UCP checkpoint at `ucp_rel` inside `store` ("" = the store root, so
 // a LocalStore on a UCP directory reads that directory).

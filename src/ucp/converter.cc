@@ -139,7 +139,7 @@ Result<ConvertStats> ConvertToUcpImpl(Store& source, const std::string& tag,
         if (!merged.ok()) {
           status = merged.status();
         } else {
-          status = WriteAtom(ucp_dir, *merged, *rule);
+          status = WriteAtom(ucp_dir, *merged);
         }
       }
       std::lock_guard<std::mutex> lock(mu);
@@ -195,7 +195,6 @@ Result<ConvertStats> ConvertForeignToUcpImpl(const std::string& foreign_dir,
   auto start = std::chrono::steady_clock::now();
   std::mutex mu;
   Status first_error = OkStatus();
-  PatternRule unique_rule{ParamPattern::kUniqueParams, "*", 0, {}};
   pool.ParallelFor(names.size(), [&](size_t i) {
     const std::string& name = names[i];
     const Tensor* fp32 = bundle.Find("model." + name);
@@ -210,7 +209,7 @@ Result<ConvertStats> ConvertForeignToUcpImpl(const std::string& foreign_dir,
       state.fp32 = fp32->Clone();
       state.exp_avg = m->Clone();
       state.exp_avg_sq = v->Clone();
-      status = WriteAtom(ucp_dir, state, unique_rule);
+      status = WriteAtom(ucp_dir, state);
     }
     std::lock_guard<std::mutex> lock(mu);
     if (!status.ok()) {

@@ -1,6 +1,6 @@
 // Async checkpoint engine tests: snapshot isolation (a flushed tag holds pre-mutation
-// values bit-exactly), both backpressure policies, ordered commits under concurrent
-// flushers, keep_last retention, and the Store::Gc / SweepStagingDebris helpers the
+// values bit-exactly), blocking backpressure, save-order commits of queued saves,
+// abandoned gathers, keep_last retention, and the Store::Gc / SweepStagingDebris helpers the
 // engine composes with. The pre_flush_hook makes every "flush still in progress" state
 // deterministic — no sleeps stand in for synchronization.
 
@@ -179,7 +179,6 @@ TEST_F(AsyncCheckpointTest, BlockBackpressureStallsSaveUntilSlotFrees) {
   FlushGate gate(2);
   AsyncCheckpointOptions options;
   options.max_in_flight = 1;
-  options.backpressure = AsyncCheckpointOptions::Backpressure::kBlock;
   options.pre_flush_hook = [&gate](int64_t it) { gate(it); };
   AsyncCheckpointEngine engine(StoreAt("ckpt"), run.world_size(), options);
 
@@ -211,65 +210,77 @@ TEST_F(AsyncCheckpointTest, BlockBackpressureStallsSaveUntilSlotFrees) {
   EXPECT_EQ(*ReadLatestTag(*StoreAt("ckpt")), "global_step4");
 }
 
-TEST_F(AsyncCheckpointTest, DropOldestCancelsStalledSaveWithoutBlocking) {
+TEST_F(AsyncCheckpointTest, QueuedSaveCommitsAfterOlderSave) {
+  // The older save's flush is held open while the younger save finishes gathering and
+  // queues behind it. The single flusher must pick the younger save up only once the older
+  // one has committed, so `latest` ends at the younger tag. A second flusher would start
+  // the younger save beside the held one and could commit it first, leaving `latest` at
+  // global_step2.
   TrainerConfig cfg = ConfigFor({1, 1, 1, 1, 0, 1});
   TrainingRun run(cfg);
   run.Train(1, 2);
 
   FlushGate gate(2);
+  std::mutex seen_mu;
+  std::vector<int64_t> seen;
+  bool older_committed_before_younger_flush = false;
   AsyncCheckpointOptions options;
-  options.max_in_flight = 1;
-  options.backpressure = AsyncCheckpointOptions::Backpressure::kDropOldest;
-  options.pre_flush_hook = [&gate](int64_t it) { gate(it); };
-  AsyncCheckpointEngine engine(StoreAt("ckpt"), run.world_size(), options);
-
-  SaveAsyncAll(run, engine, 2);
-  gate.AwaitArrival();
-  run.Train(3, 4);
-  SaveAsyncAll(run, engine, 4);  // evicts the stalled global_step2 save, returns at once
-  gate.Release();
-  ASSERT_TRUE(engine.WaitAll().ok());  // a drop is a policy outcome, not an engine error
-
-  EXPECT_EQ(engine.WaitForIteration(2).code(), StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(engine.WaitForIteration(4).ok());
-  EXPECT_EQ(engine.WaitForIteration(99).code(), StatusCode::kNotFound);
-
-  AsyncSaveStats stats = engine.stats();
-  EXPECT_EQ(stats.drops, 1);
-  EXPECT_EQ(stats.commits, 1);
-  EXPECT_EQ(stats.failures, 0);
-  EXPECT_FALSE(DirExists(Sub("ckpt/global_step2")));
-  EXPECT_FALSE(DirExists(Sub("ckpt/global_step2.staging")));
-  EXPECT_TRUE(IsTagComplete(*StoreAt("ckpt"), "global_step4"));
-  EXPECT_EQ(*ReadLatestTag(*StoreAt("ckpt")), "global_step4");
-}
-
-TEST_F(AsyncCheckpointTest, ConcurrentFlushesCommitInSaveOrder) {
-  // Two flusher threads, the older save held open: the younger save finishes its shards
-  // first but must wait its turn, so `latest` ends at the younger tag — a wrong-order
-  // commit would leave `latest` pointing at global_step2.
-  TrainerConfig cfg = ConfigFor({1, 1, 1, 1, 0, 1});
-  TrainingRun run(cfg);
-  run.Train(1, 2);
-
-  FlushGate gate(2);
-  AsyncCheckpointOptions options;
-  options.flush_threads = 2;
   options.max_in_flight = 2;
-  options.pre_flush_hook = [&gate](int64_t it) { gate(it); };
+  options.pre_flush_hook = [&](int64_t it) {
+    {
+      std::lock_guard<std::mutex> lock(seen_mu);
+      seen.push_back(it);
+      if (it == 4) {
+        older_committed_before_younger_flush = IsTagComplete(*StoreAt("ckpt"), "global_step2");
+      }
+    }
+    gate(it);
+  };
   AsyncCheckpointEngine engine(StoreAt("ckpt"), run.world_size(), options);
 
   SaveAsyncAll(run, engine, 2);
   gate.AwaitArrival();
   run.Train(3, 4);
   SaveAsyncAll(run, engine, 4);
+  // The engine passes whatever this wait is; it only gives a wrong engine (a second
+  // flusher) time to start the queued save while the older one is still held.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
   gate.Release();
   ASSERT_TRUE(engine.WaitAll().ok());
 
+  EXPECT_EQ(seen, (std::vector<int64_t>{2, 4}));
+  EXPECT_TRUE(older_committed_before_younger_flush);
   EXPECT_TRUE(IsTagComplete(*StoreAt("ckpt"), "global_step2"));
   EXPECT_TRUE(IsTagComplete(*StoreAt("ckpt"), "global_step4"));
   EXPECT_EQ(*ReadLatestTag(*StoreAt("ckpt")), "global_step4");
   EXPECT_EQ(engine.stats().commits, 2);
+}
+
+TEST_F(AsyncCheckpointTest, AbandonIncompleteResolvesGatheringSaveAsDrop) {
+  // Rank 1 never reaches the save of global_step2 (as after its failure): abandoning the
+  // gathering save resolves it as a drop, not a failure, and the engine keeps saving.
+  TrainerConfig cfg = ConfigFor({1, 1, 2, 1, 1, 1});
+  TrainingRun run(cfg);
+  run.Train(1, 2);
+
+  AsyncCheckpointEngine engine(StoreAt("ckpt"), run.world_size());
+  ASSERT_TRUE(engine.SaveAsync(run.trainer(0), 2).ok());
+  EXPECT_EQ(engine.AbandonIncomplete(), 1);
+  EXPECT_EQ(engine.WaitForIteration(2).code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(engine.WaitAll().ok());  // an abandoned save is not an engine error
+
+  run.Train(3, 4);
+  SaveAsyncAll(run, engine, 4);
+  EXPECT_TRUE(engine.WaitForIteration(4).ok());
+
+  AsyncSaveStats stats = engine.stats();
+  EXPECT_EQ(stats.drops, 1);
+  EXPECT_EQ(stats.failures, 0);
+  EXPECT_EQ(stats.saves_started, 1);
+  EXPECT_EQ(stats.commits, 1);
+  EXPECT_FALSE(DirExists(Sub("ckpt/global_step2")));
+  EXPECT_FALSE(DirExists(Sub("ckpt/global_step2.staging")));
+  EXPECT_EQ(*ReadLatestTag(*StoreAt("ckpt")), "global_step4");
 }
 
 TEST_F(AsyncCheckpointTest, KeepLastRetiresOldTagsAfterEachCommit) {

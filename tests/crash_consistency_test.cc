@@ -154,7 +154,7 @@ INSTANTIATE_TEST_SUITE_P(
                   {FaultPlan::Kind::kBitRot, FsOp::kWrite, 1, "optim_states", 12345},
                   /*save_fails=*/false, /*tag4_dir_remains=*/true,
                   /*check_find_latest=*/false}),
-    [](const ::testing::TestParamInfo<CrashCase>& info) { return info.param.label; });
+    [](const ::testing::TestParamInfo<CrashCase>& row) { return row.param.label; });
 
 TEST_F(CrashConsistencyTest, SaveRetriesCleanlyOverCrashDebris) {
   TrainerConfig cfg = ConfigFor({1, 1, 1, 1, 0, 1});
@@ -326,7 +326,7 @@ TEST_F(CrashConsistencyTest, UncommittedTagIsFlaggedByValidatorAndMetaReader) {
 // flusher instead of the rank threads: commit global_step2 synchronously, snapshot
 // global_step4 through the async engine, kill the flush at an exact protocol point, and
 // prove the resumed trajectory equals the uninterrupted (synchronous-baseline) run bit for
-// bit. flush_threads=1 keeps the flusher's write/fsync/rename sequence — and therefore the
+// bit. The engine's single flusher keeps the write/fsync/rename sequence — and therefore the
 // injector's nth counts — deterministic.
 struct AsyncCrashCase {
   const char* label;
@@ -355,8 +355,7 @@ TEST_P(AsyncCrashMatrixTest, ResumeAfterKilledFlushFallsBackBitExact) {
 
   Status wait = OkStatus();
   {
-    AsyncCheckpointEngine engine(StoreAt("ckpt"), victim.world_size(),
-                                 AsyncCheckpointOptions{/*flush_threads=*/1});
+    AsyncCheckpointEngine engine(StoreAt("ckpt"), victim.world_size());
     ScopedFault fault(c.plan);
     victim.Run([&](RankTrainer& t) {
       // The snapshot never touches the filesystem, so SaveAsync itself cannot trip a plan.
@@ -436,7 +435,7 @@ INSTANTIATE_TEST_SUITE_P(
                        {FaultPlan::Kind::kBitRot, FsOp::kWrite, 1, "optim_states", 12345},
                        /*wait_fails=*/false, /*tag4_dir_remains=*/true,
                        /*check_find_latest=*/false}),
-    [](const ::testing::TestParamInfo<AsyncCrashCase>& info) { return info.param.label; });
+    [](const ::testing::TestParamInfo<AsyncCrashCase>& row) { return row.param.label; });
 
 // ---- Foreign-ingestion faults ----
 

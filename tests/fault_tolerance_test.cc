@@ -235,7 +235,7 @@ INSTANTIATE_TEST_SUITE_P(
                  "global_step2"},
         KillCase{"pp2_rank1_p2p_recv", {1, 2, 1, 1, 0, 1}, 1, FaultSite::kP2PRecv, 3,
                  "global_step2"}),
-    [](const ::testing::TestParamInfo<KillCase>& info) { return info.param.label; });
+    [](const ::testing::TestParamInfo<KillCase>& row) { return row.param.label; });
 
 // ---------------------------------------------------------------------------
 // Bit-exact recovery: supervisor resume == clean reference on the shrunk strategy
@@ -332,7 +332,7 @@ INSTANTIATE_TEST_SUITE_P(
         ShrinkExactCase{"tp_first_order_drops_tp",
                         {ShrinkAxis::kTp, ShrinkAxis::kDp},
                         {1, 1, 2, 1, 0, 1}}),
-    [](const ::testing::TestParamInfo<ShrinkExactCase>& info) { return info.param.label; });
+    [](const ::testing::TestParamInfo<ShrinkExactCase>& row) { return row.param.label; });
 
 // ---------------------------------------------------------------------------
 // Fsck quarantine exit codes

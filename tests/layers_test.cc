@@ -177,8 +177,8 @@ TEST_P(LinearTpTest, VocabParallelEmbeddingMatchesSerial) {
 }
 
 INSTANTIATE_TEST_SUITE_P(TpDegrees, LinearTpTest, ::testing::Values(1, 2, 4),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return "tp" + std::to_string(info.param);
+                         [](const ::testing::TestParamInfo<int>& row) {
+                           return "tp" + std::to_string(row.param);
                          });
 
 // ---- Attention: TP-parallel output equals single-rank output ----
@@ -358,8 +358,8 @@ TEST_P(MoeModeTest, ParallelMatchesSerial) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ShardingModes, MoeModeTest, ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "expert_sharding" : "ffn_sharding";
+                         [](const ::testing::TestParamInfo<bool>& row) {
+                           return row.param ? "expert_sharding" : "ffn_sharding";
                          });
 
 }  // namespace

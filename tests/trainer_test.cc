@@ -85,7 +85,7 @@ INSTANTIATE_TEST_SUITE_P(
         StrategyCase{{2, 2, 2, 1, 1, 1}, "tp2_pp2_dp2"},
         StrategyCase{{1, 1, 4, 1, 2, 1}, "dp4_zero2"},
         StrategyCase{{1, 1, 2, 2, 1, 1}, "dp2_sp2_zero1"}),
-    [](const ::testing::TestParamInfo<StrategyCase>& info) { return info.param.label; });
+    [](const ::testing::TestParamInfo<StrategyCase>& row) { return row.param.label; });
 
 TEST(TrainerTest, MicroBatchCountInvariance) {
   ModelConfig model = TinyGpt();

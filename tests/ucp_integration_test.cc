@@ -148,7 +148,7 @@ INSTANTIATE_TEST_SUITE_P(
         // Elastic capacity: shrink 8 -> 2 ranks and grow 2 -> 8.
         ReshardCase{{2, 2, 2, 1, 1, 1}, {1, 1, 2, 1, 1, 1}, "shrink_8_to_2"},
         ReshardCase{{1, 1, 2, 1, 1, 1}, {2, 2, 2, 1, 1, 1}, "grow_2_to_8"}),
-    [](const ::testing::TestParamInfo<ReshardCase>& info) { return info.param.label; });
+    [](const ::testing::TestParamInfo<ReshardCase>& row) { return row.param.label; });
 
 // Property 3: atoms equal the state of an equivalent serial run (strong correctness anchor
 // for ZeRO-0/1: identical arithmetic, so bit-exact).

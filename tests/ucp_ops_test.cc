@@ -177,8 +177,7 @@ TEST_F(AtomTest, WriteReadRoundTrip) {
   CounterRng rng(1, 1);
   ParamState state = MakeState("language_model.embedding.word_embeddings.weight",
                                Tensor::Gaussian({8, 4}, rng, 0, 1.0f));
-  PatternRule rule{ParamPattern::kFragmentParams, "*", 0, {}};
-  ASSERT_TRUE(WriteAtom(dir_, state, rule).ok());
+  ASSERT_TRUE(WriteAtom(dir_, state).ok());
   LocalStore ucp(dir_);
   Result<ParamState> back = ReadAtom(ucp, "", state.name);
   ASSERT_TRUE(back.ok());
