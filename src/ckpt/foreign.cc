@@ -53,7 +53,9 @@ Status SaveForeignCheckpoint(const std::string& dir, RankTrainer& trainer,
 
 Result<ForeignMeta> ReadForeignMeta(const std::string& dir, const std::string& tag) {
   UCP_ASSIGN_OR_RETURN(
-      BundleInfo info, StatBundle(PathJoin(PathJoin(dir, tag), "state_rank0.bundle")));
+      std::unique_ptr<ByteSource> source,
+      FileByteSource::Open(PathJoin(PathJoin(dir, tag), "state_rank0.bundle")));
+  UCP_ASSIGN_OR_RETURN(BundleInfo info, StatBundle(std::move(source)));
   ForeignMeta meta;
   if (!info.meta.Has("model")) {
     return DataLossError("foreign checkpoint missing model config");

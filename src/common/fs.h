@@ -141,7 +141,7 @@ class RandomAccessFile {
 // Abstract positional byte reader: what the checkpoint file readers actually need from a
 // file. Implemented by FileByteSource below (pread on a local file) and by the checkpoint
 // store's remote backend (each ReadAt becomes a READ_RANGE request to ucp_serverd), so
-// TensorFileView/BundleFileView serve local and remote files through one code path.
+// BundleFileView serves local and remote files through one code path.
 class ByteSource {
  public:
   virtual ~ByteSource() = default;

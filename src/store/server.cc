@@ -157,7 +157,7 @@ obs::Histogram& RpcBytesInFor(WireOp op) {
 struct StoreServer::OpenRead {
   std::unique_ptr<ByteSource> source;
   std::string rel;
-  // nullopt: not a UCT1/UCB1 container — served unverified.
+  // nullopt: not a bundle — served unverified.
   std::optional<FileChunkIndex> index;
   std::vector<std::vector<bool>> verified;  // parallel to index->regions
 };
@@ -1155,7 +1155,7 @@ bool StoreServer::HandleFrameInner(int fd, const WireFrame& frame, Session& sess
     // back off toward another daemon (or the post-restart one) instead of spinning.
     const bool drain_refusal =
         draining_.load() && reply.status().code() == StatusCode::kUnavailable &&
-        (frame.op == WireOp::kSessionOpen || frame.op == WireOp::kSessionRenew);
+        frame.op == WireOp::kSessionOpen;
     return SendError(fd, reply.status(), drain_refusal ? 1000u : 0u).ok();
   }
   const Status sent = SendFrame(fd, reply->op, reply->payload);
@@ -1253,16 +1253,6 @@ Result<StoreServer::Reply> StoreServer::Dispatch(const WireFrame& frame, Session
     }
     case WireOp::kSessionOpen:
       return HandleSessionOpen(frame, session);
-    case WireOp::kSessionRenew:
-      if (!session.lease->named()) {
-        return FailedPreconditionError("SESSION_RENEW without a lease");
-      }
-      if (draining_.load()) {
-        // Drain stops extending TTLs: the lease keeps whatever time it has left.
-        return UnavailableError("server is draining; lease not renewed");
-      }
-      session.lease->expires_at_ms.store(NowWallMs() + session.lease->ttl_ms.load());
-      return Reply{};
     case WireOp::kWriteResume:
       return HandleWriteResume(frame);
     case WireOp::kServerStat: {

@@ -81,9 +81,9 @@ class StoreServer {
   const std::string& endpoint() const { return endpoint_; }
   const std::string& http_endpoint() const { return http_endpoint_; }
 
-  // Enters drain mode without closing anything: new SESSION_OPEN/RENEW requests are
-  // refused with a typed kUnavailable carrying a retry-after hint, and lease TTLs stop
-  // being extended — in-flight saves finish, new long-lived work goes elsewhere.
+  // Enters drain mode without closing anything: new SESSION_OPEN requests are refused
+  // with a typed kUnavailable carrying a retry-after hint, and lease TTLs stop being
+  // extended — in-flight saves finish, new long-lived work goes elsewhere.
   // Shutdown(drain=true) implies it.
   void BeginDrain();
   bool draining() const { return draining_.load(); }

@@ -7,13 +7,13 @@
 // wire.h). The writes that still take a path are conversion's atom output and fsck's
 // quarantine renames (docs/store.md). The interface is deliberately narrow
 // (Portus/ByteCheckpoint-style decoupling): relative paths and tag names only, staged
-// writes with an explicit commit, positional reads via ByteSource so
-// TensorFileView/BundleFileView range reads work unchanged over either backend.
+// writes with an explicit commit, positional reads via ByteSource so BundleFileView range
+// reads work unchanged over either backend.
 //
 // Commit protocol (identical on both backends; the remote one runs it server-side):
 //   ResetTagStaging(tag)              -- clear debris of a crashed save
 //   OpenTagForWrite(tag) -> writer    -- one writer per rank; files land in <tag>.staging
-//   writer->WriteFile(rel, bytes)     -- whole serialized shard files (UCT1/UCB1 blobs)
+//   writer->WriteFile(rel, bytes)     -- whole serialized shard files (bundle blobs)
 //   CommitTag(tag, meta_json)         -- meta into staging, rename, marker, latest
 //   AbortTag(tag)                     -- or: drop the staging dir, nothing published
 //

@@ -45,7 +45,6 @@ const char* WireOpName(WireOp op) {
     case WireOp::kSweepDebris: return "sweep_debris";
     case WireOp::kPing: return "ping";
     case WireOp::kSessionOpen: return "session_open";
-    case WireOp::kSessionRenew: return "session_renew";
     case WireOp::kWriteResume: return "write_resume";
     case WireOp::kServerStat: return "server_stat";
     case WireOp::kTraceContext: return "trace_context";

@@ -32,11 +32,12 @@
 namespace ucp {
 
 inline constexpr uint32_t kWireMagic = 0x57504355;  // "UCPW" little-endian
-// Wire version: v4 only. It carries session leases (SESSION_OPEN / SESSION_RENEW),
-// offset-addressed WRITE_BEGIN / WRITE_CHUNK frames and the WRITE_RESUME query that make
-// interrupted uploads resumable, and the TRACE_CONTEXT prefix frame and METRICS_DUMP op for
-// observability. (v1 and v2 had no leases or resumable writes and v3 lacked the two
-// observability ops; none of them is spoken any more.)
+// Wire version: v4 only. It carries session leases (SESSION_OPEN binds one; every later
+// frame on the connection refreshes its expiry), offset-addressed WRITE_BEGIN / WRITE_CHUNK
+// frames and the WRITE_RESUME query that make interrupted uploads resumable, and the
+// TRACE_CONTEXT prefix frame and METRICS_DUMP op for observability. (v1 and v2 had no
+// leases or resumable writes and v3 lacked the two observability ops; none of them is
+// spoken any more.)
 inline constexpr uint32_t kWireVersion = 4;
 // Bound on one frame's payload; larger files stream as multiple WRITE_CHUNK / READ_RANGE
 // exchanges. Also the admission unit for the server's torn-frame defense: a corrupt length
@@ -71,7 +72,8 @@ enum class WireOp : uint8_t {
   kPing = 18,         // empty
   // 19 and 20 (and the 73 reply) were the retired chunk-dedup ops; never reuse them.
   kSessionOpen = 21,  // str lease_token | u32 ttl_ms — bind (or re-adopt) a lease
-  kSessionRenew = 22, // empty — extend the bound lease's TTL (idle keep-alive)
+  // 22 was SESSION_RENEW, which no client sent (any frame refreshes the lease); never
+  // reuse it.
   kWriteResume = 23,  // str tag | str rel — how many bytes the server already has
   kServerStat = 24,   // empty — sessions/leases/staged/draining snapshot
   kTraceContext = 25, // u64 trace_id | u64 parent_span_id — no response; annotates the

@@ -11,7 +11,6 @@
 namespace ucp {
 namespace {
 
-constexpr uint32_t kTensorMagic = 0x31544355;  // "UCT1" little-endian
 constexpr uint32_t kBundleMagic = 0x31424355;  // "UCB1" little-endian
 constexpr uint32_t kEndianTag = 0x01020304;
 constexpr uint32_t kFormatVersion = 3;  // the only version written or read
@@ -92,13 +91,15 @@ void PutHeader(ByteWriter& w, const Tensor& t) {
   }
 }
 
-struct ParsedHeader {
-  Shape shape;
-  uint64_t payload_bytes;
+// One entry of a v3 header: dtype, shape, payload size and chunk table.
+struct V3Entry {
+  TensorFileInfo info;
+  std::vector<uint32_t> chunk_crcs;
 };
 
-Result<ParsedHeader> GetHeaderAndSize(ByteReader& r, const std::string& what) {
-  ParsedHeader h;
+Result<V3Entry> GetV3Entry(ByteReader& r, const std::string& what) {
+  V3Entry e;
+  TensorFileInfo& info = e.info;
   UCP_ASSIGN_OR_RETURN(uint8_t dtype_byte, r.GetU8());
   if (dtype_byte != kF32DtypeByte) {
     return DataLossError("payload dtype byte " + std::to_string(dtype_byte) + " in " + what +
@@ -113,15 +114,27 @@ Result<ParsedHeader> GetHeaderAndSize(ByteReader& r, const std::string& what) {
     if (d < 0) {
       return DataLossError("negative dimension in tensor header");
     }
-    h.shape.push_back(d);
+    info.shape.push_back(d);
   }
-  UCP_ASSIGN_OR_RETURN(h.payload_bytes, r.GetU64());
-  uint64_t expect = static_cast<uint64_t>(ShapeNumel(h.shape)) * sizeof(float);
-  if (h.payload_bytes != expect) {
-    return DataLossError("payload size " + std::to_string(h.payload_bytes) +
-                         " does not match shape " + ShapeToString(h.shape));
+  UCP_ASSIGN_OR_RETURN(info.payload_bytes, r.GetU64());
+  uint64_t expect = static_cast<uint64_t>(ShapeNumel(info.shape)) * sizeof(float);
+  if (info.payload_bytes != expect) {
+    return DataLossError("payload size " + std::to_string(info.payload_bytes) +
+                         " does not match shape " + ShapeToString(info.shape));
   }
-  return h;
+  UCP_ASSIGN_OR_RETURN(info.chunk_bytes, r.GetU32());
+  if (info.chunk_bytes == 0) {
+    return DataLossError("zero chunk size in " + what);
+  }
+  UCP_ASSIGN_OR_RETURN(info.num_chunks, r.GetU32());
+  if (info.num_chunks != NumChunksFor(info.payload_bytes, info.chunk_bytes)) {
+    return DataLossError("chunk count does not match payload size in " + what);
+  }
+  e.chunk_crcs.resize(info.num_chunks);
+  for (uint32_t& crc : e.chunk_crcs) {
+    UCP_ASSIGN_OR_RETURN(crc, r.GetU32());
+  }
+  return e;
 }
 
 std::string ChunkCrcErr(const std::string& what, size_t chunk_index, size_t num_chunks) {
@@ -146,16 +159,17 @@ Status VerifyChunks(const uint8_t* payload, uint64_t payload_bytes, uint32_t chu
 }
 
 // ---------------------------------------------------------------------------
-// v3 writer. Layout (single tensor):
+// v3 writer. Layout:
 //   u32 magic | u32 endian | u32 version
-//   u64 header_bytes                         (fixed offset 12; == payload start offset)
-//   u8 dtype | u32 ndim | i64 dims[ndim] | u64 payload_bytes
-//   u32 chunk_bytes | u32 num_chunks | u32 chunk_crc[num_chunks]
+//   u64 header_bytes                         (fixed offset 12; == first payload's offset)
+//   str meta_json | u32 count
+//   count x { str name
+//             u8 dtype | u32 ndim | i64 dims[ndim] | u64 payload_bytes
+//             u32 chunk_bytes | u32 num_chunks | u32 chunk_crc[num_chunks]
+//             u64 payload_offset }
 //   u32 header_crc                           (CRC32 over bytes [0, here))
-//   payload (raw)
+//   payloads (raw, concatenated in entry order)
 //   u32 file_crc                             (CRC32 over bytes [0, here))
-// Bundles use the same prologue, then meta string + entry table (each entry additionally
-// records its absolute payload offset), header_crc, concatenated payloads, file_crc.
 //
 // The header is written first, with zeroed slots for the chunk CRCs and payload offsets; that
 // fixes the file's size. The file is then allocated once, each payload is encoded at its final
@@ -167,11 +181,11 @@ struct V3Payload {
   uint64_t bytes;
   uint32_t chunk_bytes;
   size_t crc_slot;     // header offset of chunk_crc[0]
-  size_t offset_slot;  // header offset of the bundle entry's payload_offset; 0 if none
+  size_t offset_slot;  // header offset of the entry's payload_offset
 };
 
-void PutPrologue(ByteWriter& w, uint32_t magic) {
-  w.PutU32(magic);
+void PutPrologue(ByteWriter& w) {
+  w.PutU32(kBundleMagic);
   w.PutU32(kEndianTag);
   w.PutU32(kFormatVersion);
   w.PutU64(0);  // header_bytes, patched by BuildV3
@@ -206,9 +220,7 @@ std::vector<uint8_t> BuildV3(const ByteWriter& header, const std::vector<V3Paylo
   PatchU64(buf, 12, header_bytes);
   for (const V3Payload& p : payloads) {
     const size_t at = buf.size();
-    if (p.offset_slot != 0) {
-      PatchU64(buf, p.offset_slot, at);
-    }
+    PatchU64(buf, p.offset_slot, at);
     const auto* payload = reinterpret_cast<const uint8_t*>(p.tensor->data());
     buf.insert(buf.end(), payload, payload + p.bytes);
     for (uint64_t start = 0, ci = 0; start < p.bytes; start += p.chunk_bytes, ++ci) {
@@ -231,114 +243,55 @@ std::vector<uint8_t> BuildV3(const ByteWriter& header, const std::vector<V3Paylo
 // than 3 is kDataLoss, the code a bad magic gets: both CRCs cover the field, so bit rot in it
 // and a file from another build look alike, and either way resume must fall back to an
 // older tag.
-Status CheckPrologue(const uint8_t* p, uint32_t magic, const char* kind,
-                     const std::string& path) {
-  if (LoadU32(p) != magic) {
-    return DataLossError(std::string(kind) + " bad magic in " + path);
+Status CheckPrologue(const uint8_t* p, const std::string& path) {
+  if (LoadU32(p) != kBundleMagic) {
+    return DataLossError("bundle bad magic in " + path);
   }
   if (LoadU32(p + 4) != kEndianTag) {
-    return DataLossError(std::string(kind) + " endianness mismatch in " + path);
+    return DataLossError("bundle endianness mismatch in " + path);
   }
   const uint32_t version = LoadU32(p + 8);
   if (version != kFormatVersion) {
-    return DataLossError(std::string(kind) + " format version " + std::to_string(version) +
-                         " in " + path + " is not supported (only v3 is read)");
+    return DataLossError("bundle format version " + std::to_string(version) + " in " + path +
+                         " is not supported (only v3 is read)");
   }
   return OkStatus();
 }
 
-Status CheckFileCrc(const std::string& contents, const char* kind, const std::string& path) {
+Status CheckFileCrc(const std::string& contents, const std::string& path) {
   size_t body_size = contents.size() - 4;
   uint32_t stored_crc = 0;
   std::memcpy(&stored_crc, contents.data() + body_size, 4);
   if (stored_crc != Crc32(contents.data(), body_size)) {
-    return DataLossError(std::string(kind) + " CRC mismatch in " + path);
+    return DataLossError("bundle CRC mismatch in " + path);
   }
   return OkStatus();
 }
 
 // Checks the prologue, the trailing file CRC and the header-size field of a whole file held
 // in memory; returns the header size (== the first payload's offset).
-Result<uint64_t> CheckWholeFile(const std::string& contents, uint32_t magic, const char* kind,
-                                const std::string& path) {
+Result<uint64_t> CheckWholeFile(const std::string& contents, const std::string& path) {
   if (contents.size() < 24) {  // prologue + header size + trailing CRC at minimum
-    return DataLossError(std::string(kind) + " file truncated: " + path);
+    return DataLossError("bundle file truncated: " + path);
   }
   const uint8_t* data = reinterpret_cast<const uint8_t*>(contents.data());
-  UCP_RETURN_IF_ERROR(CheckPrologue(data, magic, kind, path));
-  UCP_RETURN_IF_ERROR(CheckFileCrc(contents, kind, path));
+  UCP_RETURN_IF_ERROR(CheckPrologue(data, path));
+  UCP_RETURN_IF_ERROR(CheckFileCrc(contents, path));
   const uint64_t header_bytes = LoadU64(data + 12);
   if (header_bytes < 24 || header_bytes > contents.size() - 4) {
-    return DataLossError(std::string(kind) + " header size out of range in " + path);
+    return DataLossError("bundle header size out of range in " + path);
   }
   return header_bytes;
 }
 
-// Parsed tensor-file header prefix (prefix = bytes [0, header_bytes), including its CRC).
-struct V3TensorHeader {
-  TensorFileInfo info;
-  uint64_t payload_offset = 0;  // == header_bytes
-  std::vector<uint32_t> chunk_crcs;
-};
-
-Status CheckHeaderCrc(const uint8_t* prefix, uint64_t size, const char* kind,
-                      const std::string& path) {
+Status CheckHeaderCrc(const uint8_t* prefix, uint64_t size, const std::string& path) {
   if (size < 24) {
-    return DataLossError(std::string(kind) + " header truncated: " + path);
+    return DataLossError("bundle header truncated: " + path);
   }
   if (Crc32(prefix, static_cast<size_t>(size - 4)) != LoadU32(prefix + size - 4)) {
-    return DataLossError(std::string(kind) + " header CRC mismatch in " + path);
+    return DataLossError("bundle header CRC mismatch in " + path);
   }
   return OkStatus();
-}
-
-Result<std::pair<ParsedHeader, std::pair<uint32_t, std::vector<uint32_t>>>> GetV3Entry(
-    ByteReader& r, const std::string& what) {
-  UCP_ASSIGN_OR_RETURN(ParsedHeader h, GetHeaderAndSize(r, what));
-  UCP_ASSIGN_OR_RETURN(uint32_t chunk_bytes, r.GetU32());
-  if (chunk_bytes == 0) {
-    return DataLossError("zero chunk size in " + what);
-  }
-  UCP_ASSIGN_OR_RETURN(uint32_t num_chunks, r.GetU32());
-  if (num_chunks != NumChunksFor(h.payload_bytes, chunk_bytes)) {
-    return DataLossError("chunk count does not match payload size in " + what);
-  }
-  std::vector<uint32_t> crcs(num_chunks);
-  for (uint32_t i = 0; i < num_chunks; ++i) {
-    UCP_ASSIGN_OR_RETURN(crcs[i], r.GetU32());
-  }
-  return std::make_pair(std::move(h), std::make_pair(chunk_bytes, std::move(crcs)));
-}
-
-// `file_size` is the size of the whole file the prefix came from; a file whose payload does
-// not end exactly at its trailing CRC is truncated (or padded) and rejected.
-Result<V3TensorHeader> ParseV3TensorPrefix(const uint8_t* prefix, uint64_t size,
-                                           uint64_t file_size, const std::string& path) {
-  UCP_RETURN_IF_ERROR(CheckHeaderCrc(prefix, size, "tensor", path));
-  ByteReader r(prefix, static_cast<size_t>(size - 4));
-  (void)r.GetU32();  // magic
-  (void)r.GetU32();  // endian
-  (void)r.GetU32();  // version
-  UCP_ASSIGN_OR_RETURN(uint64_t header_bytes, r.GetU64());
-  if (header_bytes != size) {
-    return DataLossError("inconsistent header size in " + path);
-  }
-  UCP_ASSIGN_OR_RETURN(auto entry, GetV3Entry(r, path));
-  if (!r.AtEnd()) {
-    return DataLossError("trailing bytes in tensor header of " + path);
-  }
-  if (size + entry.first.payload_bytes + 4 != file_size) {
-    return DataLossError("tensor file truncated: " + path);
-  }
-  V3TensorHeader h;
-  h.info.shape = std::move(entry.first.shape);
-  h.info.payload_bytes = entry.first.payload_bytes;
-  h.info.format_version = kFormatVersion;
-  h.info.chunk_bytes = entry.second.first;
-  h.info.num_chunks = static_cast<uint32_t>(entry.second.second.size());
-  h.payload_offset = size;
-  h.chunk_crcs = std::move(entry.second.second);
-  return h;
 }
 
 struct V3BundleHeader {
@@ -346,15 +299,17 @@ struct V3BundleHeader {
   std::vector<std::pair<std::string, TensorFileInfo>> entries;
   struct Member {
     uint64_t payload_offset;
-    uint32_t chunk_bytes;
     std::vector<uint32_t> chunk_crcs;
   };
   std::vector<Member> members;
 };
 
+// Parses the header prefix (bytes [0, header_bytes), including its CRC). `file_size` is the
+// size of the whole file the prefix came from; a file whose last payload does not end
+// exactly at its trailing CRC is truncated (or padded) and rejected.
 Result<V3BundleHeader> ParseV3BundlePrefix(const uint8_t* prefix, uint64_t size,
                                            uint64_t file_size, const std::string& path) {
-  UCP_RETURN_IF_ERROR(CheckHeaderCrc(prefix, size, "bundle", path));
+  UCP_RETURN_IF_ERROR(CheckHeaderCrc(prefix, size, path));
   ByteReader r(prefix, static_cast<size_t>(size - 4));
   (void)r.GetU32();  // magic
   (void)r.GetU32();  // endian
@@ -373,21 +328,14 @@ Result<V3BundleHeader> ParseV3BundlePrefix(const uint8_t* prefix, uint64_t size,
   uint64_t expected_offset = header_bytes;
   for (uint32_t i = 0; i < count; ++i) {
     UCP_ASSIGN_OR_RETURN(std::string name, r.GetString());
-    UCP_ASSIGN_OR_RETURN(auto entry, GetV3Entry(r, path + ":" + name));
+    UCP_ASSIGN_OR_RETURN(V3Entry entry, GetV3Entry(r, path + ":" + name));
     UCP_ASSIGN_OR_RETURN(uint64_t payload_offset, r.GetU64());
     if (payload_offset != expected_offset) {
       return DataLossError("non-contiguous payload offsets in " + path);
     }
-    expected_offset += entry.first.payload_bytes;
-    TensorFileInfo info;
-    info.shape = std::move(entry.first.shape);
-    info.payload_bytes = entry.first.payload_bytes;
-    info.format_version = kFormatVersion;
-    info.chunk_bytes = entry.second.first;
-    info.num_chunks = static_cast<uint32_t>(entry.second.second.size());
-    out.entries.emplace_back(std::move(name), std::move(info));
-    out.members.push_back(V3BundleHeader::Member{payload_offset, entry.second.first,
-                                                 std::move(entry.second.second)});
+    expected_offset += entry.info.payload_bytes;
+    out.entries.emplace_back(std::move(name), std::move(entry.info));
+    out.members.push_back({payload_offset, std::move(entry.chunk_crcs)});
   }
   if (!r.AtEnd()) {
     return DataLossError("trailing bytes in bundle header of " + path);
@@ -400,28 +348,16 @@ Result<V3BundleHeader> ParseV3BundlePrefix(const uint8_t* prefix, uint64_t size,
 
 // A whole file held in memory, parsed and fully verified: prologue, file CRC, header and
 // every payload chunk.
-Result<V3TensorHeader> VerifyTensorFile(const std::string& contents, const std::string& path) {
-  UCP_ASSIGN_OR_RETURN(uint64_t header_bytes,
-                       CheckWholeFile(contents, kTensorMagic, "tensor", path));
-  const uint8_t* data = reinterpret_cast<const uint8_t*>(contents.data());
-  UCP_ASSIGN_OR_RETURN(V3TensorHeader h,
-                       ParseV3TensorPrefix(data, header_bytes, contents.size(), path));
-  UCP_RETURN_IF_ERROR(VerifyChunks(data + h.payload_offset, h.info.payload_bytes,
-                                   h.info.chunk_bytes, h.chunk_crcs, path));
-  return h;
-}
-
 Result<V3BundleHeader> VerifyBundleFile(const std::string& contents, const std::string& path) {
-  UCP_ASSIGN_OR_RETURN(uint64_t header_bytes,
-                       CheckWholeFile(contents, kBundleMagic, "bundle", path));
+  UCP_ASSIGN_OR_RETURN(uint64_t header_bytes, CheckWholeFile(contents, path));
   const uint8_t* data = reinterpret_cast<const uint8_t*>(contents.data());
   UCP_ASSIGN_OR_RETURN(V3BundleHeader h,
                        ParseV3BundlePrefix(data, header_bytes, contents.size(), path));
   for (size_t i = 0; i < h.entries.size(); ++i) {
-    const V3BundleHeader::Member& m = h.members[i];
-    UCP_RETURN_IF_ERROR(VerifyChunks(data + m.payload_offset,
-                                     h.entries[i].second.payload_bytes, m.chunk_bytes,
-                                     m.chunk_crcs, path + ":" + h.entries[i].first));
+    const TensorFileInfo& info = h.entries[i].second;
+    UCP_RETURN_IF_ERROR(VerifyChunks(data + h.members[i].payload_offset, info.payload_bytes,
+                                     info.chunk_bytes, h.members[i].chunk_crcs,
+                                     path + ":" + h.entries[i].first));
   }
   return h;
 }
@@ -438,16 +374,16 @@ Result<std::string> SlurpSource(ByteSource& source) {
 
 // Reads the [0, header_bytes) prefix of `f` after checking its prologue, so a wrong magic or
 // version is reported as such rather than as a bad header size.
-Result<std::vector<uint8_t>> ReadV3Prefix(ByteSource& f, uint32_t magic, const char* kind) {
+Result<std::vector<uint8_t>> ReadV3Prefix(ByteSource& f) {
   if (f.size() < 24) {
-    return DataLossError(std::string(kind) + " file truncated: " + f.name());
+    return DataLossError("bundle file truncated: " + f.name());
   }
   uint8_t head[20];
   UCP_RETURN_IF_ERROR(f.ReadAt(0, head, sizeof(head)));
-  UCP_RETURN_IF_ERROR(CheckPrologue(head, magic, kind, f.name()));
+  UCP_RETURN_IF_ERROR(CheckPrologue(head, f.name()));
   uint64_t header_bytes = LoadU64(head + 12);
   if (header_bytes < 24 || header_bytes > f.size() - 4) {
-    return DataLossError(std::string(kind) + " header size out of range in " + f.name());
+    return DataLossError("bundle header size out of range in " + f.name());
   }
   std::vector<uint8_t> prefix(static_cast<size_t>(header_bytes));
   UCP_RETURN_IF_ERROR(f.ReadAt(0, prefix.data(), prefix.size()));
@@ -455,10 +391,10 @@ Result<std::vector<uint8_t>> ReadV3Prefix(ByteSource& f, uint32_t magic, const c
   return prefix;
 }
 
-// The chunk-verifying positional read shared by TensorFileView and BundleFileView: copies
-// elements [elem_begin, elem_begin + elem_count) of a payload living at `payload_offset` in
-// `f`. Unverified chunks are read whole (and their CRC checked once); already-verified
-// chunks are read only where the range overlaps them.
+// BundleFileView's chunk-verifying positional read: copies elements
+// [elem_begin, elem_begin + elem_count) of a payload living at `payload_offset` in `f`.
+// Unverified chunks are read whole (and their CRC checked once); already-verified chunks are
+// read only where the range overlaps them.
 Status ReadChunkedRange(ByteSource& f, uint64_t payload_offset,
                         uint64_t payload_bytes, uint32_t chunk_bytes,
                         const std::vector<uint32_t>& crcs, std::vector<bool>& verified,
@@ -520,108 +456,6 @@ void ResetTensorIoStats() {
   BytesReadCounter().Reset();
   ReadCallsCounter().Reset();
   ChunksVerifiedCounter().Reset();
-}
-
-// ---------------------------------------------------------------------------
-// Single-tensor files.
-
-Status SaveTensor(const std::string& path, const Tensor& tensor) {
-  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> buf, SerializeTensor(tensor));
-  return WriteFileAtomic(path, buf.data(), buf.size());
-}
-
-Result<std::vector<uint8_t>> SerializeTensor(const Tensor& tensor) {
-  if (!tensor.defined()) {
-    return InvalidArgumentError("SerializeTensor of undefined tensor");
-  }
-  ByteWriter w;
-  PutPrologue(w, kTensorMagic);
-  const std::vector<V3Payload> payloads = {PutV3Entry(w, tensor)};
-  return BuildV3(w, payloads);
-}
-
-Result<Tensor> LoadTensor(const std::string& path) {
-  UCP_ASSIGN_OR_RETURN(std::string contents, ReadFileToString(path));
-  CountRead(contents.size());
-  UCP_ASSIGN_OR_RETURN(V3TensorHeader h, VerifyTensorFile(contents, path));
-  Tensor t = Tensor::Zeros(h.info.shape);
-  std::memcpy(t.data(), contents.data() + h.payload_offset, h.info.payload_bytes);
-  return t;
-}
-
-Result<TensorFileInfo> StatTensor(const std::string& path) {
-  // Reads only the header prefix, verified by its own CRC.
-  UCP_ASSIGN_OR_RETURN(TensorFileView view, TensorFileView::Open(path));
-  return view.info();
-}
-
-Status DeepVerifyTensorFile(const std::string& path) {
-  UCP_ASSIGN_OR_RETURN(std::string contents, ReadFileToString(path));
-  CountRead(contents.size());
-  return VerifyTensorFile(contents, path).status();
-}
-
-Status DeepVerifyTensorFile(std::unique_ptr<ByteSource> source) {
-  UCP_ASSIGN_OR_RETURN(std::string contents, SlurpSource(*source));
-  return VerifyTensorFile(contents, source->name()).status();
-}
-
-// ---------------------------------------------------------------------------
-// TensorFileView.
-
-Result<TensorFileView> TensorFileView::Open(const std::string& path) {
-  UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> source, FileByteSource::Open(path));
-  return Open(std::move(source));
-}
-
-Result<TensorFileView> TensorFileView::Open(std::unique_ptr<ByteSource> source) {
-  const std::string path = source->name();
-  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> prefix,
-                       ReadV3Prefix(*source, kTensorMagic, "tensor"));
-  UCP_ASSIGN_OR_RETURN(V3TensorHeader h, ParseV3TensorPrefix(prefix.data(), prefix.size(),
-                                                             source->size(), path));
-  TensorFileView view;
-  view.path_ = path;
-  view.info_ = std::move(h.info);
-  view.chunk_crcs_ = std::move(h.chunk_crcs);
-  view.chunk_verified_.assign(view.chunk_crcs_.size(), false);
-  view.payload_offset_ = h.payload_offset;
-  view.source_ = std::move(source);
-  return view;
-}
-
-Status TensorFileView::ReadElements(int64_t elem_begin, int64_t elem_count, float* out) {
-  if (elem_begin < 0 || elem_count < 0 || elem_begin + elem_count > numel()) {
-    return InvalidArgumentError("ReadElements range [" + std::to_string(elem_begin) + ", " +
-                                std::to_string(elem_begin + elem_count) +
-                                ") out of bounds for " + path_);
-  }
-  return ReadChunkedRange(*source_, payload_offset_, info_.payload_bytes, info_.chunk_bytes,
-                          chunk_crcs_, chunk_verified_, scratch_, elem_begin, elem_count,
-                          out, path_);
-}
-
-Result<Tensor> TensorFileView::ReadRange(int64_t row_begin, int64_t row_count) {
-  if (row_begin < 0 || row_count < 0 || row_begin + row_count > rows()) {
-    return InvalidArgumentError("ReadRange rows [" + std::to_string(row_begin) + ", " +
-                                std::to_string(row_begin + row_count) +
-                                ") out of bounds for " + path_);
-  }
-  Shape out_shape;
-  if (!info_.shape.empty()) {
-    out_shape.push_back(row_count);
-    out_shape.insert(out_shape.end(), info_.shape.begin() + 1, info_.shape.end());
-  }
-  Tensor t = Tensor::Zeros(std::move(out_shape));
-  UCP_RETURN_IF_ERROR(
-      ReadElements(row_begin * row_numel(), row_count * row_numel(), t.data()));
-  return t;
-}
-
-Result<Tensor> TensorFileView::ReadAll() {
-  Tensor t = Tensor::Zeros(info_.shape);
-  UCP_RETURN_IF_ERROR(ReadElements(0, numel(), t.data()));
-  return t;
 }
 
 // ---------------------------------------------------------------------------
@@ -690,7 +524,7 @@ const Tensor* TensorBundle::Find(const std::string& name) const {
 
 Result<std::vector<uint8_t>> SerializeBundle(const TensorBundle& bundle) {
   ByteWriter w;
-  PutPrologue(w, kBundleMagic);
+  PutPrologue(w);
   w.PutString(bundle.meta.Dump());
   w.PutU32(static_cast<uint32_t>(bundle.tensors.size()));
   std::vector<V3Payload> payloads;
@@ -728,26 +562,12 @@ Result<TensorBundle> LoadBundle(const std::string& path) {
   return bundle;
 }
 
-Result<BundleInfo> StatBundle(const std::string& path) {
-  UCP_ASSIGN_OR_RETURN(BundleFileView view, BundleFileView::Open(path));
-  BundleInfo info;
-  info.meta = view.meta();
-  info.entries = view.entries();
-  return info;
-}
-
 Result<BundleInfo> StatBundle(std::unique_ptr<ByteSource> source) {
   UCP_ASSIGN_OR_RETURN(BundleFileView view, BundleFileView::Open(std::move(source)));
   BundleInfo info;
   info.meta = view.meta();
   info.entries = view.entries();
   return info;
-}
-
-Status DeepVerifyBundleFile(const std::string& path) {
-  UCP_ASSIGN_OR_RETURN(std::string contents, ReadFileToString(path));
-  CountRead(contents.size());
-  return VerifyBundleFile(contents, path).status();
 }
 
 Status DeepVerifyBundleFile(std::unique_ptr<ByteSource> source) {
@@ -758,15 +578,9 @@ Status DeepVerifyBundleFile(std::unique_ptr<ByteSource> source) {
 // ---------------------------------------------------------------------------
 // BundleFileView.
 
-Result<BundleFileView> BundleFileView::Open(const std::string& path) {
-  UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> source, FileByteSource::Open(path));
-  return Open(std::move(source));
-}
-
 Result<BundleFileView> BundleFileView::Open(std::unique_ptr<ByteSource> source) {
   const std::string path = source->name();
-  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> prefix,
-                       ReadV3Prefix(*source, kBundleMagic, "bundle"));
+  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> prefix, ReadV3Prefix(*source));
   UCP_ASSIGN_OR_RETURN(V3BundleHeader h, ParseV3BundlePrefix(prefix.data(), prefix.size(),
                                                              source->size(), path));
   BundleFileView view;
@@ -776,7 +590,6 @@ Result<BundleFileView> BundleFileView::Open(std::unique_ptr<ByteSource> source) 
   for (V3BundleHeader::Member& m : h.members) {
     Member member;
     member.payload_offset = m.payload_offset;
-    member.chunk_bytes = m.chunk_bytes;
     member.chunk_verified.assign(m.chunk_crcs.size(), false);
     member.chunk_crcs = std::move(m.chunk_crcs);
     view.members_.push_back(std::move(member));
@@ -818,7 +631,7 @@ Status BundleFileView::ReadTensorElements(size_t entry_index, int64_t elem_begin
                                 entries_[entry_index].first);
   }
   Member& m = members_[entry_index];
-  return ReadChunkedRange(*source_, m.payload_offset, info.payload_bytes, m.chunk_bytes,
+  return ReadChunkedRange(*source_, m.payload_offset, info.payload_bytes, info.chunk_bytes,
                           m.chunk_crcs, m.chunk_verified, scratch_, elem_begin, elem_count,
                           out, path_ + ":" + entries_[entry_index].first);
 }
@@ -832,34 +645,20 @@ Result<std::optional<FileChunkIndex>> ReadFileChunkIndex(ByteSource& source) {
   }
   uint8_t magic_bytes[4];
   UCP_RETURN_IF_ERROR(source.ReadAt(0, magic_bytes, sizeof(magic_bytes)));
-  const uint32_t magic = LoadU32(magic_bytes);
-  const bool is_tensor = magic == kTensorMagic;
-  if (!is_tensor && magic != kBundleMagic) {
+  if (LoadU32(magic_bytes) != kBundleMagic) {
     return std::optional<FileChunkIndex>(std::nullopt);
   }
-  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> prefix,
-                       ReadV3Prefix(source, magic, is_tensor ? "tensor" : "bundle"));
+  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> prefix, ReadV3Prefix(source));
+  UCP_ASSIGN_OR_RETURN(V3BundleHeader h, ParseV3BundlePrefix(prefix.data(), prefix.size(),
+                                                             source.size(), source.name()));
   FileChunkIndex index;
-  if (is_tensor) {
-    UCP_ASSIGN_OR_RETURN(V3TensorHeader h, ParseV3TensorPrefix(prefix.data(), prefix.size(),
-                                                               source.size(), source.name()));
+  for (size_t i = 0; i < h.members.size(); ++i) {
     ChunkRegion region;
-    region.begin = h.payload_offset;
-    region.end = h.payload_offset + h.info.payload_bytes;
-    region.chunk_bytes = h.info.chunk_bytes;
-    region.chunk_crcs = std::move(h.chunk_crcs);
+    region.begin = h.members[i].payload_offset;
+    region.end = h.members[i].payload_offset + h.entries[i].second.payload_bytes;
+    region.chunk_bytes = h.entries[i].second.chunk_bytes;
+    region.chunk_crcs = std::move(h.members[i].chunk_crcs);
     index.regions.push_back(std::move(region));
-  } else {
-    UCP_ASSIGN_OR_RETURN(V3BundleHeader h, ParseV3BundlePrefix(prefix.data(), prefix.size(),
-                                                               source.size(), source.name()));
-    for (size_t i = 0; i < h.members.size(); ++i) {
-      ChunkRegion region;
-      region.begin = h.members[i].payload_offset;
-      region.end = h.members[i].payload_offset + h.entries[i].second.payload_bytes;
-      region.chunk_bytes = h.members[i].chunk_bytes;
-      region.chunk_crcs = std::move(h.members[i].chunk_crcs);
-      index.regions.push_back(std::move(region));
-    }
   }
   return std::optional<FileChunkIndex>(std::move(index));
 }

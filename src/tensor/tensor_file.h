@@ -1,27 +1,25 @@
-// On-disk tensor formats.
+// On-disk tensor format.
 //
-// Two container types cover the whole system:
-//  - Single-tensor files ("UCT1"): one tensor per file. Atom checkpoints use these —
-//    <param>/fp32, <param>/exp_avg, <param>/exp_avg_sq — the .pt-file analogue from the
-//    paper (§3.1).
-//  - Bundle files ("UCB1"): an ordered map of named tensors plus a JSON metadata blob. Each
-//    training rank persists its optimizer-state shard as one bundle — the analogue of
-//    torch.save of a rank's state dict.
+// One container type covers the whole system: the bundle file ("UCB1"), an ordered map of
+// named fp32 tensors plus a JSON metadata blob. Each training rank persists its
+// optimizer-state shard as one bundle (the analogue of torch.save of a rank's state dict),
+// and each atom checkpoint is one bundle with the members fp32, exp_avg and exp_avg_sq (the
+// paper's per-parameter .pt files, §3.1).
 //
-// Both carry an endianness tag, a format-version field, CRC32 integrity checks that localize
-// damage to one payload chunk of a named tensor, and a trailing CRC32 over the entire file.
-// Truncation and corruption are detected at load time (kDataLoss); `ucp_tool fsck` reports
-// the damaged member.
+// A bundle carries an endianness tag, a format-version field, CRC32 integrity checks that
+// localize damage to one payload chunk of a named member, and a trailing CRC32 over the
+// entire file. Truncation and corruption are detected at load time (kDataLoss); `ucp_tool
+// fsck` names the damaged file.
 //
-// Format: v3 only. All headers form a fixed-size prefix (its size is recorded at a fixed
+// Format: v3 only. The header forms a fixed-size prefix (its size is recorded at a fixed
 // offset and the prefix carries its own CRC), payloads are raw contiguous bytes protected by
 // a table of per-chunk CRC32s (64 KiB chunks, shrinking to 4 KiB for small payloads), and
-// bundle entries record absolute payload offsets. Stat* read only the prefix;
-// TensorFileView/BundleFileView serve pread range reads verifying only the chunks a range
-// touches. The trailing whole-file CRC serves whole-file readers and deep fsck. A version
-// field other than 3 fails every reader with kDataLoss naming the value. (v1 and v2, which
-// had no chunk table and were read whole, are no longer read.) Payloads are fp32: a dtype
-// byte other than 0 (f32) fails every reader with kDataLoss naming the byte.
+// entries record absolute payload offsets. StatBundle reads only the prefix; BundleFileView
+// serves pread range reads verifying only the chunks a range touches. The trailing
+// whole-file CRC serves whole-file readers and deep fsck. A version field other than 3 fails
+// every reader with kDataLoss naming the value. (v1 and v2, which had no chunk table and
+// were read whole, are no longer read.) Payloads are fp32: a dtype byte other than 0 (f32)
+// fails every reader with kDataLoss naming the byte.
 
 #ifndef UCP_SRC_TENSOR_TENSOR_FILE_H_
 #define UCP_SRC_TENSOR_TENSOR_FILE_H_
@@ -41,34 +39,13 @@
 
 namespace ucp {
 
-// Tensors are stored as fp32, the only payload dtype written or read.
-Status SaveTensor(const std::string& path, const Tensor& tensor);
-Result<Tensor> LoadTensor(const std::string& path);
-
-// The exact bytes SaveTensor/SaveBundle would write, without writing them. The checkpoint
-// store's write path streams these through a StoreWriter (local: the same WriteFileAtomic
-// as before; remote: chunked frames to ucp_serverd), so serialization is shared between
-// both backends.
-Result<std::vector<uint8_t>> SerializeTensor(const Tensor& tensor);
-
-// Header-only peek: shape/chunking without reading the payload. Reads a few hundred bytes
-// (the header prefix, verified by its own CRC).
+// Header-only peek at one bundle member: shape and chunking without reading the payload.
 struct TensorFileInfo {
   Shape shape;
   uint64_t payload_bytes = 0;
-  uint32_t format_version = 0;
   uint32_t chunk_bytes = 0;
   uint32_t num_chunks = 0;
 };
-Result<TensorFileInfo> StatTensor(const std::string& path);
-
-// Full-integrity pass without materializing tensors: whole-file CRC plus every per-tensor /
-// per-chunk CRC. What `ucp_tool fsck` runs in its default (deep) mode. The ByteSource
-// forms verify the same bytes through any source, e.g. a file opened through a Store.
-Status DeepVerifyTensorFile(const std::string& path);
-Status DeepVerifyTensorFile(std::unique_ptr<ByteSource> source);
-Status DeepVerifyBundleFile(const std::string& path);
-Status DeepVerifyBundleFile(std::unique_ptr<ByteSource> source);
 
 // Cumulative counters for checkpoint-file reads (payload + header bytes actually fetched,
 // whether via pread or whole-file reads). Process-global and thread-safe; the load benches
@@ -80,46 +57,6 @@ struct TensorIoStats {
 };
 TensorIoStats GetTensorIoStats();
 void ResetTensorIoStats();
-
-// A read-only view of one tensor file: parses and verifies the header once, then serves
-// element/row ranges via pread, verifying only the CRC chunks each range touches (each
-// chunk at most once per view). Not thread-safe; give each worker its own view (the
-// kernel-side pread is position-independent anyway).
-class TensorFileView {
- public:
-  static Result<TensorFileView> Open(const std::string& path);
-  // Same view over any ByteSource (e.g. a remote store file). Ranges become positional
-  // reads against the source; chunk CRCs are still verified on this side of the wire.
-  static Result<TensorFileView> Open(std::unique_ptr<ByteSource> source);
-
-  const TensorFileInfo& info() const { return info_; }
-  const std::string& path() const { return path_; }
-  int64_t numel() const { return ShapeNumel(info_.shape); }
-  // Row = index along dim 0 (a 0-d scalar counts as one row of one element).
-  int64_t rows() const { return info_.shape.empty() ? 1 : info_.shape[0]; }
-  int64_t row_numel() const { return info_.shape.empty() ? 1 : numel() / rows(); }
-
-  // Reads elements [elem_begin, elem_begin + elem_count) (row-major order) as fp32 into
-  // `out`. kDataLoss if a touched chunk fails its CRC.
-  Status ReadElements(int64_t elem_begin, int64_t elem_count, float* out);
-
-  // Rows [row_begin, row_begin + row_count) as a fresh tensor of shape
-  // {row_count, info().shape[1:]...}.
-  Result<Tensor> ReadRange(int64_t row_begin, int64_t row_count);
-
-  Result<Tensor> ReadAll();
-
- private:
-  TensorFileView() = default;
-
-  std::string path_;
-  TensorFileInfo info_;
-  std::unique_ptr<ByteSource> source_;
-  uint64_t payload_offset_ = 0;      // absolute file offset of the raw payload
-  std::vector<uint32_t> chunk_crcs_;
-  std::vector<bool> chunk_verified_;
-  std::vector<uint8_t> scratch_;     // chunk read buffer, reused across calls
-};
 
 // An ordered state dict. Order is preserved because ZeRO's flattened groups depend on a
 // canonical parameter order.
@@ -148,26 +85,35 @@ struct TensorBundle {
   mutable std::unordered_map<std::string, size_t> index_;
 };
 
+// Writes the bundle atomically (tmp write, fsync, rename). The atom writer and foreign
+// checkpoints write by path; training saves stream SerializeBundle's bytes through a
+// StoreWriter (local: the same WriteFileAtomic; remote: chunked frames to ucp_serverd), so
+// serialization is shared between both backends.
 Status SaveBundle(const std::string& path, const TensorBundle& bundle);
 Result<std::vector<uint8_t>> SerializeBundle(const TensorBundle& bundle);
+// Whole-file read, verified end to end (file CRC and every chunk CRC).
 Result<TensorBundle> LoadBundle(const std::string& path);
 
-// Bundle metadata + member names/shapes without payloads, from the header alone (see
-// StatTensor).
+// Bundle metadata + member names/shapes without payloads, from the header prefix alone
+// (verified by its own CRC).
 struct BundleInfo {
   Json meta;
   std::vector<std::pair<std::string, TensorFileInfo>> entries;
 };
-Result<BundleInfo> StatBundle(const std::string& path);
 Result<BundleInfo> StatBundle(std::unique_ptr<ByteSource> source);
 
-// Bundle twin of TensorFileView: one header parse/verify at Open, then per-member range
-// reads via pread with chunk-granular CRC verification. The native checkpoint load path
-// reads its three flat optimizer tensors through this, and Extract uses it to pull flat
-// buffers with one chunk-CRC pass.
+// Full-integrity pass without materializing tensors: whole-file CRC plus every per-member /
+// per-chunk CRC. What `ucp_tool fsck` runs in its default (deep) mode, through any source
+// (a local file, or a file opened through a Store).
+Status DeepVerifyBundleFile(std::unique_ptr<ByteSource> source);
+
+// A read-only view of one bundle: one header parse/verify at Open, then per-member range
+// reads via pread, verifying only the CRC chunks each range touches (each chunk at most
+// once per view). Over a remote store file the ranges become positional reads against the
+// source, and chunk CRCs are still verified on this side of the wire. Not thread-safe; give
+// each worker its own view.
 class BundleFileView {
  public:
-  static Result<BundleFileView> Open(const std::string& path);
   static Result<BundleFileView> Open(std::unique_ptr<ByteSource> source);
 
   const Json& meta() const { return meta_; }
@@ -187,7 +133,6 @@ class BundleFileView {
  private:
   struct Member {
     uint64_t payload_offset = 0;  // absolute file offset
-    uint32_t chunk_bytes = 0;
     std::vector<uint32_t> chunk_crcs;
     std::vector<bool> chunk_verified;
   };
@@ -202,10 +147,10 @@ class BundleFileView {
   std::vector<uint8_t> scratch_;
 };
 
-// The per-chunk CRC layout of one container file (tensor or bundle), expressed in
-// absolute file offsets. ucp_serverd builds this per open file so READ_RANGE requests can
-// be verified server-side before any payload byte crosses the wire. One region per payload
-// (a tensor file has one; a bundle has one per member, each with its own chunk size).
+// The per-chunk CRC layout of one bundle file, expressed in absolute file offsets.
+// ucp_serverd builds this per open file so READ_RANGE requests can be verified server-side
+// before any payload byte crosses the wire. One region per member, each with its own chunk
+// size.
 struct ChunkRegion {
   uint64_t begin = 0;  // absolute offset of the payload this region covers
   uint64_t end = 0;    // one past its last byte
@@ -217,9 +162,9 @@ struct FileChunkIndex {
 };
 
 // Parses the self-checksummed header prefix of `source` into a chunk index. Returns nullopt
-// (not an error) for files that are not UCT1/UCB1 containers at all; those are served
-// without server-side payload verification. kDataLoss when a container's version field is
-// not 3 or its header is damaged.
+// (not an error) for files that are not bundles at all; those are served without
+// server-side payload verification. kDataLoss when a bundle's version field is not 3 or its
+// header is damaged.
 Result<std::optional<FileChunkIndex>> ReadFileChunkIndex(ByteSource& source);
 
 }  // namespace ucp

@@ -1,7 +1,6 @@
 #include "src/ucp/atom.h"
 
 #include "src/common/fs.h"
-#include "src/tensor/tensor_file.h"
 
 namespace ucp {
 
@@ -17,16 +16,18 @@ Json UcpMeta::ToJson() const {
     atoms.push_back(Json(name));
   }
   obj["atoms"] = Json(std::move(atoms));
-  obj["format_version"] = 1;
+  obj["format_version"] = kUcpFormatVersion;
   return Json(std::move(obj));
 }
 
 Result<UcpMeta> UcpMeta::FromJson(const Json& json) {
   UcpMeta meta;
   UCP_ASSIGN_OR_RETURN(int64_t version, json.GetInt("format_version"));
-  if (version != 1) {
-    return FailedPreconditionError("unsupported UCP format version " +
-                                   std::to_string(version));
+  if (version != kUcpFormatVersion) {
+    return FailedPreconditionError(
+        "unsupported UCP format version " + std::to_string(version) + " (only version " +
+        std::to_string(kUcpFormatVersion) + ", one bundle file per atom, is read; convert " +
+        "the source checkpoint again)");
   }
   if (!json.Has("model") || !json.Has("source_strategy")) {
     return DataLossError("ucp_meta.json missing model/source_strategy");
@@ -49,7 +50,7 @@ Result<UcpMeta> UcpMeta::FromJson(const Json& json) {
   return meta;
 }
 
-std::string AtomDir(const std::string& ucp_dir, const std::string& param_name) {
+std::string AtomPath(const std::string& ucp_dir, const std::string& param_name) {
   // Parameter names are dot-separated identifiers — already filesystem-safe.
   return PathJoin(PathJoin(ucp_dir, "atoms"), param_name);
 }
@@ -58,38 +59,45 @@ std::string AtomRel(const std::string& ucp_rel, const std::string& param_name) {
   return JoinRel(ucp_rel, JoinRel("atoms", param_name));
 }
 
-namespace {
-
-// Whole-tensor read through a Store's positional source.
-Result<Tensor> LoadTensorFromStore(Store& store, const std::string& rel) {
-  UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> source, store.OpenRead(rel));
-  UCP_ASSIGN_OR_RETURN(TensorFileView view, TensorFileView::Open(std::move(source)));
-  Tensor t = Tensor::Zeros(view.info().shape);
-  UCP_RETURN_IF_ERROR(view.ReadElements(0, t.numel(), t.data()));
-  return t;
+Status WriteAtom(const std::string& ucp_dir, const ParamState& state) {
+  UCP_RETURN_IF_ERROR(MakeDirs(PathJoin(ucp_dir, "atoms")));
+  TensorBundle atom;
+  atom.Add(kAtomMembers[0], state.fp32);
+  atom.Add(kAtomMembers[1], state.exp_avg);
+  atom.Add(kAtomMembers[2], state.exp_avg_sq);
+  atom.meta = Json(JsonObject{});
+  return SaveBundle(AtomPath(ucp_dir, state.name), atom);
 }
 
-}  // namespace
-
-Status WriteAtom(const std::string& ucp_dir, const ParamState& state) {
-  const std::string dir = AtomDir(ucp_dir, state.name);
-  UCP_RETURN_IF_ERROR(MakeDirs(dir));
-  UCP_RETURN_IF_ERROR(SaveTensor(PathJoin(dir, "fp32"), state.fp32));
-  UCP_RETURN_IF_ERROR(SaveTensor(PathJoin(dir, "exp_avg"), state.exp_avg));
-  return SaveTensor(PathJoin(dir, "exp_avg_sq"), state.exp_avg_sq);
+Result<BundleFileView> OpenAtomView(std::unique_ptr<ByteSource> source) {
+  UCP_ASSIGN_OR_RETURN(BundleFileView view, BundleFileView::Open(std::move(source)));
+  const auto& entries = view.entries();
+  if (entries.size() != 3 || entries[0].first != kAtomMembers[0] ||
+      entries[1].first != kAtomMembers[1] || entries[2].first != kAtomMembers[2]) {
+    std::string names;
+    for (const auto& entry : entries) {
+      names += (names.empty() ? "" : ", ") + entry.first;
+    }
+    return DataLossError("atom file " + view.path() + " holds members [" + names +
+                         "], expected [fp32, exp_avg, exp_avg_sq]");
+  }
+  if (entries[1].second.shape != entries[0].second.shape ||
+      entries[2].second.shape != entries[0].second.shape) {
+    return DataLossError("atom members of " + view.path() + " have inconsistent shapes");
+  }
+  return view;
 }
 
 Result<ParamState> ReadAtom(Store& store, const std::string& ucp_rel,
                             const std::string& param_name) {
-  const std::string dir = AtomRel(ucp_rel, param_name);
+  UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> source,
+                       store.OpenRead(AtomRel(ucp_rel, param_name)));
+  UCP_ASSIGN_OR_RETURN(BundleFileView view, OpenAtomView(std::move(source)));
   ParamState state;
   state.name = param_name;
-  UCP_ASSIGN_OR_RETURN(state.fp32, LoadTensorFromStore(store, JoinRel(dir, "fp32")));
-  UCP_ASSIGN_OR_RETURN(state.exp_avg, LoadTensorFromStore(store, JoinRel(dir, "exp_avg")));
-  UCP_ASSIGN_OR_RETURN(state.exp_avg_sq,
-                       LoadTensorFromStore(store, JoinRel(dir, "exp_avg_sq")));
-  if (!state.fp32.SameShape(state.exp_avg) || !state.fp32.SameShape(state.exp_avg_sq)) {
-    return DataLossError("atom tensors of " + param_name + " have inconsistent shapes");
+  Tensor* states[3] = {&state.fp32, &state.exp_avg, &state.exp_avg_sq};
+  for (int s = 0; s < 3; ++s) {
+    UCP_ASSIGN_OR_RETURN(*states[s], view.ReadTensor(kAtomMembers[s]));
   }
   return state;
 }

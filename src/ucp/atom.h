@@ -1,11 +1,11 @@
 // Atom checkpoints (paper §3.1): the consolidated, strategy-agnostic representation. One
-// directory per parameter holding three single-tensor files — fp32 weights and the two Adam
-// moments — whose headers carry the full shape:
+// bundle file per parameter (src/tensor/tensor_file.h) holding exactly three members — the
+// fp32 weights and the two Adam moments, in that order, each with the full shape — and an
+// empty JSON meta:
 //
-//   <ucp_dir>/ucp_meta.json
-//   <ucp_dir>/atoms/<param_name>/fp32
-//   <ucp_dir>/atoms/<param_name>/exp_avg
-//   <ucp_dir>/atoms/<param_name>/exp_avg_sq
+//   <ucp_dir>/ucp_meta.json            (format_version 2)
+//   <ucp_dir>/atoms/<param_name>       members fp32, exp_avg, exp_avg_sq
+//   <ucp_dir>/complete                 the converter's commit marker, written last
 
 #ifndef UCP_SRC_UCP_ATOM_H_
 #define UCP_SRC_UCP_ATOM_H_
@@ -17,6 +17,7 @@
 #include "src/parallel/topology.h"
 #include "src/store/store.h"
 #include "src/tensor/tensor.h"
+#include "src/tensor/tensor_file.h"
 
 namespace ucp {
 
@@ -27,6 +28,11 @@ struct ParamState {
   Tensor exp_avg;
   Tensor exp_avg_sq;
 };
+
+// ucp_meta.json's format_version: 2 is the layout above. UcpMeta::FromJson refuses any other
+// version with kFailedPrecondition naming it, so a directory in an older layout fails
+// before any atom is opened.
+inline constexpr int64_t kUcpFormatVersion = 2;
 
 struct UcpMeta {
   ModelConfig model;
@@ -40,19 +46,27 @@ struct UcpMeta {
   static Result<UcpMeta> FromJson(const Json& json);
 };
 
-std::string AtomDir(const std::string& ucp_dir, const std::string& param_name);
+// The atom members, in file order: a member's index is its state's index.
+inline constexpr const char* kAtomMembers[3] = {"fp32", "exp_avg", "exp_avg_sq"};
 
-// Store-relative sibling of AtomDir: the atom directory of `param_name` inside the UCP
+std::string AtomPath(const std::string& ucp_dir, const std::string& param_name);
+
+// Store-relative sibling of AtomPath: the atom file of `param_name` inside the UCP
 // checkpoint at `ucp_rel` ("" = the store root). Same layout either way.
 std::string AtomRel(const std::string& ucp_rel, const std::string& param_name);
 
-// Writes one atom (three tensor files). Thread-safe across distinct params.
+// Writes one atom: one bundle, one fsync, one rename. Thread-safe across distinct params.
 Status WriteAtom(const std::string& ucp_dir, const ParamState& state);
+
+// Opens an atom file and checks that it holds exactly kAtomMembers, in order, all of one
+// shape; kDataLoss otherwise, so a damaged atom is never read as zeros. Reads only the
+// header (verified by its CRC).
+Result<BundleFileView> OpenAtomView(std::unique_ptr<ByteSource> source);
 
 // The readers take the UCP checkpoint at `ucp_rel` inside `store` ("" = the store root, so
 // a LocalStore on a UCP directory reads that directory).
 
-// Whole atom, read through chunk-verified views: the header and every payload chunk are
+// Whole atom, read through one chunk-verified view: the header and every payload chunk are
 // CRC-checked, the trailing whole-file CRC is not (deep fsck checks it).
 Result<ParamState> ReadAtom(Store& store, const std::string& ucp_rel,
                             const std::string& param_name);

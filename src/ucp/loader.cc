@@ -102,33 +102,40 @@ struct UcpLocalState {
   int64_t steps = 0;
 };
 
-constexpr const char* kStateFiles[3] = {"fp32", "exp_avg", "exp_avg_sq"};
-
-// Reads the parts of one atom state file that land inside this rank's partition, directly
-// into the partition buffer. `want_lo`/`want_hi` bound the wanted range in shard-flat
-// coordinates; `runs` maps shard-flat to file-flat ranges. Each run clips to the wanted
-// window and becomes one contiguous range read (dim-0 shards: a single run; dim>0 shards: a
-// strided gather). The caller only builds a read whose window intersects the shard, and
-// the runs tile the shard, so the file is opened eagerly: every call reads at least once.
+// Reads the parts of one atom that land inside this rank's partition, directly into the
+// three partition buffers (one per member). `want_lo`/`want_hi` bound the wanted range in
+// shard-flat coordinates; `runs` maps shard-flat to member-flat ranges. Each run clips to the
+// wanted window and becomes one contiguous range read per member (dim-0 shards: a single
+// run; dim>0 shards: a strided gather). The caller only builds a read whose window
+// intersects the shard, and the runs tile the shard, so the file is opened eagerly: every
+// call reads each member at least once.
 Status ReadAssignedSlices(Store& store, const std::string& rel, const AtomAssignment& a,
                           const std::vector<ShardRun>& runs, int64_t want_lo,
-                          int64_t want_hi, int64_t partition_offset, float* partition_data) {
+                          int64_t want_hi, int64_t partition_offset,
+                          float* const partition_data[3]) {
   UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> source, store.OpenRead(rel));
-  UCP_ASSIGN_OR_RETURN(TensorFileView view, TensorFileView::Open(std::move(source)));
-  if (view.info().shape != a.full_shape) {
-    return DataLossError("atom file " + rel + " has shape " +
-                         ShapeToString(view.info().shape) + ", plan expects " +
-                         ShapeToString(a.full_shape));
+  UCP_ASSIGN_OR_RETURN(BundleFileView view, OpenAtomView(std::move(source)));
+  // OpenAtomView checked that the three members share one shape.
+  const Shape& shape = view.entries()[0].second.shape;
+  if (shape != a.full_shape) {
+    return DataLossError("atom file " + rel + " has shape " + ShapeToString(shape) +
+                         ", plan expects " + ShapeToString(a.full_shape));
   }
-  for (const ShardRun& run : runs) {
-    const int64_t lo = std::max(run.shard_offset, want_lo);
-    const int64_t hi = std::min(run.shard_offset + run.numel, want_hi);
-    if (lo >= hi) {
-      continue;
+  for (size_t s = 0; s < 3; ++s) {
+    UCP_TRACE_SPAN_ARGS("ucp.load.slice", ::ucp::obs::TraceArgs()
+                                              .S("atom", a.name)
+                                              .S("state", kAtomMembers[s])
+                                              .I("numel", want_hi - want_lo));
+    for (const ShardRun& run : runs) {
+      const int64_t lo = std::max(run.shard_offset, want_lo);
+      const int64_t hi = std::min(run.shard_offset + run.numel, want_hi);
+      if (lo >= hi) {
+        continue;
+      }
+      const int64_t member_begin = run.full_offset + (lo - run.shard_offset);
+      float* out = partition_data[s] + (a.flat_offset + lo - partition_offset);
+      UCP_RETURN_IF_ERROR(view.ReadTensorElements(s, member_begin, hi - lo, out));
     }
-    const int64_t file_begin = run.full_offset + (lo - run.shard_offset);
-    float* out = partition_data + (a.flat_offset + lo - partition_offset);
-    UCP_RETURN_IF_ERROR(view.ReadElements(file_begin, hi - lo, out));
   }
   return OkStatus();
 }
@@ -206,10 +213,12 @@ Result<UcpLocalState> LoadUcpLocal(Store& store, const std::string& ucp_rel,
   state.exp_avg = Tensor::Zeros({plan.partition_numel});
   state.exp_avg_sq = Tensor::Zeros({plan.partition_numel});
   state.steps = meta.iteration;
-  float* buffers[3] = {state.master.data(), state.exp_avg.data(), state.exp_avg_sq.data()};
+  float* const buffers[3] = {state.master.data(), state.exp_avg.data(),
+                             state.exp_avg_sq.data()};
 
-  // Each assignment that intersects the partition reads its fp32, exp_avg and exp_avg_sq
-  // files inline on the rank's own thread; atoms wholly outside it are never opened.
+  // Each assignment that intersects the partition opens its atom file once and reads its
+  // fp32, exp_avg and exp_avg_sq members inline on the rank's own thread; atoms wholly
+  // outside it are never opened.
   for (const AtomAssignment& a : plan.assignments) {
     const int64_t shard_numel = ShapeNumel(a.shard_shape);
     const int64_t lo = std::max<int64_t>(0, p0 - a.flat_offset);
@@ -219,14 +228,8 @@ Result<UcpLocalState> LoadUcpLocal(Store& store, const std::string& ucp_rel,
     }
     const std::vector<ShardRun> runs =
         ShardRuns(a.target_spec, a.full_shape, target.tp, coord.tp);
-    for (int s = 0; s < 3; ++s) {
-      UCP_TRACE_SPAN_ARGS("ucp.load.slice", ::ucp::obs::TraceArgs()
-                                                .S("atom", a.name)
-                                                .S("state", kStateFiles[s])
-                                                .I("numel", hi - lo));
-      std::string rel = JoinRel(AtomRel(ucp_rel, a.name), kStateFiles[s]);
-      UCP_RETURN_IF_ERROR(ReadAssignedSlices(store, rel, a, runs, lo, hi, p0, buffers[s]));
-    }
+    UCP_RETURN_IF_ERROR(ReadAssignedSlices(store, AtomRel(ucp_rel, a.name), a, runs, lo, hi,
+                                           p0, buffers));
   }
   return state;
 }

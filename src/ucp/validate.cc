@@ -233,23 +233,23 @@ Result<ValidationReport> ValidateUcpCheckpoint(const std::string& ucp_dir,
       report.problems.push_back("atom not in model inventory: " + name);
       continue;
     }
-    for (const char* file : {"fp32", "exp_avg", "exp_avg_sq"}) {
-      std::string rel = JoinRel(AtomRel("", name), file);
-      const Shape* want = &it->second;
-      checks.push_back({rel, [&store, rel, want,
-                              &options](std::unique_ptr<ByteSource> source) -> Status {
-        UCP_ASSIGN_OR_RETURN(TensorFileView view, TensorFileView::Open(std::move(source)));
-        if (view.info().shape != *want) {
-          return DataLossError("shape " + ShapeToString(view.info().shape) +
-                               " does not match inventory " + ShapeToString(*want));
-        }
-        if (options.deep) {
-          UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> deep_source, store.OpenRead(rel));
-          return DeepVerifyTensorFile(std::move(deep_source));
-        }
-        return OkStatus();
-      }});
-    }
+    const std::string rel = AtomRel("", name);
+    const Shape* want = &it->second;
+    checks.push_back({rel, [&store, rel, want,
+                            &options](std::unique_ptr<ByteSource> source) -> Status {
+      UCP_ASSIGN_OR_RETURN(BundleFileView view, OpenAtomView(std::move(source)));
+      // OpenAtomView checked that the three members share one shape.
+      const Shape& shape = view.entries()[0].second.shape;
+      if (shape != *want) {
+        return DataLossError("shape " + ShapeToString(shape) + " does not match inventory " +
+                             ShapeToString(*want));
+      }
+      if (options.deep) {
+        UCP_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> deep_source, store.OpenRead(rel));
+        return DeepVerifyBundleFile(std::move(deep_source));
+      }
+      return OkStatus();
+    }});
   }
   RunChecks(store, checks, options, report);
   for (const auto& [name, shape] : expected) {

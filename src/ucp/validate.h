@@ -38,9 +38,9 @@ struct ValidateOptions {
 Result<ValidationReport> ValidateNativeCheckpoint(Store& store, const std::string& tag,
                                                   const ValidateOptions& options = {});
 
-// UCP atom directory: the manifest parses; every listed atom has its three state tensors
-// with matching shapes and CRCs; atom shapes match the model inventory; no inventory
-// parameter is missing.
+// UCP atom directory: the manifest parses and names format version 2; every listed atom is
+// one file holding exactly its three members (fp32, exp_avg, exp_avg_sq) with the model
+// inventory's shape and intact CRCs; no inventory parameter is missing.
 Result<ValidationReport> ValidateUcpCheckpoint(const std::string& ucp_dir,
                                                const ValidateOptions& options = {});
 

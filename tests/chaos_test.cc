@@ -11,8 +11,8 @@
 //  3. Lease expiry with a partitioned client: expiry (not socket death) reaps the staged
 //     bytes and the lease, no partial tag ever becomes visible, and the store keeps
 //     accepting fresh saves.
-//  4. Drain mode: SESSION_OPEN / SESSION_RENEW are refused with a typed kUnavailable
-//     carrying a machine-readable retry-after hint; established sessions keep working.
+//  4. Drain mode: SESSION_OPEN is refused with a typed kUnavailable carrying a
+//     machine-readable retry-after hint; established sessions keep working.
 //  5. The soak driver's through_daemon mode executes a generated chaos schedule (conn
 //     drops + daemon restarts) with zero invariant violations and replays byte-exactly.
 
@@ -331,8 +331,8 @@ TEST_F(ChaosStoreTest, LeaseExpiryReapsPartitionedClientState) {
 }
 
 // ---------------------------------------------------------------------------------------
-// 4. Drain mode: SESSION_OPEN / SESSION_RENEW refused with typed kUnavailable + a
-//    retry-after hint; established sessions keep serving.
+// 4. Drain mode: SESSION_OPEN refused with typed kUnavailable + a retry-after hint;
+//    established sessions keep serving.
 // ---------------------------------------------------------------------------------------
 
 // One raw frame exchange on `fd`; the drain refusal's retry-after hint is not surfaced
@@ -351,7 +351,7 @@ TEST_F(ChaosStoreTest, DrainRefusesNewLeasesWithRetryAfterHint) {
   ASSERT_NE(store_, nullptr);
   ASSERT_FALSE(store_->lease_token().empty());
 
-  // A raw connection whose SESSION_RENEW we can inspect byte-for-byte.
+  // A raw connection whose replies we can inspect byte-for-byte.
   int sv[2] = {-1, -1};
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   std::thread serve([&] { server_->ServeConnectionForTest(sv[1]); });
@@ -370,7 +370,7 @@ TEST_F(ChaosStoreTest, DrainRefusesNewLeasesWithRetryAfterHint) {
   server_->BeginDrain();
   EXPECT_TRUE(server_->draining());
 
-  // Renewals on the raw session are refused typed, with the machine-readable hint.
+  // New leases are refused typed, with the machine-readable hint.
   auto expect_drain_refusal = [](const WireFrame& reply) {
     ASSERT_EQ(reply.op, WireOp::kError);
     ByteReader r(reply.payload.data(), reply.payload.size());
@@ -385,10 +385,13 @@ TEST_F(ChaosStoreTest, DrainRefusesNewLeasesWithRetryAfterHint) {
     ASSERT_TRUE(hint.ok());
     EXPECT_EQ(*hint, 1000u);
   };
-  expect_drain_refusal(MustExchange(sv[0], WireOp::kSessionRenew, {}));
+  // Op 22 (SESSION_RENEW, retired) is an unknown op: an error without the hint.
+  const WireFrame retired = MustExchange(sv[0], static_cast<WireOp>(22), {});
+  ASSERT_EQ(retired.op, WireOp::kError);
+  EXPECT_EQ(retired.payload.at(0), static_cast<uint8_t>(StatusCode::kUnimplemented));
 
-  // New SESSION_OPENs are refused the same way — both on the wire and at the client,
-  // where Connect surfaces the refusal as a typed kUnavailable.
+  // SESSION_OPENs are refused both on the wire and at the client, where Connect surfaces
+  // the refusal as a typed kUnavailable.
   ByteWriter open;
   open.PutString("chaos-drain-lease-2");
   open.PutU32(5000);

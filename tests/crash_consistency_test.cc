@@ -252,7 +252,7 @@ TEST_F(CrashConsistencyTest, AtomBitRotIsCaughtOnReadAndByFsck) {
   const char* victim = "language_model.output_layer.weight";
   {
     ScopedFault fault({FaultPlan::Kind::kBitRot, FsOp::kWrite, 1,
-                       std::string(victim) + "/fp32", 777});
+                       "atoms/" + std::string(victim), 777});
     ASSERT_TRUE(ConvertToUcp(Sub("ckpt"), "global_step2", Sub("ucp")).ok());
     EXPECT_TRUE(FaultFired());
   }
@@ -501,7 +501,7 @@ TEST_F(CrashConsistencyTest, TornAtomWriteDuringForeignIngestIsCaughtByFsck) {
   });
 
   {
-    ScopedFault fault({FaultPlan::Kind::kTornWrite, FsOp::kWrite, 1, "/fp32", 0xBEEFu});
+    ScopedFault fault({FaultPlan::Kind::kTornWrite, FsOp::kWrite, 1, "atoms/", 0xBEEFu});
     Result<ConvertStats> stats =
         ConvertForeignToUcp(Sub("foreign"), "foreign_step2", Sub("ucp"));
     ASSERT_TRUE(stats.ok()) << stats.status();

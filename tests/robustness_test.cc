@@ -6,10 +6,12 @@
 
 #include "src/ckpt/checkpoint.h"
 #include "src/common/fs.h"
+#include "src/store/local_store.h"
+#include "src/tensor/tensor_file.h"
 #include "src/ucp/converter.h"
 #include "src/ucp/elastic.h"
-#include "src/tensor/tensor_file.h"
 #include "src/ucp/loader.h"
+#include "src/ucp/validate.h"
 
 namespace ucp {
 namespace {
@@ -73,9 +75,7 @@ TEST_F(RobustnessTest, ConvertRejectsTamperedMeta) {
 TEST_F(RobustnessTest, LoadUcpFailsOnMissingAtomTensor) {
   MakeCheckpoint({1, 1, 1, 1, 0, 1});
   ASSERT_TRUE(ConvertToUcp(Sub("ckpt"), "global_step2", Sub("ucp")).ok());
-  ASSERT_TRUE(RemoveAll(PathJoin(
-                  AtomDir(Sub("ucp"), "language_model.output_layer.weight"), "exp_avg_sq"))
-                  .ok());
+  ASSERT_TRUE(RemoveAll(AtomPath(Sub("ucp"), "language_model.output_layer.weight")).ok());
   TrainingRun run(ConfigFor({1, 1, 1, 1, 0, 1}));
   Status s = LoadUcpCheckpoint(Sub("ucp"), run.trainer(0));
   EXPECT_EQ(s.code(), StatusCode::kNotFound);
@@ -84,10 +84,13 @@ TEST_F(RobustnessTest, LoadUcpFailsOnMissingAtomTensor) {
 TEST_F(RobustnessTest, LoadUcpFailsOnShapeTamperedAtom) {
   MakeCheckpoint({1, 1, 1, 1, 0, 1});
   ASSERT_TRUE(ConvertToUcp(Sub("ckpt"), "global_step2", Sub("ucp")).ok());
-  // Overwrite one atom with a wrong-shaped tensor (valid file, wrong contents).
-  const char* name = "language_model.encoder.final_layernorm.weight";
-  ASSERT_TRUE(
-      SaveTensor(PathJoin(AtomDir(Sub("ucp"), name), "fp32"), Tensor::Zeros({7})).ok());
+  // Overwrite one atom with wrong-shaped members (valid file, wrong contents).
+  ParamState wrong;
+  wrong.name = "language_model.encoder.final_layernorm.weight";
+  wrong.fp32 = Tensor::Zeros({7});
+  wrong.exp_avg = Tensor::Zeros({7});
+  wrong.exp_avg_sq = Tensor::Zeros({7});
+  ASSERT_TRUE(WriteAtom(Sub("ucp"), wrong).ok());
   TrainingRun run(ConfigFor({1, 1, 1, 1, 0, 1}));
   Status s = LoadUcpCheckpoint(Sub("ucp"), run.trainer(0));
   EXPECT_FALSE(s.ok());
@@ -130,6 +133,90 @@ TEST_F(RobustnessTest, UcpMetaTamperedVersionRejected) {
   ASSERT_TRUE(WriteFileAtomic(PathJoin(Sub("ucp"), "ucp_meta.json"), meta.Dump()).ok());
   LocalStore ucp(Sub("ucp"));
   EXPECT_EQ(ReadUcpMeta(ucp, "").status().code(), StatusCode::kFailedPrecondition);
+}
+
+// A UCP cache from before atoms were bundles: ucp_meta.json says format_version 1 and every
+// atom is a directory. Resume and the load refuse it up front with kFailedPrecondition
+// naming the version (not an I/O error from opening a directory as an atom file), and
+// validation and fsck report it; fsck --quarantine renames it aside.
+TEST_F(RobustnessTest, UcpFormatVersion1IsRefusedByLoadValidateAndFsck) {
+  MakeCheckpoint({1, 1, 1, 1, 0, 1});
+  const std::string cache = Sub("ckpt/global_step2.ucp");
+  ASSERT_TRUE(ConvertToUcp(Sub("ckpt"), "global_step2", cache).ok());
+  LocalStore ucp(cache);
+  Result<UcpMeta> meta = ReadUcpMeta(ucp, "");
+  ASSERT_TRUE(meta.ok()) << meta.status();
+  for (const std::string& name : meta->atom_names) {
+    const std::string atom = AtomPath(cache, name);
+    ASSERT_TRUE(RenamePath(atom, atom + ".v2").ok());
+    ASSERT_TRUE(MakeDirs(atom).ok());
+    ASSERT_TRUE(RenamePath(atom + ".v2", PathJoin(atom, "fp32")).ok());
+  }
+  Json json = *Json::Parse(*ReadFileToString(PathJoin(cache, "ucp_meta.json")));
+  json["format_version"] = 1;
+  ASSERT_TRUE(WriteFileAtomic(PathJoin(cache, "ucp_meta.json"), json.Dump()).ok());
+  auto names_version_1 = [](const std::string& text) {
+    return text.find("format version 1") != std::string::npos;
+  };
+
+  TrainingRun single(ConfigFor({1, 1, 1, 1, 0, 1}));
+  Status load = LoadUcpCheckpoint(cache, single.trainer(0));
+  EXPECT_EQ(load.code(), StatusCode::kFailedPrecondition) << load;
+  EXPECT_TRUE(names_version_1(load.message())) << load;
+
+  // A reshard resume finds the committed cache and stops on it rather than walking on.
+  TrainingRun resharded(ConfigFor({2, 1, 1, 1, 0, 1}));
+  std::vector<Status> resumes(2);
+  resharded.Run([&](RankTrainer& t) {
+    Result<ResumeReport> report = ResumeElastic(Sub("ckpt"), t);
+    resumes[static_cast<size_t>(t.rank())] = report.ok() ? OkStatus() : report.status();
+  });
+  for (const Status& resume : resumes) {
+    EXPECT_EQ(resume.code(), StatusCode::kFailedPrecondition) << resume;
+    EXPECT_TRUE(names_version_1(resume.message())) << resume;
+  }
+
+  Result<ValidationReport> report = ValidateUcpCheckpoint(cache);
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_EQ(report->problems.size(), 1u) << report->ToString();
+  EXPECT_TRUE(names_version_1(report->problems[0])) << report->problems[0];
+
+  Result<FsckReport> fsck = Fsck(Sub("ckpt"), /*quarantine=*/true);
+  ASSERT_TRUE(fsck.ok()) << fsck.status();
+  EXPECT_FALSE(fsck->clean()) << fsck->ToString();
+  ASSERT_EQ(fsck->quarantined.size(), 1u) << fsck->ToString();
+  EXPECT_EQ(fsck->quarantined[0], cache + ".quarantined");
+  EXPECT_EQ(fsck->ExitCode(/*quarantine_mode=*/true), 1) << fsck->ToString();
+  EXPECT_FALSE(DirExists(cache));
+}
+
+// An atom file that lacks one of its three members is damage, never zeros: ReadAtom, the
+// sliced load, the reference load and validation all refuse it with kDataLoss.
+TEST_F(RobustnessTest, AtomMissingAMemberIsRefusedNotReadAsZeros) {
+  MakeCheckpoint({1, 1, 1, 1, 0, 1});
+  ASSERT_TRUE(ConvertToUcp(Sub("ckpt"), "global_step2", Sub("ucp")).ok());
+  const std::string name = "language_model.output_layer.weight";
+  const std::string path = AtomPath(Sub("ucp"), name);
+  Result<TensorBundle> atom = LoadBundle(path);
+  ASSERT_TRUE(atom.ok()) << atom.status();
+  ASSERT_EQ(atom->tensors.size(), 3u);
+  atom->tensors.pop_back();  // exp_avg_sq
+  ASSERT_TRUE(SaveBundle(path, *atom).ok());
+
+  LocalStore ucp(Sub("ucp"));
+  Result<ParamState> read = ReadAtom(ucp, "", name);
+  EXPECT_EQ(read.status().code(), StatusCode::kDataLoss) << read.status();
+  for (bool sliced : {true, false}) {
+    SCOPED_TRACE(sliced ? "sliced" : "reference");
+    TrainingRun run(ConfigFor({1, 1, 1, 1, 0, 1}));
+    Status s = LoadUcpCheckpoint(Sub("ucp"), run.trainer(0), {.sliced = sliced});
+    EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s;
+  }
+  Result<ValidationReport> report = ValidateUcpCheckpoint(Sub("ucp"));
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_EQ(report->problems.size(), 1u) << report->ToString();
+  EXPECT_EQ(report->problems[0].rfind(AtomRel("", name) + ": DATA_LOSS", 0), 0u)
+      << report->problems[0];
 }
 
 TEST_F(RobustnessTest, SaveIsAtomicUnderRepeatedOverwrites) {

@@ -280,7 +280,9 @@ TEST_P(StoreConformanceTest, RangeReadOverCorruptChunkIsTypedDataLoss) {
   for (int64_t i = 0; i < t.numel(); ++i) {
     t.data()[i] = static_cast<float>(i % 977) * 0.5f;
   }
-  Result<std::vector<uint8_t>> bytes = SerializeTensor(t);
+  TensorBundle bundle;
+  bundle.Add("t", t);
+  Result<std::vector<uint8_t>> bytes = SerializeBundle(bundle);
   ASSERT_TRUE(bytes.ok()) << bytes.status();
 
   const std::string tag = "global_step9";
@@ -290,7 +292,8 @@ TEST_P(StoreConformanceTest, RangeReadOverCorruptChunkIsTypedDataLoss) {
   ASSERT_TRUE((*writer)->WriteFile("t", *bytes).ok());
   ASSERT_TRUE(store_->CommitTag(tag, MetaJson(9)).ok());
 
-  // Flip one byte inside chunk 2, directly on the disk both backends bottom out in.
+  // Flip one byte inside chunk 2, directly on the disk both backends bottom out in. The one
+  // member's payload starts where the header ends.
   const std::string path = PathJoin(dir_, PathJoin(tag, "t"));
   std::string raw = *ReadFileToString(path);
   uint64_t header_bytes = 0;
@@ -300,14 +303,16 @@ TEST_P(StoreConformanceTest, RangeReadOverCorruptChunkIsTypedDataLoss) {
 
   Result<std::unique_ptr<ByteSource>> source = store_->OpenRead(JoinRel(tag, "t"));
   ASSERT_TRUE(source.ok()) << source.status();
-  Result<TensorFileView> view = TensorFileView::Open(std::move(*source));
+  Result<BundleFileView> view = BundleFileView::Open(std::move(*source));
   ASSERT_TRUE(view.ok()) << view.status();
   // Rows [0, 50) live in chunk 0 — clean and bit-exact.
-  Result<Tensor> head = view->ReadRange(0, 50);
-  ASSERT_TRUE(head.ok()) << head.status();
-  EXPECT_TRUE(Tensor::BitEqual(*head, t.Narrow(0, 0, 50)));
+  Tensor head = Tensor::Zeros({50, 320});
+  ASSERT_TRUE(view->ReadTensorElements(0, 0, head.numel(), head.data()).ok());
+  EXPECT_TRUE(Tensor::BitEqual(head, t.Narrow(0, 0, 50)));
   // Rows [100, 120) straddle the corrupted chunk 2.
-  EXPECT_EQ(view->ReadRange(100, 20).status().code(), StatusCode::kDataLoss);
+  Tensor straddle = Tensor::Zeros({20, 320});
+  EXPECT_EQ(view->ReadTensorElements(0, 100 * 320, straddle.numel(), straddle.data()).code(),
+            StatusCode::kDataLoss);
 }
 
 // The checkpoint readers on every backend: the native load, the conversion's source side and
@@ -378,12 +383,10 @@ TEST_P(StoreConformanceTest, ConvertThroughStoreWritesTheDirFormsAtoms) {
   ASSERT_TRUE(meta.ok()) << meta.status();
   ASSERT_FALSE(meta->atom_names.empty());
   for (const std::string& name : meta->atom_names) {
-    for (const char* file : {"fp32", "exp_avg", "exp_avg_sq"}) {
-      Result<std::string> x = ReadFileToString(PathJoin(AtomDir(via_store, name), file));
-      Result<std::string> y = ReadFileToString(PathJoin(AtomDir(via_dir, name), file));
-      ASSERT_TRUE(x.ok() && y.ok()) << name << "/" << file;
-      EXPECT_TRUE(*x == *y) << name << "/" << file << " differs";
-    }
+    Result<std::string> x = ReadFileToString(AtomPath(via_store, name));
+    Result<std::string> y = ReadFileToString(AtomPath(via_dir, name));
+    ASSERT_TRUE(x.ok() && y.ok()) << name;
+    EXPECT_TRUE(*x == *y) << name << " differs";
   }
   ASSERT_TRUE(RemoveAll(out).ok());
 }
@@ -442,7 +445,9 @@ TEST_P(RemoteRangeVerifyTest, RawReadOverCorruptChunkIsRefusedByTheDaemon) {
   for (int64_t i = 0; i < t.numel(); ++i) {
     t.data()[i] = static_cast<float>(i % 977) * 0.5f;
   }
-  Result<std::vector<uint8_t>> bytes = SerializeTensor(t);
+  TensorBundle bundle;
+  bundle.Add("t", t);
+  Result<std::vector<uint8_t>> bytes = SerializeBundle(bundle);
   ASSERT_TRUE(bytes.ok()) << bytes.status();
   const std::string tag = "global_step9";
   ASSERT_TRUE(store_->ResetTagStaging(tag).ok());

@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "src/common/crc32.h"
 #include "src/common/fs.h"
 #include "src/tensor/bf16.h"
 #include "src/tensor/matmul.h"
 #include "src/tensor/tensor.h"
+#include "src/store/local_store.h"
 #include "src/tensor/tensor_file.h"
+#include "src/ucp/atom.h"
 
 namespace ucp {
 namespace {
@@ -232,52 +235,107 @@ class TensorFileTest : public ::testing::Test {
 
 TEST_F(TensorFileTest, SaveLoadRoundTripF32) {
   CounterRng rng(5, 1);
-  Tensor t = Tensor::Gaussian({3, 5, 2}, rng, 0, 2.0f);
-  std::string path = PathJoin(dir_, "t.uct");
-  ASSERT_TRUE(SaveTensor(path, t).ok());
-  Result<Tensor> loaded = LoadTensor(path);
+  TensorBundle bundle;
+  bundle.Add("t", Tensor::Gaussian({3, 5, 2}, rng, 0, 2.0f));
+  std::string path = PathJoin(dir_, "b.ucb");
+  ASSERT_TRUE(SaveBundle(path, bundle).ok());
+  Result<TensorBundle> loaded = LoadBundle(path);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_TRUE(Tensor::BitEqual(t, *loaded));
+  ASSERT_NE(loaded->Find("t"), nullptr);
+  EXPECT_TRUE(Tensor::BitEqual(*bundle.Find("t"), *loaded->Find("t")));
+}
+
+std::unique_ptr<ByteSource> Source(const std::string& path) {
+  Result<std::unique_ptr<ByteSource>> source = FileByteSource::Open(path);
+  UCP_CHECK(source.ok()) << source.status().ToString();
+  return std::move(source).value();
 }
 
 TEST_F(TensorFileTest, StatReadsHeaderOnly) {
-  Tensor t = Tensor::Zeros({7, 9});
-  std::string path = PathJoin(dir_, "t.uct");
-  ASSERT_TRUE(SaveTensor(path, t).ok());
-  Result<TensorFileInfo> info = StatTensor(path);
+  TensorBundle bundle;
+  bundle.Add("t", Tensor::Zeros({7, 9}));
+  std::string path = PathJoin(dir_, "b.ucb");
+  ASSERT_TRUE(SaveBundle(path, bundle).ok());
+  ResetTensorIoStats();
+  Result<BundleInfo> info = StatBundle(Source(path));
   ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->shape, (Shape{7, 9}));
-  EXPECT_EQ(info->payload_bytes, 63u * 4);
+  ASSERT_EQ(info->entries.size(), 1u);
+  EXPECT_EQ(info->entries[0].second.shape, (Shape{7, 9}));
+  EXPECT_EQ(info->entries[0].second.payload_bytes, 63u * 4);
+  // Only the header prefix was read: the payload is 252 bytes, the whole file more.
+  EXPECT_LT(GetTensorIoStats().bytes_read, *FileSize(path) - 63 * 4);
 }
 
+// A bundle of two members ("a" then "b") whose file bytes a test then damages, and the
+// three readers that must refuse the damage with kDataLoss: the whole-file load, a view read
+// of the touched member and the deep verifier.
+class DamagedBundle {
+ public:
+  explicit DamagedBundle(const std::string& dir) : path_(PathJoin(dir, "b.ucb")) {
+    TensorBundle bundle;
+    bundle.Add("a", Tensor::Full({16}, 0.5f));
+    bundle.Add("b", Tensor::Full({16}, 1.5f));
+    bundle.meta = Json(JsonObject{});
+    UCP_CHECK(SaveBundle(path_, bundle).ok());
+    contents_ = *ReadFileToString(path_);
+  }
+
+  std::string& contents() { return contents_; }
+  // Absolute file offset of member `index`'s payload.
+  uint64_t PayloadBegin(size_t index) {
+    Result<std::optional<FileChunkIndex>> chunks = ReadFileChunkIndex(*Source(path_));
+    UCP_CHECK(chunks.ok() && chunks->has_value());
+    return (**chunks).regions.at(index).begin;
+  }
+  void Write() { UCP_CHECK(WriteFileAtomic(path_, contents_).ok()); }
+
+  Status Load() { return LoadBundle(path_).status(); }
+  Status ViewRead(const std::string& member) {
+    Result<BundleFileView> view = BundleFileView::Open(Source(path_));
+    return view.ok() ? view->ReadTensor(member).status() : view.status();
+  }
+  Status DeepVerify() { return DeepVerifyBundleFile(Source(path_)); }
+
+ private:
+  std::string path_;
+  std::string contents_;
+};
+
 TEST_F(TensorFileTest, CorruptionDetected) {
-  Tensor t = Tensor::Full({16}, 1.5f);
-  std::string path = PathJoin(dir_, "t.uct");
-  ASSERT_TRUE(SaveTensor(path, t).ok());
-  std::string contents = *ReadFileToString(path);
-  contents[contents.size() / 2] ^= 0x40;  // flip a payload bit
-  ASSERT_TRUE(WriteFileAtomic(path, contents).ok());
-  EXPECT_EQ(LoadTensor(path).status().code(), StatusCode::kDataLoss);
+  DamagedBundle file(dir_);
+  const uint64_t b_begin = file.PayloadBegin(1);
+  file.contents()[b_begin + 5] ^= 0x40;  // flip a payload bit of member "b"
+  file.Write();
+  EXPECT_EQ(file.Load().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(file.ViewRead("b").code(), StatusCode::kDataLoss);
+  EXPECT_EQ(file.DeepVerify().code(), StatusCode::kDataLoss);
+  // The chunk CRCs localize the damage: the untouched member still reads.
+  EXPECT_TRUE(file.ViewRead("a").ok());
 }
 
 TEST_F(TensorFileTest, TruncationDetected) {
-  Tensor t = Tensor::Full({16}, 1.5f);
-  std::string path = PathJoin(dir_, "t.uct");
-  ASSERT_TRUE(SaveTensor(path, t).ok());
-  std::string contents = *ReadFileToString(path);
-  contents.resize(contents.size() - 10);
-  ASSERT_TRUE(WriteFileAtomic(path, contents).ok());
-  EXPECT_EQ(LoadTensor(path).status().code(), StatusCode::kDataLoss);
+  DamagedBundle file(dir_);
+  file.contents().resize(file.contents().size() - 10);  // the tail of member "b" and the CRC
+  file.Write();
+  EXPECT_EQ(file.Load().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(file.ViewRead("b").code(), StatusCode::kDataLoss);
+  EXPECT_EQ(file.DeepVerify().code(), StatusCode::kDataLoss);
 }
 
 TEST_F(TensorFileTest, WrongMagicDetected) {
-  std::string path = PathJoin(dir_, "b.ucb");
-  TensorBundle bundle;
-  bundle.Add("x", Tensor::Zeros({2}));
-  bundle.meta = Json(JsonObject{});
-  ASSERT_TRUE(SaveBundle(path, bundle).ok());
-  // A bundle is not a tensor file.
-  EXPECT_EQ(LoadTensor(path).status().code(), StatusCode::kDataLoss);
+  DamagedBundle file(dir_);
+  const uint32_t zip_magic = 0x04034B50;  // "PK\3\4": a file of another format
+  std::memcpy(file.contents().data(), &zip_magic, sizeof(zip_magic));
+  file.Write();
+  EXPECT_EQ(file.Load().code(), StatusCode::kDataLoss);
+  Status opened = file.ViewRead("a");
+  EXPECT_EQ(opened.code(), StatusCode::kDataLoss);
+  EXPECT_NE(opened.message().find("bad magic"), std::string::npos) << opened;
+  // The daemon serves a foreign file unverified rather than refusing it.
+  Result<std::optional<FileChunkIndex>> chunks =
+      ReadFileChunkIndex(*Source(PathJoin(dir_, "b.ucb")));
+  ASSERT_TRUE(chunks.ok()) << chunks.status();
+  EXPECT_FALSE(chunks->has_value());
 }
 
 TEST_F(TensorFileTest, BundleRoundTripPreservesOrderAndMeta) {
@@ -307,7 +365,7 @@ TEST_F(TensorFileTest, StatBundleSkipsPayloads) {
   bundle.meta = Json(JsonObject{{"tag", Json("x")}});
   std::string path = PathJoin(dir_, "bundle.ucb");
   ASSERT_TRUE(SaveBundle(path, bundle).ok());
-  Result<BundleInfo> info = StatBundle(path);
+  Result<BundleInfo> info = StatBundle(Source(path));
   ASSERT_TRUE(info.ok());
   ASSERT_EQ(info->entries.size(), 1u);
   EXPECT_EQ(info->entries[0].first, "w");
@@ -335,8 +393,6 @@ uint32_t BodyCrc(const std::vector<uint8_t>& file) { return Crc32(file.data(), f
 
 struct FormatPin {
   int64_t numel;
-  uint64_t tensor_bytes;
-  uint32_t tensor_body_crc;
   uint64_t bundle_bytes;
   uint32_t bundle_body_crc;
 };
@@ -344,32 +400,21 @@ struct FormatPin {
 // Expected v3 sizes and pre-trailer CRCs, taken from the byte-table CRC and the multi-buffer
 // writer the format was first written with. A change to any of them is a format change.
 constexpr FormatPin kFormatPins[] = {
-    {1, 65, 0x84510D17u, 232, 0xE8FBEF2Bu},
-    {7, 89, 0x4BE9BCD5u, 256, 0x8BC0FE86u},
-    {1000, 4061, 0x5D3EDE7Eu, 4228, 0x4F3D7F25u},
-    {65537, 262225, 0xC26344DBu, 262392, 0xFF7E15D2u},
-    {300001, 1200137, 0xCCA3B0C3u, 1200304, 0xC173D9C0u},
+    {1, 232, 0xE8FBEF2Bu},
+    {7, 256, 0x8BC0FE86u},
+    {1000, 4228, 0x4F3D7F25u},
+    {65537, 262392, 0xFF7E15D2u},
+    {300001, 1200304, 0xC173D9C0u},
 };
+
+// The pinned atom file: a 214-byte header, three 140-byte payloads and the trailing CRC.
+constexpr uint64_t kAtomPinBytes = 638;
+constexpr uint32_t kAtomPinBodyCrc = 0x9CE24698u;
 
 TEST_F(TensorFileTest, SerializedBytesArePinned) {
   for (const FormatPin& pin : kFormatPins) {
     SCOPED_TRACE("f32 x " + std::to_string(pin.numel));
     const Tensor t = PinTensor({pin.numel}, static_cast<uint32_t>(pin.numel));
-
-    Result<std::vector<uint8_t>> file = SerializeTensor(t);
-    ASSERT_TRUE(file.ok()) << file.status();
-    EXPECT_EQ(file->size(), pin.tensor_bytes);
-    EXPECT_EQ(BodyCrc(*file), pin.tensor_body_crc);
-    const std::string tensor_path = PathJoin(dir_, "pin.uct");
-    ASSERT_TRUE(WriteFileAtomic(tensor_path, file->data(), file->size()).ok());
-    Result<Tensor> loaded = LoadTensor(tensor_path);
-    ASSERT_TRUE(loaded.ok()) << loaded.status();
-    EXPECT_TRUE(Tensor::BitEqual(*loaded, t));
-    Result<TensorFileView> tensor_view = TensorFileView::Open(tensor_path);
-    ASSERT_TRUE(tensor_view.ok()) << tensor_view.status();
-    Result<Tensor> viewed = tensor_view->ReadAll();
-    ASSERT_TRUE(viewed.ok()) << viewed.status();
-    EXPECT_TRUE(Tensor::BitEqual(*viewed, *loaded));
 
     // A second member follows the pinned one, so its payload offset is pinned too.
     TensorBundle bundle;
@@ -386,7 +431,7 @@ TEST_F(TensorFileTest, SerializedBytesArePinned) {
     ASSERT_TRUE(loaded_bundle.ok()) << loaded_bundle.status();
     ASSERT_EQ(loaded_bundle->tensors.size(), 2u);
     EXPECT_EQ(*loaded_bundle->meta.GetInt("iteration"), 7);
-    Result<BundleFileView> bundle_view = BundleFileView::Open(bundle_path);
+    Result<BundleFileView> bundle_view = BundleFileView::Open(Source(bundle_path));
     ASSERT_TRUE(bundle_view.ok()) << bundle_view.status();
     for (const auto& [name, expect] : bundle.tensors) {
       ASSERT_NE(loaded_bundle->Find(name), nullptr) << name;
@@ -396,6 +441,27 @@ TEST_F(TensorFileTest, SerializedBytesArePinned) {
       EXPECT_TRUE(Tensor::BitEqual(*member, expect)) << name;
     }
   }
+
+  // An atom file is a bundle with the members fp32, exp_avg and exp_avg_sq and an empty
+  // meta, written by WriteAtom.
+  SCOPED_TRACE("atom file");
+  ParamState state;
+  state.name = "pin.atom.weight";
+  state.fp32 = PinTensor({5, 7}, 11);
+  state.exp_avg = PinTensor({5, 7}, 12);
+  state.exp_avg_sq = PinTensor({5, 7}, 13);
+  ASSERT_TRUE(WriteAtom(dir_, state).ok());
+  Result<std::string> file = ReadFileToString(AtomPath(dir_, state.name));
+  ASSERT_TRUE(file.ok()) << file.status();
+  const std::vector<uint8_t> bytes(file->begin(), file->end());
+  EXPECT_EQ(bytes.size(), kAtomPinBytes);
+  EXPECT_EQ(BodyCrc(bytes), kAtomPinBodyCrc);
+  LocalStore ucp(dir_);
+  Result<ParamState> back = ReadAtom(ucp, "", state.name);
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_TRUE(Tensor::BitEqual(back->fp32, state.fp32));
+  EXPECT_TRUE(Tensor::BitEqual(back->exp_avg, state.exp_avg));
+  EXPECT_TRUE(Tensor::BitEqual(back->exp_avg_sq, state.exp_avg_sq));
 }
 
 }  // namespace

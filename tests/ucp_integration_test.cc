@@ -312,15 +312,13 @@ TEST_F(UcpEnv, ValidationFlagsMissingAndCorruptFiles) {
   SaveAll(run, Sub("ckpt"), 2);
   ASSERT_TRUE(ConvertToUcp(Sub("ckpt"), "global_step2", Sub("ucp")).ok());
 
-  // Corrupt one optimizer shard, delete one atom tensor.
+  // Corrupt one optimizer shard, delete one atom file.
   std::string optim = Sub("ckpt/global_step2/" + OptimStatesFileName(1, 0, 0, 0));
   std::string contents = *ReadFileToString(optim);
   contents[contents.size() / 3] ^= 0x10;
   ASSERT_TRUE(WriteFileAtomic(optim, contents).ok());
-  ASSERT_TRUE(RemoveAll(PathJoin(
-                  AtomDir(Sub("ucp"), "language_model.encoder.final_layernorm.weight"),
-                  "exp_avg"))
-                  .ok());
+  ASSERT_TRUE(
+      RemoveAll(AtomPath(Sub("ucp"), "language_model.encoder.final_layernorm.weight")).ok());
 
   Result<ValidationReport> native = ValidateNativeCheckpoint(*StoreAt("ckpt"), "global_step2");
   ASSERT_TRUE(native.ok());

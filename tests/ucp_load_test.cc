@@ -3,9 +3,10 @@
 //  1. Bit-exact equivalence: the partition-pruned sliced loader produces exactly the
 //     optimizer state of the whole-file reference arm, across a {TP}x{PP}x{DP}x{ZeRO}
 //     target grid.
-//  2. Chunked CRCs localize damage: bit-rot inside one 64 KiB chunk fails only the ranges
-//     that touch it; untouched ranges still load, and header-only Stat still succeeds.
-//  3. Only v3 is read: a version field of 1, 2 or 4 fails every reader with kDataLoss
+//  2. Chunked CRCs localize damage: bit-rot inside one 64 KiB chunk of a bundle member fails
+//     only the ranges that touch it; untouched ranges still load, and header-only Stat
+//     still succeeds.
+//  3. Only v3 is read: a version field of 1, 2 or 4 fails every bundle reader with kDataLoss
 //     naming the value, with or without resealed CRCs, and so does a header size that
 //     would wrap the readers' bounds check. Only f32 payloads are read: a dtype byte of 1
 //     (bf16) or 2 (f16) fails every reader with kDataLoss too.
@@ -99,48 +100,74 @@ TEST_F(LoadEnv, SlicedMatchesWholeFileAcrossTargetGrid) {
   }
 }
 
-// Property 2: damage inside one CRC chunk is invisible to ranges that avoid the chunk and
-// fatal to ranges that touch it. Header-only Stat keeps working (the header has its own CRC).
-TEST_F(LoadEnv, ChunkCrcLocalizesBitRot) {
-  // 256x320 fp32 = 327680 payload bytes = 5 chunks of 64 KiB.
+std::unique_ptr<ByteSource> Source(const std::string& path) {
+  Result<std::unique_ptr<ByteSource>> source = FileByteSource::Open(path);
+  UCP_CHECK(source.ok()) << source.status().ToString();
+  return std::move(source).value();
+}
+
+// A bundle whose member 1, "t", is 256x320 fp32 = 327680 payload bytes = 5 chunks of
+// 64 KiB. A small member 0 comes first, so "t" does not start at the header's end.
+Tensor WriteChunkedBundle(const std::string& path) {
   Tensor t = Tensor::Zeros({256, 320});
   for (int64_t i = 0; i < t.numel(); ++i) {
     t.data()[i] = static_cast<float>(i % 977) * 0.5f;
   }
+  TensorBundle bundle;
+  bundle.Add("bias", Tensor::Full({8}, 1.0f));
+  bundle.Add("t", t);
+  UCP_CHECK(SaveBundle(path, bundle).ok());
+  return t;
+}
+
+// Rows [row_begin, row_begin + row_count) of member 1 of `view`.
+Result<Tensor> ReadRows(BundleFileView& view, int64_t row_begin, int64_t row_count) {
+  Tensor rows = Tensor::Zeros({row_count, 320});
+  UCP_RETURN_IF_ERROR(view.ReadTensorElements(1, row_begin * 320, rows.numel(), rows.data()));
+  return rows;
+}
+
+// Property 2: damage inside one CRC chunk of a member is invisible to ranges that avoid the
+// chunk and fatal to ranges that touch it. Header-only Stat keeps working (the header has
+// its own CRC).
+TEST_F(LoadEnv, ChunkCrcLocalizesBitRot) {
   const std::string path = Sub("chunked");
-  ASSERT_TRUE(SaveTensor(path, t).ok());
+  const Tensor t = WriteChunkedBundle(path);
 
-  Result<TensorFileInfo> info = StatTensor(path);
+  Result<BundleInfo> info = StatBundle(Source(path));
   ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->format_version, 3u);
-  EXPECT_EQ(info->chunk_bytes, 64u * 1024);
-  EXPECT_EQ(info->num_chunks, 5u);
+  ASSERT_EQ(info->entries.size(), 2u);
+  EXPECT_EQ(info->entries[1].second.chunk_bytes, 64u * 1024);
+  EXPECT_EQ(info->entries[1].second.num_chunks, 5u);
 
-  // Flip one byte in chunk 2. The payload starts at header_bytes, recorded at offset 12.
+  // Flip one byte in chunk 2 of member "t".
+  Result<std::optional<FileChunkIndex>> chunks = ReadFileChunkIndex(*Source(path));
+  ASSERT_TRUE(chunks.ok() && chunks->has_value());
+  const uint64_t t_begin = (**chunks).regions.at(1).begin;
   std::string raw = *ReadFileToString(path);
-  uint64_t header_bytes = 0;
-  std::memcpy(&header_bytes, raw.data() + 12, sizeof(header_bytes));
-  raw[header_bytes + 2 * 65536 + 123] ^= 0x40;
+  raw[t_begin + 2 * 65536 + 123] ^= 0x40;
   ASSERT_TRUE(WriteFileAtomic(path, raw).ok());
 
   // The header is untouched, so planning APIs still work.
-  EXPECT_TRUE(StatTensor(path).ok());
+  EXPECT_TRUE(StatBundle(Source(path)).ok());
   // Whole-file readers and the deep verifier must notice.
-  EXPECT_EQ(LoadTensor(path).status().code(), StatusCode::kDataLoss);
-  EXPECT_EQ(DeepVerifyTensorFile(path).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(LoadBundle(path).status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(DeepVerifyBundleFile(Source(path)).code(), StatusCode::kDataLoss);
 
-  Result<TensorFileView> view = TensorFileView::Open(path);
+  Result<BundleFileView> view = BundleFileView::Open(Source(path));
   ASSERT_TRUE(view.ok()) << view.status();
   // Rows [0, 50) live in bytes [0, 64000): chunk 0 only — loads clean and bit-exact.
-  Result<Tensor> head = view->ReadRange(0, 50);
+  Result<Tensor> head = ReadRows(*view, 0, 50);
   ASSERT_TRUE(head.ok()) << head.status();
   EXPECT_TRUE(Tensor::BitEqual(*head, t.Narrow(0, 0, 50)));
   // Rows [160, 256) live in chunks 3-4 — also untouched.
-  Result<Tensor> tail = view->ReadRange(160, 96);
+  Result<Tensor> tail = ReadRows(*view, 160, 96);
   ASSERT_TRUE(tail.ok()) << tail.status();
   EXPECT_TRUE(Tensor::BitEqual(*tail, t.Narrow(0, 160, 96)));
+  // The other member shares no chunk with "t".
+  EXPECT_TRUE(view->ReadTensor("bias").ok());
   // Rows [100, 120) straddle the corrupted chunk 2 — caught by its CRC.
-  Status bad = view->ReadRange(100, 20).status();
+  Status bad = ReadRows(*view, 100, 20).status();
   EXPECT_EQ(bad.code(), StatusCode::kDataLoss);
   EXPECT_NE(bad.ToString().find("per-tensor CRC"), std::string::npos) << bad.ToString();
 }
@@ -148,23 +175,22 @@ TEST_F(LoadEnv, ChunkCrcLocalizesBitRot) {
 // Chunk verification is memoized per view: re-reading a verified range does not re-verify
 // (or re-read) its chunks; an unverified chunk is fetched whole exactly once.
 TEST_F(LoadEnv, ChunkVerificationIsMemoizedPerView) {
-  Tensor t = Tensor::Zeros({256, 320});
   const std::string path = Sub("memo");
-  ASSERT_TRUE(SaveTensor(path, t).ok());
+  WriteChunkedBundle(path);
 
-  Result<TensorFileView> view = TensorFileView::Open(path);
+  Result<BundleFileView> view = BundleFileView::Open(Source(path));
   ASSERT_TRUE(view.ok());
-  ASSERT_TRUE(view->ReadRange(0, 50).ok());
+  ASSERT_TRUE(ReadRows(*view, 0, 50).ok());
   TensorIoStats first = GetTensorIoStats();
-  ASSERT_TRUE(view->ReadRange(0, 50).ok());
+  ASSERT_TRUE(ReadRows(*view, 0, 50).ok());
   TensorIoStats second = GetTensorIoStats();
   EXPECT_EQ(second.chunks_verified, first.chunks_verified);
   // The re-read still fetches payload bytes, but only the 64000 requested — not the chunk.
   EXPECT_EQ(second.bytes_read - first.bytes_read, 50u * 320 * 4);
 }
 
-// Property 3: v3 is the only format version read. A v3 file whose version field says 1, 2 or
-// 4 fails kDataLoss naming that value through every reader, whether or not its header and
+// Property 3: v3 is the only format version read. A v3 bundle whose version field says 1, 2
+// or 4 fails kDataLoss naming that value through every reader, whether or not its header and
 // file CRCs were resealed over the edited field.
 
 // `file` with the bytes at `at` replaced by `value`. `reseal` recomputes the header CRC
@@ -183,47 +209,32 @@ std::vector<uint8_t> Patched(std::vector<uint8_t> file, size_t at, T value, bool
   return file;
 }
 
-// A serialized tensor file and bundle file, written after `patch` and handed to every reader.
+// A serialized bundle, written after `patch` and handed to every bundle reader.
 class ReaderMatrix {
  public:
-  explicit ReaderMatrix(const std::string& dir)
-      : tensor_path_(PathJoin(dir, "t.uct")), bundle_path_(PathJoin(dir, "b.ucb")) {
-    const Tensor t = Tensor::Full({7, 9}, 0.25f);
+  explicit ReaderMatrix(const std::string& dir) : path_(PathJoin(dir, "b.ucb")) {
     TensorBundle bundle;
-    bundle.Add("w", t);
+    bundle.Add("w", Tensor::Full({7, 9}, 0.25f));
     bundle.meta = Json(JsonObject{{"iteration", Json(int64_t{3})}});
-    tensor_file_ = *SerializeTensor(t);
-    bundle_file_ = *SerializeBundle(bundle);
+    file_ = *SerializeBundle(bundle);
   }
 
   template <typename Patch>
   std::vector<std::pair<const char*, Status>> Read(const Patch& patch) {
-    const std::vector<uint8_t> tensor_bytes = patch(tensor_file_);
-    const std::vector<uint8_t> bundle_bytes = patch(bundle_file_);
-    UCP_CHECK(WriteFileAtomic(tensor_path_, tensor_bytes.data(), tensor_bytes.size()).ok());
-    UCP_CHECK(WriteFileAtomic(bundle_path_, bundle_bytes.data(), bundle_bytes.size()).ok());
-    Result<std::unique_ptr<ByteSource>> tensor_source = FileByteSource::Open(tensor_path_);
-    Result<std::unique_ptr<ByteSource>> bundle_source = FileByteSource::Open(bundle_path_);
-    UCP_CHECK(tensor_source.ok() && bundle_source.ok());
+    const std::vector<uint8_t> bytes = patch(file_);
+    UCP_CHECK(WriteFileAtomic(path_, bytes.data(), bytes.size()).ok());
     return {
-        {"LoadTensor", LoadTensor(tensor_path_).status()},
-        {"StatTensor", StatTensor(tensor_path_).status()},
-        {"TensorFileView::Open", TensorFileView::Open(tensor_path_).status()},
-        {"DeepVerifyTensorFile", DeepVerifyTensorFile(tensor_path_)},
-        {"ReadFileChunkIndex(tensor)", ReadFileChunkIndex(**tensor_source).status()},
-        {"LoadBundle", LoadBundle(bundle_path_).status()},
-        {"StatBundle", StatBundle(bundle_path_).status()},
-        {"BundleFileView::Open", BundleFileView::Open(bundle_path_).status()},
-        {"DeepVerifyBundleFile", DeepVerifyBundleFile(bundle_path_)},
-        {"ReadFileChunkIndex(bundle)", ReadFileChunkIndex(**bundle_source).status()},
+        {"LoadBundle", LoadBundle(path_).status()},
+        {"StatBundle", StatBundle(Source(path_)).status()},
+        {"BundleFileView::Open", BundleFileView::Open(Source(path_)).status()},
+        {"DeepVerifyBundleFile", DeepVerifyBundleFile(Source(path_))},
+        {"ReadFileChunkIndex", ReadFileChunkIndex(*Source(path_)).status()},
     };
   }
 
  private:
-  std::string tensor_path_;
-  std::string bundle_path_;
-  std::vector<uint8_t> tensor_file_;
-  std::vector<uint8_t> bundle_file_;
+  std::string path_;
+  std::vector<uint8_t> file_;
 };
 
 TEST_F(LoadEnv, UnsupportedVersionFieldFailsDataLossThroughEveryReader) {
@@ -264,19 +275,16 @@ TEST_F(LoadEnv, HeaderSizeNearTwoToTheSixtyFourFailsDataLossThroughEveryReader) 
   }
 }
 
-// Offset of the first payload's dtype byte: right after the 20-byte prologue of a tensor file;
-// after the meta string, the entry count and the first member's name in a bundle.
+// Offset of the first member's dtype byte: after the 20-byte prologue, the meta string, the
+// entry count and the first member's name.
 size_t FirstDtypeOffset(const std::vector<uint8_t>& file) {
   size_t at = 20;
-  if (file[2] == 'B') {  // "UCB1"
-    uint32_t meta_bytes = 0;
-    std::memcpy(&meta_bytes, file.data() + at, sizeof(meta_bytes));
-    at += 4 + meta_bytes + 4;
-    uint32_t name_bytes = 0;
-    std::memcpy(&name_bytes, file.data() + at, sizeof(name_bytes));
-    at += 4 + name_bytes;
-  }
-  return at;
+  uint32_t meta_bytes = 0;
+  std::memcpy(&meta_bytes, file.data() + at, sizeof(meta_bytes));
+  at += 4 + meta_bytes + 4;
+  uint32_t name_bytes = 0;
+  std::memcpy(&name_bytes, file.data() + at, sizeof(name_bytes));
+  return at + 4 + name_bytes;
 }
 
 // Payloads are f32 only: a dtype byte of 1 (bf16) or 2 (f16) fails every reader with

@@ -184,7 +184,16 @@ TEST_F(AtomTest, WriteReadRoundTrip) {
   EXPECT_TRUE(Tensor::BitEqual(back->fp32, state.fp32));
   EXPECT_TRUE(Tensor::BitEqual(back->exp_avg, state.exp_avg));
   EXPECT_TRUE(Tensor::BitEqual(back->exp_avg_sq, state.exp_avg_sq));
-  EXPECT_EQ(StatTensor(PathJoin(AtomDir(dir_, state.name), "fp32"))->shape, (Shape{8, 4}));
+  // One file, holding the three members with the full shape.
+  Result<std::unique_ptr<ByteSource>> file = FileByteSource::Open(AtomPath(dir_, state.name));
+  ASSERT_TRUE(file.ok()) << file.status();
+  Result<BundleInfo> info = StatBundle(std::move(*file));
+  ASSERT_TRUE(info.ok()) << info.status();
+  ASSERT_EQ(info->entries.size(), 3u);
+  for (size_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(info->entries[s].first, kAtomMembers[s]);
+    EXPECT_EQ(info->entries[s].second.shape, (Shape{8, 4}));
+  }
 }
 
 TEST_F(AtomTest, MissingAtomIsNotFound) {

@@ -9,8 +9,9 @@
 //       Ingest a foreign (DDP-style consolidated) checkpoint.
 //
 //   ucp_tool inspect  <ucp_dir>
-//       Print the UCP manifest: model config, source strategy, iteration, and per-atom
-//       shapes/sizes.
+//       Print the UCP manifest (model config, source strategy, iteration) and, per atom,
+//       its shape, payload bytes per state and CRC chunk count across its three states.
+//       Reads atom headers only, no payload.
 //
 //   ucp_tool inspect-ckpt <ckpt_dir> <tag>
 //       Print a native checkpoint's metadata and shard files.
@@ -32,10 +33,6 @@
 //       usable checkpoint is left). --fast
 //       checks headers and metadata only (no payload CRC verification); file checks fan
 //       out over --threads workers.
-//
-//   ucp_tool stat     <ucp_dir>
-//       Header-only report of a UCP checkpoint: per-atom shape, bytes, and CRC chunk
-//       counts (reads tensor headers only — no payload I/O).
 //
 //   ucp_tool metrics  [--store ENDPOINT | <subcommand> <args...>]
 //       With --store, fetch a live daemon's metrics page over the wire (METRICS_DUMP)
@@ -115,7 +112,6 @@ void PrintUsage(std::FILE* out) {
                "  ucp_tool validate <ucp_dir>\n"
                "  ucp_tool validate-ckpt [--store ENDPOINT | <ckpt_dir>] <tag>\n"
                "  ucp_tool fsck <path> [--quarantine] [--fast] [--threads N]\n"
-               "  ucp_tool stat <ucp_dir>\n"
                "  ucp_tool tags [--store ENDPOINT | <ckpt_dir>]\n"
                "  ucp_tool gc [--store ENDPOINT | <ckpt_dir>] <keep_last> [--dry-run]\n"
                "  ucp_tool ping --store ENDPOINT\n"
@@ -251,6 +247,8 @@ int CmdConvert(const Flags& flags, bool foreign) {
   return 0;
 }
 
+// Header-only: each atom's header prefix is parsed without touching payload bytes, so this
+// stays fast even on checkpoints too large to re-read.
 int CmdInspect(const Flags& flags) {
   if (flags.positional.size() != 1) {
     return Usage();
@@ -268,18 +266,36 @@ int CmdInspect(const Flags& flags) {
               meta->source_strategy.ToString().c_str(),
               static_cast<long long>(meta->iteration), meta->global_batch);
   std::printf("  atoms (%zu):\n", meta->atom_names.size());
+  std::printf("    %-70s %-16s %12s %7s\n", "atom", "shape", "bytes/state", "chunks");
   int64_t total_numel = 0;
+  uint64_t total_bytes = 0;
+  uint64_t total_chunks = 0;
   for (const std::string& name : meta->atom_names) {
-    Result<TensorFileInfo> fp32 =
-        StatTensor(PathJoin(AtomDir(flags.positional[0], name), "fp32"));
-    if (!fp32.ok()) {
-      return Fail(fp32.status());
+    Result<std::unique_ptr<ByteSource>> source = ucp.OpenRead(AtomRel("", name));
+    if (!source.ok()) {
+      return Fail(source.status());
     }
-    total_numel += ShapeNumel(fp32->shape);
-    std::printf("    %-70s %s\n", name.c_str(), ShapeToString(fp32->shape).c_str());
+    Result<BundleFileView> atom = OpenAtomView(std::move(source).value());
+    if (!atom.ok()) {
+      return Fail(atom.status());
+    }
+    uint64_t atom_chunks = 0;
+    for (const auto& [member, info] : atom->entries()) {
+      total_bytes += info.payload_bytes;
+      atom_chunks += info.num_chunks;
+    }
+    total_chunks += atom_chunks;
+    const TensorFileInfo& fp32 = atom->entries().front().second;
+    total_numel += ShapeNumel(fp32.shape);
+    std::printf("    %-70s %-16s %12llu %7llu\n", name.c_str(),
+                ShapeToString(fp32.shape).c_str(),
+                static_cast<unsigned long long>(fp32.payload_bytes),
+                static_cast<unsigned long long>(atom_chunks));
   }
-  std::printf("  total parameters: %lld (x3 fp32 states on disk)\n",
-              static_cast<long long>(total_numel));
+  std::printf("  total: %lld parameters; %llu payload bytes across %llu CRC chunks "
+              "(3 states per atom)\n",
+              static_cast<long long>(total_numel), static_cast<unsigned long long>(total_bytes),
+              static_cast<unsigned long long>(total_chunks));
   return 0;
 }
 
@@ -457,54 +473,6 @@ int CmdFsck(const Flags& flags) {
     }
   }
   return code;
-}
-
-// Header-only: StatTensor parses the metadata prefix without touching payload bytes, so
-// this stays fast even on checkpoints too large to re-read.
-int CmdStat(const Flags& flags) {
-  if (flags.positional.size() != 1) {
-    return Usage();
-  }
-  const std::string& ucp_dir = flags.positional[0];
-  LocalStore ucp(ucp_dir);
-  Result<UcpMeta> meta = ReadUcpMeta(ucp, "");
-  if (!meta.ok()) {
-    return Fail(meta.status());
-  }
-  std::printf("UCP checkpoint: %s  (%zu atoms, iteration %lld)\n", ucp_dir.c_str(),
-              meta->atom_names.size(), static_cast<long long>(meta->iteration));
-  std::printf("  %-70s %-16s %6s %12s %7s\n", "atom", "shape", "ver", "bytes/state",
-              "chunks");
-  uint64_t total_bytes = 0;
-  uint64_t total_chunks = 0;
-  constexpr const char* kStates[3] = {"fp32", "exp_avg", "exp_avg_sq"};
-  for (const std::string& name : meta->atom_names) {
-    const std::string dir = AtomDir(ucp_dir, name);
-    TensorFileInfo first;
-    uint64_t atom_bytes = 0;
-    uint64_t atom_chunks = 0;
-    for (int s = 0; s < 3; ++s) {
-      Result<TensorFileInfo> info = StatTensor(PathJoin(dir, kStates[s]));
-      if (!info.ok()) {
-        return Fail(info.status());
-      }
-      if (s == 0) {
-        first = *info;
-      }
-      atom_bytes += info->payload_bytes;
-      atom_chunks += info->num_chunks;
-    }
-    total_bytes += atom_bytes;
-    total_chunks += atom_chunks;
-    std::printf("  %-70s %-16s %6d %12llu %7llu\n", name.c_str(),
-                ShapeToString(first.shape).c_str(), first.format_version,
-                static_cast<unsigned long long>(first.payload_bytes),
-                static_cast<unsigned long long>(atom_chunks));
-  }
-  std::printf("  total: %llu payload bytes across %llu CRC chunks (3 states per atom)\n",
-              static_cast<unsigned long long>(total_bytes),
-              static_cast<unsigned long long>(total_chunks));
-  return 0;
 }
 
 // Retention for steady-state training: keep the newest `keep_last` *committed* tags (plus
@@ -843,9 +811,6 @@ int Main(int argc, char** argv) {
   }
   if (command == "fsck") {
     return CmdFsck(flags);
-  }
-  if (command == "stat") {
-    return CmdStat(flags);
   }
   if (command == "tags") {
     return CmdTags(flags);
