@@ -25,11 +25,13 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/fs.h"
 #include "src/common/json.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/store/remote_store.h"
 #include "src/store/server.h"
+#include "src/store/tags.h"
 
 namespace ucp {
 namespace {
@@ -180,13 +182,21 @@ ArmResult RunLoadArm(const std::string& backend, const std::string& dir,
   return result;
 }
 
-// Chaos arm: one client streaming multi-chunk saves through the daemon while the socket
-// injector drops the connection mid-WRITE every op. What the arm measures is the
-// *resume economics* of the v3 protocol: after each drop the client reconnects under its
-// lease, asks WRITE_RESUME how far the server got, and re-sends only the tail. The
-// store.client metric deltas split the traffic into resumed (acknowledged, not re-sent)
-// vs restarted (sent before the drop, then sent again) bytes — the survivability
-// acceptance bound is restarted < 50% of resumed, and a run that resumed nothing fails it.
+// Chaos arm: one client streaming multi-chunk saves through the daemon, which is killed
+// and restarted in the middle of every upload while bytes the client has already sent
+// sit unread in the daemon's socket. What the arm measures is the *resume economics* of
+// the protocol: after each restart the client redials under a fresh lease, asks
+// WRITE_RESUME how much of the file the spool on disk holds, and re-sends only the rest.
+// The store.client metric deltas split the traffic into resumed (acknowledged, not
+// re-sent) vs restarted (sent before the kill, then sent again) bytes — the acceptance
+// bound is restarted < 50% of resumed, and a run that resumed or re-sent nothing fails it.
+//
+// Each op is a file of 4 full wire chunks and a 64 KiB tail, which fits in a unix socket's
+// buffer whole. The client is parked just before it sends the tail. A killer thread waits
+// until the spool holds the 4 full chunks, makes the daemon's next receive drop the
+// connection after a delay (the tail is then in the socket, sent but never read), kills
+// the daemon without draining while that receive waits, and starts a new one on the same
+// root and socket path.
 constexpr double kMaxRestartFraction = 0.5;
 
 struct ChaosResult {
@@ -196,9 +206,18 @@ struct ChaosResult {
   uint64_t restarted_bytes = 0;
 };
 
-ChaosResult RunChaosSaveArm(const StoreServer* server) {
-  constexpr size_t kChaosPayloadBytes = 4u << 20;  // 4 wire chunks: drops land mid-file
+ChaosResult RunChaosSaveArm(std::unique_ptr<StoreServer>& server,
+                            const StoreServerOptions& server_options) {
+  constexpr size_t kFullChunkBytes = 4u * kWireChunkBytes;
+  constexpr size_t kChaosPayloadBytes = kFullChunkBytes + (64u << 10);
   constexpr int kChaosOps = 8;
+  // Sends after arming, from 0: RESET_STAGING, its OK, WRITE_BEGIN (preceded by a
+  // TRACE_CONTEXT frame when tracing is on: the write runs in its own trace), its OK, the
+  // four full chunks (a blocking send moves a whole frame), then the tail chunk.
+  const int tail_send = obs::TraceEnabled() ? 9 : 8;
+  constexpr int kParkMs = 50;        // the client waits this long before sending the tail
+  constexpr int kKillAfterMs = 100;  // the kill, counted from the full chunks' arrival
+  constexpr int kDropMs = 200;       // the daemon's receive waits this long, then drops
   const std::string meta_json = BenchMetaJson();
   std::vector<uint8_t> payload(kChaosPayloadBytes);
   for (size_t i = 0; i < payload.size(); ++i) {
@@ -221,14 +240,31 @@ ChaosResult RunChaosSaveArm(const StoreServer* server) {
   const auto start = std::chrono::steady_clock::now();
   for (int op = 0; op < kChaosOps; ++op) {
     const std::string tag = "chaos.global_step" + std::to_string(op + 1);
-    // Drop the connection partway into the op's chunk stream; cycling nth moves the cut
-    // point across the file so resumes see varying acked prefixes. (nth counts send
-    // *syscalls* — a 1 MiB chunk takes several against a default unix socket buffer.)
-    SocketFault fault;
-    fault.op = SocketFault::Op::kSend;
-    fault.kind = SocketFault::Kind::kEconnreset;
-    fault.nth = 5 + 2 * (op % 4);
-    ArmSocketFault(fault);
+    const std::string spool = PathJoin(WipDirForTag(server_options.root, tag), "shard");
+    ArmSocketFault({SocketFault::Op::kSend, SocketFault::Kind::kDelay, tail_send, kParkMs});
+    std::thread killer([&] {
+      auto full_chunks_spooled = [&] {
+        Result<uint64_t> size = FileSize(spool);
+        return size.ok() && *size >= kFullChunkBytes;
+      };
+      const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!full_chunks_spooled() && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      const auto full = std::chrono::steady_clock::now();
+      // Two receives: the daemon's and the client's wait for WRITE_END's reply may come in
+      // either order, and the daemon's must not read the tail.
+      for (int nth : {0, 1}) {
+        ArmSocketFault({SocketFault::Op::kRecv, SocketFault::Kind::kBlackhole, nth, kDropMs});
+      }
+      std::this_thread::sleep_until(full + std::chrono::milliseconds(kKillAfterMs));
+      server->Shutdown(/*drain=*/false);
+      server.reset();
+      Result<std::unique_ptr<StoreServer>> restarted_server =
+          StoreServer::Start(server_options);
+      UCP_CHECK(restarted_server.ok()) << restarted_server.status();
+      server = std::move(*restarted_server);
+    });
     const auto t0 = std::chrono::steady_clock::now();
     UCP_CHECK((*store)->ResetTagStaging(tag).ok());
     Result<std::unique_ptr<StoreWriter>> writer = (*store)->OpenTagForWrite(tag);
@@ -238,6 +274,7 @@ ChaosResult RunChaosSaveArm(const StoreServer* server) {
     latencies.push_back(
         std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
             .count());
+    killer.join();
     ClearSocketFaults();
   }
   result.arm.seconds =
@@ -263,15 +300,15 @@ Json ChaosArmJson(const ChaosResult& r) {
       r.resumed_bytes > 0
           ? static_cast<double>(r.restarted_bytes) / static_cast<double>(r.resumed_bytes)
           : 0.0;
-  const bool within = r.resumed_bytes > 0 &&
+  const bool within = r.resumed_bytes > 0 && r.restarted_bytes > 0 &&
                       static_cast<double>(r.restarted_bytes) <
                           kMaxRestartFraction * static_cast<double>(r.resumed_bytes);
   std::printf(
-      "fig15/save-chaos/remote/1: %.3fs, %.1f MiB/s, %lld reconnects, resumed %.1f MiB, "
-      "re-sent %.1f MiB (%.0f%% of acked, bound %.0f%%) %s\n",
-      r.arm.seconds, r.arm.throughput_mib_s, static_cast<long long>(r.reconnects),
-      resumed_mib, restarted_mib, restart_fraction * 100.0, kMaxRestartFraction * 100.0,
-      within ? "OK" : "FAIL");
+      "fig15/save-chaos/remote/1: %.3fs, %.1f MiB/s, %lld daemon restarts, %lld reconnects, "
+      "resumed %.2f MiB, re-sent %.3f MiB (%.1f%% of acked, bound %.0f%%, must be > 0) %s\n",
+      r.arm.seconds, r.arm.throughput_mib_s, static_cast<long long>(r.arm.ops),
+      static_cast<long long>(r.reconnects), resumed_mib, restarted_mib,
+      restart_fraction * 100.0, kMaxRestartFraction * 100.0, within ? "OK" : "FAIL");
   JsonObject arm;
   arm["arm"] = std::string("save-chaos/remote/1");
   arm["workload"] = std::string("save-chaos");
@@ -282,6 +319,7 @@ Json ChaosArmJson(const ChaosResult& r) {
   arm["throughput_mib_s"] = r.arm.throughput_mib_s;
   arm["p50_ms"] = r.arm.p50_ms;
   arm["p99_ms"] = r.arm.p99_ms;
+  arm["daemon_restarts"] = r.arm.ops;  // one per op
   arm["reconnects"] = r.reconnects;
   arm["resumed_bytes"] = static_cast<int64_t>(r.resumed_bytes);
   arm["restarted_bytes"] = static_cast<int64_t>(r.restarted_bytes);
@@ -415,12 +453,12 @@ int main(int argc, char** argv) {
     const std::string dir =
         ucp::bench::FreshDir(std::string("fig15_server_") + backend);
     std::unique_ptr<ucp::StoreServer> server;
+    ucp::StoreServerOptions options;
+    options.root = dir;
+    options.listen = "unix:" + dir + ".sock";
     if (std::string(backend) == "remote") {
-      ucp::StoreServerOptions options;
-      options.root = dir;
-      options.listen = "unix:" + dir + ".sock";
       ucp::Result<std::unique_ptr<ucp::StoreServer>> started =
-          ucp::StoreServer::Start(std::move(options));
+          ucp::StoreServer::Start(options);
       UCP_CHECK(started.ok()) << started.status();
       server = std::move(*started);
     }
@@ -433,7 +471,7 @@ int main(int argc, char** argv) {
           ucp::RunLoadArm(backend, dir, server.get(), clients)));
     }
     if (server != nullptr) {
-      ucp::Json chaos = ucp::ChaosArmJson(ucp::RunChaosSaveArm(server.get()));
+      ucp::Json chaos = ucp::ChaosArmJson(ucp::RunChaosSaveArm(server, options));
       chaos_within_bound = *chaos.GetBool("within_bound");
       arms.emplace_back(std::move(chaos));
       tracer_overhead = ucp::RunRemoteTracerOverheadCheck(server.get());

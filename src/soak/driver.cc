@@ -86,7 +86,7 @@ SoakRunReport RunSoakSchedule(const SoakOptions& options,
 
   // through_daemon: every save goes through this in-process ucp_serverd serving the same
   // root over a unix socket. The server object is restartable in place (kDaemonRestart),
-  // which is what exercises lease-journal recovery.
+  // which exercises resume from the spool on disk under a fresh lease.
   std::unique_ptr<StoreServer> server;
   StoreServerOptions server_options;
   if (options.through_daemon) {
@@ -160,9 +160,10 @@ SoakRunReport RunSoakSchedule(const SoakOptions& options,
         }
         break;
       case SoakEventKind::kDaemonRestart:
-        // Kill (no drain) and restart the daemon between segments: journal recovery must
-        // re-adopt whatever live-leased state the previous incarnation held, and the next
-        // segment's engine must dial the fresh incarnation without ceremony.
+        // Kill (no drain) and restart the daemon between segments: the fresh incarnation
+        // starts with no leases, the staging the previous one held stays on disk for the
+        // next save to reset or resume, and the next segment's engine must dial the fresh
+        // incarnation without ceremony.
         if (server != nullptr) {
           server->Shutdown(/*drain=*/false);
           server.reset();

@@ -47,9 +47,9 @@ struct SoakOptions {
   std::string job;  // tag namespace the run saves/resumes under ("" = default)
   // Route every save through an in-process ucp_serverd StoreServer serving `dir` over a
   // unix socket (the shared-filesystem deployment). Unlocks the wire-level chaos events —
-  // connection drops (kConnDrop) and daemon kill+restart with journal recovery
-  // (kDaemonRestart) — and invariant I8 (no committed tag is ever lost, and the schedule
-  // eventually commits a tag).
+  // connection drops (kConnDrop) and daemon kill+restart, after which clients resume
+  // from the spool on disk (kDaemonRestart) — and invariant I8 (no committed tag is ever
+  // lost, and the schedule eventually commits a tag).
   bool through_daemon = false;
 
   // Runtime bindings, not part of the schedule identity.

@@ -212,13 +212,8 @@ Result<std::shared_ptr<RemoteStore>> RemoteStore::Connect(
     Status opened = SessionOpenOnFd(hs.fd, hs.max_frame, token, options.lease_ttl_ms,
                                     /*resumed=*/nullptr, /*retry_after_ms=*/nullptr);
     if (!opened.ok()) {
-      if (opened.code() == StatusCode::kFailedPrecondition) {
-        // Leases disabled server-side: fall back to release-on-disconnect semantics.
-        token.clear();
-      } else {
-        ::close(hs.fd);
-        return opened;
-      }
+      ::close(hs.fd);
+      return opened;
     }
   }
   return std::shared_ptr<RemoteStore>(new RemoteStore(hs.fd, endpoint, hs.session_id,
@@ -239,7 +234,7 @@ uint64_t RemoteStore::session_id() const {
 
 void RemoteStore::CloseForTest() {
   std::lock_guard<std::mutex> lock(mu_);
-  options_.reconnect = false;
+  closed_for_test_ = true;
   CloseFdLocked();
 }
 
@@ -388,7 +383,7 @@ Status RemoteStore::ReconnectLocked() {
       }
       ::close(hs.fd);
       if (s.code() == StatusCode::kFailedPrecondition) {
-        // Leases disabled or the token was refused outright — retrying cannot help.
+        // The server refused the token outright — retrying cannot help.
         failures.Add(1);
         return s;
       }

@@ -10,13 +10,13 @@
 //  - Admission-control rejections (the daemon's staged-bytes cap) arrive as kUnavailable
 //    *responses* on a healthy connection and are retried with IoRetryPolicy backoff.
 //  - Transport failures (daemon died, connection dropped, network partitioned) also map
-//    to kUnavailable. When the session holds a lease and reconnect is enabled, the
-//    store transparently redials under `reconnect_deadline` with exponential backoff +
-//    jitter, re-presents its lease token, and resumes: streamed uploads continue from the
-//    server-acknowledged offset (WRITE_RESUME), open read handles are reopened by path,
-//    and an interrupted COMMIT_TAG is checked for completion before being retried. When
-//    there is no lease (ttl 0, leases disabled server-side) or reconnect is off, the
-//    transport failure surfaces typed and nothing is retried.
+//    to kUnavailable. When the session holds a lease, the store transparently redials
+//    under `reconnect_deadline` with exponential backoff + jitter, re-presents its lease
+//    token (a restarted daemon grants it a fresh lease), and resumes: streamed uploads
+//    continue from the server-acknowledged offset (WRITE_RESUME), open read handles are
+//    reopened by path, and an interrupted COMMIT_TAG is checked for completion before
+//    being retried. When there is no lease (lease_ttl_ms 0), the transport failure
+//    surfaces typed and nothing is retried.
 
 #ifndef UCP_SRC_STORE_REMOTE_STORE_H_
 #define UCP_SRC_STORE_REMOTE_STORE_H_
@@ -33,15 +33,12 @@
 namespace ucp {
 
 struct RemoteStoreOptions {
-  // Redial + re-adopt the lease on transport failure. Only effective when the session
-  // actually holds a lease (lease_ttl_ms > 0 and the server grants it).
-  bool reconnect = true;
   // Total wall-clock budget for one reconnect episode (dial + handshake + SESSION_OPEN,
   // retried with backoff). Past it the original transport error surfaces as kUnavailable.
   std::chrono::milliseconds reconnect_deadline{5000};
   // TTL requested at SESSION_OPEN; the server clamps to its own max. Should comfortably
   // exceed reconnect_deadline or the server reaps the lease mid-reconnect. 0 skips the
-  // lease entirely (release-on-disconnect semantics, no reconnect).
+  // lease entirely: release-on-disconnect semantics and no reconnect.
   uint32_t lease_ttl_ms = 15000;
 };
 
@@ -73,7 +70,7 @@ class RemoteStore final : public Store, public std::enable_shared_from_this<Remo
     return endpoint_ + "!" + rel;
   }
   uint64_t session_id() const;
-  // Empty when the session holds no lease (ttl 0, or leases disabled server-side).
+  // Empty when the session holds no lease (lease_ttl_ms 0).
   const std::string& lease_token() const { return lease_token_; }
 
   Result<std::unique_ptr<ByteSource>> OpenRead(const std::string& rel) override;
@@ -99,7 +96,7 @@ class RemoteStore final : public Store, public std::enable_shared_from_this<Remo
   // as text table or Prometheus exposition.
   Result<std::string> MetricsDump(bool prometheus);
 
-  // Drops the connection and disables reconnect, failing all further calls with
+  // Drops the connection and never reconnects, failing all further calls with
   // kUnavailable. Used by tests to simulate a client crash mid-stream (the server must
   // discard — or, under a lease, preserve until expiry — the partial staging).
   void CloseForTest();
@@ -127,9 +124,8 @@ class RemoteStore final : public Store, public std::enable_shared_from_this<Remo
   Result<WireFrame> RoundtripWithRetry(WireOp op, const std::vector<uint8_t>& payload,
                                        WireOp ok_op);
 
-  bool CanReconnectLocked() const {
-    return options_.reconnect && !lease_token_.empty();
-  }
+  // A store reconnects exactly when it holds a lease.
+  bool CanReconnectLocked() const { return !lease_token_.empty() && !closed_for_test_; }
   // Redials + HELLO + SESSION_OPEN(token) with backoff + jitter until
   // options_.reconnect_deadline. On success bumps conn_epoch_ (read handles reopen
   // lazily). Honors a server retry-after hint as the backoff floor.
@@ -155,6 +151,7 @@ class RemoteStore final : public Store, public std::enable_shared_from_this<Remo
   uint32_t max_frame_ = kMaxFramePayload;
   RemoteStoreOptions options_;
   const std::string lease_token_;
+  bool closed_for_test_ = false;
   // Bumped on every successful reconnect; RemoteByteSource handles stamped with an older
   // epoch are stale (server-side read state died with the old session) and reopen by path.
   uint64_t conn_epoch_ = 1;

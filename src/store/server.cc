@@ -10,7 +10,6 @@
 #include <chrono>
 #include <cstring>
 #include <optional>
-#include <set>
 #include <utility>
 
 #include "src/common/bytes.h"
@@ -44,8 +43,6 @@ struct ServerMetrics {
       obs::MetricsRegistry::Global().GetCounter("store.server.lease_expiries");
   obs::Counter& leases_resumed =
       obs::MetricsRegistry::Global().GetCounter("store.server.leases_resumed");
-  obs::Counter& journal_adopted =
-      obs::MetricsRegistry::Global().GetCounter("store.server.journal_adopted_leases");
   obs::Counter& resumed_write_bytes =
       obs::MetricsRegistry::Global().GetCounter("store.server.resumed_write_bytes");
   obs::Gauge& sessions = obs::MetricsRegistry::Global().GetGauge("store.server.sessions");
@@ -59,11 +56,11 @@ struct ServerMetrics {
   }
 };
 
-// Wall clock, not steady: lease expiries are journaled and must stay meaningful across a
-// daemon restart.
-int64_t NowWallMs() {
+// Lease expiries live only in this process, so they run on the steady clock: a wall-clock
+// step can neither expire nor extend a lease.
+int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
+             std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
 
@@ -221,15 +218,12 @@ Result<std::unique_ptr<StoreServer>> StoreServer::Start(StoreServerOptions optio
   if (options.root.empty()) {
     return InvalidArgumentError("store server needs a root directory");
   }
+  if (options.max_lease_ttl_ms == 0) {
+    return InvalidArgumentError("store server needs a max lease TTL above 0 ms");
+  }
   UCP_RETURN_IF_ERROR(MakeDirs(options.root));
   UCP_ASSIGN_OR_RETURN(Endpoint ep, ParseEndpoint(options.listen));
   std::unique_ptr<StoreServer> server(new StoreServer(std::move(options)));
-  // Re-adopt what a previous daemon left behind *before* serving anyone. Adoption after
-  // restart is an anomaly worth a dossier: the previous daemon died with saves in flight,
-  // and this record ties the adopted state to this process.
-  if (server->RecoverJournal()) {
-    server->DumpAnomaly("journal-adopt", "adopted live leases from a prior daemon");
-  }
   UCP_ASSIGN_OR_RETURN(server->listen_fd_, ListenEndpoint(ep));
   if (!ep.is_unix && ep.port == 0) {
     UCP_ASSIGN_OR_RETURN(ep.port, BoundSocketPort(server->listen_fd_));
@@ -302,6 +296,11 @@ void StoreServer::Shutdown(bool drain) {
   if (listen_fd >= 0) {
     ::shutdown(listen_fd, SHUT_RDWR);
     ::close(listen_fd);
+    // Nothing listens on the socket file any more. A daemon restarted on the same path
+    // binds it afresh, since its Start runs after this Shutdown.
+    if (Result<Endpoint> ep = ParseEndpoint(endpoint_); ep.ok() && ep->is_unix) {
+      ::unlink(ep->path.c_str());
+    }
   }
   const int http_fd = http_fd_.exchange(-1);
   if (http_fd >= 0) {
@@ -452,7 +451,7 @@ void StoreServer::ServeConnection(int fd, std::shared_ptr<Session> session) {
     // Receiving any frame is proof of life: refresh the lease — unless draining, when
     // TTLs deliberately stop being extended so the table winds down.
     if (session->lease->named() && !draining_.load()) {
-      session->lease->expires_at_ms.store(NowWallMs() + session->lease->ttl_ms.load());
+      session->lease->expires_at_ms.store(NowMs() + session->lease->ttl_ms.load());
     }
     if (!HandleFrame(fd, *frame, *session)) {
       break;
@@ -468,7 +467,7 @@ void StoreServer::ServeConnection(int fd, std::shared_ptr<Session> session) {
     // ours to unbind or release — the steal already transferred ownership.
     if (lease != nullptr &&
         (!lease->named() || lease->bound_session == session->id)) {
-      if (!lease->named() || NowWallMs() >= lease->expires_at_ms.load()) {
+      if (!lease->named() || NowMs() >= lease->expires_at_ms.load()) {
         // Implicit lease (no SESSION_OPEN) or a named lease that already outlived its
         // TTL while the socket lingered: its budget frees now. Staged/spooled files
         // stay — inert debris the next save's ResetTagStaging or a sweep clears.
@@ -477,7 +476,6 @@ void StoreServer::ServeConnection(int fd, std::shared_ptr<Session> session) {
         // Named and live: the client may come back. The TTL clock started at its last
         // frame; the reaper collects it if no one re-adopts.
         lease->bound_session = 0;
-        WriteJournalLocked();
       }
     }
     sessions_.erase(session->id);
@@ -540,9 +538,6 @@ void StoreServer::ReleaseLeaseLocked(Lease& lease) {
   }
   leases_.erase(lease.id);
   ServerMetrics::Get().leases.Set(static_cast<int64_t>(leases_.size()));
-  if (lease.named()) {
-    WriteJournalLocked();
-  }
 }
 
 void StoreServer::ReleaseStagedTag(Lease& lease, const std::string& tag) {
@@ -557,15 +552,12 @@ void StoreServer::ReleaseStagedTag(Lease& lease, const std::string& tag) {
       ServerMetrics::Get().staged.Set(static_cast<int64_t>(staged_bytes_.load()));
     }
   }
-  if (lease.named()) {
-    WriteJournalLocked();
-  }
 }
 
 void StoreServer::ReaperLoop() {
   while (!stopping_.load()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    const int64_t now = NowWallMs();
+    const int64_t now = NowMs();
     std::vector<std::shared_ptr<Lease>> expired;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -599,124 +591,6 @@ void StoreServer::ReaperLoop() {
                   std::to_string(expired.size()) + " session lease(s) expired");
     }
   }
-}
-
-// ---- Lease journal ------------------------------------------------------------------------
-//
-// One small JSON file under the root, rewritten atomically whenever the named-lease table
-// changes shape (never per chunk). It records just enough for a restarted daemon to honor
-// the contract: which tokens are still inside their TTL and which tags they were staging.
-// Staged-byte charges are *recomputed* from the surviving spool/staging bytes on recovery
-// — the old process's accounting died with it, the disk is the authority.
-
-std::string StoreServer::JournalPath() const {
-  return PathJoin(options_.root, ".ucp_serverd.journal");
-}
-
-void StoreServer::WriteJournalLocked() {
-  if (!options_.journal) {
-    return;
-  }
-  JsonArray leases;
-  for (const auto& [id, lease] : leases_) {
-    if (!lease->named()) {
-      continue;
-    }
-    JsonObject entry;
-    entry["token"] = lease->token;
-    entry["ttl_ms"] = static_cast<int64_t>(lease->ttl_ms.load());
-    entry["expires_at_ms"] = lease->expires_at_ms.load();
-    JsonArray tags;
-    for (const auto& [tag, bytes] : lease->staged_by_tag) {
-      tags.push_back(Json(tag));
-    }
-    entry["tags"] = std::move(tags);
-    leases.push_back(Json(std::move(entry)));
-  }
-  JsonObject root;
-  root["version"] = 1;
-  root["leases"] = std::move(leases);
-  const Status written = WriteFileAtomic(JournalPath(), Json(std::move(root)).Dump());
-  if (!written.ok()) {
-    UCP_LOG(Warning) << "lease journal write failed: " << written.ToString();
-  } else {
-    journal_seq_.fetch_add(1);
-  }
-}
-
-bool StoreServer::RecoverJournal() {
-  if (!options_.journal || !FileExists(JournalPath())) {
-    return false;
-  }
-  Result<std::string> text = ReadFileToString(JournalPath());
-  if (!text.ok()) {
-    UCP_LOG(Warning) << "lease journal unreadable, starting clean: "
-                     << text.status().ToString();
-    return false;
-  }
-  Result<Json> parsed = Json::Parse(*text);
-  if (!parsed.ok() || !parsed->is_object()) {
-    UCP_LOG(Warning) << "lease journal corrupt, starting clean";
-    return false;
-  }
-  Result<const JsonArray*> entries = parsed->GetArray("leases");
-  if (!entries.ok()) {
-    return false;
-  }
-  const int64_t now = NowWallMs();
-  std::set<std::string> live_tags;
-  std::vector<std::string> expired_tags;
-  bool adopted = false;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const Json& entry : **entries) {
-    if (!entry.is_object()) {
-      continue;
-    }
-    Result<std::string> token = entry.GetString("token");
-    Result<int64_t> ttl = entry.GetInt("ttl_ms");
-    Result<int64_t> expires = entry.GetInt("expires_at_ms");
-    Result<const JsonArray*> tags = entry.GetArray("tags");
-    if (!token.ok() || token->empty() || !ttl.ok() || !expires.ok() || !tags.ok()) {
-      continue;
-    }
-    std::vector<std::string> tag_names;
-    for (const Json& t : **tags) {
-      if (t.is_string() && IsSafeStoreName(t.AsString())) {
-        tag_names.push_back(t.AsString());
-      }
-    }
-    if (*expires <= now) {
-      expired_tags.insert(expired_tags.end(), tag_names.begin(), tag_names.end());
-      continue;
-    }
-    auto lease = std::make_shared<Lease>();
-    lease->id = next_lease_id_++;
-    lease->token = *token;
-    lease->ttl_ms.store(static_cast<uint32_t>(std::max<int64_t>(*ttl, 0)));
-    lease->expires_at_ms.store(*expires);
-    for (const std::string& tag : tag_names) {
-      const uint64_t bytes = DirBytes(WipDirForTag(options_.root, tag)) +
-                             DirBytes(StagingDirForTag(options_.root, tag));
-      lease->staged_by_tag[tag] = bytes;
-      lease->staged_total += bytes;
-      live_tags.insert(tag);
-    }
-    staged_bytes_.fetch_add(lease->staged_total);
-    leases_[lease->id] = lease;
-    ServerMetrics::Get().journal_adopted.Add(1);
-    adopted = true;
-  }
-  // Expired leases are swept: their spools can never be resumed into (the token is gone),
-  // so reclaim them now — unless a live lease is still staging the same tag.
-  for (const std::string& tag : expired_tags) {
-    if (live_tags.count(tag) == 0) {
-      RemoveAll(WipDirForTag(options_.root, tag)).ok();
-    }
-  }
-  ServerMetrics::Get().staged.Set(static_cast<int64_t>(staged_bytes_.load()));
-  ServerMetrics::Get().leases.Set(static_cast<int64_t>(leases_.size()));
-  WriteJournalLocked();
-  return adopted;
 }
 
 Status StoreServer::HandleWriteBegin(const WireFrame& frame, Session& session) {
@@ -755,9 +629,10 @@ Status StoreServer::HandleWriteBegin(const WireFrame& frame, Session& session) {
   UCP_RETURN_IF_ERROR(MakeDirs(StagingDirForTag(store_.root(), tag)));
   const std::string spool = PathJoin(WipDirForTag(store_.root(), tag), rel);
   UCP_RETURN_IF_ERROR(MakeDirs(ParentDir(spool)));
-  // Open (and, on resume, validate) the spool before admission: the resumed prefix was
-  // charged by this lease's previous incarnation and is still on disk, so only the bytes
-  // that will newly arrive are charged below.
+  // Open (and, on resume, validate) the spool before admission: the resumed prefix is
+  // already on disk, so only the bytes that will newly arrive are charged below. Within
+  // one daemon the prefix is still charged to this lease; after a restart it is charged to
+  // no one until the save resolves.
   const int spool_fd = ::open(spool.c_str(), O_RDWR | O_CREAT, 0644);
   if (spool_fd < 0) {
     return IoError("cannot open spool " + spool + ": " + std::strerror(errno));
@@ -802,7 +677,7 @@ Status StoreServer::HandleWriteBegin(const WireFrame& frame, Session& session) {
   // Admission control. The oldest lease holding staged bytes is always admitted: its
   // save is the one whose completion releases budget, so stalling it would livelock.
   // Lease ids are creation-ordered and survive reconnects, so a resumed session keeps
-  // its seniority.
+  // its seniority (a restarted daemon starts the order afresh).
   Status rejected = OkStatus();
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -824,14 +699,10 @@ Status StoreServer::HandleWriteBegin(const WireFrame& frame, Session& session) {
       }
     }
     if (rejected.ok()) {
-      const bool new_tag = session.lease->staged_by_tag.count(tag) == 0;
       session.lease->staged_by_tag[tag] += charge;
       session.lease->staged_total += charge;
       staged_bytes_.fetch_add(charge);
       ServerMetrics::Get().staged.Set(static_cast<int64_t>(staged_bytes_.load()));
-      if (new_tag && session.lease->named()) {
-        WriteJournalLocked();  // the lease is now staging a tag a restart must know about
-      }
     }
   }
   if (!rejected.ok()) {
@@ -951,9 +822,6 @@ Result<StoreServer::Reply> StoreServer::HandleSessionOpen(const WireFrame& frame
   if (token.empty() || token.size() > 128) {
     return InvalidArgumentError("SESSION_OPEN lease token must be 1..128 bytes");
   }
-  if (options_.max_lease_ttl_ms == 0) {
-    return FailedPreconditionError("session leases are disabled on this server");
-  }
   if (draining_.load()) {
     // Typed refusal with a retry hint (attached by HandleFrame): a lease granted during
     // drain would only be killed mid-save.
@@ -995,12 +863,11 @@ Result<StoreServer::Reply> StoreServer::HandleSessionOpen(const WireFrame& frame
     leases_[named->id] = named;
   }
   named->ttl_ms.store(ttl);
-  named->expires_at_ms.store(NowWallMs() + ttl);
+  named->expires_at_ms.store(NowMs() + ttl);
   named->bound_session = session.id;
   leases_.erase(current->id);  // the implicit lease is subsumed (it held nothing)
   session.lease = named;
   ServerMetrics::Get().leases.Set(static_cast<int64_t>(leases_.size()));
-  WriteJournalLocked();
   ByteWriter w;
   w.PutU8(resumed);
   w.PutU32(ttl);
@@ -1279,9 +1146,6 @@ Result<StoreServer::Reply> StoreServer::Dispatch(const WireFrame& frame, Session
 }
 
 void StoreServer::DumpAnomaly(const std::string& label, const std::string& detail) {
-  if (!options_.anomaly_flightrec) {
-    return;
-  }
   {
     // Cap dossiers per label: the first few occurrences carry the forensic value, the
     // rest would only grind the disk while the anomaly repeats.
@@ -1339,8 +1203,8 @@ void StoreServer::HttpLoop() {
       const std::string query =
           qmark == std::string::npos ? std::string() : target.substr(qmark + 1);
       if (path == "/healthz") {
-        // Machine-readable liveness: drain state, live leases, staged bytes, journal
-        // churn — what an operator (or orchestrator) needs before routing saves here.
+        // Machine-readable liveness: drain state, live leases, staged bytes — what an
+        // operator (or orchestrator) needs before routing saves here.
         JsonObject h;
         h["status"] = "ok";
         h["draining"] = draining_.load();
@@ -1354,7 +1218,6 @@ void StoreServer::HttpLoop() {
           h["leases"] = named;
         }
         h["staged_bytes"] = static_cast<int64_t>(staged_bytes_.load());
-        h["journal_seq"] = static_cast<int64_t>(journal_seq_.load());
         h["wire_version"] = static_cast<int64_t>(kWireVersion);
         body = Json(std::move(h)).Dump() + "\n";
         content_type = "application/json";

@@ -24,10 +24,10 @@
 // the socket — lease *expiry*, not connection death, is what reaps them.
 // A reconnecting client re-presents its token, re-adopts the lease (same admission
 // seniority), asks WRITE_RESUME how far each upload got, and continues from the
-// acknowledged offset. The lease table is journaled to `<root>/.ucp_serverd.journal` so a
-// restarted daemon re-adopts live-leased half-staged tags and sweeps expired ones.
-// Sessions without a lease (the client never sent SESSION_OPEN, or leases are disabled)
-// release everything the moment the connection dies.
+// acknowledged offset. The lease table lives in memory only: a restarted daemon starts
+// with an empty one, the reconnecting client gets a fresh lease for its token, and
+// WRITE_RESUME answers from the spool and staging sizes on disk. Sessions without a lease
+// (the client never sent SESSION_OPEN) release everything the moment the connection dies.
 
 #ifndef UCP_SRC_STORE_SERVER_H_
 #define UCP_SRC_STORE_SERVER_H_
@@ -52,25 +52,15 @@ struct StoreServerOptions {
   std::string http_listen;                    // optional "tcp:host:port" for /metrics
   int max_sessions = 64;
   uint64_t max_staged_bytes = 256ull << 20;   // admission budget for in-flight staging
-  bool drain_on_shutdown = true;              // wait for idle sessions before closing them
   // Upper bound on the TTL a SESSION_OPEN may request (requests above it are clamped,
-  // not refused). 0 disables leases entirely: SESSION_OPEN gets kFailedPrecondition and
-  // every session falls back to release-on-disconnect.
+  // not refused). Must be > 0.
   uint32_t max_lease_ttl_ms = 60000;
-  // Persist the lease table to `<root>/.ucp_serverd.journal` so a restarted daemon
-  // re-adopts live-leased half-staged uploads instead of stranding them.
-  bool journal = true;
-  // Dump a flight record (<root>/flightrec/) when the server observes an anomaly — lease
-  // expiry, commit failure, admission rejection, journal adoption after restart — so
-  // post-chaos forensics never depend on reproducing the schedule. Capped per label so a
-  // flapping client can't fill the disk with dossiers.
-  bool anomaly_flightrec = true;
 };
 
 class StoreServer {
  public:
-  // Binds, recovers the lease journal (if any), spawns the accept / lease-reaper (and
-  // optional HTTP) threads, returns a running server.
+  // Binds, spawns the accept / lease-reaper (and optional HTTP) threads, returns a running
+  // server.
   static Result<std::unique_ptr<StoreServer>> Start(StoreServerOptions options);
 
   ~StoreServer();
@@ -88,11 +78,11 @@ class StoreServer {
   void BeginDrain();
   bool draining() const { return draining_.load(); }
 
-  // Stops accepting, then closes sessions: with drain, idle sessions are closed
-  // immediately and busy ones get to finish their current exchange; without, every
-  // connection is torn down at once (the "daemon killed" arm of the fault tests).
-  void Shutdown(bool drain);
-  void Shutdown() { Shutdown(options_.drain_on_shutdown); }
+  // Stops accepting (a unix endpoint's socket file is unlinked), then closes sessions:
+  // with drain, after waiting up to 5 s for clients to hang up, so busy sessions finish
+  // their current exchange; without, every connection is torn down at once (the "daemon
+  // killed" arm of the fault tests).
+  void Shutdown(bool drain = true);
 
   int active_sessions() const;
   int active_leases() const;
@@ -138,21 +128,13 @@ class StoreServer {
   // Caller holds mu_.
   void ReleaseLeaseLocked(Lease& lease);
   // After a reset, commit or abort of `tag`: releases the budget `lease` holds for that tag
-  // (other tags' saves on the lease keep theirs) and journals a named lease. Takes mu_.
+  // (other tags' saves on the lease keep theirs). Takes mu_.
   void ReleaseStagedTag(Lease& lease, const std::string& tag);
-  // Rewrites the lease journal from the current table. Caller holds mu_; no-op when
-  // journaling is off.
-  void WriteJournalLocked();
-  // Reads the journal left by a previous daemon: live leases are re-adopted (staged
-  // budget recomputed from on-disk spool + staging bytes), expired ones have their spool
-  // dirs swept. Returns true when any lease was adopted.
-  bool RecoverJournal();
-  std::string JournalPath() const;
   // Joins connection threads that finished serving (they park their own handle on
   // dead_threads_ on the way out). Called from the accept loop and Shutdown.
   void ReapDeadThreads();
   // Anomaly hook: writes a flight-recorder dossier under <root>/flightrec/ labeled
-  // "serverd-<label>" (best effort, capped per label, gated by anomaly_flightrec).
+  // "serverd-<label>" (best effort, capped per label).
   // Must be called without mu_ held — it does file I/O.
   void DumpAnomaly(const std::string& label, const std::string& detail);
 
@@ -185,9 +167,6 @@ class StoreServer {
   std::map<uint64_t, std::thread> session_threads_;
   std::vector<std::thread> dead_threads_;
   std::atomic<uint64_t> staged_bytes_{0};
-  // Journal rewrites since startup — /healthz surfaces it so operators can see lease-table
-  // churn (and that recovery/journaling is live at all).
-  std::atomic<uint64_t> journal_seq_{0};
   // Flight-record dumps already written per anomaly label (its own mutex: DumpAnomaly
   // runs on failure paths that may or may not hold mu_).
   std::mutex anomaly_mu_;

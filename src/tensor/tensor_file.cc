@@ -268,17 +268,16 @@ Status CheckFileCrc(const std::string& contents, const std::string& path) {
   return OkStatus();
 }
 
-// Checks the prologue, the trailing file CRC and the header-size field of a whole file held
-// in memory; returns the header size (== the first payload's offset).
-Result<uint64_t> CheckWholeFile(const std::string& contents, const std::string& path) {
-  if (contents.size() < 24) {  // prologue + header size + trailing CRC at minimum
+// Checks the prologue and the header-size field in the first 20 bytes of a `file_size`-byte
+// file; returns the header size (== the first payload's offset).
+Result<uint64_t> CheckHeaderSize(const uint8_t* head, uint64_t file_size,
+                                 const std::string& path) {
+  if (file_size < 24) {  // prologue + header size + trailing CRC at minimum
     return DataLossError("bundle file truncated: " + path);
   }
-  const uint8_t* data = reinterpret_cast<const uint8_t*>(contents.data());
-  UCP_RETURN_IF_ERROR(CheckPrologue(data, path));
-  UCP_RETURN_IF_ERROR(CheckFileCrc(contents, path));
-  const uint64_t header_bytes = LoadU64(data + 12);
-  if (header_bytes < 24 || header_bytes > contents.size() - 4) {
+  UCP_RETURN_IF_ERROR(CheckPrologue(head, path));
+  const uint64_t header_bytes = LoadU64(head + 12);
+  if (header_bytes < 24 || header_bytes > file_size - 4) {
     return DataLossError("bundle header size out of range in " + path);
   }
   return header_bytes;
@@ -346,11 +345,13 @@ Result<V3BundleHeader> ParseV3BundlePrefix(const uint8_t* prefix, uint64_t size,
   return out;
 }
 
-// A whole file held in memory, parsed and fully verified: prologue, file CRC, header and
-// every payload chunk.
+// A whole file held in memory, parsed and fully verified: prologue, header, every payload
+// chunk, then the file CRC. The chunks go first so that damaged payload bytes are reported
+// by member and chunk; the file CRC, checked last, catches what no other CRC covers: the
+// trailer itself.
 Result<V3BundleHeader> VerifyBundleFile(const std::string& contents, const std::string& path) {
-  UCP_ASSIGN_OR_RETURN(uint64_t header_bytes, CheckWholeFile(contents, path));
   const uint8_t* data = reinterpret_cast<const uint8_t*>(contents.data());
+  UCP_ASSIGN_OR_RETURN(uint64_t header_bytes, CheckHeaderSize(data, contents.size(), path));
   UCP_ASSIGN_OR_RETURN(V3BundleHeader h,
                        ParseV3BundlePrefix(data, header_bytes, contents.size(), path));
   for (size_t i = 0; i < h.entries.size(); ++i) {
@@ -359,6 +360,7 @@ Result<V3BundleHeader> VerifyBundleFile(const std::string& contents, const std::
                                      info.chunk_bytes, h.members[i].chunk_crcs,
                                      path + ":" + h.entries[i].first));
   }
+  UCP_RETURN_IF_ERROR(CheckFileCrc(contents, path));
   return h;
 }
 
@@ -380,11 +382,7 @@ Result<std::vector<uint8_t>> ReadV3Prefix(ByteSource& f) {
   }
   uint8_t head[20];
   UCP_RETURN_IF_ERROR(f.ReadAt(0, head, sizeof(head)));
-  UCP_RETURN_IF_ERROR(CheckPrologue(head, f.name()));
-  uint64_t header_bytes = LoadU64(head + 12);
-  if (header_bytes < 24 || header_bytes > f.size() - 4) {
-    return DataLossError("bundle header size out of range in " + f.name());
-  }
+  UCP_ASSIGN_OR_RETURN(uint64_t header_bytes, CheckHeaderSize(head, f.size(), f.name()));
   std::vector<uint8_t> prefix(static_cast<size_t>(header_bytes));
   UCP_RETURN_IF_ERROR(f.ReadAt(0, prefix.data(), prefix.size()));
   CountRead(prefix.size());

@@ -9,7 +9,7 @@
 // A bundle carries an endianness tag, a format-version field, CRC32 integrity checks that
 // localize damage to one payload chunk of a named member, and a trailing CRC32 over the
 // entire file. Truncation and corruption are detected at load time (kDataLoss); `ucp_tool
-// fsck` names the damaged file.
+// fsck` names the damaged file, and for payload damage the member and chunk.
 //
 // Format: v3 only. The header forms a fixed-size prefix (its size is recorded at a fixed
 // offset and the prefix carries its own CRC), payloads are raw contiguous bytes protected by
@@ -91,7 +91,7 @@ struct TensorBundle {
 // serialization is shared between both backends.
 Status SaveBundle(const std::string& path, const TensorBundle& bundle);
 Result<std::vector<uint8_t>> SerializeBundle(const TensorBundle& bundle);
-// Whole-file read, verified end to end (file CRC and every chunk CRC).
+// Whole-file read, verified end to end (every chunk CRC, then the file CRC).
 Result<TensorBundle> LoadBundle(const std::string& path);
 
 // Bundle metadata + member names/shapes without payloads, from the header prefix alone
@@ -102,8 +102,8 @@ struct BundleInfo {
 };
 Result<BundleInfo> StatBundle(std::unique_ptr<ByteSource> source);
 
-// Full-integrity pass without materializing tensors: whole-file CRC plus every per-member /
-// per-chunk CRC. What `ucp_tool fsck` runs in its default (deep) mode, through any source
+// Full-integrity pass without materializing tensors: every per-member / per-chunk CRC, then
+// the whole-file CRC, so payload damage is reported by member and chunk. What `ucp_tool fsck` runs in its default (deep) mode, through any source
 // (a local file, or a file opened through a Store).
 Status DeepVerifyBundleFile(std::unique_ptr<ByteSource> source);
 

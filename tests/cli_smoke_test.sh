@@ -1,8 +1,10 @@
 #!/bin/sh
-# End-to-end smoke test of the two shipped binaries. Starts ucp_serverd on a Unix socket
-# under a fresh temporary root, checks that `ucp_tool ping` reports wire v4 and that
-# `ucp_tool tags` lists 0 tags, stops the daemon with SIGTERM (it must exit 0), and checks
-# that a ping after the stop fails.
+# End-to-end smoke test of the two shipped binaries. Checks that ucp_serverd refuses a
+# removed flag and a zero lease TTL with its usage text and exit code 2. Then starts
+# ucp_serverd on a Unix socket under a fresh temporary root, checks that `ucp_tool ping`
+# reports wire v4 and that `ucp_tool tags` lists 0 tags, stops the daemon with SIGTERM (it
+# must exit 0), checks that it removed its socket file and wrote no lease journal, and
+# checks that a ping after the stop fails.
 #
 #   sh tests/cli_smoke_test.sh <path/to/ucp_serverd> <path/to/ucp_tool>
 
@@ -27,6 +29,15 @@ fail() {
   exit 1
 }
 
+# Arguments the daemon no longer accepts: usage text on stderr, exit code 2.
+for bad in "--no-journal" "--lease-ttl-ms 0"; do
+  # shellcheck disable=SC2086 # $bad is a flag and its value
+  "$serverd" --root "$root" $bad >"$root/bad.out" 2>&1
+  code=$?
+  [ "$code" -eq 2 ] || fail "ucp_serverd $bad exited $code, not 2: $(cat "$root/bad.out")"
+  grep -q "^usage:" "$root/bad.out" || fail "ucp_serverd $bad printed no usage: $(cat "$root/bad.out")"
+done
+
 "$serverd" --root "$root" --listen "$endpoint" >"$root/serverd.log" 2>&1 &
 pid=$!
 
@@ -49,6 +60,8 @@ wait "$pid"
 code=$?
 pid=
 [ "$code" -eq 0 ] || fail "ucp_serverd exited $code after SIGTERM: $(cat "$root/serverd.log")"
+[ ! -e "$root/d.sock" ] || fail "ucp_serverd left its socket file $root/d.sock behind"
+[ ! -e "$root/.ucp_serverd.journal" ] || fail "ucp_serverd wrote a lease journal"
 
 if "$tool" ping --store "$endpoint" >"$root/ping_after.out" 2>&1; then
   fail "ping succeeded after the daemon stopped: $(cat "$root/ping_after.out")"

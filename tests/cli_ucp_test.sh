@@ -6,7 +6,8 @@
 #  - `validate` and `fsck` exit 0;
 #  - `convert` over the committed UCP directory fails with ALREADY_EXISTS;
 #  - after one payload byte of one atom file is changed, `validate` and `fsck` name that
-#    file and exit non-zero, and `fsck --quarantine` renames the directory aside.
+#    file and exit non-zero, and `fsck --quarantine` renames the directory aside and leaves
+#    its flight-record dossier in the renamed directory.
 # The tree is removed on exit.
 #
 #   sh tests/cli_ucp_test.sh <path/to/quickstart> <path/to/ucp_tool>
@@ -79,4 +80,6 @@ grep -q "atoms/$victim: DATA_LOSS" "$out/fsck_bad.out" ||
   fail "fsck --quarantine exited 0 on a damaged dir"
 [ -d "$ucp.quarantined" ] || fail "fsck --quarantine left no $ucp.quarantined"
 [ -f "$ucp.quarantined/atoms/$victim" ] || fail "the quarantined dir lacks atoms/$victim"
+ls "$ucp.quarantined/flightrec" 2>/dev/null | grep -q "fsck\.trace\.json\$" ||
+  fail "no fsck dossier under $ucp.quarantined/flightrec: $(cat "$out/quarantine.out")"
 echo "ucp_tool UCP commands test passed"

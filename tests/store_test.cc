@@ -902,6 +902,33 @@ TEST_F(StoreServerTest, FinishedConnectionThreadsAreReaped) {
   EXPECT_LE(tracked, 1u);
 }
 
+// Shutdown removes a unix endpoint's socket file whether it drains or not, and a daemon
+// started again on the same path binds it afresh.
+TEST_F(StoreServerTest, ShutdownUnlinksTheUnixSocketFile) {
+  const std::string sock = dir_ + ".sock";
+  for (const bool drain : {true, false}) {
+    SCOPED_TRACE(drain ? "Shutdown(true)" : "Shutdown(false)");
+    ASSERT_EQ(::access(sock.c_str(), F_OK), 0) << sock;
+    ASSERT_TRUE(Connect()->Ping().ok());
+    server_->Shutdown(drain);
+    EXPECT_NE(::access(sock.c_str(), F_OK), 0) << sock << " outlived Shutdown";
+    StoreServerOptions options;
+    options.root = dir_;
+    options.listen = "unix:" + sock;
+    StartServer(std::move(options));
+  }
+}
+
+// Leases cannot be switched off: a daemon whose TTL cap is 0 does not start.
+TEST_F(StoreServerTest, ZeroLeaseTtlCapIsRefusedAtStart) {
+  StoreServerOptions options;
+  options.root = dir_;
+  options.listen = "unix:" + dir_ + ".ttl0.sock";
+  options.max_lease_ttl_ms = 0;
+  EXPECT_EQ(StoreServer::Start(std::move(options)).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 // Property 6a: a client that vanishes mid-save leaves no visible tag, the server releases
 // its admission budget, and the next client saves normally. The doomed client runs
 // lease-less (ttl 0): these are the release-on-disconnect semantics every client without
@@ -936,14 +963,15 @@ TEST_F(StoreServerTest, ClientCrashMidSaveLeavesNoVisibleTag) {
 
 // Errno-mapping regressions: every connection-level errno the injector can raise must
 // surface as a typed kUnavailable (the code the engine treats as skip-and-retry and the
-// reconnect machinery treats as redialable) — never an untyped kIoError. Reconnect is off
-// so the raw transport error reaches the caller instead of being healed.
+// reconnect machinery treats as redialable) — never an untyped kIoError. The client holds
+// no lease, so it does not reconnect and the raw transport error reaches the caller
+// instead of being healed.
 class SocketErrnoTest : public StoreServerTest,
                         public ::testing::WithParamInterface<SocketFault::Kind> {};
 
 TEST_P(SocketErrnoTest, SendSideErrnoIsTypedUnavailable) {
   RemoteStoreOptions options;
-  options.reconnect = false;
+  options.lease_ttl_ms = 0;
   std::shared_ptr<RemoteStore> store = Connect(options);
   ArmSocketFault({SocketFault::Op::kSend, GetParam(), 0});
   EXPECT_EQ(store->Ping().code(), StatusCode::kUnavailable);
@@ -952,7 +980,7 @@ TEST_P(SocketErrnoTest, SendSideErrnoIsTypedUnavailable) {
 
 TEST_P(SocketErrnoTest, RecvSideErrnoIsTypedUnavailable) {
   RemoteStoreOptions options;
-  options.reconnect = false;
+  options.lease_ttl_ms = 0;
   std::shared_ptr<RemoteStore> store = Connect(options);
   ArmSocketFault({SocketFault::Op::kRecv, GetParam(), 0});
   EXPECT_EQ(store->Ping().code(), StatusCode::kUnavailable);
@@ -1242,7 +1270,7 @@ TEST_F(StoreServerTest, MetricsDumpServesTextAndPrometheusWithRpcHistograms) {
 }
 
 // The HTTP listener: /healthz is structured JSON (drain state, lease/session counts,
-// staged bytes, journal seq, wire version), /metrics speaks both plaintext and
+// staged bytes, wire version), /metrics speaks both plaintext and
 // Prometheus exposition via ?format=.
 TEST_F(StoreServerTest, HttpServesHealthzJsonAndPrometheusExposition) {
   server_->Shutdown();
@@ -1271,7 +1299,6 @@ TEST_F(StoreServerTest, HttpServesHealthzJsonAndPrometheusExposition) {
   EXPECT_TRUE(health->GetInt("sessions").ok());
   EXPECT_TRUE(health->GetInt("leases").ok());
   EXPECT_TRUE(health->GetInt("staged_bytes").ok());
-  EXPECT_TRUE(health->GetInt("journal_seq").ok());
   EXPECT_EQ(*health->GetInt("wire_version"), static_cast<int64_t>(kWireVersion));
 
   const std::string prom =

@@ -306,11 +306,32 @@ TEST_F(TensorFileTest, CorruptionDetected) {
   const uint64_t b_begin = file.PayloadBegin(1);
   file.contents()[b_begin + 5] ^= 0x40;  // flip a payload bit of member "b"
   file.Write();
-  EXPECT_EQ(file.Load().code(), StatusCode::kDataLoss);
+  // The whole-file readers check the chunk CRCs before the file CRC, so they name the
+  // damaged member and chunk, not just the file.
+  for (const Status& whole : {file.Load(), file.DeepVerify()}) {
+    EXPECT_EQ(whole.code(), StatusCode::kDataLoss);
+    EXPECT_NE(whole.message().find("per-tensor CRC mismatch in"), std::string::npos) << whole;
+    EXPECT_NE(whole.message().find("b.ucb:b (chunk 0 of 1)"), std::string::npos) << whole;
+  }
   EXPECT_EQ(file.ViewRead("b").code(), StatusCode::kDataLoss);
-  EXPECT_EQ(file.DeepVerify().code(), StatusCode::kDataLoss);
   // The chunk CRCs localize the damage: the untouched member still reads.
   EXPECT_TRUE(file.ViewRead("a").ok());
+}
+
+// Bytes no chunk CRC covers still fail the whole-file readers: the header has its own CRC,
+// and the trailing file CRC is checked last.
+TEST_F(TensorFileTest, HeaderAndTrailerDamageDetected) {
+  for (const bool trailer : {false, true}) {
+    DamagedBundle file(dir_);
+    const size_t at = trailer ? file.contents().size() - 1 : file.PayloadBegin(0) - 6;
+    file.contents()[at] ^= 0x01;
+    file.Write();
+    const char* want = trailer ? "bundle CRC mismatch" : "bundle header CRC mismatch";
+    for (const Status& whole : {file.Load(), file.DeepVerify()}) {
+      EXPECT_EQ(whole.code(), StatusCode::kDataLoss) << (trailer ? "trailer" : "header");
+      EXPECT_NE(whole.message().find(want), std::string::npos) << whole;
+    }
+  }
 }
 
 TEST_F(TensorFileTest, TruncationDetected) {

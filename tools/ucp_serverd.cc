@@ -1,16 +1,19 @@
 // ucp_serverd — the checkpoint store daemon.
 //
 //   ucp_serverd --root DIR [--listen unix:/path|tcp:host:port] [--http tcp:host:port]
-//               [--max-staged-bytes N] [--max-sessions N]
+//               [--max-staged-bytes N] [--max-sessions N] [--lease-ttl-ms N]
 //
 // Serves the checkpoint store rooted at DIR to RemoteStore clients over the wire protocol
 // (docs/store.md). `--http` additionally exposes plaintext GET /metrics and /healthz.
-// SIGINT/SIGTERM shut the daemon down gracefully: the listener closes first, in-flight
-// exchanges finish (sessions drain), and uncommitted staging is left on disk exactly as a
-// crashed local save would leave it — fsck and the next save handle it.
+// SIGINT/SIGTERM shut the daemon down gracefully: the listener closes (a unix socket file
+// is removed), in-flight exchanges finish (sessions drain), and uncommitted staging is
+// left on disk exactly as a crashed local save would leave it — fsck and the next save
+// handle it. A restarted daemon starts with no leases; clients resume their uploads from
+// the spool on disk.
 
 #include <cerrno>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -28,8 +31,7 @@ int Usage() {
                "usage:\n"
                "  ucp_serverd --root DIR [--listen unix:/path|tcp:host:port]\n"
                "              [--http tcp:host:port] [--max-staged-bytes N]\n"
-               "              [--max-sessions N] [--lease-ttl-ms N] [--no-journal]\n"
-               "              [--no-drain] [--no-flightrec]\n");
+               "              [--max-sessions N] [--lease-ttl-ms N]\n");
   return 2;
 }
 
@@ -77,19 +79,10 @@ int Main(int argc, char** argv) {
       if (!ParseU64(value(), &v) || v == 0) return Usage();
       options.max_sessions = static_cast<int>(v);
     } else if (std::strcmp(arg, "--lease-ttl-ms") == 0) {
-      // Max TTL a SESSION_OPEN may bind (longer requests are clamped). 0 disables leases:
-      // every session releases its staged state the moment the connection dies.
+      // Max TTL a SESSION_OPEN may bind (longer requests are clamped); at least 1.
       uint64_t v = 0;
-      if (!ParseU64(value(), &v)) return Usage();
+      if (!ParseU64(value(), &v) || v == 0 || v > UINT32_MAX) return Usage();
       options.max_lease_ttl_ms = static_cast<uint32_t>(v);
-    } else if (std::strcmp(arg, "--no-journal") == 0) {
-      options.journal = false;
-    } else if (std::strcmp(arg, "--no-drain") == 0) {
-      options.drain_on_shutdown = false;
-    } else if (std::strcmp(arg, "--no-flightrec") == 0) {
-      // Anomalies (lease expiry, commit failure, admission rejection, journal adoption)
-      // normally leave a flight-record dump under <root>/flightrec/.
-      options.anomaly_flightrec = false;
     } else if (std::strcmp(arg, "help") == 0 || std::strcmp(arg, "--help") == 0) {
       Usage();
       return 0;

@@ -463,10 +463,15 @@ int CmdFsck(const Flags& flags) {
   if (code == 2) {
     // Unrecoverable damage: leave a flight-recorder dossier beside the wreckage so the
     // operator sees what this process observed (per-file verdicts live in the report; the
-    // dossier adds trace spans and io/retry counters).
+    // dossier adds trace spans and io/retry counters). A damaged UCP directory has just
+    // been renamed aside, so its dossier goes under the new name.
+    std::string dossier_dir = flags.positional[0];
+    if (!DirExists(dossier_dir) && report->quarantined.size() == 1) {
+      dossier_dir = report->quarantined[0];
+    }
     std::string trace_path;
     std::string dump_err;
-    if (obs::DumpFlightRecord(flags.positional[0], "fsck", &trace_path, &dump_err)) {
+    if (obs::DumpFlightRecord(dossier_dir, "fsck", &trace_path, &dump_err)) {
       std::fprintf(stderr, "flight record dumped to %s\n", trace_path.c_str());
     } else {
       std::fprintf(stderr, "flight record dump failed: %s\n", dump_err.c_str());
@@ -526,7 +531,6 @@ int CmdMetricsRemote(const Flags& flags) {
   }
   RemoteStoreOptions options;
   options.lease_ttl_ms = 0;
-  options.reconnect = false;
   Result<std::shared_ptr<RemoteStore>> store = RemoteStore::Connect(flags.store, options);
   if (!store.ok()) {
     return Fail(store.status());
@@ -743,7 +747,6 @@ int CmdPing(const Flags& flags) {
   }
   RemoteStoreOptions options;
   options.lease_ttl_ms = 0;
-  options.reconnect = false;
   const auto dial_start = std::chrono::steady_clock::now();
   Result<std::shared_ptr<RemoteStore>> store = RemoteStore::Connect(flags.store, options);
   if (!store.ok()) {
