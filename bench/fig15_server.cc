@@ -6,9 +6,12 @@
 // same op loop in its own namespace — a save op is the full staged-commit cycle
 // (ResetTagStaging / WriteFile / CommitTag), a load op reads one committed payload back
 // through OpenRead/ReadAt in wire-chunk-sized pieces. Per-op latencies aggregate to
-// p50/p99; throughput is payload bytes moved over the arm's wall time. The remote arms
-// all talk to one in-process daemon over a Unix socket, so the numbers measure the wire
-// protocol + session/admission machinery against the direct-FS baseline it wraps.
+// p50/p99; throughput is payload bytes moved over the arm's wall time. Every save and load
+// arm runs kRepeats times; the file records the median p50, p99 and throughput over the
+// repeats and p50's IQR / median, because one run's p99 can swing by an order of magnitude.
+// The remote arms all talk to one in-process daemon over a Unix socket, so the numbers
+// measure the wire protocol + session/admission machinery against the direct-FS baseline
+// it wraps. The chaos arm runs once.
 //
 // BENCH_server.json carries every arm plus the process metrics (store.server.*,
 // io.retry.*) that produced it.
@@ -39,6 +42,7 @@ namespace {
 constexpr size_t kPayloadBytes = 1u << 20;  // one wire chunk per shard file
 constexpr int kSaveOpsPerClient = 6;
 constexpr int kLoadOpsPerClient = 12;
+constexpr int kRepeats = 5;
 
 double Percentile(std::vector<double> sorted_ms, double q) {
   if (sorted_ms.empty()) {
@@ -329,7 +333,7 @@ Json ChaosArmJson(const ChaosResult& r) {
   return Json(std::move(arm));
 }
 
-// Guardrail: wire v4 trace propagation (client RPC spans, the TRACE_CONTEXT header, and
+// Guardrail: wire v5 trace propagation (client RPC spans, the TRACE_CONTEXT header, and
 // the daemon's per-request handling spans) must stay invisible on the remote save path.
 // Same deterministic method as fig11's check — a wall-clock A/B at this scale reads
 // socket and fsync jitter, not the tracer:
@@ -420,22 +424,38 @@ Json RunRemoteTracerOverheadCheck(const StoreServer* server) {
   return Json(std::move(doc));
 }
 
+// One arm's repeats: the median of each figure over the runs, and p50's IQR / median.
 Json ArmJson(const std::string& workload, const std::string& backend, int clients,
-             const ArmResult& r) {
-  std::printf("fig15/%s/%s/%d: %.3fs, %.1f MiB/s, p50 %.2f ms, p99 %.2f ms (%lld ops)\n",
-              workload.c_str(), backend.c_str(), clients, r.seconds, r.throughput_mib_s,
-              r.p50_ms, r.p99_ms, static_cast<long long>(r.ops));
+             const std::vector<ArmResult>& runs) {
+  std::vector<double> seconds, throughput, p50, p99;
+  for (const ArmResult& r : runs) {
+    seconds.push_back(r.seconds);
+    throughput.push_back(r.throughput_mib_s);
+    p50.push_back(r.p50_ms);
+    p99.push_back(r.p99_ms);
+  }
+  const bench::MedianSpread p50_summary = bench::Summarize(p50);
+  const double p99_median = bench::Summarize(p99).median;
+  const double throughput_median = bench::Summarize(throughput).median;
+  std::printf(
+      "fig15/%s/%s/%d: %.1f MiB/s, p50 %.2f ms (iqr/median %.2f), p99 %.2f ms "
+      "(medians of %zu runs of %lld ops)\n",
+      workload.c_str(), backend.c_str(), clients, throughput_median, p50_summary.median,
+      p50_summary.iqr_over_median, p99_median, runs.size(),
+      static_cast<long long>(runs.front().ops));
   JsonObject arm;
   arm["arm"] = workload + "/" + backend + "/" + std::to_string(clients);
   arm["workload"] = workload;
   arm["backend"] = backend;
   arm["clients"] = static_cast<int64_t>(clients);
   arm["payload_bytes"] = static_cast<int64_t>(kPayloadBytes);
-  arm["ops"] = r.ops;
-  arm["seconds"] = r.seconds;
-  arm["throughput_mib_s"] = r.throughput_mib_s;
-  arm["p50_ms"] = r.p50_ms;
-  arm["p99_ms"] = r.p99_ms;
+  arm["repeats"] = static_cast<int64_t>(runs.size());
+  arm["ops"] = runs.front().ops;
+  arm["seconds"] = bench::Summarize(seconds).median;
+  arm["throughput_mib_s"] = throughput_median;
+  arm["p50_ms"] = p50_summary.median;
+  arm["p50_iqr_over_median"] = p50_summary.iqr_over_median;
+  arm["p99_ms"] = p99_median;
   return Json(std::move(arm));
 }
 
@@ -463,12 +483,14 @@ int main(int argc, char** argv) {
       server = std::move(*started);
     }
     for (int clients : {1, 4, 16}) {
-      arms.emplace_back(ucp::ArmJson(
-          "save", backend, clients,
-          ucp::RunSaveArm(backend, dir, server.get(), clients)));
-      arms.emplace_back(ucp::ArmJson(
-          "load", backend, clients,
-          ucp::RunLoadArm(backend, dir, server.get(), clients)));
+      // Saves and loads alternate; each load reads the tags the save before it committed.
+      std::vector<ucp::ArmResult> saves, loads;
+      for (int rep = 0; rep < ucp::kRepeats; ++rep) {
+        saves.push_back(ucp::RunSaveArm(backend, dir, server.get(), clients));
+        loads.push_back(ucp::RunLoadArm(backend, dir, server.get(), clients));
+      }
+      arms.emplace_back(ucp::ArmJson("save", backend, clients, saves));
+      arms.emplace_back(ucp::ArmJson("load", backend, clients, loads));
     }
     if (server != nullptr) {
       ucp::Json chaos = ucp::ChaosArmJson(ucp::RunChaosSaveArm(server, options));

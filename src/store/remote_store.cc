@@ -155,18 +155,24 @@ Status SessionOpenOnFd(int fd, uint32_t max_frame, const std::string& token,
 // Keeps the connection alive (shared_ptr) past the owning Store's death, so views opened
 // through a store can outlive it — mirroring how a RandomAccessFile outlives the path
 // string it was opened from. Remembers its rel path so a post-reconnect read (the server-
-// side handle died with the old session) can transparently reopen.
+// side handle died with the old session) can transparently reopen. A read that falls inside
+// the header prefix OPEN_READ_OK carried is answered from memory.
 class RemoteByteSource final : public ByteSource {
  public:
   RemoteByteSource(std::shared_ptr<RemoteStore> store, uint64_t handle, uint64_t epoch,
-                   uint64_t size, std::string rel, std::string name)
+                   uint64_t size, std::string rel, std::string name,
+                   std::vector<uint8_t> header)
       : store_(std::move(store)), handle_(handle), epoch_(epoch), size_(size),
-        rel_(std::move(rel)), name_(std::move(name)) {}
+        rel_(std::move(rel)), name_(std::move(name)), header_(std::move(header)) {}
   ~RemoteByteSource() override { store_->CloseRead(*this); }
 
   uint64_t size() const override { return size_; }
   const std::string& name() const override { return name_; }
   Status ReadAt(uint64_t offset, void* out, size_t size) override {
+    if (offset <= header_.size() && size <= header_.size() - offset) {
+      std::memcpy(out, header_.data() + offset, size);
+      return OkStatus();
+    }
     return store_->ReadRange(*this, offset, out, size);
   }
 
@@ -178,6 +184,7 @@ class RemoteByteSource final : public ByteSource {
   uint64_t size_;
   std::string rel_;
   std::string name_;
+  const std::vector<uint8_t> header_;  // the file's first header_.size() bytes
 };
 
 // Streams one staged file per WriteFile call: BEGIN (admission-checked, retried on
@@ -247,7 +254,7 @@ void RemoteStore::CloseFdLocked() {
 
 Result<WireFrame> RemoteStore::ExchangeLocked(WireOp op,
                                               const std::vector<uint8_t>& payload,
-                                              WireOp ok_op) {
+                                              WireOp ok_op, const FrameDest* dest) {
   // The client RPC span. While it lives it is the thread context's innermost span, so the
   // TRACE_CONTEXT header below carries *its* id as parent — the server's handling span
   // becomes its child in the merged trace.
@@ -278,7 +285,7 @@ Result<WireFrame> RemoteStore::ExchangeLocked(WireOp op,
       CloseFdLocked();
       return sent;
     }
-    Result<WireFrame> got = RecvFrame(fd_, max_frame_);
+    Result<WireFrame> got = RecvFrame(fd_, max_frame_, dest);
     if (!got.ok()) {
       CloseFdLocked();
       return got.status();
@@ -536,8 +543,15 @@ Result<std::unique_ptr<ByteSource>> RemoteStore::OpenRead(const std::string& rel
   ByteReader r(reply.payload.data(), reply.payload.size());
   UCP_ASSIGN_OR_RETURN(uint64_t handle, r.GetU64());
   UCP_ASSIGN_OR_RETURN(uint64_t size, r.GetU64());
-  return std::unique_ptr<ByteSource>(new RemoteByteSource(
-      shared_from_this(), handle, conn_epoch_, size, rel, CacheKey(rel)));
+  if (r.remaining() > size) {
+    return DataLossError("OPEN_READ of " + rel + " from " + endpoint_ +
+                         " carried a header longer than the file");
+  }
+  std::vector<uint8_t> header(reply.payload.begin() + static_cast<long>(r.position()),
+                              reply.payload.end());
+  return std::unique_ptr<ByteSource>(new RemoteByteSource(shared_from_this(), handle,
+                                                          conn_epoch_, size, rel,
+                                                          CacheKey(rel), std::move(header)));
 }
 
 Status RemoteStore::ReadRange(RemoteByteSource& src, uint64_t offset, void* out,
@@ -575,8 +589,10 @@ Status RemoteStore::ReadRange(RemoteByteSource& src, uint64_t offset, void* out,
     req.PutU64(src.handle_);
     req.PutU64(offset);
     req.PutU32(static_cast<uint32_t>(n));
-    Result<WireFrame> reply = ExchangeLocked(WireOp::kReadRange, req.buffer(),
-                                             WireOp::kBytes);
+    // The reply's payload is received straight into the caller's buffer.
+    const FrameDest dest{WireOp::kBytes, p, n};
+    Result<WireFrame> reply =
+        ExchangeLocked(WireOp::kReadRange, req.buffer(), WireOp::kBytes, &dest);
     if (!reply.ok()) {
       if (fd_ < 0 && CanReconnectLocked() && reconnects_left-- > 0 &&
           ReconnectLocked().ok()) {
@@ -584,10 +600,11 @@ Status RemoteStore::ReadRange(RemoteByteSource& src, uint64_t offset, void* out,
       }
       return reply.status();
     }
-    if (reply->payload.size() != n) {
-      return DataLossError("short READ_RANGE response from " + endpoint_);
+    if (!reply->in_dest) {
+      return DataLossError("short READ_RANGE response from " + endpoint_ + " (" +
+                           std::to_string(reply->payload.size()) + " of " +
+                           std::to_string(n) + " bytes)");
     }
-    std::memcpy(p, reply->payload.data(), n);
     p += n;
     offset += n;
     left -= n;
@@ -597,12 +614,16 @@ Status RemoteStore::ReadRange(RemoteByteSource& src, uint64_t offset, void* out,
 
 void RemoteStore::CloseRead(RemoteByteSource& src) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (src.epoch_ != conn_epoch_) {
+  if (src.epoch_ != conn_epoch_ || fd_ < 0) {
     return;  // the handle died with its session; nothing to close server-side
   }
+  // One-way: CLOSE_READ has no reply to wait for. A failed send leaves the stream position
+  // unknown, as in any exchange, so the connection closes.
   ByteWriter req;
   req.PutU64(src.handle_);
-  ExchangeLocked(WireOp::kCloseRead, req.buffer(), WireOp::kOk).ok();  // best effort
+  if (!SendFrame(fd_, WireOp::kCloseRead, req.buffer()).ok()) {
+    CloseFdLocked();
+  }
 }
 
 Result<std::string> RemoteStore::ReadSmallFile(const std::string& rel) {

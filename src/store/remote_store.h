@@ -2,9 +2,12 @@
 //
 // One connection per RemoteStore; a mutex serializes request/response exchanges, so the
 // simulator's rank threads can share a single store the way they share a directory today.
-// ReadAt on an opened file becomes a READ_RANGE request (verified server-side against the
-// file's chunk-CRC table); staged writes stream as WRITE_BEGIN / WRITE_CHUNK* / WRITE_END
-// with a whole-file CRC the server checks before the file lands in staging.
+// Reads: OPEN_READ returns the handle, the size and, for a bundle, its header prefix, so a
+// ReadAt inside the header is answered from memory. Any other ReadAt becomes one READ_RANGE
+// per kWireChunkBytes (verified server-side against the file's chunk-CRC table), whose reply
+// payload is received straight into the caller's buffer. Closing a source sends a one-way
+// CLOSE_READ. Staged writes stream as WRITE_BEGIN / WRITE_CHUNK* / WRITE_END with a
+// whole-file CRC the server checks before the file lands in staging.
 //
 // Retry semantics, two distinct layers:
 //  - Admission-control rejections (the daemon's staged-bytes cap) arrive as kUnavailable
@@ -113,8 +116,9 @@ class RemoteStore final : public Store, public std::enable_shared_from_this<Remo
   // One request/response exchange on the current socket — no reconnect. Any send/recv
   // failure closes the fd (the stream position is unknown; the socket is junk), so
   // afterwards `fd_ < 0` distinguishes transport death from a typed error *response*.
+  // With `dest`, a reply of its length lands in its buffer (RecvFrame).
   Result<WireFrame> ExchangeLocked(WireOp op, const std::vector<uint8_t>& payload,
-                                   WireOp ok_op);
+                                   WireOp ok_op, const FrameDest* dest = nullptr);
   // ExchangeLocked plus transparent reconnect-and-retry on transport failure, for
   // idempotent ops (reads, lists, tag state transitions).
   Result<WireFrame> RoundtripLocked(WireOp op, const std::vector<uint8_t>& payload,

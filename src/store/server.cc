@@ -201,6 +201,12 @@ struct StoreServer::Session {
 
   uint64_t next_handle = 1;
   std::map<uint64_t, OpenRead> reads;
+  // Outgoing READ_RANGE frame, grow-only: the payload is read straight into it (clients
+  // cap a READ_RANGE at kWireChunkBytes, so it stays near 1 MiB).
+  std::vector<uint8_t> reply_frame;
+  // Set while the serving thread waits for a request with no upload open; a draining
+  // Shutdown closes such a session at once unless its lease has bytes staged.
+  std::atomic<bool> idle{false};
 
   // Trace context from a TRACE_CONTEXT prefix frame: annotates the *next* request frame
   // on this connection, then clears. Only the serving thread touches it.
@@ -308,10 +314,26 @@ void StoreServer::Shutdown(bool drain) {
     ::close(http_fd);
   }
   if (drain) {
-    // Busy sessions finish their current exchange; idle ones notice the shutdown when
-    // their client closes or on the next request. Bounded wait, then hard-close.
+    // A session waiting for its next request with no upload open and nothing staged on its
+    // lease is closed at once; a session whose lease holds staged bytes stays open, so a
+    // staged save can still commit. Busy sessions finish their current exchange and close
+    // once idle. Bounded wait, then hard-close.
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (active_sessions() > 0 && std::chrono::steady_clock::now() < deadline) {
+    for (;;) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (sessions_.empty()) {
+          break;
+        }
+        for (auto& [id, session] : sessions_) {
+          if (session->idle.load() && session->lease->staged_total == 0) {
+            ::shutdown(session->fd, SHUT_RDWR);  // the handler's recv sees EOF
+          }
+        }
+      }
+      if (std::chrono::steady_clock::now() >= deadline) {
+        break;
+      }
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
   }
@@ -409,7 +431,9 @@ void StoreServer::ServeConnection(int fd, std::shared_ptr<Session> session) {
   // Handshake first: anything else is a protocol error and the connection dies typed.
   bool greeted = false;
   for (;;) {
+    session->idle.store(!session->write_open);
     Result<WireFrame> frame = RecvFrame(fd);
+    session->idle.store(false);
     if (!frame.ok()) {
       if (frame.status().code() == StatusCode::kDataLoss) {
         ServerMetrics::Get().frame_errors.Add(1);
@@ -418,7 +442,8 @@ void StoreServer::ServeConnection(int fd, std::shared_ptr<Session> session) {
       break;  // peer gone or stream unusable
     }
     ServerMetrics::Get().ops.Add(1);
-    ServerMetrics::Get().bytes_in.Add(9 + frame->payload.size() + 4);
+    ServerMetrics::Get().bytes_in.Add(kFrameHeaderBytes + frame->payload.size() +
+                                      kFrameTrailerBytes);
     session->ops++;
     if (!greeted) {
       if (frame->op != WireOp::kHello) {
@@ -891,15 +916,23 @@ Result<StoreServer::Reply> StoreServer::HandleOpenRead(const WireFrame& frame,
   open.source = std::move(source);
   const uint64_t handle = session.next_handle++;
   const uint64_t size = open.source->size();
-  session.reads[handle] = std::move(open);
   ByteWriter w;
   w.PutU64(handle);
   w.PutU64(size);
+  if (open.index.has_value()) {
+    // The header prefix the index was parsed from rides along (and leaves the handle), so
+    // the client opens its view without a READ_RANGE. A header too large for one frame
+    // (a bundle of tens of GiB) is left for the client to read by range.
+    const std::vector<uint8_t> header = std::move(open.index->header);
+    if (w.size() + header.size() <= kMaxFramePayload) {
+      w.PutBytes(header.data(), header.size());
+    }
+  }
+  session.reads[handle] = std::move(open);
   return Reply{WireOp::kOpenReadOk, w.TakeBuffer()};
 }
 
-Result<StoreServer::Reply> StoreServer::HandleReadRange(const WireFrame& frame,
-                                                       Session& session) {
+Result<size_t> StoreServer::HandleReadRange(const WireFrame& frame, Session& session) {
   ByteReader r(frame.payload.data(), frame.payload.size());
   UCP_ASSIGN_OR_RETURN(uint64_t handle, r.GetU64());
   UCP_ASSIGN_OR_RETURN(uint64_t offset, r.GetU64());
@@ -917,11 +950,16 @@ Result<StoreServer::Reply> StoreServer::HandleReadRange(const WireFrame& frame,
   if (offset > size || len > size - offset) {
     return OutOfRangeError("READ_RANGE past end of " + open.rel);
   }
-  std::vector<uint8_t> out(len);
-  UCP_RETURN_IF_ERROR(open.source->ReadAt(offset, out.data(), out.size()));
+  // The payload is read straight into the outgoing frame, after the header's headroom.
+  const size_t frame_bytes = kFrameHeaderBytes + len + kFrameTrailerBytes;
+  if (session.reply_frame.size() < frame_bytes) {
+    session.reply_frame.resize(frame_bytes);
+  }
+  uint8_t* out = session.reply_frame.data() + kFrameHeaderBytes;
+  UCP_RETURN_IF_ERROR(open.source->ReadAt(offset, out, len));
   // Server-side verification: every chunk the range touches must pass its CRC before the
   // payload ships (each chunk checked at most once per handle). Chunks wholly inside the
-  // range are checked in the reply buffer; a partly covered edge chunk is read whole.
+  // range are checked in the frame; a partly covered edge chunk is read whole.
   if (open.index.has_value()) {
     std::vector<uint8_t> chunk_buf;
     for (size_t ri = 0; ri < open.index->regions.size(); ++ri) {
@@ -946,7 +984,7 @@ Result<StoreServer::Reply> StoreServer::HandleReadRange(const WireFrame& frame,
           chunk_buf.resize(chunk_size);
           UCP_RETURN_IF_ERROR(open.source->ReadAt(chunk_begin, chunk_buf.data(), chunk_size));
         }
-        const uint8_t* chunk = in_range ? out.data() + (chunk_begin - offset) : chunk_buf.data();
+        const uint8_t* chunk = in_range ? out + (chunk_begin - offset) : chunk_buf.data();
         if (Crc32(chunk, chunk_size) != region.chunk_crcs[static_cast<size_t>(c)]) {
           ServerMetrics::Get().chunk_crc_failures.Add(1);
           return DataLossError("per-tensor CRC mismatch in " + open.rel + " (chunk " +
@@ -957,7 +995,7 @@ Result<StoreServer::Reply> StoreServer::HandleReadRange(const WireFrame& frame,
       }
     }
   }
-  return Reply{WireOp::kBytes, std::move(out)};
+  return static_cast<size_t>(len);
 }
 
 bool StoreServer::HandleFrame(int fd, const WireFrame& frame, Session& session) {
@@ -1006,15 +1044,41 @@ bool StoreServer::HandleFrame(int fd, const WireFrame& frame, Session& session) 
 }
 
 bool StoreServer::HandleFrameInner(int fd, const WireFrame& frame, Session& session) {
-  // WRITE_CHUNK is the streaming hot path: no response frame, just append to the spool.
-  if (frame.op == WireOp::kWriteChunk) {
-    const Status appended = HandleWriteChunk(frame, session);
-    if (!appended.ok()) {
-      AbandonOpenWrite(session);
-      SendError(fd, appended).ok();
-      return false;
+  switch (frame.op) {
+    case WireOp::kWriteChunk: {
+      // The streaming hot path: no response frame, just append to the spool.
+      const Status appended = HandleWriteChunk(frame, session);
+      if (!appended.ok()) {
+        AbandonOpenWrite(session);
+        SendError(fd, appended).ok();
+        return false;
+      }
+      return true;
     }
-    return true;
+    case WireOp::kCloseRead: {
+      // No response frame: the client does not wait for one.
+      ByteReader r(frame.payload.data(), frame.payload.size());
+      Result<uint64_t> handle = r.GetU64();
+      if (!handle.ok()) {
+        SendError(fd, handle.status()).ok();
+        return false;
+      }
+      session.reads.erase(*handle);
+      return true;
+    }
+    case WireOp::kReadRange: {
+      // The reply is built in place in the session's frame buffer and sent with one send.
+      Result<size_t> len = HandleReadRange(frame, session);
+      if (!len.ok()) {
+        return SendError(fd, len.status()).ok();
+      }
+      const Status sent =
+          SendFrameInPlace(fd, WireOp::kBytes, session.reply_frame.data(), *len);
+      ServerMetrics::Get().bytes_out.Add(kFrameHeaderBytes + *len + kFrameTrailerBytes);
+      return sent.ok();
+    }
+    default:
+      break;
   }
   Result<Reply> reply = Dispatch(frame, session);
   if (!reply.ok()) {
@@ -1026,7 +1090,8 @@ bool StoreServer::HandleFrameInner(int fd, const WireFrame& frame, Session& sess
     return SendError(fd, reply.status(), drain_refusal ? 1000u : 0u).ok();
   }
   const Status sent = SendFrame(fd, reply->op, reply->payload);
-  ServerMetrics::Get().bytes_out.Add(9 + reply->payload.size() + 4);
+  ServerMetrics::Get().bytes_out.Add(kFrameHeaderBytes + reply->payload.size() +
+                                     kFrameTrailerBytes);
   return sent.ok();
 }
 
@@ -1055,13 +1120,6 @@ Result<StoreServer::Reply> StoreServer::Dispatch(const WireFrame& frame, Session
     }
     case WireOp::kOpenRead:
       return HandleOpenRead(frame, session);
-    case WireOp::kReadRange:
-      return HandleReadRange(frame, session);
-    case WireOp::kCloseRead: {
-      UCP_ASSIGN_OR_RETURN(uint64_t handle, r.GetU64());
-      session.reads.erase(handle);
-      return Reply{};
-    }
     case WireOp::kExists: {
       UCP_ASSIGN_OR_RETURN(std::string rel, r.GetString());
       UCP_ASSIGN_OR_RETURN(bool exists, store_.Exists(rel));

@@ -78,10 +78,11 @@ class StoreServer {
   void BeginDrain();
   bool draining() const { return draining_.load(); }
 
-  // Stops accepting (a unix endpoint's socket file is unlinked), then closes sessions:
-  // with drain, after waiting up to 5 s for clients to hang up, so busy sessions finish
-  // their current exchange; without, every connection is torn down at once (the "daemon
-  // killed" arm of the fault tests).
+  // Stops accepting (a unix endpoint's socket file is unlinked), then closes sessions.
+  // With drain, a session waiting for a request with no upload open and nothing staged on
+  // its lease closes at once; busy sessions finish their current exchange and a staged save
+  // may still commit, for up to 5 s. Without drain, every connection is torn down at once
+  // (the "daemon killed" arm of the fault tests).
   void Shutdown(bool drain = true);
 
   int active_sessions() const;
@@ -108,10 +109,11 @@ class StoreServer {
   void HttpLoop();
   void ReaperLoop();
   void ServeConnection(int fd, std::shared_ptr<Session> session);
-  // One request frame -> one (or zero, for chunks) response frame. Returns false when the
-  // connection must close. HandleFrame absorbs TRACE_CONTEXT prefix frames, adopts the
-  // propagated context around a per-RPC server span, and records per-op histograms;
-  // HandleFrameInner appends WRITE_CHUNK frames and sends Dispatch's reply or error.
+  // One request frame -> one (or zero, for WRITE_CHUNK and CLOSE_READ) response frame.
+  // Returns false when the connection must close. HandleFrame absorbs TRACE_CONTEXT prefix
+  // frames, adopts the propagated context around a per-RPC server span, and records per-op
+  // histograms; HandleFrameInner handles the one-way frames, sends READ_RANGE replies built
+  // in place, and sends Dispatch's reply or error for every other request.
   bool HandleFrame(int fd, const WireFrame& frame, Session& session);
   bool HandleFrameInner(int fd, const WireFrame& frame, Session& session);
   // Decodes one request, runs it, and returns the reply frame to send.
@@ -121,7 +123,8 @@ class StoreServer {
   Status HandleWriteEnd(const WireFrame& frame, Session& session);
   Result<Reply> HandleWriteResume(const WireFrame& frame);
   Result<Reply> HandleSessionOpen(const WireFrame& frame, Session& session);
-  Result<Reply> HandleReadRange(const WireFrame& frame, Session& session);
+  // Reads and verifies the range into session.reply_frame; returns the payload length.
+  Result<size_t> HandleReadRange(const WireFrame& frame, Session& session);
   Result<Reply> HandleOpenRead(const WireFrame& frame, Session& session);
   void AbandonOpenWrite(Session& session);
   // Releases the lease's staged-bytes budget and drops it from the table.

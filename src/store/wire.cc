@@ -302,38 +302,39 @@ void ClearSocketFaults() {
   g_faults.clear();
 }
 
+Status SendFrameInPlace(int fd, WireOp op, uint8_t* frame, size_t len) {
+  if (len > kMaxFramePayload) {
+    return InvalidArgumentError("wire frame payload too large: " + std::to_string(len));
+  }
+  StoreU32(frame, kWireMagic);
+  frame[4] = static_cast<uint8_t>(op);
+  StoreU32(frame + 5, static_cast<uint32_t>(len));
+  // CRC covers the type byte + payload (not the length field), matching RecvFrame.
+  uint32_t crc = Crc32Init();
+  crc = Crc32Update(crc, frame + 4, 1);
+  crc = Crc32Update(crc, frame + kFrameHeaderBytes, len);
+  StoreU32(frame + kFrameHeaderBytes + len, Crc32Finalize(crc));
+  return SendAll(fd, frame, kFrameHeaderBytes + len + kFrameTrailerBytes);
+}
+
 Status SendFrame(int fd, WireOp op, const void* prefix, size_t prefix_len,
                  const void* payload, size_t len) {
   const size_t total = prefix_len + len;
   if (total > kMaxFramePayload) {
     return InvalidArgumentError("wire frame payload too large: " + std::to_string(total));
   }
-  // Header + payload + trailing CRC in one buffer: a frame is one send (modulo partial
-  // progress), which keeps concurrent writers on a shared connection atomic per-frame.
-  std::vector<uint8_t> buf(9 + total + 4);
-  StoreU32(buf.data(), kWireMagic);
-  buf[4] = static_cast<uint8_t>(op);
-  StoreU32(buf.data() + 5, static_cast<uint32_t>(total));
+  std::vector<uint8_t> buf(kFrameHeaderBytes + total + kFrameTrailerBytes);
   if (prefix_len > 0) {
-    std::memcpy(buf.data() + 9, prefix, prefix_len);
+    std::memcpy(buf.data() + kFrameHeaderBytes, prefix, prefix_len);
   }
   if (len > 0) {
-    std::memcpy(buf.data() + 9 + prefix_len, payload, len);
+    std::memcpy(buf.data() + kFrameHeaderBytes + prefix_len, payload, len);
   }
-  // CRC covers the type byte + payload (not the length field), matching RecvFrame.
-  uint32_t crc = Crc32Init();
-  crc = Crc32Update(crc, buf.data() + 4, 1);
-  crc = Crc32Update(crc, buf.data() + 9, total);
-  StoreU32(buf.data() + 9 + total, Crc32Finalize(crc));
-  return SendAll(fd, buf.data(), buf.size());
+  return SendFrameInPlace(fd, op, buf.data(), total);
 }
 
-Status SendFrame(int fd, WireOp op, const void* payload, size_t len) {
-  return SendFrame(fd, op, /*prefix=*/nullptr, /*prefix_len=*/0, payload, len);
-}
-
-Result<WireFrame> RecvFrame(int fd, uint32_t max_payload) {
-  uint8_t header[9];
+Result<WireFrame> RecvFrame(int fd, uint32_t max_payload, const FrameDest* dest) {
+  uint8_t header[kFrameHeaderBytes];
   UCP_RETURN_IF_ERROR(RecvAll(fd, header, sizeof(header), /*at_frame_boundary=*/true));
   if (LoadU32(header) != kWireMagic) {
     return DataLossError("torn wire frame: bad magic");
@@ -345,16 +346,20 @@ Result<WireFrame> RecvFrame(int fd, uint32_t max_payload) {
     return DataLossError("torn wire frame: oversized payload (" + std::to_string(len) +
                          " bytes)");
   }
-  frame.payload.resize(len);
-  if (len > 0) {
-    UCP_RETURN_IF_ERROR(
-        RecvAll(fd, frame.payload.data(), len, /*at_frame_boundary=*/false));
+  frame.in_dest = dest != nullptr && frame.op == dest->op && len == dest->size;
+  uint8_t* payload = frame.in_dest ? static_cast<uint8_t*>(dest->data) : nullptr;
+  if (!frame.in_dest) {
+    frame.payload.resize(len);
+    payload = frame.payload.data();
   }
-  uint8_t crc_buf[4];
+  if (len > 0) {
+    UCP_RETURN_IF_ERROR(RecvAll(fd, payload, len, /*at_frame_boundary=*/false));
+  }
+  uint8_t crc_buf[kFrameTrailerBytes];
   UCP_RETURN_IF_ERROR(RecvAll(fd, crc_buf, sizeof(crc_buf), /*at_frame_boundary=*/false));
   uint32_t crc = Crc32Init();
   crc = Crc32Update(crc, header + 4, 1);
-  crc = Crc32Update(crc, frame.payload.data(), frame.payload.size());
+  crc = Crc32Update(crc, payload, len);
   if (LoadU32(crc_buf) != Crc32Finalize(crc)) {
     return DataLossError("torn wire frame: CRC mismatch");
   }

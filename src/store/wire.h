@@ -32,19 +32,24 @@
 namespace ucp {
 
 inline constexpr uint32_t kWireMagic = 0x57504355;  // "UCPW" little-endian
-// Wire version: v4 only. It carries session leases (SESSION_OPEN binds one; every later
+// Wire version: v5 only. It carries session leases (SESSION_OPEN binds one; every later
 // frame on the connection refreshes its expiry), offset-addressed WRITE_BEGIN / WRITE_CHUNK
-// frames and the WRITE_RESUME query that make interrupted uploads resumable, and the
-// TRACE_CONTEXT prefix frame and METRICS_DUMP op for observability. (v1 and v2 had no
-// leases or resumable writes and v3 lacked the two observability ops; none of them is
-// spoken any more.)
-inline constexpr uint32_t kWireVersion = 4;
+// frames and the WRITE_RESUME query that make interrupted uploads resumable, the
+// TRACE_CONTEXT prefix frame and METRICS_DUMP op for observability, and reads that cost one
+// exchange per range: OPEN_READ_OK carries a bundle's header prefix and CLOSE_READ has no
+// reply. (v1 and v2 had no leases or resumable writes, v3 lacked the two observability ops
+// and v4 replied to CLOSE_READ and sent no header with OPEN_READ_OK; none of them is spoken
+// any more.)
+inline constexpr uint32_t kWireVersion = 5;
 // Bound on one frame's payload; larger files stream as multiple WRITE_CHUNK / READ_RANGE
 // exchanges. Also the admission unit for the server's torn-frame defense: a corrupt length
 // field can never make the server allocate more than this.
 inline constexpr uint32_t kMaxFramePayload = 4u << 20;
 // Chunk size the clients use for streaming writes and large range reads.
 inline constexpr uint32_t kWireChunkBytes = 1u << 20;
+// A frame's bytes around its payload: magic, type and length before it, the CRC after.
+inline constexpr size_t kFrameHeaderBytes = 9;
+inline constexpr size_t kFrameTrailerBytes = 4;
 
 // Frame types. Requests < 64, responses >= 64.
 enum class WireOp : uint8_t {
@@ -53,8 +58,8 @@ enum class WireOp : uint8_t {
   kList = 3,          // str rel ("" = root)
   kReadSmall = 4,     // str rel
   kOpenRead = 5,      // str rel
-  kReadRange = 6,     // u64 handle | u64 offset | u32 len
-  kCloseRead = 7,     // u64 handle
+  kReadRange = 6,     // u64 handle | u64 offset | u32 len -> kBytes of exactly len bytes
+  kCloseRead = 7,     // u64 handle — no response; a malformed one ends the session
   kExists = 8,        // str rel
   kResetStaging = 9,  // str tag
   kWriteBegin = 10,   // str tag | str rel | u64 total_bytes | u64 resume_offset
@@ -88,7 +93,9 @@ enum class WireOp : uint8_t {
   kHelloOk = 66,      // u32 version | u64 session_id | u32 max_frame
   kStrList = 67,      // u32 count | count * str
   kBytes = 68,        // raw bytes
-  kOpenReadOk = 69,   // u64 handle | u64 file_size
+  kOpenReadOk = 69,   // u64 handle | u64 file_size | header prefix: a bundle's bytes
+                      // [0, header_bytes), which the server parsed to verify reads (empty
+                      // for any other file), so the client reads the header from memory
   kBool = 70,         // u8
   kGcReport = 71,     // u32 n_removed | n * str | u32 n_kept | n * str
   kInt = 72,          // i64
@@ -101,27 +108,51 @@ enum class WireOp : uint8_t {
 struct WireFrame {
   WireOp op = WireOp::kPing;
   std::vector<uint8_t> payload;
+  // True when RecvFrame put the payload in the caller's FrameDest; `payload` is then empty.
+  bool in_dest = false;
 };
 
 // Stable lowercase name for an op ("write_begin", "commit_tag", ...; "op_unknown" for
 // values outside the enum) — the key under which per-RPC metrics and spans are recorded.
 const char* WireOpName(WireOp op);
 
-// Sends one complete frame. kUnavailable when the peer is gone (EPIPE/ECONNRESET) or
-// transient retries exhaust.
-Status SendFrame(int fd, WireOp op, const void* payload, size_t len);
-// Two-part payload (prefix ++ body in one frame): the WRITE_CHUNK path prepends the
-// u64 offset to a chunk that lives in the caller's tensor buffer without an extra copy.
+// Sends one frame whose `len`-byte payload the caller already placed at
+// frame + kFrameHeaderBytes, in a buffer of kFrameHeaderBytes + len + kFrameTrailerBytes
+// bytes: fills in the header and the CRC around it and sends the whole frame with one send
+// (modulo partial progress), which keeps concurrent writers on a shared connection atomic
+// per frame. The daemon builds READ_RANGE replies this way, reading the file straight into
+// the outgoing frame. kUnavailable when the peer is gone (EPIPE/ECONNRESET) or transient
+// retries exhaust.
+Status SendFrameInPlace(int fd, WireOp op, uint8_t* frame, size_t len);
+// Copies prefix ++ payload into a fresh frame buffer and sends it with SendFrameInPlace. The
+// WRITE_CHUNK path prepends the u64 offset to a chunk that lives in the caller's tensor
+// buffer.
 Status SendFrame(int fd, WireOp op, const void* prefix, size_t prefix_len,
                  const void* payload, size_t len);
+inline Status SendFrame(int fd, WireOp op, const void* payload, size_t len) {
+  return SendFrame(fd, op, /*prefix=*/nullptr, /*prefix_len=*/0, payload, len);
+}
 inline Status SendFrame(int fd, WireOp op, const std::vector<uint8_t>& payload) {
   return SendFrame(fd, op, payload.data(), payload.size());
 }
 
-// Receives one complete frame. kUnavailable on clean EOF before any byte (idle peer went
-// away) and on mid-frame disconnect; kDataLoss on bad magic / oversized length / CRC
-// mismatch (torn frame).
-Result<WireFrame> RecvFrame(int fd, uint32_t max_payload = kMaxFramePayload);
+// Where RecvFrame puts the payload of a frame of type `op`: straight into
+// [data, data + size), so a READ_RANGE reply lands in the reader's buffer without a copy.
+struct FrameDest {
+  WireOp op = WireOp::kBytes;
+  void* data = nullptr;
+  size_t size = 0;
+};
+
+// Receives one complete frame: the header, the payload (if any), then the CRC. With
+// `dest`, a frame of type dest->op whose length is exactly dest->size is received into
+// dest->data and returned with `in_dest` set; any other frame, including an error reply or a
+// dest->op frame of another length, is received into `payload` as without `dest`.
+// kUnavailable on clean EOF before any byte (idle peer went away) and on mid-frame
+// disconnect; kDataLoss on bad magic / oversized length / CRC mismatch (torn frame), after
+// which dest->data holds unspecified bytes.
+Result<WireFrame> RecvFrame(int fd, uint32_t max_payload = kMaxFramePayload,
+                            const FrameDest* dest = nullptr);
 
 // ---- Endpoints ---------------------------------------------------------------------------
 

@@ -390,9 +390,11 @@ Result<std::vector<uint8_t>> ReadV3Prefix(ByteSource& f) {
 }
 
 // BundleFileView's chunk-verifying positional read: copies elements
-// [elem_begin, elem_begin + elem_count) of a payload living at `payload_offset` in `f`.
-// Unverified chunks are read whole (and their CRC checked once); already-verified chunks are
-// read only where the range overlaps them.
+// [elem_begin, elem_begin + elem_count) of a payload living at `payload_offset` in `f`
+// with one ReadAt. The read widens to a whole chunk only at an edge chunk not yet
+// verified; every unverified chunk in the range is then CRC-checked once. When nothing
+// widens, the bytes land in `out` and are verified there; otherwise they go through
+// `scratch`.
 Status ReadChunkedRange(ByteSource& f, uint64_t payload_offset,
                         uint64_t payload_bytes, uint32_t chunk_bytes,
                         const std::vector<uint32_t>& crcs, std::vector<bool>& verified,
@@ -401,38 +403,41 @@ Status ReadChunkedRange(ByteSource& f, uint64_t payload_offset,
   if (elem_count == 0) {
     return OkStatus();
   }
-  const uint64_t esize = sizeof(float);
-  const uint64_t byte_begin = static_cast<uint64_t>(elem_begin) * esize;
-  const uint64_t byte_end = byte_begin + static_cast<uint64_t>(elem_count) * esize;
+  const uint64_t byte_begin = static_cast<uint64_t>(elem_begin) * sizeof(float);
+  const uint64_t byte_end = byte_begin + static_cast<uint64_t>(elem_count) * sizeof(float);
   const size_t first_chunk = static_cast<size_t>(byte_begin / chunk_bytes);
   const size_t last_chunk = static_cast<size_t>((byte_end - 1) / chunk_bytes);
-  if (scratch.size() < chunk_bytes) {
-    scratch.resize(chunk_bytes);
+  const uint64_t span_begin =
+      verified[first_chunk] ? byte_begin : first_chunk * static_cast<uint64_t>(chunk_bytes);
+  const uint64_t span_end =
+      verified[last_chunk]
+          ? byte_end
+          : std::min<uint64_t>((last_chunk + 1) * static_cast<uint64_t>(chunk_bytes),
+                               payload_bytes);
+  const size_t span = static_cast<size_t>(span_end - span_begin);
+  const bool in_place = span_begin == byte_begin && span_end == byte_end;
+  if (!in_place && scratch.size() < span) {
+    scratch.resize(span);
   }
-  float* dst = out;
+  uint8_t* buf = in_place ? reinterpret_cast<uint8_t*>(out) : scratch.data();
+  UCP_RETURN_IF_ERROR(f.ReadAt(payload_offset + span_begin, buf, span));
+  CountRead(span);
   for (size_t ci = first_chunk; ci <= last_chunk; ++ci) {
+    if (verified[ci]) {
+      continue;
+    }
     const uint64_t chunk_start = ci * static_cast<uint64_t>(chunk_bytes);
     const uint64_t chunk_size = std::min<uint64_t>(chunk_bytes, payload_bytes - chunk_start);
-    const uint64_t overlap_begin = std::max(byte_begin, chunk_start);
-    const uint64_t overlap_end = std::min(byte_end, chunk_start + chunk_size);
-    const size_t overlap_bytes = static_cast<size_t>(overlap_end - overlap_begin);
-    if (!verified[ci]) {
-      UCP_RETURN_IF_ERROR(f.ReadAt(payload_offset + chunk_start, scratch.data(),
-                                   static_cast<size_t>(chunk_size)));
-      CountRead(chunk_size);
-      if (Crc32(scratch.data(), static_cast<size_t>(chunk_size)) != crcs[ci]) {
-        return DataLossError(ChunkCrcErr(what, ci, crcs.size()));
-      }
-      verified[ci] = true;
-      ChunksVerifiedCounter().Add(1);
-      std::memcpy(dst, scratch.data() + (overlap_begin - chunk_start), overlap_bytes);
-    } else {
-      UCP_RETURN_IF_ERROR(f.ReadAt(payload_offset + overlap_begin, scratch.data(),
-                                   overlap_bytes));
-      CountRead(overlap_bytes);
-      std::memcpy(dst, scratch.data(), overlap_bytes);
+    const uint8_t* chunk = buf + (chunk_start - span_begin);
+    if (Crc32(chunk, static_cast<size_t>(chunk_size)) != crcs[ci]) {
+      return DataLossError(ChunkCrcErr(what, ci, crcs.size()));
     }
-    dst += overlap_bytes / esize;
+    verified[ci] = true;
+    ChunksVerifiedCounter().Add(1);
+  }
+  if (!in_place) {
+    std::memcpy(out, buf + (byte_begin - span_begin),
+                static_cast<size_t>(byte_end - byte_begin));
   }
   return OkStatus();
 }
@@ -650,6 +655,7 @@ Result<std::optional<FileChunkIndex>> ReadFileChunkIndex(ByteSource& source) {
   UCP_ASSIGN_OR_RETURN(V3BundleHeader h, ParseV3BundlePrefix(prefix.data(), prefix.size(),
                                                              source.size(), source.name()));
   FileChunkIndex index;
+  index.header = std::move(prefix);
   for (size_t i = 0; i < h.members.size(); ++i) {
     ChunkRegion region;
     region.begin = h.members[i].payload_offset;

@@ -15,11 +15,11 @@
 // offset and the prefix carries its own CRC), payloads are raw contiguous bytes protected by
 // a table of per-chunk CRC32s (64 KiB chunks, shrinking to 4 KiB for small payloads), and
 // entries record absolute payload offsets. StatBundle reads only the prefix; BundleFileView
-// serves pread range reads verifying only the chunks a range touches. The trailing
-// whole-file CRC serves whole-file readers and deep fsck. A version field other than 3 fails
-// every reader with kDataLoss naming the value. (v1 and v2, which had no chunk table and
-// were read whole, are no longer read.) Payloads are fp32: a dtype byte other than 0 (f32)
-// fails every reader with kDataLoss naming the byte.
+// serves each range with one positional read, verifying only the chunks it touches. The
+// trailing whole-file CRC serves whole-file readers and deep fsck. A version field other
+// than 3 fails every reader with kDataLoss naming the value. (v1 and v2, which had no chunk
+// table and were read whole, are no longer read.) Payloads are fp32: a dtype byte other
+// than 0 (f32) fails every reader with kDataLoss naming the byte.
 
 #ifndef UCP_SRC_TENSOR_TENSOR_FILE_H_
 #define UCP_SRC_TENSOR_TENSOR_FILE_H_
@@ -108,10 +108,12 @@ Result<BundleInfo> StatBundle(std::unique_ptr<ByteSource> source);
 Status DeepVerifyBundleFile(std::unique_ptr<ByteSource> source);
 
 // A read-only view of one bundle: one header parse/verify at Open, then per-member range
-// reads via pread, verifying only the CRC chunks each range touches (each chunk at most
-// once per view). Over a remote store file the ranges become positional reads against the
-// source, and chunk CRCs are still verified on this side of the wire. Not thread-safe; give
-// each worker its own view.
+// reads, verifying only the CRC chunks each range touches (each chunk at most once per
+// view). A range costs one ReadAt on the source: widened to whole chunks only at an edge
+// chunk not yet verified, and read straight into the caller's buffer when nothing widens.
+// Over a remote store file Open reads the header from the prefix OPEN_READ_OK carried, each
+// range becomes one READ_RANGE per MiB, and chunk CRCs are still verified on this side of
+// the wire. Not thread-safe; give each worker its own view.
 class BundleFileView {
  public:
   static Result<BundleFileView> Open(std::unique_ptr<ByteSource> source);
@@ -126,7 +128,10 @@ class BundleFileView {
 
   // Whole member as a tensor; kNotFound when the name is absent.
   Result<Tensor> ReadTensor(const std::string& name);
-  // Elements [elem_begin, elem_begin + elem_count) of member `entry_index` as fp32.
+  // Elements [elem_begin, elem_begin + elem_count) of member `entry_index` as fp32. A chunk
+  // CRC failure returns kDataLoss naming the member and the chunk, and leaves `out`'s range
+  // holding unspecified bytes (the range may have been read and verified in place); every
+  // caller (the UCP load, the native load, Extract, ReadTensor) discards it.
   Status ReadTensorElements(size_t entry_index, int64_t elem_begin, int64_t elem_count,
                             float* out);
 
@@ -159,12 +164,15 @@ struct ChunkRegion {
 };
 struct FileChunkIndex {
   std::vector<ChunkRegion> regions;
+  // The header prefix it was parsed from (bytes [0, header_bytes), CRC included), which
+  // ucp_serverd ships with OPEN_READ_OK so the client's view opens without a READ_RANGE.
+  std::vector<uint8_t> header;
 };
 
 // Parses the self-checksummed header prefix of `source` into a chunk index. Returns nullopt
 // (not an error) for files that are not bundles at all; those are served without
-// server-side payload verification. kDataLoss when a bundle's version field is not 3 or its
-// header is damaged.
+// server-side payload verification and with no header prefix. kDataLoss when a bundle's
+// version field is not 3 or its header is damaged.
 Result<std::optional<FileChunkIndex>> ReadFileChunkIndex(ByteSource& source);
 
 }  // namespace ucp

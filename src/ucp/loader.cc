@@ -144,14 +144,19 @@ Status ReadAssignedSlices(Store& store, const std::string& rel, const AtomAssign
 // not strand peers; see the agreement in LoadUcpCheckpoint).
 Result<UcpLocalState> LoadUcpLocal(Store& store, const std::string& ucp_rel,
                                    RankTrainer& trainer, const UcpLoadOptions& options) {
-  // A metadata file without the converter's `complete` marker is an aborted conversion:
-  // atoms may be missing or half-written even though the manifest parses.
-  Result<bool> has_meta = store.Exists(JoinRel(ucp_rel, "ucp_meta.json"));
-  if (has_meta.ok() && *has_meta && !IsUcpComplete(store, ucp_rel)) {
+  // Two store calls before the first atom: the metadata text, then the marker. A metadata
+  // file without the converter's `complete` marker is an aborted conversion: atoms may be
+  // missing or half-written even though the manifest parses, so it is refused before any
+  // parse.
+  UCP_ASSIGN_OR_RETURN(std::string meta_text,
+                       store.ReadSmallFile(JoinRel(ucp_rel, "ucp_meta.json")));
+  Result<bool> committed = store.Exists(JoinRel(ucp_rel, kCompleteMarker));
+  if (!committed.ok() || !*committed) {
     return DataLossError("UCP checkpoint at " + JoinRel(store.Describe(), ucp_rel) +
                          " is not committed (missing 'complete' marker)");
   }
-  UCP_ASSIGN_OR_RETURN(UcpMeta meta, ReadUcpMeta(store, ucp_rel));
+  UCP_ASSIGN_OR_RETURN(Json meta_json, Json::Parse(meta_text));
+  UCP_ASSIGN_OR_RETURN(UcpMeta meta, UcpMeta::FromJson(meta_json));
   if (!SameLogicalModel(meta.model, trainer.config().model)) {
     return FailedPreconditionError(
         "UCP checkpoint was produced by a different model architecture");

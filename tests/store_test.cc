@@ -14,7 +14,8 @@
 //  6. Kill-mid-save safety: a client that vanishes mid-stream or a daemon killed before
 //     commit never yields a tag that resume/fsck would accept.
 //  7. The sliced UCP loader is bit-exact over RemoteStore vs LocalStore across a
-//     {TP}x{PP}x{DP} reconfiguration sweep.
+//     {TP}x{PP}x{DP} reconfiguration sweep, and across a connection drop mid-load; a
+//     remote load reads each member range with one READ_RANGE.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -315,6 +317,79 @@ TEST_P(StoreConformanceTest, RangeReadOverCorruptChunkIsTypedDataLoss) {
             StatusCode::kDataLoss);
 }
 
+// A whole-member read lands in the destination and is verified there: over a damaged chunk it
+// is kDataLoss naming that chunk through either backend (remotely the daemon refuses the
+// range first), and an earlier read of its clean neighbour does not mask it.
+TEST_P(StoreConformanceTest, WholeMemberReadOverCorruptChunkNamesTheChunk) {
+  // 256x320 fp32 = 327680 payload bytes = 5 chunks of 64 KiB.
+  Tensor t = Tensor::Zeros({256, 320});
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    t.data()[i] = static_cast<float>(i % 977) * 0.5f;
+  }
+  TensorBundle bundle;
+  bundle.Add("t", t);
+  Result<std::vector<uint8_t>> bytes = SerializeBundle(bundle);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  const std::string tag = "global_step9";
+  ASSERT_TRUE(store_->ResetTagStaging(tag).ok());
+  Result<std::unique_ptr<StoreWriter>> writer = store_->OpenTagForWrite(tag);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE((*writer)->WriteFile("t", *bytes).ok());
+  ASSERT_TRUE(store_->CommitTag(tag, MetaJson(9)).ok());
+
+  const std::string path = PathJoin(dir_, PathJoin(tag, "t"));
+  std::string raw = *ReadFileToString(path);
+  uint64_t header_bytes = 0;
+  std::memcpy(&header_bytes, raw.data() + 12, sizeof(header_bytes));
+  raw[header_bytes + 2 * 65536 + 123] ^= 0x40;
+  ASSERT_TRUE(WriteFileAtomic(path, raw).ok());
+
+  Result<std::unique_ptr<ByteSource>> source = store_->OpenRead(JoinRel(tag, "t"));
+  ASSERT_TRUE(source.ok()) << source.status();
+  Result<BundleFileView> view = BundleFileView::Open(std::move(*source));
+  ASSERT_TRUE(view.ok()) << view.status();
+  // Chunk 1 alone, exactly: clean, and verified in place.
+  Tensor chunk1 = Tensor::Zeros({65536 / 4});
+  ASSERT_TRUE(view->ReadTensorElements(0, 65536 / 4, chunk1.numel(), chunk1.data()).ok());
+  EXPECT_TRUE(Tensor::BitEqual(chunk1, t.Flatten().Narrow(0, 65536 / 4, 65536 / 4)));
+  Result<Tensor> whole = view->ReadTensor("t");
+  ASSERT_EQ(whole.status().code(), StatusCode::kDataLoss) << whole.status();
+  EXPECT_NE(whole.status().message().find("per-tensor CRC mismatch"), std::string::npos)
+      << whole.status();
+  EXPECT_NE(whole.status().message().find("(chunk 2 of 5)"), std::string::npos)
+      << whole.status();
+}
+
+// A UCP directory without its `complete` marker is an aborted conversion. Every rank's load
+// refuses it with kDataLoss "not committed", and does so before it parses the metadata.
+TEST_P(StoreConformanceTest, UcpLoadRefusesADirWithoutItsCompleteMarker) {
+  TrainingRun source(ReaderConfig({1, 1, 2, 1, 1, 1}));
+  source.Train(1, 2);
+  SaveThroughStore(source, 2);
+  const std::string ucp_dir = PathJoin(dir_, "ucp");
+  Result<ConvertStats> converted = ConvertToUcp(*store_, "global_step2", ucp_dir);
+  ASSERT_TRUE(converted.ok()) << converted.status();
+  ASSERT_TRUE(RemoveAll(PathJoin(ucp_dir, kCompleteMarker)).ok());
+
+  for (const bool unparseable : {false, true}) {
+    SCOPED_TRACE(unparseable ? "unparseable ucp_meta.json" : "intact ucp_meta.json");
+    if (unparseable) {
+      const std::string truncated = "{\"atoms\": [";
+      ASSERT_TRUE(WriteFileAtomic(PathJoin(ucp_dir, "ucp_meta.json"), truncated).ok());
+    }
+    TrainingRun target(ReaderConfig({2, 1, 1, 1, 0, 1}));
+    std::vector<Status> statuses(static_cast<size_t>(target.world_size()));
+    target.Run([&](RankTrainer& trainer) {
+      statuses[static_cast<size_t>(trainer.rank())] =
+          LoadUcpCheckpoint(*store_, "ucp", trainer);
+    });
+    for (const Status& status : statuses) {
+      EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status;
+      EXPECT_NE(status.message().find("not committed"), std::string::npos) << status;
+    }
+  }
+}
+
 // The checkpoint readers on every backend: the native load, the conversion's source side and
 // native validation open every file through the Store they are given.
 TEST_P(StoreConformanceTest, NativeLoadThroughStoreResumesBitExact) {
@@ -550,6 +625,73 @@ TEST(WireTest, TornFramesAreTypedDataLoss) {
   for (int fd : {fds[0], fds[1], more[0], more[1], oversized[0], oversized[1]}) {
     ::close(fd);
   }
+}
+
+// A READ_RANGE reply whose payload is shorter than the request is kDataLoss, and the stream
+// stays usable. A fake daemon on a unix socket answers the client's first read one byte short
+// and its second in full.
+TEST(WireTest, ShortReadRangeReplyIsTypedDataLoss) {
+  const std::string dir = *MakeTempDir("short_reply");
+  const std::string endpoint = "unix:" + PathJoin(dir, "fake.sock");
+  Result<int> listen_fd = ListenEndpoint(*ParseEndpoint(endpoint));
+  ASSERT_TRUE(listen_fd.ok()) << listen_fd.status();
+  std::vector<uint8_t> file(64);
+  for (size_t i = 0; i < file.size(); ++i) {
+    file[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  std::thread fake([&] {
+    const int fd = ::accept(*listen_fd, nullptr, nullptr);
+    ASSERT_GE(fd, 0);
+    Result<WireFrame> hello = RecvFrame(fd);
+    EXPECT_TRUE(hello.ok() && hello->op == WireOp::kHello);
+    ByteWriter hello_ok;
+    hello_ok.PutU32(kWireVersion);
+    hello_ok.PutU64(1);  // session id
+    hello_ok.PutU32(kMaxFramePayload);
+    EXPECT_TRUE(SendFrame(fd, WireOp::kHelloOk, hello_ok.buffer()).ok());
+    size_t cut = 1;  // bytes the next READ_RANGE reply leaves out
+    for (;;) {
+      Result<WireFrame> request = RecvFrame(fd);
+      if (!request.ok() || request->op == WireOp::kCloseRead) {
+        break;
+      }
+      ByteReader r(request->payload.data(), request->payload.size());
+      if (request->op == WireOp::kOpenRead) {
+        ByteWriter opened;
+        opened.PutU64(7);  // handle
+        opened.PutU64(file.size());
+        EXPECT_TRUE(SendFrame(fd, WireOp::kOpenReadOk, opened.buffer()).ok());
+        continue;
+      }
+      EXPECT_EQ(request->op, WireOp::kReadRange);
+      Result<uint64_t> handle = r.GetU64();
+      Result<uint64_t> offset = r.GetU64();
+      Result<uint32_t> len = r.GetU32();
+      ASSERT_TRUE(handle.ok() && offset.ok() && len.ok());
+      EXPECT_TRUE(SendFrame(fd, WireOp::kBytes, file.data() + *offset, *len - cut).ok());
+      cut = 0;
+    }
+    ::close(fd);
+  });
+
+  RemoteStoreOptions options;
+  options.lease_ttl_ms = 0;
+  Result<std::shared_ptr<RemoteStore>> store = RemoteStore::Connect(endpoint, options);
+  ASSERT_TRUE(store.ok()) << store.status();
+  Result<std::unique_ptr<ByteSource>> source = (*store)->OpenRead("f");
+  ASSERT_TRUE(source.ok()) << source.status();
+  std::vector<uint8_t> buf(32, 0);
+  const Status short_read = (*source)->ReadAt(8, buf.data(), buf.size());
+  EXPECT_EQ(short_read.code(), StatusCode::kDataLoss) << short_read;
+  EXPECT_NE(short_read.message().find("short READ_RANGE"), std::string::npos) << short_read;
+  const Status full_read = (*source)->ReadAt(8, buf.data(), buf.size());
+  ASSERT_TRUE(full_read.ok()) << full_read;
+  EXPECT_EQ(std::memcmp(buf.data(), file.data() + 8, buf.size()), 0);
+  source->reset();  // the one-way CLOSE_READ ends the fake daemon's loop
+  store->reset();
+  fake.join();
+  ::close(*listen_fd);
+  ASSERT_TRUE(RemoveAll(dir).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -917,6 +1059,44 @@ TEST_F(StoreServerTest, ShutdownUnlinksTheUnixSocketFile) {
     options.listen = "unix:" + sock;
     StartServer(std::move(options));
   }
+}
+
+// A draining Shutdown closes at once a session that waits for its next request with no upload
+// open and nothing staged: an idle connected client does not hold the daemon for the 5 s
+// drain bound.
+TEST_F(StoreServerTest, DrainShutdownClosesIdleSessionsAtOnce) {
+  std::shared_ptr<RemoteStore> store = Connect();
+  ASSERT_TRUE(store->Ping().ok());
+  const auto start = std::chrono::steady_clock::now();
+  server_->Shutdown(/*drain=*/true);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  EXPECT_LT(seconds, 1.0);
+  EXPECT_EQ(server_->active_sessions(), 0);
+}
+
+// A session whose lease holds staged bytes is kept open by a draining Shutdown: a save staged
+// before it still commits, and Shutdown returns as soon as the committed session is idle.
+TEST_F(StoreServerTest, DrainShutdownStillCommitsAStagedSave) {
+  std::shared_ptr<RemoteStore> store = Connect();
+  ASSERT_TRUE(store->ResetTagStaging("global_step1").ok());
+  Result<std::unique_ptr<StoreWriter>> writer = store->OpenTagForWrite("global_step1");
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  ASSERT_TRUE((*writer)->WriteFile("shard", std::string(32 * 1024, 's')).ok());
+
+  std::thread stopper([&] { server_->Shutdown(/*drain=*/true); });
+  while (!server_->draining()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // the drain loop is running
+  const Status committed = store->CommitTag("global_step1", MetaJson(1));
+  const auto committed_at = std::chrono::steady_clock::now();
+  stopper.join();
+  const double wait_after_commit =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - committed_at).count();
+  ASSERT_TRUE(committed.ok()) << committed;
+  EXPECT_TRUE(IsTagComplete(*local_, "global_step1"));
+  EXPECT_LT(wait_after_commit, 1.0);
 }
 
 // Leases cannot be switched off: a daemon whose TTL cap is 0 does not start.
@@ -1316,6 +1496,106 @@ TEST_F(StoreServerTest, HttpServesHealthzJsonAndPrometheusExposition) {
 // Property 7: the sliced loader is bit-exact over the wire.
 // ---------------------------------------------------------------------------
 
+// Trains a DP2 ZeRO-1 source for two steps, saves it under `dir` and converts it to
+// `dir`/ucp; returns the number of atoms.
+size_t SaveAndConvertUnder(const std::string& dir) {
+  TrainingRun source(ReaderConfig({1, 1, 2, 1, 1, 1}));
+  source.Train(1, 2);
+  source.Run([&](RankTrainer& trainer) {
+    Status saved = SaveDistributedCheckpoint(dir, trainer, 2);
+    UCP_CHECK(saved.ok()) << saved.ToString();
+  });
+  Result<ConvertStats> converted = ConvertToUcp(dir, "global_step2", PathJoin(dir, "ucp"));
+  UCP_CHECK(converted.ok()) << converted.status();
+  LocalStore store(dir);
+  Result<UcpMeta> meta = ReadUcpMeta(store, "ucp");
+  UCP_CHECK(meta.ok()) << meta.status();
+  return meta->atom_names.size();
+}
+
+void ExpectSameOptimizerState(TrainingRun& got, TrainingRun& want) {
+  for (int r = 0; r < want.world_size(); ++r) {
+    const ZeroOptimizer& a = got.trainer(r).optimizer();
+    const ZeroOptimizer& b = want.trainer(r).optimizer();
+    EXPECT_TRUE(Tensor::BitEqual(a.MasterState(), b.MasterState())) << "rank " << r;
+    EXPECT_TRUE(Tensor::BitEqual(a.ExpAvgState(), b.ExpAvgState())) << "rank " << r;
+    EXPECT_TRUE(Tensor::BitEqual(a.ExpAvgSqState(), b.ExpAvgSqState())) << "rank " << r;
+    EXPECT_EQ(a.steps_taken(), b.steps_taken()) << "rank " << r;
+  }
+}
+
+// A remote UCP load to a TP1 target reads each atom with one OPEN_READ, which brings the
+// header, and one READ_RANGE per member; closing the source waits for no reply. Before the
+// first atom it makes one READ_SMALL (the metadata) and one EXISTS (the marker).
+TEST_F(StoreServerTest, RemoteUcpLoadMakesOneRangeReadPerMember) {
+  const size_t atoms = SaveAndConvertUnder(dir_);
+  ASSERT_GT(atoms, 0u);
+  std::shared_ptr<RemoteStore> remote = Connect();
+  const char* const kCounted[] = {"store.server.rpc.open_read.seconds",
+                                  "store.server.rpc.read_range.seconds",
+                                  "store.server.rpc.close_read.seconds",
+                                  "store.server.rpc.read_small.seconds",
+                                  "store.server.rpc.exists.seconds",
+                                  "store.client.rpc.close_read.seconds"};
+  std::map<std::string, uint64_t> before;
+  for (const char* name : kCounted) {
+    before[name] = HistogramCount(name);
+  }
+  TrainingRun target(ReaderConfig({1, 1, 1, 1, 0, 1}));
+  target.Run([&](RankTrainer& trainer) {
+    Status loaded = LoadUcpCheckpoint(*remote, "ucp", trainer);
+    UCP_CHECK(loaded.ok()) << loaded.ToString();
+  });
+  // The daemon handles a session's frames in order, so once PING is answered every frame
+  // the load sent has been counted.
+  ASSERT_TRUE(remote->Ping().ok());
+  std::map<std::string, uint64_t> made;
+  for (const char* name : kCounted) {
+    made[name] = HistogramCount(name) - before[name];
+  }
+  EXPECT_EQ(made["store.server.rpc.open_read.seconds"], atoms);
+  EXPECT_EQ(made["store.server.rpc.read_range.seconds"], 3 * atoms);
+  EXPECT_EQ(made["store.server.rpc.close_read.seconds"], atoms);
+  EXPECT_EQ(made["store.server.rpc.read_small.seconds"], 1u);
+  EXPECT_EQ(made["store.server.rpc.exists.seconds"], 1u);
+  EXPECT_EQ(made["store.client.rpc.close_read.seconds"], 0u);
+}
+
+// A connection that drops in the middle of a remote UCP load: the leased client redials,
+// reopens its open read handles by path, and the load installs the same state as a load
+// from the directory. Each cut point drops one send, counted across the client and the
+// in-process daemon from the start of the load.
+TEST_F(StoreServerTest, RemoteUcpLoadAcrossAConnectionDropIsBitExact) {
+  const size_t atoms = SaveAndConvertUnder(dir_);
+  const TrainerConfig config = ReaderConfig({1, 1, 1, 1, 0, 1});
+  TrainingRun local_run(config);
+  local_run.Run([&](RankTrainer& trainer) {
+    Status loaded = LoadUcpCheckpoint(PathJoin(dir_, "ucp"), trainer);
+    UCP_CHECK(loaded.ok()) << loaded.ToString();
+  });
+
+  std::shared_ptr<RemoteStore> remote = Connect();
+  uint64_t reopened = 0;
+  for (const int cut : {12, 21, 33}) {
+    SCOPED_TRACE("drop at send " + std::to_string(cut));
+    const uint64_t reconnects0 = CounterValue("store.client.reconnects");
+    const uint64_t opens0 = HistogramCount("store.server.rpc.open_read.seconds");
+    TrainingRun remote_run(config);
+    ArmSocketFault({SocketFault::Op::kSend, SocketFault::Kind::kEconnreset, cut, 0});
+    remote_run.Run([&](RankTrainer& trainer) {
+      Status loaded = LoadUcpCheckpoint(*remote, "ucp", trainer);
+      UCP_CHECK(loaded.ok()) << loaded.ToString();
+    });
+    ClearSocketFaults();
+    ASSERT_TRUE(remote->Ping().ok());
+    EXPECT_EQ(CounterValue("store.client.reconnects") - reconnects0, 1u);
+    // An open beyond one per atom is a handle reopened by path after the drop.
+    reopened += HistogramCount("store.server.rpc.open_read.seconds") - opens0 - atoms;
+    ExpectSameOptimizerState(remote_run, local_run);
+  }
+  EXPECT_GT(reopened, 0u);
+}
+
 TEST_F(StoreServerTest, SlicedLoadOverRemoteBitExactWithLocalAcrossSweep) {
   ModelConfig model = TinyGpt();
   TrainerConfig source_config;
@@ -1357,15 +1637,7 @@ TEST_F(StoreServerTest, SlicedLoadOverRemoteBitExactWithLocalAcrossSweep) {
           UCP_CHECK(loaded.ok()) << loaded.ToString();
         });
 
-        for (int r = 0; r < local_run.world_size(); ++r) {
-          const ZeroOptimizer& a = remote_run.trainer(r).optimizer();
-          const ZeroOptimizer& b = local_run.trainer(r).optimizer();
-          EXPECT_TRUE(Tensor::BitEqual(a.MasterState(), b.MasterState())) << "rank " << r;
-          EXPECT_TRUE(Tensor::BitEqual(a.ExpAvgState(), b.ExpAvgState())) << "rank " << r;
-          EXPECT_TRUE(Tensor::BitEqual(a.ExpAvgSqState(), b.ExpAvgSqState()))
-              << "rank " << r;
-          EXPECT_EQ(a.steps_taken(), b.steps_taken()) << "rank " << r;
-        }
+        ExpectSameOptimizerState(remote_run, local_run);
       }
     }
   }
