@@ -215,10 +215,10 @@ ChaosResult RunChaosSaveArm(std::unique_ptr<StoreServer>& server,
   constexpr size_t kFullChunkBytes = 4u * kWireChunkBytes;
   constexpr size_t kChaosPayloadBytes = kFullChunkBytes + (64u << 10);
   constexpr int kChaosOps = 8;
-  // Sends after arming, from 0: RESET_STAGING, its OK, WRITE_BEGIN (preceded by a
-  // TRACE_CONTEXT frame when tracing is on: the write runs in its own trace), its OK, the
-  // four full chunks (a blocking send moves a whole frame), then the tail chunk.
-  const int tail_send = obs::TraceEnabled() ? 9 : 8;
+  // Sends after arming, from 0: RESET_STAGING, its OK, WRITE_BEGIN (carrying its trace
+  // context when tracing is on), its OK, the four full chunks (a blocking send moves a
+  // whole frame), then the tail chunk.
+  constexpr int kTailSend = 8;
   constexpr int kParkMs = 50;        // the client waits this long before sending the tail
   constexpr int kKillAfterMs = 100;  // the kill, counted from the full chunks' arrival
   constexpr int kDropMs = 200;       // the daemon's receive waits this long, then drops
@@ -245,7 +245,7 @@ ChaosResult RunChaosSaveArm(std::unique_ptr<StoreServer>& server,
   for (int op = 0; op < kChaosOps; ++op) {
     const std::string tag = "chaos.global_step" + std::to_string(op + 1);
     const std::string spool = PathJoin(WipDirForTag(server_options.root, tag), "shard");
-    ArmSocketFault({SocketFault::Op::kSend, SocketFault::Kind::kDelay, tail_send, kParkMs});
+    ArmSocketFault({SocketFault::Op::kSend, SocketFault::Kind::kDelay, kTailSend, kParkMs});
     std::thread killer([&] {
       auto full_chunks_spooled = [&] {
         Result<uint64_t> size = FileSize(spool);
@@ -333,8 +333,8 @@ Json ChaosArmJson(const ChaosResult& r) {
   return Json(std::move(arm));
 }
 
-// Guardrail: wire v5 trace propagation (client RPC spans, the TRACE_CONTEXT header, and
-// the daemon's per-request handling spans) must stay invisible on the remote save path.
+// Guardrail: wire v6 trace propagation (client RPC spans, the trace context in each request
+// frame, and the daemon's per-request handling spans) must stay invisible on the remote save path.
 // Same deterministic method as fig11's check — a wall-clock A/B at this scale reads
 // socket and fsync jitter, not the tracer:
 //

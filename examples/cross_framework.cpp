@@ -13,6 +13,7 @@
 #include "src/ckpt/foreign.h"
 #include "src/common/fs.h"
 #include "src/runtime/trainer.h"
+#include "src/store/local_store.h"
 #include "src/ucp/converter.h"
 #include "src/ucp/loader.h"
 
@@ -38,8 +39,9 @@ int main() {
               ddp_losses.back(), workdir.c_str());
 
   std::printf("phase 2: ingest the foreign checkpoint into UCP\n");
+  LocalStore out(workdir);
   Result<ConvertStats> stats =
-      ConvertForeignToUcp(workdir + "/torchlight", "foreign_step20", workdir + "/ucp");
+      ConvertForeignToUcp(workdir + "/torchlight", "foreign_step20", out, "ucp");
   UCP_CHECK(stats.ok()) << stats.status().ToString();
   std::printf("  %d atoms written\n", stats->atoms_written);
 

@@ -12,6 +12,7 @@
 
 #include "src/common/fs.h"
 #include "src/runtime/supervisor.h"
+#include "src/store/local_store.h"
 #include "src/ucp/elastic.h"
 
 namespace {
@@ -74,8 +75,9 @@ int main() {
   // demand (cached beside it), and loads through UCP.
   std::printf("\nphase 3: capacity restored -> scale up to 8 ranks as DP8 (ZeRO-3)\n");
   TrainingRun restored(ConfigFor({1, 1, 8, 1, 3, 1}));
+  LocalStore ckpt(workdir + "/ckpt");
   restored.Run([&](RankTrainer& trainer) {
-    Result<ResumeReport> resume = ResumeElastic(workdir + "/ckpt", trainer);
+    Result<ResumeReport> resume = ResumeElastic(ckpt, trainer);
     UCP_CHECK(resume.ok()) << resume.status().ToString();
     UCP_CHECK(resume->path == ResumeReport::Path::kUcpConverted ||
               resume->path == ResumeReport::Path::kUcpCached);

@@ -51,7 +51,7 @@ int main() {
   LocalStore ckpt(workdir + "/ckpt");
   Result<std::string> tag = FindLatestValidTag(ckpt);
   UCP_CHECK(tag.ok()) << tag.status().ToString();
-  Result<ConvertStats> stats = ConvertToUcp(ckpt, *tag, workdir + "/ucp");
+  Result<ConvertStats> stats = ConvertToUcp(workdir + "/ckpt", *tag, workdir + "/ucp");
   UCP_CHECK(stats.ok()) << stats.status().ToString();
   std::printf("converted to UCP: %d atom checkpoints (extract %.0f ms, union %.0f ms)\n",
               stats->atoms_written, stats->extract_seconds * 1e3,

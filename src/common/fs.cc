@@ -509,6 +509,18 @@ std::string PathJoin(const std::string& a, const std::string& b) {
   return a + (b.front() == '/' ? b : "/" + b);
 }
 
+std::string ParentDir(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  if (slash == std::string::npos) {
+    return ".";
+  }
+  return slash == 0 ? "/" : path.substr(0, slash);
+}
+
+std::string BaseName(const std::string& path) {
+  return path.substr(path.find_last_of('/') + 1);  // npos + 1 wraps to 0: the whole path
+}
+
 Result<std::string> MakeTempDir(const std::string& prefix) {
   static std::atomic<uint64_t> counter{0};
   std::error_code ec;

@@ -179,6 +179,11 @@ Status RemoveAll(const std::string& path);
 // Joins with exactly one '/' between parts.
 std::string PathJoin(const std::string& a, const std::string& b);
 
+// The parts of `path` around its last '/': ParentDir("a/b/c") is "a/b" ("." without a '/',
+// "/" for a name under the root) and BaseName("a/b/c") is "c".
+std::string ParentDir(const std::string& path);
+std::string BaseName(const std::string& path);
+
 // Creates a fresh unique directory under the system temp dir with the given prefix.
 Result<std::string> MakeTempDir(const std::string& prefix);
 

@@ -54,10 +54,10 @@ void SetThreadTrackName(const std::string& name);
 //
 // A (trace_id, span_id) pair identifying one logical operation and the innermost open
 // span within it. RemoteStore installs a context per logical operation (one save keeps
-// one trace_id across reconnects and resumed writes), ships it to the daemon as a wire v5
-// header, and the daemon adopts it around its per-RPC handling span — so spans recorded
-// in two processes share a trace_id and parent/child span ids, and trace_merge can stitch
-// their exports into one Chrome trace with flow events.
+// one trace_id across reconnects and resumed writes), ships it to the daemon inside each
+// wire v6 request frame, and the daemon adopts it around its per-RPC handling span — so
+// spans recorded in two processes share a trace_id and parent/child span ids, and
+// trace_merge can stitch their exports into one Chrome trace with flow events.
 //
 // While a thread holds a valid context, every span it records is assigned its own span_id,
 // parented under the context's span_id, and annotated with hex "trace_id" / "span_id" /

@@ -3,7 +3,7 @@
 // The two halves of a distributed operation are recorded in two processes: RemoteStore's
 // rings hold the client spans (with hex trace_id/span_id args, src/obs/trace.h) and the
 // daemon's rings hold the server handling spans, parented under the client RPC spans via
-// the wire v5 TRACE_CONTEXT header. Each process exports its own
+// the trace context a wire v6 request frame carries. Each process exports its own
 // ExportChromeTraceJson/flight-record file; MergeChromeTraces joins them:
 //
 //  - server process ids are offset past the client's so the two processes render as

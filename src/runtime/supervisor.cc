@@ -118,26 +118,28 @@ SupervisorReport Supervisor::Train(int64_t first_iteration, int64_t last_iterati
     WorldOptions world_options;
     world_options.watchdog_timeout = options_.watchdog_timeout;
     std::unique_ptr<TrainingRun> run;
+    // One store per rebuild: the engine saves through it, and the resume below reads and
+    // converts through it.
+    std::shared_ptr<Store> store;
     std::unique_ptr<AsyncCheckpointEngine> engine;
     {
       UCP_TRACE_SPAN_ARGS("recovery.rebuild",
                           ::ucp::obs::TraceArgs().S("strategy", cfg.strategy.ToString()));
       run = std::make_unique<TrainingRun>(cfg, world_options);
-      if (!options_.ckpt_dir.empty() && options_.checkpoint_every > 0) {
-        if (!options_.store_endpoint.empty()) {
-          Result<std::shared_ptr<RemoteStore>> remote =
-              RemoteStore::Connect(options_.store_endpoint, options_.store_options);
-          if (!remote.ok()) {
-            report.status = remote.status();
-            break;
-          }
-          engine = std::make_unique<AsyncCheckpointEngine>(
-              *remote, cfg.strategy.world_size(), options_.async);
-        } else {
-          engine = std::make_unique<AsyncCheckpointEngine>(
-              std::make_shared<LocalStore>(options_.ckpt_dir), cfg.strategy.world_size(),
-              options_.async);
+      if (!options_.store_endpoint.empty()) {
+        Result<std::shared_ptr<RemoteStore>> remote =
+            RemoteStore::Connect(options_.store_endpoint, options_.store_options);
+        if (!remote.ok()) {
+          report.status = remote.status();
+          break;
         }
+        store = *std::move(remote);
+      } else if (!options_.ckpt_dir.empty()) {
+        store = std::make_shared<LocalStore>(options_.ckpt_dir);
+      }
+      if (store != nullptr && options_.checkpoint_every > 0) {
+        engine = std::make_unique<AsyncCheckpointEngine>(store, cfg.strategy.world_size(),
+                                                         options_.async);
       }
     }
     const double rebuild_seconds = SecondsSince(rebuild_start);
@@ -145,14 +147,12 @@ SupervisorReport Supervisor::Train(int64_t first_iteration, int64_t last_iterati
     int64_t next = first_iteration;
     ResumeReport resume_report;
     bool resumed = false;
-    LocalStore ckpt(options_.ckpt_dir);
-    if (!options_.ckpt_dir.empty() && FindLatestValidTag(ckpt, options_.async.job).ok()) {
+    if (store != nullptr && FindLatestValidTag(*store, options_.async.job).ok()) {
       UCP_TRACE_SPAN("recovery.resume");
       Status resume_status = OkStatus();
       std::mutex resume_mu;
       run->Run([&](RankTrainer& trainer) {
-        Result<ResumeReport> rr =
-            ResumeElastic(options_.ckpt_dir, trainer, options_.async.job);
+        Result<ResumeReport> rr = ResumeElastic(*store, trainer, options_.async.job);
         std::lock_guard<std::mutex> lock(resume_mu);
         if (!rr.ok()) {
           if (resume_status.ok()) {

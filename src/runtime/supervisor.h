@@ -11,8 +11,9 @@
 //                  checkpoint recovery wants), and destroys the poisoned World.
 //   3. SHRINK    — picks a fallback ParallelConfig for the reduced rank count via the
 //                  strategy-shrink policy (drop DP first, then TP, then PP, then SP).
-//   4. RESUME    — rebuilds trainers on the new strategy and drives ResumeElastic, which
-//                  converts the checkpoint through UCP when the strategy changed.
+//   4. RESUME    — rebuilds trainers on the new strategy and drives ResumeElastic through
+//                  the store the engine saves to, converting the checkpoint through UCP
+//                  when the strategy changed.
 //
 // Every phase is timed per recovery (RecoveryTiming) — the recovery-time split
 // bench/fig13_recovery_time.cc reports. See docs/fault_tolerance.md.
@@ -48,20 +49,22 @@ Result<ParallelConfig> ShrinkStrategy(
                                             ShrinkAxis::kSp});
 
 struct SupervisorOptions {
-  // Checkpoint directory. Required: recovery without a checkpoint restarts from scratch.
+  // Checkpoint directory: the LocalStore saves and resumes go through when store_endpoint is
+  // empty, and where a rank failure's flight record is dumped. With neither set, recovery
+  // restarts from scratch.
   std::string ckpt_dir;
-  // When set ("unix:/path" / "tcp:host:port"), saves go through a ucp_serverd at this
-  // endpoint (the daemon must serve the same root as ckpt_dir — the shared-filesystem
-  // deployment) while resume/validation read ckpt_dir directly. Each rebuilt engine dials
-  // fresh; transport loss during a save is handled by the RemoteStore's lease/reconnect
-  // machinery per store_options, and a save that stays unreachable past the reconnect
-  // deadline is skipped (save.async.skipped_unavailable), not a training abort.
+  // When set ("unix:/path" / "tcp:host:port"), saves and resumes go through a ucp_serverd at
+  // this endpoint instead. Each rebuild dials one RemoteStore, and the engine, the
+  // newest-tag check and ResumeElastic (its UCP conversion included) all use it. Transport
+  // loss during a save is handled by the RemoteStore's lease/reconnect machinery per
+  // store_options, and a save that stays unreachable past the reconnect deadline is skipped
+  // (save.async.skipped_unavailable), not a training abort.
   std::string store_endpoint;
   RemoteStoreOptions store_options;
   // SaveAsync every N completed iterations (0 disables checkpointing).
   int checkpoint_every = 10;
   // `async.job` doubles as the supervisor's tag namespace: saves, retention, debris sweeps
-  // and resumes all stay inside it, so several supervised jobs can share one ckpt_dir.
+  // and resumes all stay inside it, so several supervised jobs can share one store.
   AsyncCheckpointOptions async;
   // Passed to each rebuilt World; how long a silent hang takes to become a detected failure.
   std::chrono::milliseconds watchdog_timeout{60000};

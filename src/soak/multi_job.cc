@@ -17,12 +17,14 @@
 namespace ucp {
 namespace {
 
-// `endpoint` empty = the engine writes the directory itself (LocalStore); otherwise each
-// phase dials the soak's daemon, modelling a restarted job reconnecting.
+// `endpoint` empty = the job writes and reads the directory itself (LocalStore); otherwise
+// each phase dials the soak's daemon, modelling a restarted job reconnecting. Either way a
+// phase saves and resumes through one store.
 MultiJobReport::JobResult RunOneJob(const MultiJobOptions& options, const std::string& job,
                                     const std::string& endpoint) {
   MultiJobReport::JobResult result;
   result.job = job;
+  const std::string store_spec = endpoint.empty() ? options.dir : endpoint;
 
   // This (launcher) thread and every thread it owns declare the job identity for the I/O
   // audit; the engine's flusher threads declare it via pre_flush_hook.
@@ -49,18 +51,12 @@ MultiJobReport::JobResult RunOneJob(const MultiJobOptions& options, const std::s
     engine_options.keep_last = options.keep_last;
     engine_options.max_in_flight = 2;
     engine_options.pre_flush_hook = [job](int64_t) { SetThreadIoAuditContext(job); };
-    std::optional<AsyncCheckpointEngine> engine;
-    if (endpoint.empty()) {
-      engine.emplace(std::make_shared<LocalStore>(options.dir), run.world_size(),
-                     engine_options);
-    } else {
-      Result<std::shared_ptr<Store>> store = OpenStore(endpoint);
-      if (!store.ok()) {
-        note(store.status());
-        break;
-      }
-      engine.emplace(*std::move(store), run.world_size(), engine_options);
+    Result<std::shared_ptr<Store>> store = OpenStore(store_spec);
+    if (!store.ok()) {
+      note(store.status());
+      break;
     }
+    AsyncCheckpointEngine engine(*store, run.world_size(), engine_options);
 
     const int64_t first =
         static_cast<int64_t>(phase) * options.iterations_per_phase + 1;
@@ -71,7 +67,7 @@ MultiJobReport::JobResult RunOneJob(const MultiJobOptions& options, const std::s
       // resume must land exactly on the previous phase's frontier.
       run.Run([&](RankTrainer& trainer) {
         SetThreadIoAuditContext(job);
-        Result<ResumeReport> resumed = ResumeElastic(options.dir, trainer, job);
+        Result<ResumeReport> resumed = ResumeElastic(**store, trainer, job);
         if (!resumed.ok()) {
           note(resumed.status());
         } else if (trainer.rank() == 0 && resumed->iteration != first - 1) {
@@ -85,14 +81,20 @@ MultiJobReport::JobResult RunOneJob(const MultiJobOptions& options, const std::s
     run.Train(first, last, [&](RankTrainer& trainer, int64_t iteration) {
       SetThreadIoAuditContext(job);
       if (options.checkpoint_every > 0 && iteration % options.checkpoint_every == 0) {
-        note(engine->SaveAsync(trainer, iteration));
+        note(engine.SaveAsync(trainer, iteration));
       }
     });
-    note(engine->WaitAll());
+    note(engine.WaitAll());
   }
 
   // Final store state, still under this job's audit identity.
-  LocalStore store(options.dir);
+  Result<std::shared_ptr<Store>> opened = OpenStore(store_spec);
+  if (!opened.ok()) {
+    note(opened.status());
+    result.status = first_error;
+    return result;
+  }
+  Store& store = **opened;
   Result<std::string> latest = FindLatestValidTag(store, job);
   if (!latest.ok()) {
     note(latest.status());
@@ -110,7 +112,7 @@ MultiJobReport::JobResult RunOneJob(const MultiJobOptions& options, const std::s
     TrainingRun reload(config);
     reload.Run([&](RankTrainer& trainer) {
       SetThreadIoAuditContext(job);
-      Result<ResumeReport> resumed = ResumeElastic(options.dir, trainer, job);
+      Result<ResumeReport> resumed = ResumeElastic(store, trainer, job);
       if (!resumed.ok()) {
         note(resumed.status());
       } else if (trainer.rank() == 0) {

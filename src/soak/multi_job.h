@@ -41,12 +41,12 @@ struct MultiJobOptions {
   // Run the whole soak under a ScopedIoAudit. Disable when the caller composes its own
   // audit (at most one may be active per process).
   bool audit = true;
-  // Route every job's save path through one in-process StoreServer on the shared dir: the
-  // engines write via RemoteStore over a unix socket while resume/validation still read the
-  // directory the daemon serves. The path-scoped fault then fires inside the daemon's
-  // session threads (server-side injection); the audit keeps working because server threads
-  // carry no job identity (ops are bucketed by path, and only a *mismatched* non-empty
-  // thread context counts as a violation).
+  // Route every job through one in-process StoreServer on the shared dir: the engines save,
+  // and the resumes, validation and reloads read, via RemoteStore over a unix socket. The
+  // path-scoped fault then fires inside the daemon's session threads (server-side
+  // injection); the audit keeps working because server threads carry no job identity (ops
+  // are bucketed by path, and only a *mismatched* non-empty thread context counts as a
+  // violation).
   bool through_daemon = false;
 };
 

@@ -20,9 +20,14 @@ class LocalStoreWriter final : public StoreWriter {
     if (!IsSafeStoreRelPath(rel)) {
       return InvalidArgumentError("bad store file name: " + rel);
     }
-    // WriteFileAtomic on the calling thread: an enclosing ScopedFsyncBatch (the async
-    // flusher's) still batches these fsyncs exactly as the pre-Store path did.
-    return WriteFileAtomic(PathJoin(staging_, rel), data, size);
+    // A nested `rel` (a UCP export's `atoms/<param>`) gets its directory, as the daemon's
+    // WRITE_END does. WriteFileAtomic runs on the calling thread, so an enclosing
+    // ScopedFsyncBatch (the async flusher's) still batches its fsync.
+    const std::string path = PathJoin(staging_, rel);
+    if (rel.find('/') != std::string::npos) {
+      UCP_RETURN_IF_ERROR(MakeDirs(ParentDir(path)));
+    }
+    return WriteFileAtomic(path, data, size);
   }
 
  private:
@@ -125,13 +130,12 @@ Status LocalStore::CommitTag(const std::string& tag, const std::string& meta_jso
   UCP_RETURN_IF_ERROR(RemoveAll(tag_dir));
   UCP_RETURN_IF_ERROR(RenamePath(staging, tag_dir));
   UCP_RETURN_IF_ERROR(WriteFileAtomic(PathJoin(tag_dir, kCompleteMarker), tag));
-  // The latest pointer belongs to the namespace the tag name carries; free-form tags
-  // (tools, tests) fall back to the default job's pointer.
+  // The latest pointer belongs to the namespace the tag name carries. Any other name (a UCP
+  // export such as `global_step3.ucp`, a tool's or a test's tag) moves no pointer.
   std::string job;
-  if (!ParseTagName(tag, &job, nullptr)) {
-    job.clear();
+  if (ParseTagName(tag, &job, nullptr)) {
+    UCP_RETURN_IF_ERROR(WriteFileAtomic(PathJoin(root_, LatestFileName(job)), tag));
   }
-  UCP_RETURN_IF_ERROR(WriteFileAtomic(PathJoin(root_, LatestFileName(job)), tag));
   commits.Add(1);
   // A leftover spool dir (resumed uploads that were superseded) is dead weight now.
   UCP_RETURN_IF_ERROR(RemoveAll(WipDirForTag(root_, tag)));

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <random>
 #include <thread>
 #include <utility>
@@ -256,8 +257,8 @@ Result<WireFrame> RemoteStore::ExchangeLocked(WireOp op,
                                               const std::vector<uint8_t>& payload,
                                               WireOp ok_op, const FrameDest* dest) {
   // The client RPC span. While it lives it is the thread context's innermost span, so the
-  // TRACE_CONTEXT header below carries *its* id as parent — the server's handling span
-  // becomes its child in the merged trace.
+  // request below carries *its* id as parent — the server's handling span becomes its
+  // child in the merged trace.
   UCP_TRACE_NAMED_SPAN(span, "store.client.rpc");
   if (obs::TraceEnabled()) {
     span.ArgS("op", WireOpName(op));
@@ -267,20 +268,9 @@ Result<WireFrame> RemoteStore::ExchangeLocked(WireOp op,
     if (fd_ < 0) {
       return UnavailableError("connection to " + endpoint_ + " is closed");
     }
-    // Ship the thread's trace context ahead of the request. Sent only when a logical
-    // operation installed a context (a headerless request is simply unattributed).
-    const obs::TraceContext ctx = obs::CurrentTraceContext();
-    if (ctx.valid()) {
-      ByteWriter hdr;
-      hdr.PutU64(ctx.trace_id);
-      hdr.PutU64(ctx.span_id);
-      Status hdr_sent = SendFrame(fd_, WireOp::kTraceContext, hdr.buffer());
-      if (!hdr_sent.ok()) {
-        CloseFdLocked();
-        return hdr_sent;
-      }
-    }
-    Status sent = SendFrame(fd_, op, payload);
+    // The request carries the thread's trace context when a logical operation installed
+    // one (a request without one is simply unattributed).
+    Status sent = SendFrame(fd_, op, payload, obs::CurrentTraceContext());
     if (!sent.ok()) {
       CloseFdLocked();
       return sent;
@@ -329,9 +319,8 @@ Result<WireFrame> RemoteStore::Roundtrip(WireOp op, const std::vector<uint8_t>& 
   return RoundtripLocked(op, payload, ok_op);
 }
 
-Result<WireFrame> RemoteStore::RoundtripWithRetry(WireOp op,
-                                                  const std::vector<uint8_t>& payload,
-                                                  WireOp ok_op) {
+Result<WireFrame> RemoteStore::RetryBackpressureLocked(
+    const std::function<Result<WireFrame>()>& exchange) {
   const IoRetryPolicy policy = GetIoRetryPolicy();
   std::chrono::milliseconds backoff = policy.base_backoff;
   static obs::Counter& transient =
@@ -340,11 +329,10 @@ Result<WireFrame> RemoteStore::RoundtripWithRetry(WireOp op,
       obs::MetricsRegistry::Global().GetCounter("io.retry.retries");
   static obs::Counter& giveups =
       obs::MetricsRegistry::Global().GetCounter("io.retry.giveups");
-  std::lock_guard<std::mutex> lock(mu_);
   for (int attempt = 1;; ++attempt) {
-    Result<WireFrame> reply = RoundtripLocked(op, payload, ok_op);
-    // Only *response-level* kUnavailable (server backpressure) retries here; transport
-    // failures were already given their reconnect chance inside RoundtripLocked.
+    Result<WireFrame> reply = exchange();
+    // Only a kUnavailable *response* on a live connection (the daemon's admission control)
+    // retries here; a transport failure leaves `fd_ < 0` for the caller's reconnect path.
     if (reply.ok() || reply.status().code() != StatusCode::kUnavailable || fd_ < 0) {
       return reply;
     }
@@ -357,6 +345,13 @@ Result<WireFrame> RemoteStore::RoundtripWithRetry(WireOp op,
     std::this_thread::sleep_for(backoff);
     backoff = std::min(backoff * 2, policy.max_backoff);
   }
+}
+
+Result<WireFrame> RemoteStore::RoundtripWithRetry(WireOp op,
+                                                  const std::vector<uint8_t>& payload,
+                                                  WireOp ok_op) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return RetryBackpressureLocked([&] { return RoundtripLocked(op, payload, ok_op); });
 }
 
 Status RemoteStore::ReconnectLocked() {
@@ -426,32 +421,10 @@ Status RemoteStore::WriteFileOnceLocked(const std::string& tag, const std::strin
   // Admission control happens at BEGIN: a kUnavailable *response* means the daemon's
   // staged-bytes budget is full and this session is not the oldest — back off and retry
   // (nothing was staged). Transport failures return to the caller's resume loop.
-  const IoRetryPolicy policy = GetIoRetryPolicy();
-  std::chrono::milliseconds backoff = policy.base_backoff;
-  static obs::Counter& transient =
-      obs::MetricsRegistry::Global().GetCounter("io.retry.transient_errors");
-  static obs::Counter& retries =
-      obs::MetricsRegistry::Global().GetCounter("io.retry.retries");
-  static obs::Counter& giveups =
-      obs::MetricsRegistry::Global().GetCounter("io.retry.giveups");
-  for (int attempt = 1;; ++attempt) {
-    Result<WireFrame> opened =
-        ExchangeLocked(WireOp::kWriteBegin, begin.buffer(), WireOp::kOk);
-    if (opened.ok()) {
-      break;
-    }
-    if (opened.status().code() != StatusCode::kUnavailable || fd_ < 0) {
-      return opened.status();
-    }
-    transient.Add(1);
-    if (attempt >= policy.max_attempts) {
-      giveups.Add(1);
-      return opened.status();
-    }
-    retries.Add(1);
-    std::this_thread::sleep_for(backoff);
-    backoff = std::min(backoff * 2, policy.max_backoff);
-  }
+  const Status opened = RetryBackpressureLocked([&] {
+    return ExchangeLocked(WireOp::kWriteBegin, begin.buffer(), WireOp::kOk);
+  }).status();
+  UCP_RETURN_IF_ERROR(opened);
   const uint8_t* p = static_cast<const uint8_t*>(data) + resume;
   uint64_t offset = resume;
   size_t left = size - resume;

@@ -25,6 +25,7 @@
 #define UCP_SRC_STORE_REMOTE_STORE_H_
 
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -124,7 +125,12 @@ class RemoteStore final : public Store, public std::enable_shared_from_this<Remo
   Result<WireFrame> RoundtripLocked(WireOp op, const std::vector<uint8_t>& payload,
                                     WireOp ok_op);
   Result<WireFrame> Roundtrip(WireOp op, const std::vector<uint8_t>& payload, WireOp ok_op);
-  // Roundtrip with IoRetryPolicy backoff on kUnavailable *responses* (admission control).
+  // The one backpressure loop: re-runs `exchange` with IoRetryPolicy backoff while it fails
+  // with a kUnavailable *response* on a live connection (the daemon's admission control),
+  // counting io.retry.*.
+  Result<WireFrame> RetryBackpressureLocked(
+      const std::function<Result<WireFrame>()>& exchange);
+  // RoundtripLocked under RetryBackpressureLocked.
   Result<WireFrame> RoundtripWithRetry(WireOp op, const std::vector<uint8_t>& payload,
                                        WireOp ok_op);
 

@@ -75,11 +75,6 @@ Status SendError(int fd, const Status& error, uint32_t retry_after_ms = 0) {
   return SendFrame(fd, WireOp::kError, w.buffer());
 }
 
-std::string ParentDir(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? std::string(".") : path.substr(0, slash);
-}
-
 // Writes exactly [data, data+size) at `offset` (pwrite loop; EINTR absorbed).
 Status PwriteAll(int fd, const void* data, size_t size, uint64_t offset,
                  const std::string& path) {
@@ -207,11 +202,6 @@ struct StoreServer::Session {
   // Set while the serving thread waits for a request with no upload open; a draining
   // Shutdown closes such a session at once unless its lease has bytes staged.
   std::atomic<bool> idle{false};
-
-  // Trace context from a TRACE_CONTEXT prefix frame: annotates the *next* request frame
-  // on this connection, then clears. Only the serving thread touches it.
-  uint64_t pending_trace_id = 0;
-  uint64_t pending_span_id = 0;
 };
 
 // A response frame: its type and payload.
@@ -443,6 +433,7 @@ void StoreServer::ServeConnection(int fd, std::shared_ptr<Session> session) {
     }
     ServerMetrics::Get().ops.Add(1);
     ServerMetrics::Get().bytes_in.Add(kFrameHeaderBytes + frame->payload.size() +
+                                      (frame->trace.valid() ? kTraceContextBytes : 0) +
                                       kFrameTrailerBytes);
     session->ops++;
     if (!greeted) {
@@ -999,29 +990,9 @@ Result<size_t> StoreServer::HandleReadRange(const WireFrame& frame, Session& ses
 }
 
 bool StoreServer::HandleFrame(int fd, const WireFrame& frame, Session& session) {
-  // TRACE_CONTEXT prefix frame: stash the client's (trace_id, parent_span_id) for the
-  // next request on this connection; no response frame.
-  if (frame.op == WireOp::kTraceContext) {
-    ByteReader r(frame.payload.data(), frame.payload.size());
-    Result<uint64_t> trace_id = r.GetU64();
-    Result<uint64_t> span_id =
-        trace_id.ok() ? r.GetU64() : Result<uint64_t>(trace_id.status());
-    if (!span_id.ok()) {
-      SendError(fd, span_id.status()).ok();
-      return false;
-    }
-    session.pending_trace_id = *trace_id;
-    session.pending_span_id = *span_id;
-    return true;
-  }
-  // Adopt the wire-propagated context (if any) around this RPC, so the server's handling
-  // span parents under the client's RPC span — one trace across both processes.
-  obs::TraceContext ctx;
-  ctx.trace_id = session.pending_trace_id;
-  ctx.span_id = session.pending_span_id;
-  session.pending_trace_id = 0;
-  session.pending_span_id = 0;
-  obs::ScopedTraceContext trace_ctx(ctx);  // no-op when no context arrived
+  // Adopt the trace context the request carried (if any) around this RPC, so the server's
+  // handling span parents under the client's RPC span — one trace across both processes.
+  obs::ScopedTraceContext trace_ctx(frame.trace);  // no-op when no context arrived
   const uint64_t start_ns = obs::TraceNowNs();
   bool keep_open;
   {

@@ -110,10 +110,10 @@ class StoreServer {
   void ReaperLoop();
   void ServeConnection(int fd, std::shared_ptr<Session> session);
   // One request frame -> one (or zero, for WRITE_CHUNK and CLOSE_READ) response frame.
-  // Returns false when the connection must close. HandleFrame absorbs TRACE_CONTEXT prefix
-  // frames, adopts the propagated context around a per-RPC server span, and records per-op
-  // histograms; HandleFrameInner handles the one-way frames, sends READ_RANGE replies built
-  // in place, and sends Dispatch's reply or error for every other request.
+  // Returns false when the connection must close. HandleFrame adopts the trace context a
+  // traced request carries around a per-RPC server span and records per-op histograms;
+  // HandleFrameInner handles the one-way frames, sends READ_RANGE replies built in place,
+  // and sends Dispatch's reply or error for every other request.
   bool HandleFrame(int fd, const WireFrame& frame, Session& session);
   bool HandleFrameInner(int fd, const WireFrame& frame, Session& session);
   // Decodes one request, runs it, and returns the reply frame to send.

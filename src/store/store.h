@@ -4,8 +4,9 @@
 // the UCP load, the resume tag walk) and every save, commit and GC goes through `Store`,
 // so a training job is indifferent to whether its checkpoints live in a local directory
 // (LocalStore) or behind `ucp_serverd` (RemoteStore, speaking the framed wire protocol in
-// wire.h). The writes that still take a path are conversion's atom output and fsck's
-// quarantine renames (docs/store.md). The interface is deliberately narrow
+// wire.h). A UCP export is one more tag (`<tag>.ucp`), committed through the protocol
+// below; the one write that still takes a path is fsck's quarantine rename
+// (docs/store.md). The interface is deliberately narrow
 // (Portus/ByteCheckpoint-style decoupling): relative paths and tag names only, staged
 // writes with an explicit commit, positional reads via ByteSource so BundleFileView range
 // reads work unchanged over either backend.
@@ -13,8 +14,9 @@
 // Commit protocol (identical on both backends; the remote one runs it server-side):
 //   ResetTagStaging(tag)              -- clear debris of a crashed save
 //   OpenTagForWrite(tag) -> writer    -- one writer per rank; files land in <tag>.staging
-//   writer->WriteFile(rel, bytes)     -- whole serialized shard files (bundle blobs)
+//   writer->WriteFile(rel, bytes)     -- whole serialized files (bundle blobs)
 //   CommitTag(tag, meta_json)         -- meta into staging, rename, marker, latest
+//                                        (only for a name ParseTagName accepts)
 //   AbortTag(tag)                     -- or: drop the staging dir, nothing published
 //
 // See docs/store.md for the full contract and docs/durability.md for why the commit
@@ -54,10 +56,10 @@ class StoreWriter {
 
   const std::string& tag() const { return tag_; }
 
-  // Stages `rel` (a file name inside the tag) with exactly these bytes. Local: the same
-  // tmp-write/fsync/rename as always (ScopedFsyncBatch on the calling thread still
-  // applies). Remote: a chunked frame stream, CRC-verified server-side before the file is
-  // staged.
+  // Stages `rel` (a file path inside the tag; a nested one gets its directory) with exactly
+  // these bytes. Local: the same tmp-write/fsync/rename as always (ScopedFsyncBatch on the
+  // calling thread still applies). Remote: a chunked frame stream, CRC-verified
+  // server-side before the file is staged.
   virtual Status WriteFile(const std::string& rel, const void* data, size_t size) = 0;
   Status WriteFile(const std::string& rel, const std::vector<uint8_t>& bytes) {
     return WriteFile(rel, bytes.data(), bytes.size());
@@ -125,9 +127,11 @@ class Store {
   // Clears `<tag>.staging` (debris of a previous crashed save) and recreates it empty.
   virtual Status ResetTagStaging(const std::string& tag) = 0;
 
-  // The commit sequence shared by the synchronous save and the async flusher: metadata into
-  // staging, wholesale replacement of any previous `<tag>` commit, atomic rename, marker,
-  // then the owning job's `latest` pointer (the namespace is parsed from the tag name).
+  // The commit sequence shared by the synchronous save, the async flusher and the UCP
+  // export: metadata into staging, wholesale replacement of any previous `<tag>` commit,
+  // atomic rename, marker, then the owning job's `latest` pointer (the namespace is parsed
+  // from the tag name; a name ParseTagName refuses, such as `global_step3.ucp`, moves no
+  // pointer).
   // Single-caller (rank 0 / the flusher); staging must hold every shard. `meta_json` is the
   // serialized CheckpointMeta (meta.ToJson().Dump(2)).
   virtual Status CommitTag(const std::string& tag, const std::string& meta_json) = 0;

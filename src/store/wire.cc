@@ -47,7 +47,6 @@ const char* WireOpName(WireOp op) {
     case WireOp::kSessionOpen: return "session_open";
     case WireOp::kWriteResume: return "write_resume";
     case WireOp::kServerStat: return "server_stat";
-    case WireOp::kTraceContext: return "trace_context";
     case WireOp::kMetricsDump: return "metrics_dump";
     case WireOp::kOk: return "ok";
     case WireOp::kError: return "error";
@@ -318,19 +317,28 @@ Status SendFrameInPlace(int fd, WireOp op, uint8_t* frame, size_t len) {
 }
 
 Status SendFrame(int fd, WireOp op, const void* prefix, size_t prefix_len,
-                 const void* payload, size_t len) {
-  const size_t total = prefix_len + len;
+                 const void* payload, size_t len, obs::TraceContext trace) {
+  const size_t context_len = trace.valid() ? kTraceContextBytes : 0;
+  const size_t total = context_len + prefix_len + len;
   if (total > kMaxFramePayload) {
     return InvalidArgumentError("wire frame payload too large: " + std::to_string(total));
   }
   std::vector<uint8_t> buf(kFrameHeaderBytes + total + kFrameTrailerBytes);
+  uint8_t* p = buf.data() + kFrameHeaderBytes;
+  if (context_len > 0) {
+    std::memcpy(p, &trace.trace_id, sizeof(trace.trace_id));
+    std::memcpy(p + sizeof(trace.trace_id), &trace.span_id, sizeof(trace.span_id));
+    p += context_len;
+  }
   if (prefix_len > 0) {
-    std::memcpy(buf.data() + kFrameHeaderBytes, prefix, prefix_len);
+    std::memcpy(p, prefix, prefix_len);
   }
   if (len > 0) {
-    std::memcpy(buf.data() + kFrameHeaderBytes + prefix_len, payload, len);
+    std::memcpy(p + prefix_len, payload, len);
   }
-  return SendFrameInPlace(fd, op, buf.data(), total);
+  // A traced request's type byte is its op with kTracedFrame set.
+  const uint8_t type = static_cast<uint8_t>(op) | (context_len > 0 ? kTracedFrame : 0);
+  return SendFrameInPlace(fd, static_cast<WireOp>(type), buf.data(), total);
 }
 
 Result<WireFrame> RecvFrame(int fd, uint32_t max_payload, const FrameDest* dest) {
@@ -340,13 +348,17 @@ Result<WireFrame> RecvFrame(int fd, uint32_t max_payload, const FrameDest* dest)
     return DataLossError("torn wire frame: bad magic");
   }
   WireFrame frame;
-  frame.op = static_cast<WireOp>(header[4]);
+  const bool traced = (header[4] & kTracedFrame) != 0;
+  frame.op = static_cast<WireOp>(header[4] & ~kTracedFrame);
   const uint32_t len = LoadU32(header + 5);
   if (len > max_payload) {
     return DataLossError("torn wire frame: oversized payload (" + std::to_string(len) +
                          " bytes)");
   }
-  frame.in_dest = dest != nullptr && frame.op == dest->op && len == dest->size;
+  if (traced && len < kTraceContextBytes) {
+    return DataLossError("torn wire frame: traced frame shorter than its trace context");
+  }
+  frame.in_dest = !traced && dest != nullptr && frame.op == dest->op && len == dest->size;
   uint8_t* payload = frame.in_dest ? static_cast<uint8_t*>(dest->data) : nullptr;
   if (!frame.in_dest) {
     frame.payload.resize(len);
@@ -362,6 +374,14 @@ Result<WireFrame> RecvFrame(int fd, uint32_t max_payload, const FrameDest* dest)
   crc = Crc32Update(crc, payload, len);
   if (LoadU32(crc_buf) != Crc32Finalize(crc)) {
     return DataLossError("torn wire frame: CRC mismatch");
+  }
+  if (traced) {
+    // The context arrived with the payload in one receive; strip it off the front.
+    std::memcpy(&frame.trace.trace_id, payload, sizeof(frame.trace.trace_id));
+    std::memcpy(&frame.trace.span_id, payload + sizeof(frame.trace.trace_id),
+                sizeof(frame.trace.span_id));
+    frame.payload.erase(frame.payload.begin(),
+                        frame.payload.begin() + static_cast<long>(kTraceContextBytes));
   }
   return frame;
 }

@@ -4,9 +4,11 @@
 // Frame layout (all integers little-endian):
 //
 //   u32 magic    'UCPW' (0x57504355)
-//   u8  type     frame type (below)
+//   u8  type     frame type (below); bit 7 (kTracedFrame) flags a traced request
 //   u32 len      payload byte count, <= kMaxFramePayload
-//   ...          payload
+//   ...          payload; a traced request's opens with its sender's trace context,
+//                u64 trace_id | u64 parent_span_id, which RecvFrame strips into
+//                WireFrame::trace
 //   u32 crc      CRC32 over the type byte followed by the payload
 //
 // A frame whose magic, length bound, or CRC fails is a *torn frame*: the receiver reports
@@ -28,19 +30,21 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/obs/trace.h"
 
 namespace ucp {
 
 inline constexpr uint32_t kWireMagic = 0x57504355;  // "UCPW" little-endian
-// Wire version: v5 only. It carries session leases (SESSION_OPEN binds one; every later
+// Wire version: v6 only. It carries session leases (SESSION_OPEN binds one; every later
 // frame on the connection refreshes its expiry), offset-addressed WRITE_BEGIN / WRITE_CHUNK
-// frames and the WRITE_RESUME query that make interrupted uploads resumable, the
-// TRACE_CONTEXT prefix frame and METRICS_DUMP op for observability, and reads that cost one
-// exchange per range: OPEN_READ_OK carries a bundle's header prefix and CLOSE_READ has no
-// reply. (v1 and v2 had no leases or resumable writes, v3 lacked the two observability ops
-// and v4 replied to CLOSE_READ and sent no header with OPEN_READ_OK; none of them is spoken
-// any more.)
-inline constexpr uint32_t kWireVersion = 5;
+// frames and the WRITE_RESUME query that make interrupted uploads resumable, a request's
+// trace context inside the request frame (kTracedFrame) and the METRICS_DUMP op for
+// observability, and reads that cost one exchange per range: OPEN_READ_OK carries a
+// bundle's header prefix and CLOSE_READ has no reply. (v1 and v2 had no leases or resumable
+// writes, v3 lacked the observability ops, v4 replied to CLOSE_READ and sent no header with
+// OPEN_READ_OK, and v5 sent a trace context as a TRACE_CONTEXT frame of its own ahead of
+// the request; none of them is spoken any more.)
+inline constexpr uint32_t kWireVersion = 6;
 // Bound on one frame's payload; larger files stream as multiple WRITE_CHUNK / READ_RANGE
 // exchanges. Also the admission unit for the server's torn-frame defense: a corrupt length
 // field can never make the server allocate more than this.
@@ -50,6 +54,11 @@ inline constexpr uint32_t kWireChunkBytes = 1u << 20;
 // A frame's bytes around its payload: magic, type and length before it, the CRC after.
 inline constexpr size_t kFrameHeaderBytes = 9;
 inline constexpr size_t kFrameTrailerBytes = 4;
+// Type-byte flag of a request whose payload opens with its sender's trace context
+// (kTraceContextBytes: u64 trace_id | u64 parent_span_id). The daemon's handling span of
+// that request joins the client's trace.
+inline constexpr uint8_t kTracedFrame = 0x80;
+inline constexpr size_t kTraceContextBytes = 16;
 
 // Frame types. Requests < 64, responses >= 64.
 enum class WireOp : uint8_t {
@@ -81,9 +90,8 @@ enum class WireOp : uint8_t {
   // reuse it.
   kWriteResume = 23,  // str tag | str rel — how many bytes the server already has
   kServerStat = 24,   // empty — sessions/leases/staged/draining snapshot
-  kTraceContext = 25, // u64 trace_id | u64 parent_span_id — no response; annotates the
-                      // *next* request frame on this connection with the client's trace
-                      // context so the server's handling span joins the client's trace
+  // 25 was TRACE_CONTEXT, v5's frame ahead of the request it annotated (kTracedFrame
+  // replaces it); never reuse it.
   kMetricsDump = 26,  // u8 format (0 = text table, 1 = Prometheus) -> kBytes
 
   kOk = 64,           // empty
@@ -107,9 +115,11 @@ enum class WireOp : uint8_t {
 
 struct WireFrame {
   WireOp op = WireOp::kPing;
-  std::vector<uint8_t> payload;
+  std::vector<uint8_t> payload;  // without a traced request's trace context
   // True when RecvFrame put the payload in the caller's FrameDest; `payload` is then empty.
   bool in_dest = false;
+  // The sender's trace context, from a kTracedFrame request; {0, 0} otherwise.
+  obs::TraceContext trace;
 };
 
 // Stable lowercase name for an op ("write_begin", "commit_tag", ...; "op_unknown" for
@@ -124,16 +134,17 @@ const char* WireOpName(WireOp op);
 // the outgoing frame. kUnavailable when the peer is gone (EPIPE/ECONNRESET) or transient
 // retries exhaust.
 Status SendFrameInPlace(int fd, WireOp op, uint8_t* frame, size_t len);
-// Copies prefix ++ payload into a fresh frame buffer and sends it with SendFrameInPlace. The
-// WRITE_CHUNK path prepends the u64 offset to a chunk that lives in the caller's tensor
-// buffer.
+// Copies prefix ++ payload into a fresh frame buffer and sends it as SendFrameInPlace does.
+// The WRITE_CHUNK path prepends the u64 offset to a chunk that lives in the caller's tensor
+// buffer. A valid `trace` makes the frame a traced request (kTracedFrame) carrying it.
 Status SendFrame(int fd, WireOp op, const void* prefix, size_t prefix_len,
-                 const void* payload, size_t len);
+                 const void* payload, size_t len, obs::TraceContext trace = {});
 inline Status SendFrame(int fd, WireOp op, const void* payload, size_t len) {
   return SendFrame(fd, op, /*prefix=*/nullptr, /*prefix_len=*/0, payload, len);
 }
-inline Status SendFrame(int fd, WireOp op, const std::vector<uint8_t>& payload) {
-  return SendFrame(fd, op, payload.data(), payload.size());
+inline Status SendFrame(int fd, WireOp op, const std::vector<uint8_t>& payload,
+                        obs::TraceContext trace = {}) {
+  return SendFrame(fd, op, nullptr, 0, payload.data(), payload.size(), trace);
 }
 
 // Where RecvFrame puts the payload of a frame of type `op`: straight into
@@ -145,9 +156,11 @@ struct FrameDest {
 };
 
 // Receives one complete frame: the header, the payload (if any), then the CRC. With
-// `dest`, a frame of type dest->op whose length is exactly dest->size is received into
-// dest->data and returned with `in_dest` set; any other frame, including an error reply or a
-// dest->op frame of another length, is received into `payload` as without `dest`.
+// `dest`, an untraced frame of type dest->op whose length is exactly dest->size is received
+// into dest->data and returned with `in_dest` set; any other frame, including an error
+// reply or a dest->op frame of another length, is received into `payload` as without
+// `dest`. A traced request's trace context moves from the payload into `trace`, and a
+// traced frame too short to hold one is kDataLoss.
 // kUnavailable on clean EOF before any byte (idle peer went away) and on mid-frame
 // disconnect; kDataLoss on bad magic / oversized length / CRC mismatch (torn frame), after
 // which dest->data holds unspecified bytes.

@@ -1,8 +1,16 @@
 #include "src/ucp/atom.h"
 
-#include "src/common/fs.h"
-
 namespace ucp {
+namespace {
+
+// An older layout is refused up front, naming its version, so no atom of it is misread.
+Status UnsupportedFormat(int64_t version) {
+  return FailedPreconditionError("unsupported UCP format version " + std::to_string(version) +
+                                 " (only version " + std::to_string(kUcpFormatVersion) +
+                                 ", a store tag, is read; convert the source checkpoint again)");
+}
+
+}  // namespace
 
 Json UcpMeta::ToJson() const {
   JsonObject obj;
@@ -24,13 +32,10 @@ Result<UcpMeta> UcpMeta::FromJson(const Json& json) {
   UcpMeta meta;
   UCP_ASSIGN_OR_RETURN(int64_t version, json.GetInt("format_version"));
   if (version != kUcpFormatVersion) {
-    return FailedPreconditionError(
-        "unsupported UCP format version " + std::to_string(version) + " (only version " +
-        std::to_string(kUcpFormatVersion) + ", one bundle file per atom, is read; convert " +
-        "the source checkpoint again)");
+    return UnsupportedFormat(version);
   }
   if (!json.Has("model") || !json.Has("source_strategy")) {
-    return DataLossError("ucp_meta.json missing model/source_strategy");
+    return DataLossError("UCP manifest missing model/source_strategy");
   }
   UCP_ASSIGN_OR_RETURN(meta.model, ModelConfig::FromJson(json.AsObject().at("model")));
   UCP_ASSIGN_OR_RETURN(meta.source_strategy,
@@ -43,30 +48,26 @@ Result<UcpMeta> UcpMeta::FromJson(const Json& json) {
   UCP_ASSIGN_OR_RETURN(const JsonArray* atoms, json.GetArray("atoms"));
   for (const Json& atom : *atoms) {
     if (!atom.is_string()) {
-      return DataLossError("non-string atom name in ucp_meta.json");
+      return DataLossError("non-string atom name in the UCP manifest");
     }
     meta.atom_names.push_back(atom.AsString());
   }
   return meta;
 }
 
-std::string AtomPath(const std::string& ucp_dir, const std::string& param_name) {
-  // Parameter names are dot-separated identifiers — already filesystem-safe.
-  return PathJoin(PathJoin(ucp_dir, "atoms"), param_name);
-}
-
 std::string AtomRel(const std::string& ucp_rel, const std::string& param_name) {
   return JoinRel(ucp_rel, JoinRel("atoms", param_name));
 }
 
-Status WriteAtom(const std::string& ucp_dir, const ParamState& state) {
-  UCP_RETURN_IF_ERROR(MakeDirs(PathJoin(ucp_dir, "atoms")));
+Result<int64_t> WriteAtom(StoreWriter& writer, const ParamState& state) {
   TensorBundle atom;
   atom.Add(kAtomMembers[0], state.fp32);
   atom.Add(kAtomMembers[1], state.exp_avg);
   atom.Add(kAtomMembers[2], state.exp_avg_sq);
   atom.meta = Json(JsonObject{});
-  return SaveBundle(AtomPath(ucp_dir, state.name), atom);
+  UCP_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, SerializeBundle(atom));
+  UCP_RETURN_IF_ERROR(writer.WriteFile(AtomRel("", state.name), bytes));
+  return static_cast<int64_t>(bytes.size());
 }
 
 Result<BundleFileView> OpenAtomView(std::unique_ptr<ByteSource> source) {
@@ -102,20 +103,17 @@ Result<ParamState> ReadAtom(Store& store, const std::string& ucp_rel,
   return state;
 }
 
-Status WriteUcpMeta(const std::string& ucp_dir, const UcpMeta& meta) {
-  return WriteFileAtomic(PathJoin(ucp_dir, "ucp_meta.json"), meta.ToJson().Dump(2));
-}
-
-bool IsUcpComplete(Store& store, const std::string& ucp_rel) {
-  Result<bool> meta = store.Exists(JoinRel(ucp_rel, "ucp_meta.json"));
-  Result<bool> marker = store.Exists(JoinRel(ucp_rel, "complete"));
-  return meta.ok() && *meta && marker.ok() && *marker;
-}
-
 Result<UcpMeta> ReadUcpMeta(Store& store, const std::string& ucp_rel) {
-  UCP_ASSIGN_OR_RETURN(std::string text,
-                       store.ReadSmallFile(JoinRel(ucp_rel, "ucp_meta.json")));
-  UCP_ASSIGN_OR_RETURN(Json json, Json::Parse(text));
+  Result<std::string> text = store.ReadSmallFile(JoinRel(ucp_rel, "checkpoint_meta.json"));
+  if (!text.ok()) {
+    // Format 2 kept its manifest in `ucp_meta.json` and committed outside the tag protocol.
+    Result<bool> format2 = store.Exists(JoinRel(ucp_rel, "ucp_meta.json"));
+    if (format2.ok() && *format2) {
+      return UnsupportedFormat(2);
+    }
+    return text.status();
+  }
+  UCP_ASSIGN_OR_RETURN(Json json, Json::Parse(*text));
   return UcpMeta::FromJson(json);
 }
 

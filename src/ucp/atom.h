@@ -1,11 +1,12 @@
 // Atom checkpoints (paper §3.1): the consolidated, strategy-agnostic representation. One
 // bundle file per parameter (src/tensor/tensor_file.h) holding exactly three members — the
 // fp32 weights and the two Adam moments, in that order, each with the full shape — and an
-// empty JSON meta:
+// empty JSON meta. A UCP checkpoint is one store tag (conventionally `<tag>.ucp` beside its
+// source), committed through the tag protocol of src/store/store.h:
 //
-//   <ucp_dir>/ucp_meta.json            (format_version 2)
-//   <ucp_dir>/atoms/<param_name>       members fp32, exp_avg, exp_avg_sq
-//   <ucp_dir>/complete                 the converter's commit marker, written last
+//   <name>/checkpoint_meta.json        UcpMeta (format_version 3)
+//   <name>/atoms/<param_name>          members fp32, exp_avg, exp_avg_sq
+//   <name>/complete                    the tag protocol's commit marker, written last
 
 #ifndef UCP_SRC_UCP_ATOM_H_
 #define UCP_SRC_UCP_ATOM_H_
@@ -29,10 +30,11 @@ struct ParamState {
   Tensor exp_avg_sq;
 };
 
-// ucp_meta.json's format_version: 2 is the layout above. UcpMeta::FromJson refuses any other
-// version with kFailedPrecondition naming it, so a directory in an older layout fails
-// before any atom is opened.
-inline constexpr int64_t kUcpFormatVersion = 2;
+// The manifest's format_version: 3 is the layout above. UcpMeta::FromJson refuses any other
+// version, and ReadUcpMeta a format 2 directory (its manifest was `ucp_meta.json`), with
+// kFailedPrecondition naming it, so a directory in an older layout fails before any atom
+// is opened.
+inline constexpr int64_t kUcpFormatVersion = 3;
 
 struct UcpMeta {
   ModelConfig model;
@@ -49,14 +51,13 @@ struct UcpMeta {
 // The atom members, in file order: a member's index is its state's index.
 inline constexpr const char* kAtomMembers[3] = {"fp32", "exp_avg", "exp_avg_sq"};
 
-std::string AtomPath(const std::string& ucp_dir, const std::string& param_name);
-
-// Store-relative sibling of AtomPath: the atom file of `param_name` inside the UCP
-// checkpoint at `ucp_rel` ("" = the store root). Same layout either way.
+// The atom file of `param_name` inside the UCP checkpoint at `ucp_rel` ("" = the store
+// root). Parameter names are dot-separated identifiers, already safe as file names.
 std::string AtomRel(const std::string& ucp_rel, const std::string& param_name);
 
-// Writes one atom: one bundle, one fsync, one rename. Thread-safe across distinct params.
-Status WriteAtom(const std::string& ucp_dir, const ParamState& state);
+// Stages one atom as `atoms/<param>` of the writer's tag and returns the bytes staged.
+// Thread-safe across distinct params.
+Result<int64_t> WriteAtom(StoreWriter& writer, const ParamState& state);
 
 // Opens an atom file and checks that it holds exactly kAtomMembers, in order, all of one
 // shape; kDataLoss otherwise, so a damaged atom is never read as zeros. Reads only the
@@ -71,12 +72,9 @@ Result<BundleFileView> OpenAtomView(std::unique_ptr<ByteSource> source);
 Result<ParamState> ReadAtom(Store& store, const std::string& ucp_rel,
                             const std::string& param_name);
 
-Status WriteUcpMeta(const std::string& ucp_dir, const UcpMeta& meta);
+// The manifest in `<ucp_rel>/checkpoint_meta.json`. A commit check is the caller's:
+// IsTagComplete(store, ucp_rel).
 Result<UcpMeta> ReadUcpMeta(Store& store, const std::string& ucp_rel);
-
-// True when the UCP dir carries both its metadata and the `complete` commit marker the
-// converter drops last. A dir without the marker is an aborted conversion.
-bool IsUcpComplete(Store& store, const std::string& ucp_rel);
 
 }  // namespace ucp
 

@@ -1,6 +1,7 @@
 #include "src/ucp/converter.h"
 
 #include <chrono>
+#include <functional>
 #include <map>
 #include <mutex>
 
@@ -20,33 +21,10 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-// Conversion writes every atom into a `.staging` sibling; only a fully-written tree is
-// renamed to `ucp_dir` (marker last). A failed or crashed conversion leaves no partial
-// `ucp_dir`, so a retry never trips the AlreadyExists guard.
-Result<std::string> BeginUcpStaging(const std::string& ucp_dir) {
-  LocalStore existing(ucp_dir);
-  if (IsUcpComplete(existing, "")) {
-    return AlreadyExistsError("UCP checkpoint already exists at " + ucp_dir);
-  }
-  // An unmarked ucp_dir is debris of an interrupted conversion — replace it.
-  UCP_RETURN_IF_ERROR(RemoveAll(ucp_dir));
-  const std::string staging = ucp_dir + ".staging";
-  UCP_RETURN_IF_ERROR(RemoveAll(staging));
-  UCP_RETURN_IF_ERROR(MakeDirs(staging));
-  return staging;
-}
-
-Status CommitUcpStaging(const std::string& staging, const std::string& ucp_dir) {
-  UCP_RETURN_IF_ERROR(RenamePath(staging, ucp_dir));
-  return WriteFileAtomic(PathJoin(ucp_dir, "complete"), "ucp");
-}
-
-// The whole conversion, writing into `staging`. Errors may leave `staging` partially
-// populated; the caller removes it.
-Result<ConvertStats> ConvertToUcpImpl(Store& source, const std::string& tag,
-                                      const std::string& staging,
-                                      const ConvertOptions& options) {
-  const std::string& ucp_dir = staging;
+// The whole conversion: stages every atom through `writer` and returns the manifest. Errors
+// may leave the staging partially populated; Export aborts it.
+Result<UcpMeta> ConvertToUcpImpl(Store& source, const std::string& tag, StoreWriter& writer,
+                                 const ConvertOptions& options, ConvertStats& stats) {
   UCP_ASSIGN_OR_RETURN(CheckpointMeta meta, ReadCheckpointMeta(source, tag));
   const ParallelConfig& src = meta.strategy;
 
@@ -60,7 +38,6 @@ Result<ConvertStats> ConvertToUcpImpl(Store& source, const std::string& tag,
     full_shapes[entry.param.name] = entry.param.full_shape;
   }
 
-  ConvertStats stats;
   ThreadPool pool(static_cast<size_t>(options.num_threads));
 
   // ---- Extract phase: parallel over model-parallel ranks (Algorithm 1, lines 1-6) ----
@@ -126,38 +103,33 @@ Result<ConvertStats> ConvertToUcpImpl(Store& source, const std::string& tag,
                                                    "params", static_cast<int64_t>(names.size())));
     pool.ParallelFor(names.size(), [&](size_t i) {
       const std::string& name = names[i];
-      auto shape_it = full_shapes.find(name);
-      Result<PatternRule> rule = library.Match(name);
-      Status status = OkStatus();
-      if (shape_it == full_shapes.end()) {
-        status = DataLossError("checkpoint contains unknown parameter: " + name);
-      } else if (!rule.ok()) {
-        status = rule.status();
-      } else {
-        Result<ParamState> merged =
-            UnionParam(*rule, shape_it->second, std::move(contributions[name]), src.tp);
-        if (!merged.ok()) {
-          status = merged.status();
-        } else {
-          status = WriteAtom(ucp_dir, *merged);
+      Result<int64_t> written = [&]() -> Result<int64_t> {
+        auto shape_it = full_shapes.find(name);
+        if (shape_it == full_shapes.end()) {
+          return DataLossError("checkpoint contains unknown parameter: " + name);
         }
-      }
+        UCP_ASSIGN_OR_RETURN(PatternRule rule, library.Match(name));
+        UCP_ASSIGN_OR_RETURN(
+            ParamState merged,
+            UnionParam(rule, shape_it->second, std::move(contributions[name]), src.tp));
+        return WriteAtom(writer, merged);
+      }();
       std::lock_guard<std::mutex> lock(mu);
-      if (!status.ok()) {
+      if (!written.ok()) {
         if (first_error.ok()) {
-          first_error = status;
+          first_error = written.status();
         }
         return;
       }
       atom_names[i] = name;
       ++stats.atoms_written;
+      stats.bytes_written += *written;
     });
   }
   if (!first_error.ok()) {
     return first_error;
   }
   stats.union_seconds = SecondsSince(union_start);
-  stats.bytes_written = static_cast<int64_t>(DirBytes(ucp_dir));
 
   // ---- Manifest ----
   UcpMeta ucp_meta;
@@ -167,21 +139,17 @@ Result<ConvertStats> ConvertToUcpImpl(Store& source, const std::string& tag,
   ucp_meta.global_batch = meta.global_batch;
   ucp_meta.data_seed = meta.data_seed;
   ucp_meta.atom_names = atom_names;
-  UCP_RETURN_IF_ERROR(WriteUcpMeta(ucp_dir, ucp_meta));
-  return stats;
+  return ucp_meta;
 }
 
-Result<ConvertStats> ConvertForeignToUcpImpl(const std::string& foreign_dir,
-                                             const std::string& tag,
-                                             const std::string& staging,
-                                             const ConvertOptions& options) {
-  const std::string& ucp_dir = staging;
+Result<UcpMeta> ConvertForeignToUcpImpl(const std::string& foreign_dir, const std::string& tag,
+                                        StoreWriter& writer, const ConvertOptions& options,
+                                        ConvertStats& stats) {
   UCP_ASSIGN_OR_RETURN(ForeignMeta meta, ReadForeignMeta(foreign_dir, tag));
   UCP_ASSIGN_OR_RETURN(
       TensorBundle bundle,
       LoadBundle(PathJoin(PathJoin(foreign_dir, tag), "state_rank0.bundle")));
 
-  ConvertStats stats;
   ThreadPool pool(static_cast<size_t>(options.num_threads));
 
   // Collect parameter names ("model.<name>" entries).
@@ -200,25 +168,21 @@ Result<ConvertStats> ConvertForeignToUcpImpl(const std::string& foreign_dir,
     const Tensor* fp32 = bundle.Find("model." + name);
     const Tensor* m = bundle.Find("optim.exp_avg." + name);
     const Tensor* v = bundle.Find("optim.exp_avg_sq." + name);
-    Status status = OkStatus();
-    if (fp32 == nullptr || m == nullptr || v == nullptr) {
-      status = DataLossError("foreign checkpoint missing state for " + name);
-    } else {
-      ParamState state;
-      state.name = name;
-      state.fp32 = fp32->Clone();
-      state.exp_avg = m->Clone();
-      state.exp_avg_sq = v->Clone();
-      status = WriteAtom(ucp_dir, state);
-    }
+    Result<int64_t> written = [&]() -> Result<int64_t> {
+      if (fp32 == nullptr || m == nullptr || v == nullptr) {
+        return DataLossError("foreign checkpoint missing state for " + name);
+      }
+      return WriteAtom(writer, ParamState{name, fp32->Clone(), m->Clone(), v->Clone()});
+    }();
     std::lock_guard<std::mutex> lock(mu);
-    if (!status.ok()) {
+    if (!written.ok()) {
       if (first_error.ok()) {
-        first_error = status;
+        first_error = written.status();
       }
       return;
     }
     ++stats.atoms_written;
+    stats.bytes_written += *written;
   });
   if (!first_error.ok()) {
     return first_error;
@@ -232,8 +196,7 @@ Result<ConvertStats> ConvertForeignToUcpImpl(const std::string& foreign_dir,
   ucp_meta.global_batch = meta.global_batch;
   ucp_meta.data_seed = meta.data_seed;
   ucp_meta.atom_names = names;
-  UCP_RETURN_IF_ERROR(WriteUcpMeta(ucp_dir, ucp_meta));
-  return stats;
+  return ucp_meta;
 }
 
 // The per-call ConvertStats return stays the API; the registry accumulates across calls so
@@ -256,23 +219,46 @@ void PublishConvertStats(const ConvertStats& stats) {
   union_s.Observe(stats.union_seconds);
 }
 
+// The export protocol both converters share (store.h): refuse a committed `name`, reset its
+// staging, let `convert` stage the atoms and return the manifest, then commit it as the
+// tag's metadata. A failure aborts the staging, so it leaves nothing a reader trusts and a
+// retry starts clean.
+Result<ConvertStats> Export(
+    Store& dest, const std::string& name,
+    const std::function<Result<UcpMeta>(StoreWriter&, ConvertStats&)>& convert) {
+  if (IsTagComplete(dest, name)) {
+    return AlreadyExistsError("UCP checkpoint " + name + " already exists in " +
+                              dest.Describe());
+  }
+  UCP_RETURN_IF_ERROR(dest.ResetTagStaging(name));
+  ConvertStats stats;
+  Result<UcpMeta> manifest = [&]() -> Result<UcpMeta> {
+    UCP_ASSIGN_OR_RETURN(std::unique_ptr<StoreWriter> writer, dest.OpenTagForWrite(name));
+    return convert(*writer, stats);
+  }();
+  const Status committed = manifest.ok() ? dest.CommitTag(name, manifest->ToJson().Dump(2))
+                                         : manifest.status();
+  if (!committed.ok()) {
+    dest.AbortTag(name).ok();  // best effort: the retry resets the staging anyway
+    return committed;
+  }
+  PublishConvertStats(stats);
+  return stats;
+}
+
 }  // namespace
 
-Result<ConvertStats> ConvertToUcp(Store& source, const std::string& tag,
-                                  const std::string& ucp_dir,
-                                  const ConvertOptions& options) {
+Result<ConvertStats> ConvertToUcp(Store& source, const std::string& tag, Store& dest,
+                                  const std::string& name, const ConvertOptions& options) {
   UCP_TRACE_SPAN_ARGS("convert.to_ucp", ::ucp::obs::TraceArgs().S("tag", tag));
-  UCP_ASSIGN_OR_RETURN(std::string staging, BeginUcpStaging(ucp_dir));
-  Result<ConvertStats> stats = ConvertToUcpImpl(source, tag, staging, options);
-  if (!stats.ok()) {
-    RemoveAll(staging).ok();  // best effort: leave no debris, keep the retry path clean
-    return stats.status();
-  }
-  UCP_RETURN_IF_ERROR(CommitUcpStaging(staging, ucp_dir));
-  PublishConvertStats(*stats);
-  UCP_LOG(Info) << "converted " << tag << " from " << source.Describe() << " -> " << ucp_dir
-                << " (" << stats->atoms_written << " atoms, extract "
-                << stats->extract_seconds << "s, union " << stats->union_seconds << "s)";
+  UCP_ASSIGN_OR_RETURN(ConvertStats stats,
+                       Export(dest, name, [&](StoreWriter& writer, ConvertStats& out) {
+                         return ConvertToUcpImpl(source, tag, writer, options, out);
+                       }));
+  UCP_LOG(Info) << "converted " << tag << " from " << source.Describe() << " -> " << name
+                << " in " << dest.Describe() << " (" << stats.atoms_written
+                << " atoms, extract " << stats.extract_seconds << "s, union "
+                << stats.union_seconds << "s)";
   return stats;
 }
 
@@ -280,22 +266,18 @@ Result<ConvertStats> ConvertToUcp(const std::string& ckpt_dir, const std::string
                                   const std::string& ucp_dir,
                                   const ConvertOptions& options) {
   LocalStore source(ckpt_dir);
-  return ConvertToUcp(source, tag, ucp_dir, options);
+  LocalStore dest(ParentDir(ucp_dir));
+  return ConvertToUcp(source, tag, dest, BaseName(ucp_dir), options);
 }
 
 Result<ConvertStats> ConvertForeignToUcp(const std::string& foreign_dir,
-                                         const std::string& tag, const std::string& ucp_dir,
+                                         const std::string& tag, Store& dest,
+                                         const std::string& name,
                                          const ConvertOptions& options) {
   UCP_TRACE_SPAN_ARGS("convert.foreign_to_ucp", ::ucp::obs::TraceArgs().S("tag", tag));
-  UCP_ASSIGN_OR_RETURN(std::string staging, BeginUcpStaging(ucp_dir));
-  Result<ConvertStats> stats = ConvertForeignToUcpImpl(foreign_dir, tag, staging, options);
-  if (!stats.ok()) {
-    RemoveAll(staging).ok();
-    return stats.status();
-  }
-  UCP_RETURN_IF_ERROR(CommitUcpStaging(staging, ucp_dir));
-  PublishConvertStats(*stats);
-  return stats;
+  return Export(dest, name, [&](StoreWriter& writer, ConvertStats& out) {
+    return ConvertForeignToUcpImpl(foreign_dir, tag, writer, options, out);
+  });
 }
 
 }  // namespace ucp

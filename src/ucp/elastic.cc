@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "src/ckpt/checkpoint.h"
-#include "src/common/fs.h"
 #include "src/common/logging.h"
 #include "src/obs/trace.h"
 #include "src/ucp/converter.h"
@@ -26,10 +25,11 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-// Every read goes through `store`; only the conversion's atoms are written by path, into
-// the `<tag>.ucp` directory beside the tag under the store's root.
-Result<ResumeReport> ResumeFromTag(LocalStore& store, const std::string& tag,
-                                   RankTrainer& trainer) {
+}  // namespace
+
+// Every read and the conversion's export go through `store`.
+Result<ResumeReport> ResumeElasticFromTag(Store& store, const std::string& tag,
+                                          RankTrainer& trainer) {
   UCP_TRACE_NAMED_SPAN(span, "resume.from_tag");
   UCP_TRACE_SPAN_ARG_S(span, "tag", tag);
   ScopedWatchdogSuspend suspend_watchdog;  // see ResumeElastic; also callable directly
@@ -70,11 +70,11 @@ Result<ResumeReport> ResumeFromTag(LocalStore& store, const std::string& tag,
     return native;  // corruption / missing files are not reshard problems
   }
 
-  // Strategy changed: convert on demand (once — the atom directory is cached beside the
-  // checkpoint) and load through UCP. An unmarked .ucp dir is a crashed conversion, not a
-  // cache hit; the converter replaces it.
+  // Strategy changed: convert on demand (once — the export is cached as the tag
+  // `<tag>.ucp` beside the checkpoint) and load through UCP. An uncommitted `.ucp` tag is a
+  // crashed conversion, not a cache hit; the export replaces it.
   const std::string ucp_rel = tag + ".ucp";
-  bool cached = IsUcpComplete(store, ucp_rel);
+  bool cached = IsTagComplete(store, ucp_rel);
   Status convert = OkStatus();
   const auto convert_start = std::chrono::steady_clock::now();
   {
@@ -83,8 +83,7 @@ Result<ResumeReport> ResumeFromTag(LocalStore& store, const std::string& tag,
       UCP_LOG(Info) << "strategy changed (" << meta.strategy.ToString() << " -> "
                     << trainer.config().strategy.ToString() << "); converting " << tag
                     << " to UCP";
-      Result<ConvertStats> stats =
-          ConvertToUcp(store, tag, PathJoin(store.root(), ucp_rel));
+      Result<ConvertStats> stats = ConvertToUcp(store, tag, store, ucp_rel);
       if (!stats.ok() && stats.status().code() != StatusCode::kAlreadyExists) {
         convert = stats.status();
       }
@@ -106,12 +105,9 @@ Result<ResumeReport> ResumeFromTag(LocalStore& store, const std::string& tag,
   return report;
 }
 
-}  // namespace
-
-Result<ResumeReport> ResumeElastic(const std::string& dir, RankTrainer& trainer,
+Result<ResumeReport> ResumeElastic(Store& store, RankTrainer& trainer,
                                    const std::string& job) {
   UCP_TRACE_SPAN("resume.elastic");
-  LocalStore store(dir);
   // Resume barriers wait on peers doing unbounded local work (rank 0's debris sweep, and —
   // in ResumeElasticFromTag — a whole UCP conversion), so a short training watchdog would
   // misread a live-but-busy rank as dead. All ranks run this straight-line path right after
@@ -127,7 +123,7 @@ Result<ResumeReport> ResumeElastic(const std::string& dir, RankTrainer& trainer,
     Result<int> swept = store.SweepStagingDebris(job);
     if (swept.ok() && *swept > 0) {
       UCP_LOG(Info) << "removed " << *swept << " stale .staging director"
-                    << (*swept == 1 ? "y" : "ies") << " under " << dir;
+                    << (*swept == 1 ? "y" : "ies") << " in " << store.Describe();
     }
   }
   trainer.groups().world.Barrier();
@@ -144,12 +140,12 @@ Result<ResumeReport> ResumeElastic(const std::string& dir, RankTrainer& trainer,
     if (!IsTagComplete(store, *it)) {
       // Rank 0 speaks for everyone: all ranks see the same directory and skip identically.
       if (trainer.rank() == 0) {
-        UCP_LOG(Warning) << "skipping checkpoint tag " << *it << " under " << dir
+        UCP_LOG(Warning) << "skipping checkpoint tag " << *it << " in " << store.Describe()
                          << ": missing commit marker (aborted or in-flight save)";
       }
       continue;
     }
-    Result<ResumeReport> report = ResumeFromTag(store, *it, trainer);
+    Result<ResumeReport> report = ResumeElasticFromTag(store, *it, trainer);
     if (report.ok()) {
       return report;
     }
@@ -174,13 +170,13 @@ Result<ResumeReport> ResumeElastic(const std::string& dir, RankTrainer& trainer,
   if (!first_failure.ok()) {
     return first_failure;
   }
-  return NotFoundError("no committed checkpoint tag under " + dir);
+  return NotFoundError("no committed checkpoint tag in " + store.Describe());
 }
 
 Result<ResumeReport> ResumeElasticFromTag(const std::string& dir, const std::string& tag,
                                           RankTrainer& trainer) {
   LocalStore store(dir);
-  return ResumeFromTag(store, tag, trainer);
+  return ResumeElasticFromTag(store, tag, trainer);
 }
 
 }  // namespace ucp

@@ -144,19 +144,14 @@ Status ReadAssignedSlices(Store& store, const std::string& rel, const AtomAssign
 // not strand peers; see the agreement in LoadUcpCheckpoint).
 Result<UcpLocalState> LoadUcpLocal(Store& store, const std::string& ucp_rel,
                                    RankTrainer& trainer, const UcpLoadOptions& options) {
-  // Two store calls before the first atom: the metadata text, then the marker. A metadata
-  // file without the converter's `complete` marker is an aborted conversion: atoms may be
-  // missing or half-written even though the manifest parses, so it is refused before any
-  // parse.
-  UCP_ASSIGN_OR_RETURN(std::string meta_text,
-                       store.ReadSmallFile(JoinRel(ucp_rel, "ucp_meta.json")));
-  Result<bool> committed = store.Exists(JoinRel(ucp_rel, kCompleteMarker));
-  if (!committed.ok() || !*committed) {
+  // Two store calls before the first atom: the marker, then the manifest. A UCP tag without
+  // its `complete` marker is an aborted export: atoms may be missing or half-written even
+  // though the manifest parses, so it is refused before any parse.
+  if (!IsTagComplete(store, ucp_rel)) {
     return DataLossError("UCP checkpoint at " + JoinRel(store.Describe(), ucp_rel) +
                          " is not committed (missing 'complete' marker)");
   }
-  UCP_ASSIGN_OR_RETURN(Json meta_json, Json::Parse(meta_text));
-  UCP_ASSIGN_OR_RETURN(UcpMeta meta, UcpMeta::FromJson(meta_json));
+  UCP_ASSIGN_OR_RETURN(UcpMeta meta, ReadUcpMeta(store, ucp_rel));
   if (!SameLogicalModel(meta.model, trainer.config().model)) {
     return FailedPreconditionError(
         "UCP checkpoint was produced by a different model architecture");

@@ -209,13 +209,13 @@ Result<ValidationReport> ValidateUcpCheckpoint(const std::string& ucp_dir,
                                                const ValidateOptions& options) {
   ValidationReport report;
   LocalStore store(ucp_dir);
-  if (FileExists(PathJoin(ucp_dir, "ucp_meta.json")) && !IsUcpComplete(store, "")) {
+  if (FileExists(PathJoin(ucp_dir, "checkpoint_meta.json")) && !IsTagComplete(store, "")) {
     report.problems.push_back("missing 'complete' marker: the conversion into " + ucp_dir +
                               " never committed");
   }
   Result<UcpMeta> meta = ReadUcpMeta(store, "");
   if (!meta.ok()) {
-    report.problems.push_back("ucp_meta.json: " + meta.status().ToString());
+    report.problems.push_back("checkpoint_meta.json: " + meta.status().ToString());
     return report;
   }
 
@@ -341,10 +341,8 @@ int FsckReport::ExitCode(bool quarantine_mode) const {
 
 namespace {
 
-bool LooksLikeUcpDir(const std::string& path) {
-  return FileExists(PathJoin(path, "ucp_meta.json")) ||
-         DirExists(PathJoin(path, "atoms"));
-}
+// Any format: every UCP layout keeps its atoms under `atoms/`, which no checkpoint root has.
+bool LooksLikeUcpDir(const std::string& path) { return DirExists(PathJoin(path, "atoms")); }
 
 // Renames a damaged directory aside. The `.quarantined` suffix fails the tag-name parse
 // behind Store::ListTags, so resumes stop considering it.

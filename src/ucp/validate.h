@@ -38,14 +38,14 @@ struct ValidateOptions {
 Result<ValidationReport> ValidateNativeCheckpoint(Store& store, const std::string& tag,
                                                   const ValidateOptions& options = {});
 
-// UCP atom directory: the manifest parses and names format version 2; every listed atom is
+// UCP atom directory: the manifest parses and names format version 3; every listed atom is
 // one file holding exactly its three members (fp32, exp_avg, exp_avg_sq) with the model
 // inventory's shape and intact CRCs; no inventory parameter is missing.
 Result<ValidationReport> ValidateUcpCheckpoint(const std::string& ucp_dir,
                                                const ValidateOptions& options = {});
 
 // Whole-tree integrity check ("ucp_tool fsck"). `path` is either a UCP atom directory
-// (detected by ucp_meta.json / atoms/) or a checkpoint root holding global_stepN tags; in
+// (detected by its atoms/) or a checkpoint root holding global_stepN tags; in
 // the latter case every tag and every cached <tag>.ucp dir is validated, the `latest`
 // pointer is cross-checked, and stale `.staging` debris is reported. With `quarantine`,
 // damaged tags/UCP dirs are renamed aside to `<name>.quarantined` — a name tag listing

@@ -125,7 +125,7 @@ TEST_F(AsyncCheckpointTest, PeriodicAsyncSavesCommitAndResumeMatchesReference) {
   // trajectory bit for bit.
   TrainingRun resumed(cfg);
   resumed.Run([&](RankTrainer& t) {
-    Result<ResumeReport> r = ResumeElastic(Sub("ckpt"), t);
+    Result<ResumeReport> r = ResumeElastic(*StoreAt("ckpt"), t);
     UCP_CHECK(r.ok()) << r.status().ToString();
     UCP_CHECK_EQ(r->iteration, 4);
   });

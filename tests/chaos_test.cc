@@ -238,9 +238,8 @@ TEST_F(ChaosStoreTest, DaemonKillRestartMidStreamResumesFromSpool) {
   ASSERT_TRUE((*writer)->WriteFile("a", file_a.data(), file_a.size()).ok());
 
   // Park the upload of "b" mid-chunk-stream long enough for the daemon to be killed and
-  // restarted underneath it. Sends since arming, from 0: a TRACE_CONTEXT frame when
-  // tracing is on, WRITE_BEGIN, its OK, then the chunks, so send 5 is a client chunk send
-  // either way.
+  // restarted underneath it. Sends since arming, from 0: WRITE_BEGIN (carrying its trace
+  // context when tracing is on), its OK, then the chunks, so send 5 is a client chunk send.
   ArmSocketFault({SocketFault::Op::kSend, SocketFault::Kind::kDelay, 5, 800});
   Status wrote_b = InternalError("not run");
   std::thread uploader([&] {

@@ -2,7 +2,7 @@
 # End-to-end smoke test of the two shipped binaries. Checks that ucp_serverd refuses a
 # removed flag and a zero lease TTL with its usage text and exit code 2. Then starts
 # ucp_serverd on a Unix socket under a fresh temporary root, checks that `ucp_tool ping`
-# reports wire v5 and that `ucp_tool tags` lists 0 tags, stops the daemon with SIGTERM (it
+# reports wire v6 and that `ucp_tool tags` lists 0 tags, stops the daemon with SIGTERM (it
 # must exit 0), checks that it removed its socket file and wrote no lease journal, and
 # checks that a ping after the stop fails.
 #
@@ -49,7 +49,7 @@ until "$tool" ping --store "$endpoint" >"$root/ping.out" 2>&1; do
   [ "$tries" -lt 100 ] || fail "ucp_serverd did not answer a ping: $(cat "$root/ping.out")"
   sleep 0.1
 done
-grep -q "wire v5" "$root/ping.out" || fail "ping does not report wire v5: $(cat "$root/ping.out")"
+grep -q "wire v6" "$root/ping.out" || fail "ping does not report wire v6: $(cat "$root/ping.out")"
 
 "$tool" tags --store "$endpoint" >"$root/tags.out" 2>&1 ||
   fail "tags exited non-zero: $(cat "$root/tags.out")"

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <functional>
+#include <map>
+#include <sstream>
+
 #include "src/ckpt/async/engine.h"
 #include "src/ckpt/checkpoint.h"
 #include "src/ckpt/foreign.h"
@@ -29,6 +34,14 @@ TrainerConfig ConfigFor(const ParallelConfig& strategy) {
   return cfg;
 }
 
+// "torn_write write #1 of optim_states": fault kind, hooked operation, which match fires.
+void PrintPlan(const FaultPlan& plan, std::ostream* os) {
+  static const char* const kKinds[] = {"fail_stop", "torn_write", "bit_rot", "transient"};
+  static const char* const kOps[] = {"write", "fsync", "rename", "read"};
+  *os << kKinds[static_cast<int>(plan.kind)] << " " << kOps[static_cast<int>(plan.op)]
+      << " #" << plan.nth << " of " << plan.path_substr;
+}
+
 class CrashConsistencyTest : public ::testing::Test {
  protected:
   void SetUp() override { dir_ = *MakeTempDir("ucp_crash"); }
@@ -50,6 +63,71 @@ class CrashConsistencyTest : public ::testing::Test {
     });
   }
 
+  // Every file under `dir` by relative path, with its bytes.
+  static std::map<std::string, std::string> ReadTree(const std::string& dir) {
+    std::map<std::string, std::string> files;
+    for (const auto& entry : std::filesystem::recursive_directory_iterator(dir)) {
+      if (entry.is_regular_file()) {
+        files[std::filesystem::relative(entry.path(), dir).string()] =
+            *ReadFileToString(entry.path().string());
+      }
+    }
+    return files;
+  }
+
+  // Crashes one UCP export at each of its hooked file operations in turn. `convert` exports
+  // the tag `name` of `dest`. One clean run per op kind counts that kind's operations on
+  // `name` (FaultOpsSeen) and keeps the committed tree as the reference; then a fail-stop
+  // lands on each counted op. After each crash the export has failed and left no
+  // `complete` marker (so no marker sits over a partial tree), `latest` is unchanged, and a
+  // retry commits a tree byte-identical to the reference. Returns the points crashed at;
+  // the reference export is left committed.
+  int CrashAtEveryExportOp(LocalStore& dest, const std::string& name,
+                           const std::function<Result<ConvertStats>()>& convert) {
+    auto latest = [&] {
+      Result<std::string> pointer = ReadLatestTag(dest);
+      return pointer.ok() ? *pointer : std::string("<none>");
+    };
+    const std::string before = latest();
+    const std::string tree = PathJoin(dest.root(), name);
+    std::map<std::string, std::string> reference;
+    int points = 0;
+    for (FsOp op : {FsOp::kWrite, FsOp::kFsync, FsOp::kRename}) {
+      int ops = 0;
+      {
+        ScopedFault count({FaultPlan::Kind::kFailStop, op, 1 << 30, name, 0});
+        Result<ConvertStats> clean = convert();
+        EXPECT_TRUE(clean.ok()) << clean.status();
+        ops = FaultOpsSeen();
+      }
+      if (reference.empty()) {
+        reference = ReadTree(tree);
+        EXPECT_TRUE(reference.count("complete")) << "the clean export committed";
+      }
+      EXPECT_GT(ops, 0);
+      for (int nth = 1; nth <= ops; ++nth) {
+        std::ostringstream point;
+        PrintPlan({FaultPlan::Kind::kFailStop, op, nth, name, 0}, &point);
+        SCOPED_TRACE(point.str());
+        EXPECT_TRUE(RemoveAll(tree).ok());
+        {
+          ScopedFault crash({FaultPlan::Kind::kFailStop, op, nth, name, 0});
+          EXPECT_FALSE(convert().ok());
+          EXPECT_TRUE(FaultFired());
+        }
+        EXPECT_FALSE(IsTagComplete(dest, name));
+        EXPECT_EQ(latest(), before);
+        Result<ConvertStats> retry = convert();
+        EXPECT_TRUE(retry.ok()) << retry.status();
+        EXPECT_EQ(ReadTree(tree), reference);
+        ++points;
+      }
+      EXPECT_TRUE(RemoveAll(tree).ok());
+    }
+    EXPECT_TRUE(convert().ok());
+    return points;
+  }
+
   std::string dir_;
 };
 
@@ -62,14 +140,6 @@ struct CrashCase {
   bool tag4_dir_remains;    // ...and may leave an uncommitted global_step4 behind
   bool check_find_latest;   // FindLatestValidTag detects marker/meta damage (not torn data)
 };
-
-// "torn_write write #1 of optim_states": fault kind, hooked operation, which match fires.
-void PrintPlan(const FaultPlan& plan, std::ostream* os) {
-  static const char* const kKinds[] = {"fail_stop", "torn_write", "bit_rot", "transient"};
-  static const char* const kOps[] = {"write", "fsync", "rename", "read"};
-  *os << kKinds[static_cast<int>(plan.kind)] << " " << kOps[static_cast<int>(plan.op)]
-      << " #" << plan.nth << " of " << plan.path_substr;
-}
 
 // Without a printer gtest dumps the raw bytes, the label pointer included, into every
 // listed test name, so the names ctest registers would change from build to build. The
@@ -111,7 +181,7 @@ TEST_P(CrashMatrixTest, ResumeFallsBackToLastValidTagBitExact) {
   TrainingRun resumed(cfg);
   ResumeReport report;
   resumed.Run([&](RankTrainer& t) {
-    Result<ResumeReport> r = ResumeElastic(Sub("ckpt"), t);
+    Result<ResumeReport> r = ResumeElastic(*StoreAt("ckpt"), t);
     UCP_CHECK(r.ok()) << r.status().ToString();
     report = *r;
   });
@@ -183,7 +253,7 @@ TEST_F(CrashConsistencyTest, SaveRetriesCleanlyOverCrashDebris) {
 
   TrainingRun resumed(cfg);
   resumed.Run([&](RankTrainer& t) {
-    Result<ResumeReport> r = ResumeElastic(Sub("ckpt"), t);
+    Result<ResumeReport> r = ResumeElastic(*StoreAt("ckpt"), t);
     UCP_CHECK(r.ok()) << r.status().ToString();
     UCP_CHECK_EQ(r->iteration, 4);
   });
@@ -214,34 +284,37 @@ TEST_F(CrashConsistencyTest, MultiRankSaveAbortsOnEveryRankWhenOneShardFails) {
 
   TrainingRun resumed(cfg);
   resumed.Run([&](RankTrainer& t) {
-    Result<ResumeReport> r = ResumeElastic(Sub("ckpt"), t);
+    Result<ResumeReport> r = ResumeElastic(*StoreAt("ckpt"), t);
     UCP_CHECK(r.ok()) << r.status().ToString();
     UCP_CHECK(r->tag == "global_step2");
   });
 }
 
-TEST_F(CrashConsistencyTest, ConverterCrashLeavesNoDebrisAndRetrySucceeds) {
-  // Regression: ConvertToUcp used to write atoms straight into ucp_dir and bail on the
-  // first error, so a retry hit AlreadyExists against a half-populated directory.
+TEST_F(CrashConsistencyTest, UcpExportSurvivesACrashAtEveryOp) {
   TrainingRun run(ConfigFor({1, 1, 1, 1, 0, 1}));
   run.Train(1, 2);
   SaveAll(run, Sub("ckpt"), 2);
+  LocalStore ckpt(Sub("ckpt"));
+  const int points = CrashAtEveryExportOp(ckpt, "global_step2.ucp", [&] {
+    return ConvertToUcp(ckpt, "global_step2", ckpt, "global_step2.ucp");
+  });
+  EXPECT_GT(points, 3 * 10) << "TinyGpt has more than 10 atoms, three ops each";
+  RecordProperty("crash_points", points);
 
+  // A reshard resume after a crash converts again, to the same bytes, and loads them.
+  const std::map<std::string, std::string> reference = ReadTree(Sub("ckpt/global_step2.ucp"));
+  ASSERT_TRUE(RemoveAll(Sub("ckpt/global_step2.ucp")).ok());
   {
-    ScopedFault fault({FaultPlan::Kind::kFailStop, FsOp::kWrite, 3, "atoms/", 0});
-    Result<ConvertStats> stats = ConvertToUcp(Sub("ckpt"), "global_step2", Sub("ucp"));
-    ASSERT_FALSE(stats.ok());
-    EXPECT_EQ(stats.status().code(), StatusCode::kIoError);
-    EXPECT_TRUE(FaultFired());
+    ScopedFault crash({FaultPlan::Kind::kFailStop, FsOp::kRename, 1, "global_step2.ucp", 0});
+    EXPECT_FALSE(ConvertToUcp(ckpt, "global_step2", ckpt, "global_step2.ucp").ok());
   }
-  EXPECT_FALSE(DirExists(Sub("ucp")));
-  EXPECT_FALSE(DirExists(Sub("ucp.staging")));
-
-  Result<ConvertStats> retry = ConvertToUcp(Sub("ckpt"), "global_step2", Sub("ucp"));
-  ASSERT_TRUE(retry.ok()) << retry.status();
-  EXPECT_TRUE(IsUcpComplete(*StoreAt("ucp"), ""));
-  EXPECT_EQ(ConvertToUcp(Sub("ckpt"), "global_step2", Sub("ucp")).status().code(),
-            StatusCode::kAlreadyExists);
+  TrainingRun resharded(ConfigFor({2, 1, 1, 1, 0, 1}));
+  resharded.Run([&](RankTrainer& t) {
+    Result<ResumeReport> r = ResumeElasticFromTag(ckpt, "global_step2", t);
+    UCP_CHECK(r.ok()) << r.status().ToString();
+    UCP_CHECK(r->path == ResumeReport::Path::kUcpConverted);
+  });
+  EXPECT_EQ(ReadTree(Sub("ckpt/global_step2.ucp")), reference);
 }
 
 TEST_F(CrashConsistencyTest, AtomBitRotIsCaughtOnReadAndByFsck) {
@@ -299,7 +372,7 @@ TEST_F(CrashConsistencyTest, FsckCleanOnHealthyRootAndQuarantinesDamage) {
   // names the quarantined tag.
   TrainingRun resumed(cfg);
   resumed.Run([&](RankTrainer& t) {
-    Result<ResumeReport> r = ResumeElastic(Sub("ckpt"), t);
+    Result<ResumeReport> r = ResumeElastic(*StoreAt("ckpt"), t);
     UCP_CHECK(r.ok()) << r.status().ToString();
     UCP_CHECK(r->tag == "global_step2");
   });
@@ -379,7 +452,7 @@ TEST_P(AsyncCrashMatrixTest, ResumeAfterKilledFlushFallsBackBitExact) {
   TrainingRun resumed(cfg);
   ResumeReport report;
   resumed.Run([&](RankTrainer& t) {
-    Result<ResumeReport> r = ResumeElastic(Sub("ckpt"), t);
+    Result<ResumeReport> r = ResumeElastic(*StoreAt("ckpt"), t);
     UCP_CHECK(r.ok()) << r.status().ToString();
     report = *r;
   });
@@ -439,32 +512,19 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- Foreign-ingestion faults ----
 
-TEST_F(CrashConsistencyTest, ForeignIngestCrashLeavesNoTrustedUcpAndRetrySucceeds) {
-  // Fail-stop mid-ingest: the conversion stages its atoms, so a kill must leave neither a
-  // trusted UCP directory nor un-retryable debris — a torn ingest may never masquerade as a
-  // converted checkpoint.
+TEST_F(CrashConsistencyTest, ForeignExportSurvivesACrashAtEveryOp) {
   TrainingRun run(ConfigFor({1, 1, 1, 1, 0, 1}));
   run.Train(1, 2);
   run.Run([&](RankTrainer& t) {
     Status s = SaveForeignCheckpoint(Sub("foreign"), t, 2);
     UCP_CHECK(s.ok()) << s.ToString();
   });
-
-  {
-    ScopedFault fault({FaultPlan::Kind::kFailStop, FsOp::kWrite, 3, "atoms/", 0});
-    Result<ConvertStats> stats =
-        ConvertForeignToUcp(Sub("foreign"), "foreign_step2", Sub("ucp"));
-    ASSERT_FALSE(stats.ok());
-    EXPECT_EQ(stats.status().code(), StatusCode::kIoError);
-    EXPECT_TRUE(FaultFired());
-  }
-  EXPECT_FALSE(DirExists(Sub("ucp")));
-  EXPECT_FALSE(DirExists(Sub("ucp.staging")));
-
-  Result<ConvertStats> retry =
-      ConvertForeignToUcp(Sub("foreign"), "foreign_step2", Sub("ucp"));
-  ASSERT_TRUE(retry.ok()) << retry.status();
-  EXPECT_TRUE(IsUcpComplete(*StoreAt("ucp"), ""));
+  LocalStore out(Sub("out"));
+  const int points = CrashAtEveryExportOp(out, "foreign_step2.ucp", [&] {
+    return ConvertForeignToUcp(Sub("foreign"), "foreign_step2", out, "foreign_step2.ucp");
+  });
+  EXPECT_GT(points, 3 * 10) << "TinyGpt has more than 10 atoms, three ops each";
+  RecordProperty("crash_points", points);
 }
 
 TEST_F(CrashConsistencyTest, TornForeignBundleIsRejectedAtIngest) {
@@ -482,8 +542,8 @@ TEST_F(CrashConsistencyTest, TornForeignBundleIsRejectedAtIngest) {
   }
   EXPECT_TRUE(save.ok());  // the torn write lies, as a real crash would
 
-  Result<ConvertStats> ingest =
-      ConvertForeignToUcp(Sub("foreign"), "foreign_step2", Sub("ucp"));
+  LocalStore out(dir_);
+  Result<ConvertStats> ingest = ConvertForeignToUcp(Sub("foreign"), "foreign_step2", out, "ucp");
   ASSERT_FALSE(ingest.ok());
   EXPECT_EQ(ingest.status().code(), StatusCode::kDataLoss);
   EXPECT_FALSE(DirExists(Sub("ucp")));
@@ -500,14 +560,15 @@ TEST_F(CrashConsistencyTest, TornAtomWriteDuringForeignIngestIsCaughtByFsck) {
     UCP_CHECK(s.ok()) << s.ToString();
   });
 
+  LocalStore out(dir_);
   {
     ScopedFault fault({FaultPlan::Kind::kTornWrite, FsOp::kWrite, 1, "atoms/", 0xBEEFu});
     Result<ConvertStats> stats =
-        ConvertForeignToUcp(Sub("foreign"), "foreign_step2", Sub("ucp"));
+        ConvertForeignToUcp(Sub("foreign"), "foreign_step2", out, "ucp");
     ASSERT_TRUE(stats.ok()) << stats.status();
     EXPECT_TRUE(FaultFired());
   }
-  EXPECT_TRUE(IsUcpComplete(*StoreAt("ucp"), ""));  // the marker is there...
+  EXPECT_TRUE(IsTagComplete(out, "ucp"));  // the marker is there...
 
   Result<FsckReport> fsck = Fsck(Sub("ucp"), /*quarantine=*/false);
   ASSERT_TRUE(fsck.ok()) << fsck.status();

@@ -16,6 +16,7 @@
 #include "src/common/fault_fs.h"
 #include "src/common/fs.h"
 #include "src/runtime/supervisor.h"
+#include "src/store/server.h"
 #include "src/ucp/elastic.h"
 #include "src/ucp/validate.h"
 
@@ -166,6 +167,9 @@ struct KillCase {
   FaultSite site;
   int64_t kill_iteration;
   const char* expected_resume_tag;  // which committed tag recovery restores
+  // The supervisor saves and resumes through a RemoteStore on an in-process daemon, and its
+  // ckpt_dir (where only flight records land) holds no checkpoint.
+  bool remote = false;
 };
 
 // Without a printer gtest dumps the raw bytes, the label pointer included, into every
@@ -173,7 +177,7 @@ struct KillCase {
 // label is already the name's suffix, so the printer shows only the case's data.
 void PrintTo(const KillCase& c, std::ostream* os) {
   *os << c.strategy.ToString() << " rank " << c.victim << " " << FaultSiteName(c.site)
-      << " @" << c.kill_iteration;
+      << " @" << c.kill_iteration << (c.remote ? " remote" : "");
 }
 
 class KillMatrixTest : public FaultToleranceTest,
@@ -187,6 +191,16 @@ TEST_P(KillMatrixTest, SupervisorDetectsShrinksAndResumes) {
   options.ckpt_dir = Sub("ckpt");
   options.checkpoint_every = 2;
   options.watchdog_timeout = milliseconds(1500);
+  std::unique_ptr<StoreServer> server;
+  if (c.remote) {
+    StoreServerOptions server_options;
+    server_options.root = Sub("daemon");
+    server_options.listen = "unix:" + Sub("d.sock");
+    Result<std::unique_ptr<StoreServer>> started = StoreServer::Start(server_options);
+    ASSERT_TRUE(started.ok()) << started.status();
+    server = std::move(*started);
+    options.store_endpoint = server->endpoint();
+  }
   Supervisor supervisor(cfg, options);
 
   SupervisorReport report;
@@ -210,6 +224,15 @@ TEST_P(KillMatrixTest, SupervisorDetectsShrinksAndResumes) {
   for (size_t i = 0; i < report.losses.size(); ++i) {
     EXPECT_GT(report.losses[i], 0.0) << c.label << ": no final loss for iteration " << i + 1;
   }
+  // The shrunk resume converted through the store the engine saved to: the export is a
+  // committed tag there, and nothing was written beside ckpt_dir's flight records.
+  LocalStore saved(c.remote ? Sub("daemon") : Sub("ckpt"));
+  EXPECT_TRUE(IsTagComplete(saved, std::string(c.expected_resume_tag) + ".ucp")) << c.label;
+  if (server != nullptr) {
+    server->Shutdown();
+    LocalStore flight_records(Sub("ckpt"));
+    EXPECT_FALSE(FindLatestValidTag(flight_records).ok()) << c.label;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -229,6 +252,10 @@ INSTANTIATE_TEST_SUITE_P(
         // complete, so the step-4 save still commits and recovery resumes from it.
         KillCase{"tp2dp2_rank3_async_flush", {2, 1, 2, 1, 0, 1}, 3, FaultSite::kAsyncFlush, 4,
                  "global_step4"},
+        // The same kill with the supervisor on a daemon: the save, the newest-tag check,
+        // the conversion and the load all go through its RemoteStore.
+        KillCase{"tp2dp2_rank3_async_flush_remote", {2, 1, 2, 1, 0, 1}, 3,
+                 FaultSite::kAsyncFlush, 4, "global_step4", /*remote=*/true},
         // TP1.PP2 (2 ranks), killed inside a pipeline P2P receive: stage 0 dies receiving
         // the backward grad, stage 1 dies receiving the forward activation.
         KillCase{"pp2_rank0_p2p_recv", {1, 2, 1, 1, 0, 1}, 0, FaultSite::kP2PRecv, 3,
@@ -257,8 +284,9 @@ std::vector<double> ShrunkReferenceLosses(const std::string& ckpt_dir,
 
   TrainerConfig to_cfg = ConfigFor(to);
   TrainingRun resumed(to_cfg);
+  LocalStore store(ckpt_dir);
   resumed.Run([&](RankTrainer& t) {
-    Result<ResumeReport> r = ResumeElastic(ckpt_dir, t);
+    Result<ResumeReport> r = ResumeElastic(store, t);
     UCP_CHECK(r.ok()) << r.status().ToString();
     UCP_CHECK_EQ(r->iteration, 4);
   });

@@ -75,7 +75,7 @@ TEST_F(RobustnessTest, ConvertRejectsTamperedMeta) {
 TEST_F(RobustnessTest, LoadUcpFailsOnMissingAtomTensor) {
   MakeCheckpoint({1, 1, 1, 1, 0, 1});
   ASSERT_TRUE(ConvertToUcp(Sub("ckpt"), "global_step2", Sub("ucp")).ok());
-  ASSERT_TRUE(RemoveAll(AtomPath(Sub("ucp"), "language_model.output_layer.weight")).ok());
+  ASSERT_TRUE(RemoveAll(Sub("ucp/atoms/language_model.output_layer.weight")).ok());
   TrainingRun run(ConfigFor({1, 1, 1, 1, 0, 1}));
   Status s = LoadUcpCheckpoint(Sub("ucp"), run.trainer(0));
   EXPECT_EQ(s.code(), StatusCode::kNotFound);
@@ -85,12 +85,13 @@ TEST_F(RobustnessTest, LoadUcpFailsOnShapeTamperedAtom) {
   MakeCheckpoint({1, 1, 1, 1, 0, 1});
   ASSERT_TRUE(ConvertToUcp(Sub("ckpt"), "global_step2", Sub("ucp")).ok());
   // Overwrite one atom with wrong-shaped members (valid file, wrong contents).
-  ParamState wrong;
-  wrong.name = "language_model.encoder.final_layernorm.weight";
-  wrong.fp32 = Tensor::Zeros({7});
-  wrong.exp_avg = Tensor::Zeros({7});
-  wrong.exp_avg_sq = Tensor::Zeros({7});
-  ASSERT_TRUE(WriteAtom(Sub("ucp"), wrong).ok());
+  TensorBundle wrong;
+  for (const char* member : kAtomMembers) {
+    wrong.Add(member, Tensor::Zeros({7}));
+  }
+  wrong.meta = Json(JsonObject{});
+  ASSERT_TRUE(
+      SaveBundle(Sub("ucp/atoms/language_model.encoder.final_layernorm.weight"), wrong).ok());
   TrainingRun run(ConfigFor({1, 1, 1, 1, 0, 1}));
   Status s = LoadUcpCheckpoint(Sub("ucp"), run.trainer(0));
   EXPECT_FALSE(s.ok());
@@ -107,8 +108,9 @@ TEST_F(RobustnessTest, ResumeElasticPropagatesCorruptionNotReshard) {
 
   TrainingRun run(ConfigFor({1, 1, 2, 1, 1, 1}));
   std::vector<Status> statuses(2);
+  LocalStore ckpt(Sub("ckpt"));
   run.Run([&](RankTrainer& t) {
-    Result<ResumeReport> report = ResumeElastic(Sub("ckpt"), t);
+    Result<ResumeReport> report = ResumeElastic(ckpt, t);
     statuses[static_cast<size_t>(t.rank())] =
         report.ok() ? OkStatus() : report.status();
   });
@@ -120,7 +122,8 @@ TEST_F(RobustnessTest, ResumeElasticPropagatesCorruptionNotReshard) {
 TEST_F(RobustnessTest, ResumeElasticWithoutLatestIsNotFound) {
   TrainingRun run(ConfigFor({1, 1, 1, 1, 0, 1}));
   ASSERT_TRUE(MakeDirs(Sub("empty")).ok());
-  Result<ResumeReport> report = ResumeElastic(Sub("empty"), run.trainer(0));
+  LocalStore empty(Sub("empty"));
+  Result<ResumeReport> report = ResumeElastic(empty, run.trainer(0));
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kNotFound);
 }
@@ -128,58 +131,54 @@ TEST_F(RobustnessTest, ResumeElasticWithoutLatestIsNotFound) {
 TEST_F(RobustnessTest, UcpMetaTamperedVersionRejected) {
   MakeCheckpoint({1, 1, 1, 1, 0, 1});
   ASSERT_TRUE(ConvertToUcp(Sub("ckpt"), "global_step2", Sub("ucp")).ok());
-  Json meta = *Json::Parse(*ReadFileToString(PathJoin(Sub("ucp"), "ucp_meta.json")));
+  const std::string manifest = Sub("ucp/checkpoint_meta.json");
+  Json meta = *Json::Parse(*ReadFileToString(manifest));
   meta["format_version"] = 999;
-  ASSERT_TRUE(WriteFileAtomic(PathJoin(Sub("ucp"), "ucp_meta.json"), meta.Dump()).ok());
+  ASSERT_TRUE(WriteFileAtomic(manifest, meta.Dump()).ok());
   LocalStore ucp(Sub("ucp"));
   EXPECT_EQ(ReadUcpMeta(ucp, "").status().code(), StatusCode::kFailedPrecondition);
 }
 
-// A UCP cache from before atoms were bundles: ucp_meta.json says format_version 1 and every
-// atom is a directory. Resume and the load refuse it up front with kFailedPrecondition
-// naming the version (not an I/O error from opening a directory as an atom file), and
-// validation and fsck report it; fsck --quarantine renames it aside.
-TEST_F(RobustnessTest, UcpFormatVersion1IsRefusedByLoadValidateAndFsck) {
+// A UCP cache in format 2, which committed outside the tag protocol: its manifest is
+// `ucp_meta.json` (format_version 2) and its marker reads "ucp". Resume and the load refuse
+// it up front with kFailedPrecondition naming the version (not a NotFound for the missing
+// checkpoint_meta.json), and validation and fsck report it; fsck --quarantine renames it
+// aside.
+TEST_F(RobustnessTest, UcpFormatVersion2IsRefusedByLoadValidateAndFsck) {
   MakeCheckpoint({1, 1, 1, 1, 0, 1});
   const std::string cache = Sub("ckpt/global_step2.ucp");
   ASSERT_TRUE(ConvertToUcp(Sub("ckpt"), "global_step2", cache).ok());
-  LocalStore ucp(cache);
-  Result<UcpMeta> meta = ReadUcpMeta(ucp, "");
-  ASSERT_TRUE(meta.ok()) << meta.status();
-  for (const std::string& name : meta->atom_names) {
-    const std::string atom = AtomPath(cache, name);
-    ASSERT_TRUE(RenamePath(atom, atom + ".v2").ok());
-    ASSERT_TRUE(MakeDirs(atom).ok());
-    ASSERT_TRUE(RenamePath(atom + ".v2", PathJoin(atom, "fp32")).ok());
-  }
-  Json json = *Json::Parse(*ReadFileToString(PathJoin(cache, "ucp_meta.json")));
-  json["format_version"] = 1;
+  Json json = *Json::Parse(*ReadFileToString(PathJoin(cache, "checkpoint_meta.json")));
+  json["format_version"] = 2;
   ASSERT_TRUE(WriteFileAtomic(PathJoin(cache, "ucp_meta.json"), json.Dump()).ok());
-  auto names_version_1 = [](const std::string& text) {
-    return text.find("format version 1") != std::string::npos;
+  ASSERT_TRUE(RemoveAll(PathJoin(cache, "checkpoint_meta.json")).ok());
+  ASSERT_TRUE(WriteFileAtomic(PathJoin(cache, kCompleteMarker), "ucp").ok());
+  auto names_version_2 = [](const std::string& text) {
+    return text.find("format version 2") != std::string::npos;
   };
 
   TrainingRun single(ConfigFor({1, 1, 1, 1, 0, 1}));
   Status load = LoadUcpCheckpoint(cache, single.trainer(0));
   EXPECT_EQ(load.code(), StatusCode::kFailedPrecondition) << load;
-  EXPECT_TRUE(names_version_1(load.message())) << load;
+  EXPECT_TRUE(names_version_2(load.message())) << load;
 
   // A reshard resume finds the committed cache and stops on it rather than walking on.
   TrainingRun resharded(ConfigFor({2, 1, 1, 1, 0, 1}));
   std::vector<Status> resumes(2);
+  LocalStore ckpt(Sub("ckpt"));
   resharded.Run([&](RankTrainer& t) {
-    Result<ResumeReport> report = ResumeElastic(Sub("ckpt"), t);
+    Result<ResumeReport> report = ResumeElastic(ckpt, t);
     resumes[static_cast<size_t>(t.rank())] = report.ok() ? OkStatus() : report.status();
   });
   for (const Status& resume : resumes) {
     EXPECT_EQ(resume.code(), StatusCode::kFailedPrecondition) << resume;
-    EXPECT_TRUE(names_version_1(resume.message())) << resume;
+    EXPECT_TRUE(names_version_2(resume.message())) << resume;
   }
 
   Result<ValidationReport> report = ValidateUcpCheckpoint(cache);
   ASSERT_TRUE(report.ok()) << report.status();
   ASSERT_EQ(report->problems.size(), 1u) << report->ToString();
-  EXPECT_TRUE(names_version_1(report->problems[0])) << report->problems[0];
+  EXPECT_TRUE(names_version_2(report->problems[0])) << report->problems[0];
 
   Result<FsckReport> fsck = Fsck(Sub("ckpt"), /*quarantine=*/true);
   ASSERT_TRUE(fsck.ok()) << fsck.status();
@@ -196,7 +195,7 @@ TEST_F(RobustnessTest, AtomMissingAMemberIsRefusedNotReadAsZeros) {
   MakeCheckpoint({1, 1, 1, 1, 0, 1});
   ASSERT_TRUE(ConvertToUcp(Sub("ckpt"), "global_step2", Sub("ucp")).ok());
   const std::string name = "language_model.output_layer.weight";
-  const std::string path = AtomPath(Sub("ucp"), name);
+  const std::string path = PathJoin(Sub("ucp"), AtomRel("", name));
   Result<TensorBundle> atom = LoadBundle(path);
   ASSERT_TRUE(atom.ok()) << atom.status();
   ASSERT_EQ(atom->tensors.size(), 3u);

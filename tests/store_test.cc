@@ -242,6 +242,24 @@ TEST_P(StoreConformanceTest, CommitWholesaleReplacesPreviousCommit) {
   EXPECT_EQ(std::find(entries->begin(), entries->end(), "old_shard"), entries->end());
 }
 
+// A name the tag grammar does not parse (a UCP export's `<tag>.ucp`, a tool's tag) commits,
+// nested files included, without moving any job's `latest` pointer.
+TEST_P(StoreConformanceTest, CommittingAnExportMovesNoLatestPointer) {
+  CommitSimpleTag("global_step2", 2);
+  CommitSimpleTag("jobA.global_step5", 5);
+  CommitSimpleTag("global_step3.ucp", 3, "atoms/a.weight", "atom");
+  EXPECT_TRUE(IsTagComplete(*store_, "global_step3.ucp"));
+  EXPECT_EQ(*store_->ReadSmallFile("global_step3.ucp/atoms/a.weight"), "atom");
+  EXPECT_EQ(*ReadLatestTag(*store_), "global_step2");
+  EXPECT_EQ(*ReadLatestTag(*store_, "jobA"), "jobA.global_step5");
+  Result<std::vector<std::string>> entries = store_->List("");
+  ASSERT_TRUE(entries.ok()) << entries.status();
+  EXPECT_EQ(std::count_if(entries->begin(), entries->end(),
+                          [](const std::string& e) { return e.rfind("latest", 0) == 0; }),
+            2);
+  EXPECT_EQ(*store_->ListTags(""), std::vector<std::string>{"global_step2"});
+}
+
 TEST_P(StoreConformanceTest, GcIsJobScopedAndDryRunIsInert) {
   CommitSimpleTag("global_step1", 1);
   CommitSimpleTag("global_step2", 2);
@@ -367,15 +385,15 @@ TEST_P(StoreConformanceTest, UcpLoadRefusesADirWithoutItsCompleteMarker) {
   source.Train(1, 2);
   SaveThroughStore(source, 2);
   const std::string ucp_dir = PathJoin(dir_, "ucp");
-  Result<ConvertStats> converted = ConvertToUcp(*store_, "global_step2", ucp_dir);
+  Result<ConvertStats> converted = ConvertToUcp(*store_, "global_step2", *store_, "ucp");
   ASSERT_TRUE(converted.ok()) << converted.status();
   ASSERT_TRUE(RemoveAll(PathJoin(ucp_dir, kCompleteMarker)).ok());
 
   for (const bool unparseable : {false, true}) {
-    SCOPED_TRACE(unparseable ? "unparseable ucp_meta.json" : "intact ucp_meta.json");
+    SCOPED_TRACE(unparseable ? "unparseable manifest" : "intact manifest");
     if (unparseable) {
       const std::string truncated = "{\"atoms\": [";
-      ASSERT_TRUE(WriteFileAtomic(PathJoin(ucp_dir, "ucp_meta.json"), truncated).ok());
+      ASSERT_TRUE(WriteFileAtomic(PathJoin(ucp_dir, "checkpoint_meta.json"), truncated).ok());
     }
     TrainingRun target(ReaderConfig({2, 1, 1, 1, 0, 1}));
     std::vector<Status> statuses(static_cast<size_t>(target.world_size()));
@@ -431,14 +449,16 @@ TEST_P(StoreConformanceTest, ConvertThroughStoreWritesTheDirFormsAtoms) {
   source.Train(1, 2);
   SaveThroughStore(source, 2);
 
-  // The atoms land in local directories outside the store.
+  // The store form exports into the store as `global_step2.ucp`; the dir form into a local
+  // directory outside it.
   const std::string out = *MakeTempDir("store_conv");
-  const std::string via_store = PathJoin(out, "via_store");
   const std::string via_dir = PathJoin(out, "via_dir");
-  Result<ConvertStats> a = ConvertToUcp(*store_, "global_step2", via_store);
+  Result<ConvertStats> a = ConvertToUcp(*store_, "global_step2", *store_, "global_step2.ucp");
   ASSERT_TRUE(a.ok()) << a.status();
   Result<ConvertStats> b = ConvertToUcp(dir_, "global_step2", via_dir);
   ASSERT_TRUE(b.ok()) << b.status();
+  EXPECT_EQ(ConvertToUcp(*store_, "global_step2", *store_, "global_step2.ucp").status().code(),
+            StatusCode::kAlreadyExists);
 
   // bytes_read is the size of every shard file Extract opened: all of them under ZeRO-1.
   int64_t shard_bytes = 0;
@@ -453,13 +473,13 @@ TEST_P(StoreConformanceTest, ConvertThroughStoreWritesTheDirFormsAtoms) {
   EXPECT_EQ(a->bytes_written, b->bytes_written);
   EXPECT_EQ(a->atoms_written, b->atoms_written);
 
-  LocalStore converted(via_store);
-  Result<UcpMeta> meta = ReadUcpMeta(converted, "");
+  EXPECT_TRUE(IsTagComplete(*store_, "global_step2.ucp"));
+  Result<UcpMeta> meta = ReadUcpMeta(*store_, "global_step2.ucp");
   ASSERT_TRUE(meta.ok()) << meta.status();
   ASSERT_FALSE(meta->atom_names.empty());
   for (const std::string& name : meta->atom_names) {
-    Result<std::string> x = ReadFileToString(AtomPath(via_store, name));
-    Result<std::string> y = ReadFileToString(AtomPath(via_dir, name));
+    Result<std::string> x = ReadFileToString(PathJoin(dir_, AtomRel("global_step2.ucp", name)));
+    Result<std::string> y = ReadFileToString(PathJoin(via_dir, AtomRel("", name)));
     ASSERT_TRUE(x.ok() && y.ok()) << name;
     EXPECT_TRUE(*x == *y) << name << " differs";
   }
@@ -1234,7 +1254,7 @@ TEST_F(StoreServerTest, DaemonKillMidSaveNeverLeavesAcceptedTag) {
 
   TrainingRun resumed(config);
   resumed.Run([&](RankTrainer& trainer) {
-    Result<ResumeReport> report = ResumeElastic(dir_, trainer);
+    Result<ResumeReport> report = ResumeElastic(*local_, trainer);
     UCP_CHECK(report.ok()) << report.status();
     UCP_CHECK(report->tag == "global_step2") << report->tag;
     UCP_CHECK(report->iteration == 2) << report->iteration;
@@ -1347,6 +1367,50 @@ TEST_F(StoreServerTest, TraceContextParentsServerSpansUnderClientRpc) {
   EXPECT_TRUE(checked_write_begin);
 }
 
+// A traced request is one frame: its trace context rides inside the request frame, so a
+// traced COMMIT_TAG raises the daemon's frame count by exactly 1, and the daemon's
+// commit_tag span still parents under the client's commit_tag RPC span of the same trace.
+TEST_F(StoreServerTest, TracedCommitIsOneFrameParentedUnderTheClientRpc) {
+  obs::SetTraceEnabled(true);
+  obs::ResetTrace();
+  std::shared_ptr<RemoteStore> store = Connect();
+  ASSERT_TRUE(store->ResetTagStaging("global_step1").ok());
+  Result<std::unique_ptr<StoreWriter>> writer = store->OpenTagForWrite("global_step1");
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  ASSERT_TRUE((*writer)->WriteFile("shard", std::string("payload")).ok());
+  const uint64_t ops_before = CounterValue("store.server.ops");
+  ASSERT_TRUE(store->CommitTag("global_step1", MetaJson(1)).ok());
+  EXPECT_EQ(CounterValue("store.server.ops") - ops_before, 1u);
+  // The daemon ends a request's span after sending its reply; it handles a session's frames
+  // in order, so once PING is answered the commit_tag span is recorded.
+  ASSERT_TRUE(store->Ping().ok());
+
+  Result<Json> parsed = Json::Parse(obs::ExportChromeTraceJson());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  Result<const JsonArray*> events = parsed->GetArray("traceEvents");
+  ASSERT_TRUE(events.ok());
+  std::map<std::string, std::string> client_commit;  // span_id -> trace_id
+  for (const Json& e : **events) {
+    Result<std::string> name = e.GetString("name");
+    if (name.ok() && *name == "store.client.rpc" && TraceArg(e, "op") == "commit_tag") {
+      client_commit[TraceArg(e, "span_id")] = TraceArg(e, "trace_id");
+    }
+  }
+  int server_commits = 0;
+  for (const Json& e : **events) {
+    Result<std::string> name = e.GetString("name");
+    if (!name.ok() || *name != "store.server.rpc" || TraceArg(e, "op") != "commit_tag") {
+      continue;
+    }
+    ++server_commits;
+    const std::string parent = TraceArg(e, "parent_span_id");
+    ASSERT_TRUE(client_commit.count(parent)) << "server commit_tag span has no client parent";
+    EXPECT_FALSE(TraceArg(e, "trace_id").empty());
+    EXPECT_EQ(client_commit[parent], TraceArg(e, "trace_id"));
+  }
+  EXPECT_EQ(server_commits, 1);
+}
+
 // Reconnect attribution: a save interrupted by a connection drop resumes under the SAME
 // trace_id — the reconnect span, the WRITE_RESUME continuation, and every server-side
 // write span belong to one logical operation, not two roots.
@@ -1363,8 +1427,8 @@ TEST_F(StoreServerTest, TraceContextSurvivesConnDropAndWriteResume) {
   ASSERT_TRUE(store->ResetTagStaging("global_step1").ok());
   Result<std::unique_ptr<StoreWriter>> writer = store->OpenTagForWrite("global_step1");
   ASSERT_TRUE(writer.ok()) << writer.status();
-  // Drop the connection mid-chunk-stream (sends since arming: BEGIN=1, its OK=2, chunks
-  // from 3), forcing reconnect + WRITE_RESUME inside one WriteFile call.
+  // Drop the connection mid-chunk-stream (sends since arming, from 0: BEGIN, its OK, then
+  // the chunks), forcing reconnect + WRITE_RESUME inside one WriteFile call.
   ArmSocketFault({SocketFault::Op::kSend, SocketFault::Kind::kEconnreset, 5, 0});
   Status wrote = (*writer)->WriteFile("shard", body.data(), body.size());
   ClearSocketFaults();
@@ -1401,8 +1465,8 @@ TEST_F(StoreServerTest, TraceContextSurvivesConnDropAndWriteResume) {
       }
       if (op == "write_begin" || op == "write_chunk" || op == "write_end" ||
           op == "write_resume") {
-        // Mid-stream chunk frames carry no per-frame header (only the frame after a
-        // TRACE_CONTEXT is annotated), so their spans are context-free — skip those.
+        // Mid-stream chunk frames carry no trace context (only requests sent as an
+        // exchange do), so their spans are context-free — skip those.
         if (!TraceArg(e, "trace_id").empty()) {
           server_write_traces.insert(TraceArg(e, "trace_id"));
         }
@@ -1594,6 +1658,37 @@ TEST_F(StoreServerTest, RemoteUcpLoadAcrossAConnectionDropIsBitExact) {
     ExpectSameOptimizerState(remote_run, local_run);
   }
   EXPECT_GT(reopened, 0u);
+}
+
+// A reshard resume through a RemoteStore converts and loads through the daemon: the export
+// `<tag>.ucp` is a tag the daemon commits (no `latest` moves), and the state installed is
+// bit-identical to the same resume through a LocalStore on the daemon's root.
+TEST_F(StoreServerTest, ReshardResumeThroughTheDaemonInstallsTheLocalResumesState) {
+  std::shared_ptr<RemoteStore> remote = Connect();
+  TrainingRun source(ReaderConfig({1, 1, 2, 1, 1, 1}));
+  source.Train(1, 2);
+  source.Run([&](RankTrainer& trainer) {
+    Status saved = SaveDistributedCheckpoint(*remote, trainer, 2);
+    UCP_CHECK(saved.ok()) << saved.ToString();
+  });
+  auto resume_through = [&](Store& store, TrainingRun& run) {
+    run.Run([&](RankTrainer& trainer) {
+      Result<ResumeReport> report = ResumeElasticFromTag(store, "global_step2", trainer);
+      UCP_CHECK(report.ok()) << report.status();
+      UCP_CHECK(report->path == ResumeReport::Path::kUcpConverted);
+    });
+  };
+  TrainingRun local_run(ReaderConfig({2, 1, 1, 1, 0, 1}));
+  resume_through(*local_, local_run);
+  ASSERT_TRUE(RemoveAll(PathJoin(dir_, "global_step2.ucp")).ok());
+
+  const uint64_t commits_before = HistogramCount("store.server.rpc.commit_tag.seconds");
+  TrainingRun remote_run(ReaderConfig({2, 1, 1, 1, 0, 1}));
+  resume_through(*remote, remote_run);
+  EXPECT_EQ(HistogramCount("store.server.rpc.commit_tag.seconds") - commits_before, 1u);
+  EXPECT_TRUE(IsTagComplete(*local_, "global_step2.ucp"));
+  EXPECT_EQ(*ReadLatestTag(*local_), "global_step2");
+  ExpectSameOptimizerState(remote_run, local_run);
 }
 
 TEST_F(StoreServerTest, SlicedLoadOverRemoteBitExactWithLocalAcrossSweep) {

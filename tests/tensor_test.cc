@@ -464,21 +464,27 @@ TEST_F(TensorFileTest, SerializedBytesArePinned) {
   }
 
   // An atom file is a bundle with the members fp32, exp_avg and exp_avg_sq and an empty
-  // meta, written by WriteAtom.
+  // meta, staged by WriteAtom into a UCP tag.
   SCOPED_TRACE("atom file");
   ParamState state;
   state.name = "pin.atom.weight";
   state.fp32 = PinTensor({5, 7}, 11);
   state.exp_avg = PinTensor({5, 7}, 12);
   state.exp_avg_sq = PinTensor({5, 7}, 13);
-  ASSERT_TRUE(WriteAtom(dir_, state).ok());
-  Result<std::string> file = ReadFileToString(AtomPath(dir_, state.name));
+  LocalStore ucp(dir_);
+  ASSERT_TRUE(ucp.ResetTagStaging("pin.ucp").ok());
+  Result<std::unique_ptr<StoreWriter>> writer = ucp.OpenTagForWrite("pin.ucp");
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  Result<int64_t> staged = WriteAtom(**writer, state);
+  ASSERT_TRUE(staged.ok()) << staged.status();
+  ASSERT_TRUE(ucp.CommitTag("pin.ucp", "{}").ok());
+  Result<std::string> file = ReadFileToString(PathJoin(dir_, "pin.ucp/atoms/pin.atom.weight"));
   ASSERT_TRUE(file.ok()) << file.status();
   const std::vector<uint8_t> bytes(file->begin(), file->end());
   EXPECT_EQ(bytes.size(), kAtomPinBytes);
+  EXPECT_EQ(static_cast<uint64_t>(*staged), kAtomPinBytes);
   EXPECT_EQ(BodyCrc(bytes), kAtomPinBodyCrc);
-  LocalStore ucp(dir_);
-  Result<ParamState> back = ReadAtom(ucp, "", state.name);
+  Result<ParamState> back = ReadAtom(ucp, "pin.ucp", state.name);
   ASSERT_TRUE(back.ok()) << back.status();
   EXPECT_TRUE(Tensor::BitEqual(back->fp32, state.fp32));
   EXPECT_TRUE(Tensor::BitEqual(back->exp_avg, state.exp_avg));

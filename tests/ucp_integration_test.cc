@@ -14,6 +14,8 @@
 #include "src/ckpt/checkpoint.h"
 #include "src/ckpt/foreign.h"
 #include "src/common/fs.h"
+#include "src/store/remote_store.h"
+#include "src/store/server.h"
 #include "src/ucp/converter.h"
 #include "src/ucp/elastic.h"
 #include "src/ucp/loader.h"
@@ -64,47 +66,91 @@ struct ReshardCase {
   ParallelConfig source;
   ParallelConfig target;
   const char* label;
+  // The sweep saves, converts and loads through a RemoteStore on an in-process daemon
+  // instead of a LocalStore on the same directory.
+  bool remote = false;
 };
 
 // Without a printer gtest dumps the raw bytes, the label pointer included, into every
 // listed test name, so the names ctest registers would change from build to build. The
 // label is already the name's suffix, so the printer shows only the case's data.
 void PrintTo(const ReshardCase& c, std::ostream* os) {
-  *os << c.source.ToString() << " -> " << c.target.ToString();
+  *os << c.source.ToString() << " -> " << c.target.ToString() << (c.remote ? " remote" : "");
 }
 
-class ReshardSweepTest : public UcpEnv, public ::testing::WithParamInterface<ReshardCase> {};
+class ReshardSweepTest : public UcpEnv, public ::testing::WithParamInterface<ReshardCase> {
+ protected:
+  void SetUp() override {
+    UcpEnv::SetUp();
+    if (!GetParam().remote) {
+      store_ = StoreAt("store");
+      return;
+    }
+    StoreServerOptions options;
+    options.root = Sub("store");
+    options.listen = "unix:" + Sub("d.sock");
+    Result<std::unique_ptr<StoreServer>> started = StoreServer::Start(std::move(options));
+    ASSERT_TRUE(started.ok()) << started.status();
+    server_ = std::move(*started);
+    Result<std::shared_ptr<RemoteStore>> connected = RemoteStore::Connect(server_->endpoint());
+    ASSERT_TRUE(connected.ok()) << connected.status();
+    store_ = *connected;
+  }
 
-// Property 1+2 for each pair: reshard is lossless and training continues correctly.
+  void TearDown() override {
+    store_.reset();
+    if (server_ != nullptr) {
+      server_->Shutdown();
+    }
+    UcpEnv::TearDown();
+  }
+
+  std::unique_ptr<StoreServer> server_;
+  std::shared_ptr<Store> store_;
+};
+
+// Property 1+2 for each pair: reshard is lossless and training continues correctly. Source
+// and target save into one store as jobs "src" and "tgt", and each save is exported beside
+// itself as `<tag>.ucp`.
 TEST_P(ReshardSweepTest, LosslessAndContinuous) {
   const ReshardCase& c = GetParam();
   ModelConfig model = TinyGpt();
+  Store& store = *store_;
+  auto save = [&](TrainingRun& run, const std::string& job) {
+    run.Run([&](RankTrainer& t) {
+      Status s = SaveDistributedCheckpoint(store, t, 3, job);
+      UCP_CHECK(s.ok()) << s.ToString();
+    });
+  };
 
   // Train the source and checkpoint at iteration 3.
   TrainingRun source(ConfigFor(model, c.source));
   source.Train(1, 3);
-  SaveAll(source, Sub("src"), 3);
+  save(source, "src");
 
   // Convert to UCP.
-  Result<ConvertStats> stats =
-      ConvertToUcp(Sub("src"), "global_step3", Sub("ucp"), {.num_threads = 2});
+  Result<ConvertStats> stats = ConvertToUcp(store, "src.global_step3", store,
+                                            "src.global_step3.ucp", {.num_threads = 2});
   ASSERT_TRUE(stats.ok()) << stats.status();
   EXPECT_GT(stats->atoms_written, 0);
 
   // Load into the target and immediately checkpoint it again.
   TrainingRun target(ConfigFor(model, c.target));
-  LoadAll(target, Sub("ucp"));
-  SaveAll(target, Sub("tgt"), 3);
-  Result<ConvertStats> stats2 =
-      ConvertToUcp(Sub("tgt"), "global_step3", Sub("ucp2"), {.num_threads = 2});
+  target.Run([&](RankTrainer& t) {
+    Status s = LoadUcpCheckpoint(store, "src.global_step3.ucp", t);
+    UCP_CHECK(s.ok()) << s.ToString();
+  });
+  save(target, "tgt");
+  Result<ConvertStats> stats2 = ConvertToUcp(store, "tgt.global_step3", store,
+                                             "tgt.global_step3.ucp", {.num_threads = 2});
   ASSERT_TRUE(stats2.ok()) << stats2.status();
 
-  // Lossless round trip: both UCP directories hold bit-identical atoms.
-  Result<UcpMeta> meta = ReadUcpMeta(*StoreAt("ucp"), "");
+  // Lossless round trip: both UCP exports hold bit-identical atoms.
+  Result<UcpMeta> meta = ReadUcpMeta(store, "src.global_step3.ucp");
   ASSERT_TRUE(meta.ok());
   for (const std::string& name : meta->atom_names) {
-    Result<ParamState> a = ReadAtom(*StoreAt("ucp"), "", name);
-    Result<ParamState> b = ReadAtom(*StoreAt("ucp2"), "", name);
+    Result<ParamState> a = ReadAtom(store, "src.global_step3.ucp", name);
+    Result<ParamState> b = ReadAtom(store, "tgt.global_step3.ucp", name);
     ASSERT_TRUE(a.ok()) << name;
     ASSERT_TRUE(b.ok()) << name;
     EXPECT_TRUE(Tensor::BitEqual(a->fp32, b->fp32)) << name;
@@ -125,30 +171,43 @@ TEST_P(ReshardSweepTest, LosslessAndContinuous) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    StrategyPairs, ReshardSweepTest,
-    ::testing::Values(
-        // Same strategy: resume must be bit-exact.
-        ReshardCase{{2, 2, 2, 1, 1, 1}, {2, 2, 2, 1, 1, 1}, "identity_3d"},
-        // The paper's flagship: 3-D parallel -> pure DP and back.
-        ReshardCase{{2, 2, 2, 1, 1, 1}, {1, 1, 2, 1, 2, 1}, "3d_to_dp2_zero2"},
-        ReshardCase{{1, 1, 4, 1, 2, 1}, {2, 2, 1, 1, 0, 1}, "dp4_zero2_to_tp2pp2"},
-        // ZeRO-3 in both directions.
-        ReshardCase{{1, 1, 4, 1, 3, 1}, {2, 1, 2, 1, 1, 1}, "zero3_to_tp2dp2"},
-        ReshardCase{{2, 1, 2, 1, 1, 1}, {1, 1, 2, 1, 3, 1}, "tp2dp2_to_zero3"},
-        // TP degree changes (shard resplitting).
-        ReshardCase{{2, 1, 1, 1, 0, 1}, {4, 1, 1, 1, 0, 1}, "tp2_to_tp4"},
-        ReshardCase{{4, 1, 1, 1, 0, 1}, {1, 2, 2, 1, 1, 1}, "tp4_to_pp2dp2"},
-        // PP changes (stage remapping).
-        ReshardCase{{1, 2, 2, 1, 1, 2}, {1, 1, 1, 1, 0, 1}, "pp2dp2_to_serial"},
-        ReshardCase{{1, 1, 1, 1, 0, 1}, {2, 2, 1, 1, 0, 1}, "serial_to_tp2pp2"},
-        // Sequence parallelism as source (params_to_average) and as target.
-        ReshardCase{{1, 1, 2, 2, 1, 1}, {2, 1, 2, 1, 1, 1}, "sp2_to_tp2dp2"},
-        ReshardCase{{2, 1, 2, 1, 1, 1}, {1, 1, 2, 2, 1, 1}, "tp2dp2_to_sp2"},
-        // Elastic capacity: shrink 8 -> 2 ranks and grow 2 -> 8.
-        ReshardCase{{2, 2, 2, 1, 1, 1}, {1, 1, 2, 1, 1, 1}, "shrink_8_to_2"},
-        ReshardCase{{1, 1, 2, 1, 1, 1}, {2, 2, 2, 1, 1, 1}, "grow_2_to_8"}),
-    [](const ::testing::TestParamInfo<ReshardCase>& row) { return row.param.label; });
+// The 13 pairs, on one backend.
+std::vector<ReshardCase> ReshardCases(bool remote) {
+  std::vector<ReshardCase> cases = {
+      // Same strategy: resume must be bit-exact.
+      {{2, 2, 2, 1, 1, 1}, {2, 2, 2, 1, 1, 1}, "identity_3d"},
+      // The paper's flagship: 3-D parallel -> pure DP and back.
+      {{2, 2, 2, 1, 1, 1}, {1, 1, 2, 1, 2, 1}, "3d_to_dp2_zero2"},
+      {{1, 1, 4, 1, 2, 1}, {2, 2, 1, 1, 0, 1}, "dp4_zero2_to_tp2pp2"},
+      // ZeRO-3 in both directions.
+      {{1, 1, 4, 1, 3, 1}, {2, 1, 2, 1, 1, 1}, "zero3_to_tp2dp2"},
+      {{2, 1, 2, 1, 1, 1}, {1, 1, 2, 1, 3, 1}, "tp2dp2_to_zero3"},
+      // TP degree changes (shard resplitting).
+      {{2, 1, 1, 1, 0, 1}, {4, 1, 1, 1, 0, 1}, "tp2_to_tp4"},
+      {{4, 1, 1, 1, 0, 1}, {1, 2, 2, 1, 1, 1}, "tp4_to_pp2dp2"},
+      // PP changes (stage remapping).
+      {{1, 2, 2, 1, 1, 2}, {1, 1, 1, 1, 0, 1}, "pp2dp2_to_serial"},
+      {{1, 1, 1, 1, 0, 1}, {2, 2, 1, 1, 0, 1}, "serial_to_tp2pp2"},
+      // Sequence parallelism as source (params_to_average) and as target.
+      {{1, 1, 2, 2, 1, 1}, {2, 1, 2, 1, 1, 1}, "sp2_to_tp2dp2"},
+      {{2, 1, 2, 1, 1, 1}, {1, 1, 2, 2, 1, 1}, "tp2dp2_to_sp2"},
+      // Elastic capacity: shrink 8 -> 2 ranks and grow 2 -> 8.
+      {{2, 2, 2, 1, 1, 1}, {1, 1, 2, 1, 1, 1}, "shrink_8_to_2"},
+      {{1, 1, 2, 1, 1, 1}, {2, 2, 2, 1, 1, 1}, "grow_2_to_8"}};
+  for (ReshardCase& c : cases) {
+    c.remote = remote;
+  }
+  return cases;
+}
+
+std::string ReshardCaseName(const ::testing::TestParamInfo<ReshardCase>& row) {
+  return row.param.label;
+}
+
+INSTANTIATE_TEST_SUITE_P(StrategyPairs, ReshardSweepTest,
+                         ::testing::ValuesIn(ReshardCases(/*remote=*/false)), ReshardCaseName);
+INSTANTIATE_TEST_SUITE_P(RemoteStrategyPairs, ReshardSweepTest,
+                         ::testing::ValuesIn(ReshardCases(/*remote=*/true)), ReshardCaseName);
 
 // Property 3: atoms equal the state of an equivalent serial run (strong correctness anchor
 // for ZeRO-0/1: identical arithmetic, so bit-exact).
@@ -241,7 +300,7 @@ TEST_F(UcpEnv, ElasticResumeTakesNativeFastPathWhenUnchanged) {
   TrainingRun same(cfg);
   std::vector<ResumeReport::Path> paths(static_cast<size_t>(same.world_size()));
   same.Run([&](RankTrainer& t) {
-    Result<ResumeReport> report = ResumeElastic(Sub("ckpt"), t);
+    Result<ResumeReport> report = ResumeElastic(*StoreAt("ckpt"), t);
     UCP_CHECK(report.ok()) << report.status().ToString();
     UCP_CHECK_EQ(report->iteration, 3);
     paths[static_cast<size_t>(t.rank())] = report->path;
@@ -263,7 +322,7 @@ TEST_F(UcpEnv, ElasticResumeConvertsOnStrategyChangeAndCaches) {
   TrainingRun target(target_cfg);
   std::vector<ResumeReport::Path> paths(2);
   target.Run([&](RankTrainer& t) {
-    Result<ResumeReport> report = ResumeElastic(Sub("ckpt"), t);
+    Result<ResumeReport> report = ResumeElastic(*StoreAt("ckpt"), t);
     UCP_CHECK(report.ok()) << report.status().ToString();
     paths[static_cast<size_t>(t.rank())] = report->path;
   });
@@ -275,7 +334,7 @@ TEST_F(UcpEnv, ElasticResumeConvertsOnStrategyChangeAndCaches) {
   // A second resume reuses the cached conversion.
   TrainingRun again(target_cfg);
   again.Run([&](RankTrainer& t) {
-    Result<ResumeReport> report = ResumeElastic(Sub("ckpt"), t);
+    Result<ResumeReport> report = ResumeElastic(*StoreAt("ckpt"), t);
     UCP_CHECK(report.ok()) << report.status().ToString();
     UCP_CHECK(report->path == ResumeReport::Path::kUcpCached);
   });
@@ -317,8 +376,7 @@ TEST_F(UcpEnv, ValidationFlagsMissingAndCorruptFiles) {
   std::string contents = *ReadFileToString(optim);
   contents[contents.size() / 3] ^= 0x10;
   ASSERT_TRUE(WriteFileAtomic(optim, contents).ok());
-  ASSERT_TRUE(
-      RemoveAll(AtomPath(Sub("ucp"), "language_model.encoder.final_layernorm.weight")).ok());
+  ASSERT_TRUE(RemoveAll(Sub("ucp/atoms/language_model.encoder.final_layernorm.weight")).ok());
 
   Result<ValidationReport> native = ValidateNativeCheckpoint(*StoreAt("ckpt"), "global_step2");
   ASSERT_TRUE(native.ok());
@@ -364,7 +422,7 @@ TEST_F(UcpEnv, ForeignCheckpointIngestsAndReshards) {
     UCP_CHECK(SaveForeignCheckpoint(Sub("foreign"), t, 3).ok());
   });
   Result<ConvertStats> stats =
-      ConvertForeignToUcp(Sub("foreign"), "foreign_step3", Sub("ucp"));
+      ConvertForeignToUcp(Sub("foreign"), "foreign_step3", *StoreAt(""), "ucp");
   ASSERT_TRUE(stats.ok()) << stats.status();
 
   TrainingRun target(ConfigFor(model, {2, 2, 1, 1, 0, 1}));

@@ -168,24 +168,36 @@ TEST(UnionTest, EmptyContributionsRejected) {
 
 class AtomTest : public ::testing::Test {
  protected:
-  void SetUp() override { dir_ = *MakeTempDir("ucp_atom_test"); }
   void TearDown() override { ASSERT_TRUE(RemoveAll(dir_).ok()); }
-  std::string dir_;
+
+  // Commits the UCP tag "x.ucp" of a LocalStore on dir_, holding `atoms` and `meta_json`.
+  void CommitUcpTag(const std::vector<ParamState>& atoms, const std::string& meta_json) {
+    ASSERT_TRUE(store_.ResetTagStaging("x.ucp").ok());
+    Result<std::unique_ptr<StoreWriter>> writer = store_.OpenTagForWrite("x.ucp");
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    for (const ParamState& atom : atoms) {
+      ASSERT_TRUE(WriteAtom(**writer, atom).ok());
+    }
+    ASSERT_TRUE(store_.CommitTag("x.ucp", meta_json).ok());
+  }
+
+  std::string dir_ = *MakeTempDir("ucp_atom_test");
+  LocalStore store_{dir_};
 };
 
 TEST_F(AtomTest, WriteReadRoundTrip) {
   CounterRng rng(1, 1);
   ParamState state = MakeState("language_model.embedding.word_embeddings.weight",
                                Tensor::Gaussian({8, 4}, rng, 0, 1.0f));
-  ASSERT_TRUE(WriteAtom(dir_, state).ok());
-  LocalStore ucp(dir_);
-  Result<ParamState> back = ReadAtom(ucp, "", state.name);
+  CommitUcpTag({state}, "{}");
+  Result<ParamState> back = ReadAtom(store_, "x.ucp", state.name);
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(Tensor::BitEqual(back->fp32, state.fp32));
   EXPECT_TRUE(Tensor::BitEqual(back->exp_avg, state.exp_avg));
   EXPECT_TRUE(Tensor::BitEqual(back->exp_avg_sq, state.exp_avg_sq));
   // One file, holding the three members with the full shape.
-  Result<std::unique_ptr<ByteSource>> file = FileByteSource::Open(AtomPath(dir_, state.name));
+  Result<std::unique_ptr<ByteSource>> file =
+      FileByteSource::Open(PathJoin(dir_, AtomRel("x.ucp", state.name)));
   ASSERT_TRUE(file.ok()) << file.status();
   Result<BundleInfo> info = StatBundle(std::move(*file));
   ASSERT_TRUE(info.ok()) << info.status();
@@ -197,8 +209,7 @@ TEST_F(AtomTest, WriteReadRoundTrip) {
 }
 
 TEST_F(AtomTest, MissingAtomIsNotFound) {
-  LocalStore ucp(dir_);
-  EXPECT_EQ(ReadAtom(ucp, "", "no.such.param").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(ReadAtom(store_, "", "no.such.param").status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(AtomTest, UcpMetaRoundTrip) {
@@ -209,9 +220,8 @@ TEST_F(AtomTest, UcpMetaRoundTrip) {
   meta.global_batch = 32;
   meta.data_seed = 4;
   meta.atom_names = {"a.weight", "b.bias"};
-  ASSERT_TRUE(WriteUcpMeta(dir_, meta).ok());
-  LocalStore ucp(dir_);
-  Result<UcpMeta> back = ReadUcpMeta(ucp, "");
+  CommitUcpTag({}, meta.ToJson().Dump(2));
+  Result<UcpMeta> back = ReadUcpMeta(store_, "x.ucp");
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(back->model == meta.model);
   EXPECT_TRUE(back->source_strategy == meta.source_strategy);

@@ -231,11 +231,12 @@ int CmdConvert(const Flags& flags, bool foreign) {
     library = *parsed;
     options.library = &library;
   }
+  const std::string& ucp_dir = flags.positional[2];
+  LocalStore dest(ParentDir(ucp_dir));
   Result<ConvertStats> stats =
-      foreign ? ConvertForeignToUcp(flags.positional[0], flags.positional[1],
-                                    flags.positional[2], options)
-              : ConvertToUcp(flags.positional[0], flags.positional[1], flags.positional[2],
-                             options);
+      foreign ? ConvertForeignToUcp(flags.positional[0], flags.positional[1], dest,
+                                    BaseName(ucp_dir), options)
+              : ConvertToUcp(flags.positional[0], flags.positional[1], ucp_dir, options);
   if (!stats.ok()) {
     return Fail(stats.status());
   }
